@@ -22,52 +22,11 @@ from .csxms import (
     validate_system,
 )
 from .dft import check_dft
-from .errors import (
-    AlphabetCollision,
-    BranchBoundExceeded,
-    DeadlockError,
-    DepthCapExceeded,
-    DftFailure,
-    EmptyMutantSet,
-    ExplosionBoundExceeded,
-    HeterotestError,
-    NondeterministicInput,
-    NondeterministicProduct,
-    NotMinimalError,
-    NoValidMutants,
-    OracleInvalidResult,
-    OracleTimeout,
-    PortIncompatibility,
-    SchemaError,
-    TermError,
-    TraceReplayMismatch,
-    UnextendedSystem,
-    UnreachableStateError,
-)
+from .errors import AlphabetCollision, DftFailure, HeterotestError, SchemaError
 from .heterotic import generate_integration_tests
 from .psystem import generate_coverage_test_set, psystem_run, rule_coverage, validate_psystem
 from .sxm import validate_sxm
 from .testgen import generate_sxm_test_suite
-
-GENERATION_ERRORS = (
-    NondeterministicProduct,
-    NondeterministicInput,
-    BranchBoundExceeded,
-    ExplosionBoundExceeded,
-    NotMinimalError,
-    UnreachableStateError,
-    DepthCapExceeded,
-    DeadlockError,
-    OracleTimeout,
-    OracleInvalidResult,
-    AlphabetCollision,
-    UnextendedSystem,
-    PortIncompatibility,
-    NoValidMutants,
-    EmptyMutantSet,
-    TraceReplayMismatch,
-    TermError,
-)
 
 
 def _env_seed() -> int:
@@ -393,9 +352,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except GENERATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HeterotestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

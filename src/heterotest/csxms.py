@@ -19,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
-from .dft import (
-    CompletenessWitness,
-    DeterminismWitness,
-    DftReport,
-    DistinguishabilityWitness,
-)
+from .dft import DftReport, decide_conditions
 from .errors import AlphabetCollision, DftFailure, NondeterministicProduct, UnextendedSystem
 from .sxm import (
     MemoryDomain,
@@ -179,10 +174,6 @@ class CsxmSystem:
     components: Tuple[Csxm, ...]
     extended: bool = False
     comm_symbol: str = DEFAULT_COMM_SYMBOL
-
-    def component(self, index: int) -> Csxm:
-        """1-based component access."""
-        return self.components[index - 1]
 
 
 @dataclass(frozen=True)
@@ -351,85 +342,79 @@ def _ordinary_modes(in_port: Value):
     return modes
 
 
+def _core_changes(sys: CsxmSystem, core: SystemCore, offered):
+    """Every ordinary or communicating change of a system core.
+
+    ``offered(i, ordinary)`` lists the symbols an ordinary or communicating
+    function of component ``i`` (0-based) may consume.  Yields ``(i, fname,
+    symbol, output, successor core)``.  A communicating change moves the
+    sender's out-port value into another component's empty in-port and
+    lands in an ordinary state.
+    """
+    for i, comp in enumerate(sys.components):
+        memory, state, in_port, out_port = core[i]
+        for (q, fname), targets in sorted(comp.next_state.items()):
+            if q != state:
+                continue
+            fn = comp.functions[fname]
+            ordinary = fname in comp.ordinary_functions
+            if not ordinary and out_port == BOTTOM_M:
+                continue
+            for symbol in offered(i, ordinary):
+                for port_arg, new_in in _ordinary_modes(in_port):
+                    result = fn.evaluate(symbol, port_arg, memory)
+                    if result is None:
+                        continue
+                    k = None
+                    if ordinary:
+                        new_out = result.out_port if result.set_out_port else out_port
+                    else:
+                        k = result.send_to
+                        if k is None or k - 1 == i or not 1 <= k <= len(sys.components):
+                            continue
+                        if core[k - 1][2] != BOTTOM_M:
+                            continue
+                        new_out = BOTTOM_M
+                    for target in targets:
+                        assert ordinary or target in comp.ordinary_states, (
+                            "communicating change must land in an ordinary state"
+                        )
+                        succ = list(core)
+                        succ[i] = (result.memory, target, new_in, new_out)
+                        if k is not None:
+                            km, kq, _, ko = core[k - 1]
+                            succ[k - 1] = (km, kq, out_port, ko)
+                        yield i, fname, symbol, result.output, tuple(succ)
+
+
 def system_step(sys: CsxmSystem, cfg: SystemConfiguration) -> list[SystemConfiguration]:
     """All configurations reachable in one ordinary or communicating change.
 
-    Empty exactly when the system is deadlocked.  Results are sorted for a
+    Ordinary functions and extended communicating functions consume the
+    stream head and emit their output; an unextended communicating change
+    reads the empty symbol and leaves stream and output alone.  Empty
+    exactly when the system is deadlocked.  Results are sorted for a
     deterministic merge order.
     """
-    successors: list[SystemConfiguration] = []
-    for i, comp in enumerate(sys.components):
-        cc = cfg[i]
-        for (q, fname), targets in sorted(comp.next_state.items()):
-            if q != cc.state:
-                continue
-            fn = comp.functions[fname]
-            if fname in comp.ordinary_functions:
-                if not cc.remaining_input:
-                    continue
-                head, rest = cc.remaining_input[0], cc.remaining_input[1:]
-                for port_arg, new_in in _ordinary_modes(cc.in_port):
-                    result = fn.evaluate(head, port_arg, cc.memory)
-                    if result is None:
-                        continue
-                    new_out = result.out_port if result.set_out_port else cc.out_port
-                    moved = ComponentConfiguration(
-                        memory=result.memory,
-                        state="",
-                        remaining_input=rest,
-                        output_so_far=cc.output_so_far + (result.output,),
-                        in_port=new_in,
-                        out_port=new_out,
-                    )
-                    for target in targets:
-                        succ = list(cfg)
-                        succ[i] = replace(moved, state=target)
-                        successors.append(tuple(succ))
-            else:
-                # Communicating change: the sender's out-port value moves into
-                # another component's empty in-port; streams stay untouched in
-                # unextended systems, while extended functions consume the
-                # communication symbol and emit their identifying output.
-                if cc.out_port == BOTTOM_M:
-                    continue
-                if sys.extended:
-                    if not cc.remaining_input:
-                        continue
-                    head, rest = cc.remaining_input[0], cc.remaining_input[1:]
-                else:
-                    head, rest = NULL, cc.remaining_input
-                for port_arg, new_in in _ordinary_modes(cc.in_port):
-                    result = fn.evaluate(head, port_arg, cc.memory)
-                    if result is None:
-                        continue
-                    k = result.send_to
-                    if k is None or k - 1 == i or not 1 <= k <= len(sys.components):
-                        continue
-                    if cfg[k - 1].in_port != BOTTOM_M:
-                        continue
-                    new_output = cc.output_so_far
-                    if sys.extended:
-                        new_output = new_output + (result.output,)
-                    for target in targets:
-                        assert target in comp.ordinary_states, (
-                            "communicating change must land in an ordinary state"
-                        )
-                        succ = list(cfg)
-                        succ[i] = ComponentConfiguration(
-                            memory=result.memory,
-                            state=target,
-                            remaining_input=rest,
-                            output_so_far=new_output,
-                            in_port=new_in,
-                            out_port=BOTTOM_M,
-                        )
-                        succ[k - 1] = replace(cfg[k - 1], in_port=cc.out_port)
-                        if not sys.extended:
-                            assert succ[i].remaining_input == cc.remaining_input
-                            assert succ[i].output_so_far == cc.output_so_far
-                        successors.append(tuple(succ))
-    unique = sorted(set(successors), key=lambda s: tuple(c.key() for c in s))
-    return unique
+
+    def offered(i, ordinary):
+        if ordinary or sys.extended:
+            return cfg[i].remaining_input[:1]
+        return (NULL,)
+
+    successors = set()
+    for i, fname, _, output, succ in _core_changes(sys, system_core(cfg), offered):
+        consumed = sys.extended or fname in sys.components[i].ordinary_functions
+        moved = []
+        for j, (memory, state, in_port, out_port) in enumerate(succ):
+            remaining, outputs = cfg[j].remaining_input, cfg[j].output_so_far
+            if j == i and consumed:
+                remaining, outputs = remaining[1:], outputs + (output,)
+            moved.append(
+                ComponentConfiguration(memory, state, remaining, outputs, in_port, out_port)
+            )
+        successors.add(tuple(moved))
+    return sorted(successors, key=lambda s: tuple(c.key() for c in s))
 
 
 def comm_output_symbol(component_index: int, function_position: int) -> str:
@@ -673,93 +658,34 @@ def build_product_sxm(sys: CsxmSystem) -> Sxm:
 # --- per-component design-for-test checks -----------------------------------
 
 
+def _component_step(fn: CsxmFunction, memory: Value, point):
+    port, symbol = point
+    result = fn.evaluate(symbol, port, memory)
+    if result is None:
+        return None
+    out_effect = result.out_port if result.set_out_port else "<keep>"
+    return result.output, result.memory, (result.output, out_effect, result.send_to)
+
+
 def check_csxm_dft(comp: Csxm, witness_limit: int = 16) -> DftReport:
     """The three design-for-test conditions for one component.
 
     The component is a machine over the paired input alphabet (symbol,
     in-port value), so completeness quantifies existentially over pairs and
-    witnesses carry (memory, port) in their memory slot.
+    witnesses carry (memory, port) in their memory slot.  Outputs are
+    distinguished together with their out-port effect and send target.
+    Set-valued next-state entries are left to the product arc scan, which
+    reports them as product nondeterminism; here only the initial-state
+    count is structural.  Witnesses stay in enumeration order.
     """
-    mem_values, exhaustive = comp.memory_domain.enumerate()
-    port_values = [BOTTOM_M] + [v for v in comp.in_port_domain if v != BOTTOM_M]
+    ports = [BOTTOM_M] + [v for v in comp.in_port_domain if v != BOTTOM_M]
     inputs = sorted(comp.inputs)
-    fn_names = sorted(comp.functions)
-
-    # Set-valued next-state entries are left to the product arc scan, which
-    # reports them as product nondeterminism; here only the initial-state
-    # count is structural.
-    structural: list[str] = []
-    if len(comp.initial_states) != 1:
-        structural.append(f"initial-state set {sorted(comp.initial_states)} is not a singleton")
-
-    def observable(result: CsxmResult):
-        out_effect = result.out_port if result.set_out_port else "<keep>"
-        return (result.output, out_effect, result.send_to)
-
-    det: list[DeterminismWitness] = []
-    attached: Dict[str, list[str]] = {}
-    for (q, fname) in comp.next_state:
-        attached.setdefault(q, []).append(fname)
-    for q in sorted(attached):
-        fns = sorted(set(attached[q]))
-        for i in range(len(fns)):
-            for j in range(i + 1, len(fns)):
-                f1, f2 = comp.functions[fns[i]], comp.functions[fns[j]]
-                for m in mem_values:
-                    for p in port_values:
-                        for sym in inputs:
-                            if len(det) >= witness_limit:
-                                break
-                            if (
-                                f1.evaluate(sym, p, m) is not None
-                                and f2.evaluate(sym, p, m) is not None
-                            ):
-                                det.append(DeterminismWitness(q, fns[i], fns[j], (m, p), sym))
-
-    comp_witnesses: list[CompletenessWitness] = []
-    complete_per_function: Dict[str, bool] = {}
-    for fname in fn_names:
-        fn = comp.functions[fname]
-        ok = True
-        for m in mem_values:
-            defined = any(
-                fn.evaluate(sym, p, m) is not None for sym in inputs for p in port_values
-            )
-            if not defined:
-                ok = False
-                if len(comp_witnesses) < witness_limit:
-                    comp_witnesses.append(CompletenessWitness(fname, m))
-        complete_per_function[fname] = ok
-
-    dist: list[DistinguishabilityWitness] = []
-    for i in range(len(fn_names)):
-        for j in range(i + 1, len(fn_names)):
-            f1, f2 = comp.functions[fn_names[i]], comp.functions[fn_names[j]]
-            for m in mem_values:
-                for p in port_values:
-                    for sym in inputs:
-                        if len(dist) >= witness_limit:
-                            break
-                        r1 = f1.evaluate(sym, p, m)
-                        r2 = f2.evaluate(sym, p, m)
-                        if r1 is not None and r2 is not None and observable(r1) == observable(r2):
-                            dist.append(
-                                DistinguishabilityWitness(
-                                    fn_names[i], fn_names[j], (m, p),
-                                    r1.memory, r2.memory, sym, r1.output,
-                                )
-                            )
-
-    return DftReport(
-        deterministic=not det and not structural,
-        determinism_witnesses=tuple(det),
-        structural_issues=tuple(structural),
-        complete=not comp_witnesses,
-        complete_per_function=complete_per_function,
-        completeness_witnesses=tuple(comp_witnesses),
-        output_distinguishable=not dist,
-        distinguishability_witnesses=tuple(dist),
-        exhaustive=exhaustive,
+    return decide_conditions(
+        comp,
+        [(port, symbol) for port in ports for symbol in inputs],
+        _component_step,
+        lambda m, point: ((m, point[0]), point[1]),
+        witness_limit,
     )
 
 
@@ -816,43 +742,16 @@ def system_core_successors(sys: CsxmSystem, core: SystemCore):
     """Single-step core transitions with the input streams abstracted away:
     each labelled edge ((component, function, symbol), successor core)
     assumes the driver supplies the symbol the move needs."""
-    edges = set()
-    for i, comp in enumerate(sys.components):
-        memory, state, in_port, out_port = core[i]
-        for (q, fname), targets in sorted(comp.next_state.items()):
-            if q != state:
-                continue
-            fn = comp.functions[fname]
-            if fname in comp.ordinary_functions:
-                symbols = sorted(comp.inputs)
-            else:
-                symbols = [sys.comm_symbol] if sys.extended else [NULL]
-            for symbol in symbols:
-                for port_arg, new_in in _ordinary_modes(in_port):
-                    result = fn.evaluate(symbol, port_arg, memory)
-                    if result is None:
-                        continue
-                    if fname in comp.ordinary_functions:
-                        new_out = result.out_port if result.set_out_port else out_port
-                        for target in targets:
-                            succ = list(core)
-                            succ[i] = (result.memory, target, new_in, new_out)
-                            edges.add(((i + 1, fname, symbol), tuple(succ)))
-                    else:
-                        if out_port == BOTTOM_M:
-                            continue
-                        k = result.send_to
-                        if k is None or k - 1 == i or not 1 <= k <= len(sys.components):
-                            continue
-                        if core[k - 1][2] != BOTTOM_M:
-                            continue
-                        for target in targets:
-                            succ = list(core)
-                            succ[i] = (result.memory, target, new_in, BOTTOM_M)
-                            km, kq, _, ko = core[k - 1]
-                            succ[k - 1] = (km, kq, out_port, ko)
-                            edges.add(((i + 1, fname, symbol), tuple(succ)))
-    return edges
+
+    def offered(i, ordinary):
+        if ordinary:
+            return sorted(sys.components[i].inputs)
+        return (sys.comm_symbol if sys.extended else NULL,)
+
+    return {
+        ((i + 1, fname, symbol), succ)
+        for i, fname, symbol, _, succ in _core_changes(sys, core, offered)
+    }
 
 
 ProductCore = Tuple[Value, str]  # (product memory, product state atom)

@@ -9,7 +9,8 @@ never a proof; the report's ``exhaustive`` flag records which it was.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from itertools import combinations
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .sxm import Sxm, associated_automaton
 from .values import Value, render, sort_key
@@ -96,102 +97,135 @@ class DftReport:
         return lines
 
 
+def decide_conditions(
+    model,
+    points: Sequence[object],
+    evaluate: Callable[[object, Value, object], Optional[Tuple[str, Value, object]]],
+    locate: Callable[[Value, object], Tuple[Value, str]],
+    witness_limit: int,
+    structural: Sequence[str] = (),
+) -> DftReport:
+    """Decide the three design-for-test conditions for a function table.
+
+    ``model`` supplies ``functions``, ``next_state``, ``initial_states`` and
+    ``memory_domain``; each condition quantifies over every memory value and
+    input point, in order.  ``evaluate(fn, m, point)`` is None where ``fn``
+    is undefined, else ``(output, next memory, observable)``: functions are
+    distinguishable where their observables differ.  ``locate(m, point)``
+    gives a witness's (memory, input symbol).  Witnesses keep enumeration
+    order up to ``witness_limit`` per condition; ``structural`` issues
+    follow the initial-state check and also fail determinism.
+    """
+    values, exhaustive = model.memory_domain.enumerate()
+    functions = model.functions
+    issues = []
+    if len(model.initial_states) != 1:
+        issues.append(f"initial-state set {sorted(model.initial_states)} is not a singleton")
+    issues.extend(structural)
+
+    def clashes(pairs, same):
+        # (tag, fn1, fn2, memory, point, r1, r2) where both functions are
+        # defined and ``same(r1, r2)`` holds.
+        found = []
+        for tag, n1, n2 in pairs:
+            f1, f2 = functions.get(n1), functions.get(n2)
+            if f1 is None or f2 is None:
+                continue
+            for m in values:
+                for point in points:
+                    if len(found) >= witness_limit:
+                        return found
+                    r1 = evaluate(f1, m, point)
+                    if r1 is None:
+                        continue
+                    r2 = evaluate(f2, m, point)
+                    if r2 is not None and same(r1, r2):
+                        found.append((tag, n1, n2, m, point, r1, r2))
+        return found
+
+    # Determinism: functions attached to a common state must have disjoint
+    # domains.
+    attached: Dict[str, set] = {}
+    for q, name in model.next_state:
+        attached.setdefault(q, set()).add(name)
+    attached_pairs = [
+        (q, n1, n2) for q in sorted(attached) for n1, n2 in combinations(sorted(attached[q]), 2)
+    ]
+    det = [
+        DeterminismWitness(q, n1, n2, *locate(m, point))
+        for q, n1, n2, m, point, _, _ in clashes(attached_pairs, lambda r1, r2: True)
+    ]
+
+    # Completeness: every function must fire from every memory at some point.
+    fn_names = sorted(functions)
+    comp: list[CompletenessWitness] = []
+    complete_per_function: Dict[str, bool] = {}
+    for name in fn_names:
+        fn = functions[name]
+        ok = True
+        for m in values:
+            if all(evaluate(fn, m, point) is None for point in points):
+                ok = False
+                if len(comp) < witness_limit:
+                    comp.append(CompletenessWitness(name, m))
+        complete_per_function[name] = ok
+
+    # Output distinguishability: an observable identifies the fired function.
+    dist = []
+    for _, n1, n2, m, point, r1, r2 in clashes(
+        [(None, n1, n2) for n1, n2 in combinations(fn_names, 2)],
+        lambda r1, r2: r1[2] == r2[2],
+    ):
+        memory, symbol = locate(m, point)
+        dist.append(DistinguishabilityWitness(n1, n2, memory, r1[1], r2[1], symbol, r1[0]))
+
+    return DftReport(
+        deterministic=not det and not issues,
+        determinism_witnesses=tuple(det),
+        structural_issues=tuple(issues),
+        complete=not comp,
+        complete_per_function=complete_per_function,
+        completeness_witnesses=tuple(comp),
+        output_distinguishable=not dist,
+        distinguishability_witnesses=tuple(dist),
+        exhaustive=exhaustive,
+    )
+
+
+def _machine_step(fn, memory, symbol):
+    result = fn.evaluate(memory, symbol)
+    return None if result is None else (result[0], result[1], result[0])
+
+
 def check_dft(model: Sxm, witness_limit: int = 16) -> DftReport:
     """Check the three design-for-test conditions over the declared domain.
 
     Witnesses are capped at ``witness_limit`` per condition; each witness
     replays as a genuine violation through the case tables.
     """
-    values, exhaustive = model.memory_values()
-    inputs = sorted(model.inputs)
-    fn_names = sorted(model.functions)
-
-    structural: list[str] = []
-    if len(model.initial_states) != 1:
-        structural.append(
-            f"initial-state set {sorted(model.initial_states)} is not a singleton"
-        )
-    automaton = associated_automaton(model)
+    arc_issues: list[str] = []
     seen_arcs = {}
-    for src, label, dst in sorted(automaton.arcs):
+    for src, label, dst in sorted(associated_automaton(model).arcs):
         if (src, label) in seen_arcs and seen_arcs[(src, label)] != dst:
-            structural.append(
-                f"associated automaton has two {label}-arcs from state {src}"
-            )
+            arc_issues.append(f"associated automaton has two {label}-arcs from state {src}")
         seen_arcs[(src, label)] = dst
 
-    # Determinism: functions attached to a common state must have disjoint
-    # domains over (memory, input).
-    det_witnesses: list[DeterminismWitness] = []
-    attached: Dict[str, list[str]] = {}
-    for (q, fn) in model.next_state:
-        attached.setdefault(q, []).append(fn)
-    for q in sorted(attached):
-        fns = sorted(set(attached[q]))
-        for i in range(len(fns)):
-            for j in range(i + 1, len(fns)):
-                f1 = model.functions.get(fns[i])
-                f2 = model.functions.get(fns[j])
-                if f1 is None or f2 is None:
-                    continue
-                for m in values:
-                    for sym in inputs:
-                        if len(det_witnesses) >= witness_limit:
-                            break
-                        if f1.evaluate(m, sym) is not None and f2.evaluate(m, sym) is not None:
-                            det_witnesses.append(
-                                DeterminismWitness(q, fns[i], fns[j], m, sym)
-                            )
-
-    # Completeness: every function must fire from every memory by some input.
-    comp_witnesses: list[CompletenessWitness] = []
-    complete_per_function: Dict[str, bool] = {}
-    for name in fn_names:
-        fn = model.functions[name]
-        ok = True
-        for m in values:
-            if not any(fn.evaluate(m, sym) is not None for sym in inputs):
-                ok = False
-                if len(comp_witnesses) < witness_limit:
-                    comp_witnesses.append(CompletenessWitness(name, m))
-        complete_per_function[name] = ok
-
-    # Output distinguishability: an output identifies the fired function.
-    dist_witnesses: list[DistinguishabilityWitness] = []
-    for i in range(len(fn_names)):
-        for j in range(i + 1, len(fn_names)):
-            f1 = model.functions[fn_names[i]]
-            f2 = model.functions[fn_names[j]]
-            for m in values:
-                for sym in inputs:
-                    if len(dist_witnesses) >= witness_limit:
-                        break
-                    r1 = f1.evaluate(m, sym)
-                    r2 = f2.evaluate(m, sym)
-                    if r1 is not None and r2 is not None and r1[0] == r2[0]:
-                        dist_witnesses.append(
-                            DistinguishabilityWitness(
-                                fn_names[i], fn_names[j], m, r1[1], r2[1], sym, r1[0]
-                            )
-                        )
-
-    det_witnesses.sort(key=lambda w: (w.state, w.fn1, w.fn2, sort_key(w.memory), w.input))
-    comp_witnesses.sort(key=lambda w: (w.fn, sort_key(w.memory)))
-    dist_witnesses.sort(
-        key=lambda w: (w.fn1, w.fn2, sort_key(w.memory), w.input, w.output)
+    report = decide_conditions(
+        model, sorted(model.inputs), _machine_step, lambda m, symbol: (m, symbol),
+        witness_limit, arc_issues,
     )
-
-    return DftReport(
-        deterministic=not det_witnesses and not structural,
-        determinism_witnesses=tuple(det_witnesses),
-        structural_issues=tuple(structural),
-        complete=not comp_witnesses,
-        complete_per_function=complete_per_function,
-        completeness_witnesses=tuple(comp_witnesses),
-        output_distinguishable=not dist_witnesses,
-        distinguishability_witnesses=tuple(dist_witnesses),
-        exhaustive=exhaustive,
-    )
+    report.determinism_witnesses = tuple(sorted(
+        report.determinism_witnesses,
+        key=lambda w: (w.state, w.fn1, w.fn2, sort_key(w.memory), w.input),
+    ))
+    report.completeness_witnesses = tuple(sorted(
+        report.completeness_witnesses, key=lambda w: (w.fn, sort_key(w.memory))
+    ))
+    report.distinguishability_witnesses = tuple(sorted(
+        report.distinguishability_witnesses,
+        key=lambda w: (w.fn1, w.fn2, sort_key(w.memory), w.input, w.output),
+    ))
+    return report
 
 
 def replay_determinism_witness(model: Sxm, w: DeterminismWitness) -> bool:

@@ -256,13 +256,16 @@ def csxm_from_dict(d: Mapping, default_name: str = "csxm") -> Csxm:
                 {"out_port", "send_to"},
                 f"functions[{name}].cases[{idx}]",
             )
+            send_to = case.get("send_to")
+            if send_to is not None and (not isinstance(send_to, int) or isinstance(send_to, bool)):
+                raise SchemaError(f"functions[{name}].cases[{idx}]: send_to must be an integer")
             try:
                 cases.append(
                     CsxmCase.build(
                         case["mem_pattern"], case["port_pattern"], case["input"],
                         case["output"], case["mem_next"],
                         out_port=case.get("out_port"),
-                        send_to=case.get("send_to"),
+                        send_to=send_to,
                     )
                 )
             except TermError as exc:

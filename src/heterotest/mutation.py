@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyMutantSet, NoValidMutants, TermError
 from .model_io import (
@@ -322,14 +322,14 @@ def _reachable_within(ps: PSystem, depth: int) -> set:
     return seen
 
 
-def score_sxm_suite(
-    spec: Sxm,
+def _score(
+    spec: Model,
     mutants: Union[MutantBatch, Iterable[Mutant]],
-    suite: TestSuite,
-    branch_bound: int = 256,
+    kill_witness: Callable[[Model], Optional[str]],
 ) -> ScoreReport:
-    """A mutant is killed when some case's observed outputs differ from the
-    expected outputs recorded in the suite."""
+    """Verdicts in mutant-id order: a mutant structurally identical to the
+    spec survives as identical; any other is killed when ``kill_witness``
+    names a witness for it, and survives within the bound otherwise."""
     batch = mutants if isinstance(mutants, MutantBatch) else MutantBatch(tuple(mutants), 0, 0)
     if not batch.mutants:
         raise EmptyMutantSet("no mutants to score")
@@ -343,12 +343,7 @@ def score_sxm_suite(
                 MutantVerdict(mutant.mutant_id, mutant.operator, "survived-identical")
             )
             continue
-        witness = None
-        for case in suite.cases:
-            observed = run_outputs(mutant.model, case.input, branch_bound)
-            if observed != case.expected_outputs:
-                witness = " ".join(case.input) if case.input else "<empty input>"
-                break
+        witness = kill_witness(mutant.model)
         if witness is not None:
             killed += 1
             verdicts.append(MutantVerdict(mutant.mutant_id, mutant.operator, "killed", witness))
@@ -365,6 +360,24 @@ def score_sxm_suite(
         non_equivalent_score=(killed / denominator) if denominator else None,
         per_mutant=tuple(verdicts),
     )
+
+
+def score_sxm_suite(
+    spec: Sxm,
+    mutants: Union[MutantBatch, Iterable[Mutant]],
+    suite: TestSuite,
+    branch_bound: int = 256,
+) -> ScoreReport:
+    """A mutant is killed when some case's observed outputs differ from the
+    expected outputs recorded in the suite."""
+
+    def kill_witness(model: Sxm) -> Optional[str]:
+        for case in suite.cases:
+            if run_outputs(model, case.input, branch_bound) != case.expected_outputs:
+                return " ".join(case.input) if case.input else "<empty input>"
+        return None
+
+    return _score(spec, mutants, kill_witness)
 
 
 def score_psystem_testset(
@@ -375,42 +388,16 @@ def score_psystem_testset(
 ) -> ScoreReport:
     """A mutant is killed when some test-set configuration is unreachable in
     it within the generation depth."""
-    batch = mutants if isinstance(mutants, MutantBatch) else MutantBatch(tuple(mutants), 0, 0)
-    if not batch.mutants:
-        raise EmptyMutantSet("no mutants to score")
-    spec_key = _model_key(spec)
     member_keys = [config_canonical(tuple(m)) for m in members]
-    verdicts = []
-    killed = identical = 0
-    for mutant in sorted(batch.mutants, key=lambda m: m.mutant_id):
-        if _model_key(mutant.model) == spec_key:
-            identical += 1
-            verdicts.append(
-                MutantVerdict(mutant.mutant_id, mutant.operator, "survived-identical")
-            )
-            continue
-        reachable = _reachable_within(mutant.model, depth)
-        witness = None
+
+    def kill_witness(model: PSystem) -> Optional[str]:
+        reachable = _reachable_within(model, depth)
         for key in member_keys:
             if key not in reachable:
-                witness = "(" + ",".join(key) + ")"
-                break
-        if witness is not None:
-            killed += 1
-            verdicts.append(MutantVerdict(mutant.mutant_id, mutant.operator, "killed", witness))
-        else:
-            verdicts.append(MutantVerdict(mutant.mutant_id, mutant.operator, "survived-bounded"))
-    total = len(batch.mutants)
-    denominator = total - identical
-    return ScoreReport(
-        total=total,
-        killed=killed,
-        survived=total - killed - identical,
-        invalid=batch.invalid,
-        identical=identical,
-        non_equivalent_score=(killed / denominator) if denominator else None,
-        per_mutant=tuple(verdicts),
-    )
+                return "(" + ",".join(key) + ")"
+        return None
+
+    return _score(spec, mutants, kill_witness)
 
 
 def mutation_score(

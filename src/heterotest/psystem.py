@@ -42,9 +42,6 @@ class PRule:
     lhs: Multiset
     rhs: Tuple[Tuple[str, object], ...]  # (symbol, HERE | compartment id)
 
-    def rhs_for(self, target) -> Multiset:
-        return Multiset.from_symbols(sym for sym, t in self.rhs if t == target)
-
 
 @dataclass(frozen=True)
 class PSystem:

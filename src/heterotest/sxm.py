@@ -10,7 +10,7 @@ construction; every operation here is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .errors import BranchBoundExceeded, MissingSampleError, TermError
 from .terms import Pattern, Expr, parse_expr, parse_pattern
@@ -26,9 +26,6 @@ class ProcessingFunction:
 
     def evaluate(self, memory: Value, input_symbol: str) -> Optional[Tuple[str, Value]]:
         raise NotImplementedError
-
-    def defined_inputs(self, memory: Value, alphabet: Iterable[str]) -> list[str]:
-        return [a for a in sorted(alphabet) if self.evaluate(memory, a) is not None]
 
 
 @dataclass(frozen=True)
@@ -142,18 +139,6 @@ class Sxm:
     functions: Mapping[str, ProcessingFunction]
     next_state: Mapping[Tuple[str, str], Tuple[str, ...]]
 
-    def function(self, name: str) -> ProcessingFunction:
-        return self.functions[name]
-
-    def arcs_from(self, state: str) -> list[Tuple[str, str]]:
-        """Sorted (function name, target) pairs leaving ``state``."""
-        out = []
-        for (q, fn), targets in self.next_state.items():
-            if q == state:
-                for t in targets:
-                    out.append((fn, t))
-        return sorted(out)
-
     def memory_values(self) -> Tuple[Tuple[Value, ...], bool]:
         return self.memory_domain.enumerate()
 
@@ -183,22 +168,6 @@ class Automaton:
 
     def labels(self) -> Tuple[str, ...]:
         return tuple(sorted({label for _, label, _ in self.arcs}))
-
-    def successors(self, state: str) -> Dict[str, Tuple[str, ...]]:
-        out: Dict[str, list] = {}
-        for src, label, dst in self.arcs:
-            if src == state:
-                out.setdefault(label, []).append(dst)
-        return {label: tuple(sorted(set(ts))) for label, ts in out.items()}
-
-    def step(self, state: str, label: str) -> Optional[str]:
-        """Deterministic single step; None when the arc is undefined."""
-        targets = self.successors(state).get(label)
-        if not targets:
-            return None
-        if len(targets) > 1:
-            raise ValueError(f"nondeterministic arc {state}/{label}")
-        return targets[0]
 
     def is_deterministic(self) -> bool:
         if len(self.initial) != 1:

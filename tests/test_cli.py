@@ -168,6 +168,33 @@ def _control_dict(control):
     return csxm_to_dict(control)
 
 
+def _control_with_text_send_to(models_dir):
+    doc = json.loads((models_dir / "ps2_control.json").read_text(encoding="utf-8"))
+    for fn in doc["functions"]:
+        for case in fn["cases"]:
+            if "send_to" in case:
+                case["send_to"] = "x"
+    return doc
+
+
+def test_validate_rejects_text_send_to_in_csxm(models_dir, tmp_path, capsys):
+    model = tmp_path / "control.json"
+    model.write_text(json.dumps(_control_with_text_send_to(models_dir)))
+    assert main(["validate", str(model)]) == 3
+    err = capsys.readouterr().err
+    assert "send_to must be an integer" in err and "Traceback" not in err
+
+
+def test_validate_and_product_reject_text_send_to_in_system(models_dir, tmp_path, capsys):
+    control = _control_with_text_send_to(models_dir)
+    model = tmp_path / "pair.json"
+    model.write_text(json.dumps({"schema": 1, "name": "pair", "components": [control, control]}))
+    for args in (["validate", str(model)], ["product", str(model)]):
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "send_to must be an integer" in err and "Traceback" not in err
+
+
 def test_generation_failure_exit_two(tmp_path, capsys):
     # a rule that can never fire makes the coverage test set incomplete
     doc = {

@@ -359,6 +359,76 @@ class TestSuiteGeneration:
             assert report.all_pass()
             assert report.exhaustive
 
+    def test_component_dft_witnesses_replay_in_declared_memory_order(self):
+        # f and g overlap at memories 2 and 1 with the same observable; f is
+        # undefined at memory 0; e shares their output but sets the out-port,
+        # so it stays distinguishable from both.
+        comp = Csxm(
+            name="faulty",
+            inputs=frozenset({"x", "y"}),
+            outputs=frozenset({"o", "p"}),
+            states=frozenset({"s", "t"}),
+            initial_states=frozenset({"s"}),
+            terminal_states=frozenset({"s", "t"}),
+            memory_domain=MemoryDomain(kind="set", values=(2, 0, 1)),
+            initial_memory=0,
+            functions={
+                "e": CsxmCaseFunction("e", "ordinary", [
+                    CsxmCase.build("_", BOT, "x", "o", "0", out_port="1"),
+                ]),
+                "f": CsxmCaseFunction("f", "ordinary", [
+                    CsxmCase.build("?m where ?m != 0", "_", "x", "o", "?m"),
+                ]),
+                "g": CsxmCaseFunction("g", "ordinary", [
+                    CsxmCase.build("_", BOT, "x", "o", "0"),
+                ]),
+                "h": CsxmCaseFunction("h", "ordinary", [
+                    CsxmCase.build("_", "?p where ?p != ⊥_M", "y", "p", "?p"),
+                ]),
+            },
+            next_state={
+                ("s", "f"): ("t",),
+                ("s", "g"): ("t",),
+                ("t", "e"): ("s",),
+                ("t", "h"): ("s",),
+            },
+            in_port_domain=(1,),
+            out_port_domain=(1,),
+            ordinary_states=frozenset({"s", "t"}),
+            communicating_states=frozenset(),
+            ordinary_functions=frozenset({"e", "f", "g", "h"}),
+            communicating_functions=frozenset(),
+        )
+        assert validate_csxm(comp) == []
+        report = check_csxm_dft(comp)
+        assert not (report.deterministic or report.complete or report.output_distinguishable)
+        assert report.structural_issues == ()
+        assert [
+            (w.state, w.fn1, w.fn2, w.memory, w.input) for w in report.determinism_witnesses
+        ] == [("s", "f", "g", (2, BOT), "x"), ("s", "f", "g", (1, BOT), "x")]
+        assert [(w.fn, w.memory) for w in report.completeness_witnesses] == [("f", 0)]
+        assert [
+            (w.fn1, w.fn2, w.memory, w.memory1, w.memory2, w.input, w.output)
+            for w in report.distinguishability_witnesses
+        ] == [("f", "g", (2, BOT), 2, 0, "x", "o"), ("f", "g", (1, BOT), 1, 0, "x", "o")]
+
+        fns = comp.functions
+        for w in report.determinism_witnesses:
+            m, port = w.memory
+            assert fns[w.fn1].evaluate(w.input, port, m) is not None
+            assert fns[w.fn2].evaluate(w.input, port, m) is not None
+        for w in report.completeness_witnesses:
+            assert all(
+                fns[w.fn].evaluate(sym, port, w.memory) is None
+                for sym in comp.inputs for port in (BOT,) + comp.in_port_domain
+            )
+        for w in report.distinguishability_witnesses:
+            m, port = w.memory
+            r1 = fns[w.fn1].evaluate(w.input, port, m)
+            r2 = fns[w.fn2].evaluate(w.input, port, m)
+            assert r1.output == r2.output == w.output
+            assert (r1.memory, r2.memory) == (w.memory1, w.memory2)
+
 
 class TestTupleAtoms:
     def test_round_trip(self):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 
 import pytest
 
@@ -116,6 +117,42 @@ class TestScoring:
         clone = Mutant(counter_testable.name, "noop", "self", counter_testable)
         report = score_sxm_suite(counter_testable, MutantBatch((clone,), 0, 0), suite)
         assert report.killed == 0
+
+    def test_retarget_out_of_unreachable_state_survives_bounded(self, counter_testable):
+        next_state = dict(counter_testable.next_state)
+        next_state[("u", "reset")] = ("q0",)
+        spec = replace(
+            counter_testable, states=counter_testable.states | {"u"}, next_state=next_state
+        )
+        suite = generate_sxm_test_suite(spec, 0)
+        wanted = {
+            "transition-retarget:next_state[q0,inc].to[0]=q1",
+            "transition-retarget:next_state[u,reset].to[0]=q1",
+        }
+        candidates = enumerate_mutants(spec, ["transition-retarget"])
+        picked = tuple(m for m in candidates if m.mutant_id in wanted)
+        report = score_sxm_suite(spec, MutantBatch(picked, 0, 0), suite)
+        verdicts = {v.mutant_id: v for v in report.per_mutant}
+        survivor = verdicts["transition-retarget:next_state[u,reset].to[0]=q1"]
+        assert survivor.verdict == "survived-bounded" and survivor.witness is None
+        assert verdicts["transition-retarget:next_state[q0,inc].to[0]=q1"].verdict == "killed"
+        assert (report.killed, report.survived, report.identical) == (1, 1, 0)
+        assert report.non_equivalent_score == 0.5
+
+    def test_rule_that_cannot_fire_within_depth_survives_bounded(self, ps2):
+        # r14 needs b and c together in compartment 1, which first happens
+        # after three steps.
+        members, _ = generate_coverage_test_set(ps2, 2)
+        picked = tuple(
+            m for m in enumerate_mutants(ps2, ["rule-delete"]) if m.location in ("r14", "r21")
+        )
+        report = score_psystem_testset(ps2, MutantBatch(picked, 0, 0), members, 2)
+        verdicts = {v.mutant_id: v for v in report.per_mutant}
+        survivor = verdicts["rule-delete:r14"]
+        assert survivor.verdict == "survived-bounded" and survivor.witness is None
+        assert verdicts["rule-delete:r21"].verdict == "killed"
+        assert (report.killed, report.survived, report.identical) == (1, 1, 0)
+        assert report.non_equivalent_score == 0.5
 
     def test_sxm_kill_witness_replays(self):
         model = random_dft_sxm(3)
