@@ -48,6 +48,36 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+class _InvalidModel(Exception):
+    """A model failed the structural checks of ``validate``."""
+
+    def __init__(self, kind: str, violations):
+        super().__init__(f"{kind} model has {len(violations)} violation(s)")
+        self.violations = violations
+
+
+def _violations(kind: str, model) -> list:
+    """The structural violations ``validate`` reports for a loaded model."""
+    if kind == "sxm":
+        return validate_sxm(model)
+    if kind == "csxm":
+        return validate_csxm(model)
+    if kind == "system":
+        return validate_system(model)
+    if kind == "psystem":
+        return validate_psystem(model)
+    # heterotic: loading already built and validated the wiring
+    return validate_system(model.as_system)
+
+
+def _require_valid(kind: str, model) -> None:
+    """Stop a command before it generates anything from a model that
+    ``validate`` rejects."""
+    violations = _violations(kind, model)
+    if violations:
+        raise _InvalidModel(kind, violations)
+
+
 def _cmd_validate(args) -> int:
     from .csxms import CsxmSystem
     from .sxm import Violation
@@ -64,25 +94,16 @@ def _cmd_validate(args) -> int:
         return {comp.name: check_csxm_dft(comp) for comp in extended.components}
 
     kind, model = model_io.load_model_file(args.model)
-    violations = []
+    violations = _violations(kind, model)
     reports = {}
-    if kind == "sxm":
-        violations = validate_sxm(model)
-        if args.dft:
+    if args.dft:
+        if kind == "sxm":
             reports[model.name] = check_dft(model)
-    elif kind == "csxm":
-        violations = validate_csxm(model)
-        if args.dft:
+        elif kind == "csxm":
             reports = component_reports(CsxmSystem(model.name, (model,)), violations)
-    elif kind == "system":
-        violations = validate_system(model)
-        if args.dft:
+        elif kind == "system":
             reports = component_reports(model, violations)
-    elif kind == "psystem":
-        violations = validate_psystem(model)
-    else:  # heterotic: loading already built and validated the wiring
-        violations = validate_system(model.as_system)
-        if args.dft:
+        elif kind == "heterotic":
             reports = component_reports(model.as_system, violations)
 
     payload = {
@@ -110,6 +131,7 @@ def _cmd_simulate(args) -> int:
         return _simulate_heterotic(args, model)
     if kind != "psystem":
         raise SchemaError("simulate expects a P-system or heterotic model file")
+    _require_valid(kind, model)
     if args.depth is None:
         raise SchemaError("simulate on a P system needs --depth")
     mode = "seeded" if args.seed is not None else "all"
@@ -157,6 +179,7 @@ def _cmd_gen_tests(args) -> int:
     if args.target == "sxm":
         if kind != "sxm":
             raise SchemaError("gen-tests sxm expects a machine model file")
+        _require_valid(kind, model)
         suite = generate_sxm_test_suite(model, args.extra_states)
         payload = model_io.suite_to_dict(suite)
         lines = [f"{len(suite.cases)} cases (k={args.extra_states})"]
@@ -166,6 +189,7 @@ def _cmd_gen_tests(args) -> int:
     if args.target == "psystem":
         if kind != "psystem":
             raise SchemaError("gen-tests psystem expects a P-system model file")
+        _require_valid(kind, model)
         members, report = generate_coverage_test_set(model, args.depth)
         payload = model_io.testset_to_dict(members, report, args.depth)
         lines = [f"{len(members)} member(s), depth {args.depth}"]
@@ -208,6 +232,7 @@ def _cmd_coverage(args) -> int:
     kind, model = model_io.load_model_file(args.model)
     if kind != "psystem":
         raise SchemaError("coverage expects a P-system model file")
+    _require_valid(kind, model)
     traces = psystem_run(model, args.depth, mode="all")
     report = rule_coverage(model, traces)
     payload = model_io.coverage_report_to_dict(report)
@@ -223,6 +248,7 @@ def _cmd_mutate(args) -> int:
     kind, model = model_io.load_model_file(args.model)
     if kind not in ("sxm", "psystem"):
         raise SchemaError("mutate expects a machine or P-system model file")
+    _require_valid(kind, model)
     operators = args.ops.split(",") if args.ops else None
     seed = args.seed if args.seed is not None else _env_seed()
     batch = mutation.mutate_model(model, operators, seed=seed, count=args.count)
@@ -239,6 +265,7 @@ def _cmd_score(args) -> int:
     mutants_kind, batch = mutation.mutants_from_dict(model_io.load_json(args.mutants))
     if mutants_kind != kind:
         raise SchemaError(f"mutants are for a {mutants_kind} model, spec is {kind}")
+    _require_valid(kind, model)
     if kind == "sxm":
         if not args.suite:
             raise SchemaError("score on a machine spec needs --suite")
@@ -341,6 +368,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except _InvalidModel as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        for violation in exc.violations:
+            print(f"  {violation}", file=sys.stderr)
+        return 1
     except DftFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         for line in exc.report.summary_lines():

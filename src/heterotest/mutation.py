@@ -24,7 +24,7 @@ from .model_io import (
 )
 from .multiset import Multiset
 from .psystem import HERE, PConfiguration, PRule, PSystem, config_canonical, validate_psystem
-from .sxm import Case, CaseFunction, Sxm, run_outputs, validate_sxm
+from .sxm import Case, CaseFunction, Sxm, replay_outputs, validate_sxm
 from .testgen import TestSuite
 
 SXM_OPERATORS = (
@@ -369,11 +369,14 @@ def score_sxm_suite(
     branch_bound: int = 256,
 ) -> ScoreReport:
     """A mutant is killed when some case's observed outputs differ from the
-    expected outputs recorded in the suite."""
+    expected outputs recorded in the suite; the witness is the first such
+    case in suite order.  Each case replays from the longest prefix it
+    shares with the case before it."""
 
     def kill_witness(model: Sxm) -> Optional[str]:
-        for case in suite.cases:
-            if run_outputs(model, case.input, branch_bound) != case.expected_outputs:
+        observed = replay_outputs(model, suite.inputs(), branch_bound)
+        for case, outputs in zip(suite.cases, observed):
+            if outputs != case.expected_outputs:
                 return " ".join(case.input) if case.input else "<empty input>"
         return None
 

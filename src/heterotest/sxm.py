@@ -10,13 +10,26 @@ construction; every operation here is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from .errors import BranchBoundExceeded, MissingSampleError, TermError
 from .terms import Pattern, Expr, parse_expr, parse_pattern
 from .values import RESERVED_ATOMS, Value, is_value, render, sort_key
 
 DEFAULT_BRANCH_BOUND = 256
+
+S = TypeVar("S")
+T = TypeVar("T")
 
 
 class ProcessingFunction:
@@ -329,6 +342,105 @@ def sxm_step(model: Sxm, cfg: SxmConfiguration) -> list[SxmConfiguration]:
     return sorted(set(successors), key=SxmConfiguration.key)
 
 
+def replay_sequences(
+    sequences: Iterable[Sequence[T]],
+    start: S,
+    advance: Callable[[S, T], S],
+) -> Iterator[S]:
+    """Yield the state reached after each sequence, in the order given.
+
+    Each sequence restarts from the state saved for the longest prefix it
+    shares with the previous one and advances only over the rest, so a
+    sorted list costs one step per distinct non-empty prefix.
+    ``advance`` must be a pure function of its arguments.
+    """
+    path: list = []
+    states = [start]
+    for seq in sequences:
+        shared = 0
+        limit = min(len(path), len(seq))
+        while shared < limit and path[shared] == seq[shared]:
+            shared += 1
+        del path[shared:]
+        del states[shared + 1 :]
+        state = states[-1]
+        for symbol in seq[shared:]:
+            state = advance(state, symbol)
+            path.append(symbol)
+            states.append(state)
+        yield state
+
+
+class _Overflow(Exception):
+    """A frontier layer exceeded the branch bound (internal to runs)."""
+
+    def __init__(self, frontier):
+        super().__init__()
+        self.frontier = frontier
+
+
+def _replay_frontiers(
+    model: Sxm, sequences: Iterable[Sequence[str]], branch_bound: int
+) -> Iterator[Tuple[SxmConfiguration, ...]]:
+    """The final frontier of each input sequence, in order.
+
+    A frontier holds every configuration reached after a prefix, with no
+    remaining input; each layer steps with :func:`sxm_step`.  A layer wider
+    than ``branch_bound`` raises :class:`BranchBoundExceeded` carrying that
+    layer's frontier, completed with the rest of the sequence being run.
+    """
+    if branch_bound < 1:
+        raise ValueError("branch_bound must be >= 1")
+
+    def bounded(frontier):
+        if len(frontier) > branch_bound:
+            raise _Overflow(frontier)
+        return frontier
+
+    def advance(frontier, symbol):
+        successors = set()
+        for cfg in frontier:
+            fed = SxmConfiguration(cfg.memory, cfg.state, (symbol,), cfg.output_so_far)
+            successors.update(sxm_step(model, fed))
+        return bounded(tuple(sorted(successors, key=SxmConfiguration.key)))
+
+    start = tuple(
+        SxmConfiguration(model.initial_memory, q, (), ()) for q in sorted(model.initial_states)
+    )
+    sequences = [tuple(seq) for seq in sequences]
+    done = 0
+    try:
+        if sequences:
+            bounded(start)
+        for frontier in replay_sequences(sequences, start, advance):
+            yield frontier
+            done += 1
+    except _Overflow as overflow:
+        stream = sequences[done]
+        raise BranchBoundExceeded(
+            f"more than {branch_bound} simultaneous branches",
+            [
+                SxmConfiguration(
+                    cfg.memory, cfg.state, stream[len(cfg.output_so_far) :], cfg.output_so_far
+                )
+                for cfg in overflow.frontier
+            ],
+        ) from None
+
+
+def replay_outputs(
+    model: Sxm,
+    sequences: Iterable[Sequence[str]],
+    branch_bound: int = DEFAULT_BRANCH_BOUND,
+) -> Iterator[Tuple[Tuple[str, ...], ...]]:
+    """Yield :func:`run_outputs` of each input sequence, in order, sharing
+    the work of common prefixes between consecutive sequences."""
+    for frontier in _replay_frontiers(model, sequences, branch_bound):
+        yield tuple(
+            sorted({cfg.output_so_far for cfg in frontier if cfg.state in model.terminal_states})
+        )
+
+
 def sxm_run(
     model: Sxm,
     input_seq: Sequence[str],
@@ -341,33 +453,14 @@ def sxm_run(
     ``branch_bound`` simultaneous branches are explored; exceeding the bound
     raises :class:`BranchBoundExceeded` carrying the partial frontier.
     """
-    if branch_bound < 1:
-        raise ValueError("branch_bound must be >= 1")
-    stream = tuple(input_seq)
-    frontier = [
-        SxmConfiguration(model.initial_memory, q, stream, ())
-        for q in sorted(model.initial_states)
-    ]
-    results = set()
-    while frontier:
-        if len(frontier) > branch_bound:
-            raise BranchBoundExceeded(
-                f"more than {branch_bound} simultaneous branches", frontier
-            )
-        next_frontier: list[SxmConfiguration] = []
-        for cfg in frontier:
-            if not cfg.remaining_input:
-                if cfg.state in model.terminal_states:
-                    results.add((cfg.output_so_far, cfg))
-                continue
-            next_frontier.extend(sxm_step(model, cfg))
-        frontier = sorted(set(next_frontier), key=SxmConfiguration.key)
-    return results
+    (frontier,) = _replay_frontiers(model, [input_seq], branch_bound)
+    return {(cfg.output_so_far, cfg) for cfg in frontier if cfg.state in model.terminal_states}
 
 
 def run_outputs(model: Sxm, input_seq: Sequence[str], branch_bound: int = DEFAULT_BRANCH_BOUND):
     """Sorted tuple of the distinct output sequences the relation admits."""
-    return tuple(sorted({out for out, _ in sxm_run(model, input_seq, branch_bound)}))
+    (outputs,) = replay_outputs(model, [input_seq], branch_bound)
+    return outputs
 
 
 def associated_automaton(model: Sxm) -> Automaton:

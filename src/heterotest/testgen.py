@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from .dft import check_dft
 from .errors import (
@@ -20,7 +20,7 @@ from .errors import (
     NotMinimalError,
     UnreachableStateError,
 )
-from .sxm import Automaton, Sxm, associated_automaton, run_outputs
+from .sxm import Automaton, Sxm, associated_automaton, replay_outputs, replay_sequences
 
 PhiSequence = Tuple[str, ...]
 
@@ -46,6 +46,10 @@ def _require_deterministic(a: Automaton) -> None:
         raise NondeterministicInput(
             f"automaton is nondeterministic at state {witness[0]}, label {witness[1]}"
         )
+
+
+def _transitions(a: Automaton) -> Dict[Tuple[str, str], str]:
+    return {(src, label): dst for src, label, dst in a.arcs}
 
 
 def reachable_states(a: Automaton) -> FrozenSet[str]:
@@ -80,7 +84,7 @@ def minimize_automaton(a: Automaton) -> Automaton:
     _require_deterministic(a)
     a = prune_unreachable(a)
     labels = a.labels()
-    trans = {(src, label): dst for src, label, dst in a.arcs}
+    trans = _transitions(a)
 
     # Moore-style refinement; undefined transitions are part of the signature
     # because a missing arc is observable (the machine stops producing output).
@@ -161,7 +165,7 @@ def state_cover(a: Automaton) -> set:
 def _cover_map(a: Automaton) -> Dict[str, PhiSequence]:
     initial = next(iter(a.initial))
     labels = a.labels()
-    trans = {(src, label): dst for src, label, dst in a.arcs}
+    trans = _transitions(a)
     cover: Dict[str, PhiSequence] = {initial: ()}
     queue = deque([initial])
     while queue:
@@ -174,8 +178,7 @@ def _cover_map(a: Automaton) -> Dict[str, PhiSequence]:
     return cover
 
 
-def _walk(a: Automaton, start: str, seq: PhiSequence) -> Optional[str]:
-    trans = {(src, label): dst for src, label, dst in a.arcs}
+def _walk(trans: Dict[Tuple[str, str], str], start: str, seq: PhiSequence) -> Optional[str]:
     q = start
     for label in seq:
         q = trans.get((q, label))
@@ -188,18 +191,24 @@ def separates(a: Automaton, u: str, v: str, seq: PhiSequence) -> bool:
     """True when ``seq`` observably distinguishes states u and v: the walk
     is defined from exactly one of them, or it ends with different
     acceptance."""
-    pu = _walk(a, u, seq)
-    pv = _walk(a, v, seq)
+    return _separates(_transitions(a), a.terminal, u, v, seq)
+
+
+def _separates(
+    trans: Dict[Tuple[str, str], str], terminal: FrozenSet[str], u: str, v: str, seq: PhiSequence
+) -> bool:
+    pu = _walk(trans, u, seq)
+    pv = _walk(trans, v, seq)
     if (pu is None) != (pv is None):
         return True
     if pu is None:
         return False
-    return (pu in a.terminal) != (pv in a.terminal)
+    return (pu in terminal) != (pv in terminal)
 
 
-def _shortest_separator(a: Automaton, u: str, v: str) -> Optional[PhiSequence]:
-    labels = a.labels()
-    trans = {(src, label): dst for src, label, dst in a.arcs}
+def _shortest_separator(
+    a: Automaton, trans: Dict[Tuple[str, str], str], labels: Tuple[str, ...], u: str, v: str
+) -> Optional[PhiSequence]:
     seen = {frozenset((u, v))}
     queue = deque([(u, v, ())])
     while queue:
@@ -232,15 +241,17 @@ def characterization_set(a: Automaton) -> set:
     if len(states) == 1:
         return {()}
     pairs = [(u, v) for i, u in enumerate(states) for v in states[i + 1 :]]
+    trans = _transitions(a)
+    labels = a.labels()
     shortest: Dict[tuple, PhiSequence] = {}
     for u, v in pairs:
-        sep = _shortest_separator(a, u, v)
+        sep = _shortest_separator(a, trans, labels, u, v)
         if sep is None:
             raise NotMinimalError(f"states {u} and {v} are not separable", (u, v))
         shortest[(u, v)] = sep
     w: set = set()
     for u, v in sorted(pairs, key=lambda p: (len(shortest[p]), shortest[p])):
-        if not any(separates(a, u, v, seq) for seq in w):
+        if not any(_separates(trans, a.terminal, u, v, seq) for seq in w):
             w.add(shortest[(u, v)])
     return w
 
@@ -249,8 +260,12 @@ def w_method_phi_sequences(a: Automaton, k: int) -> set:
     """The W-method sequence set C . (labels^{<=k+1} u {eps}) . W."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    cover = state_cover(a)
-    w = characterization_set(a)
+    return _w_method_sequences(a, k, state_cover(a), characterization_set(a))
+
+
+def _w_method_sequences(a: Automaton, k: int, cover: set, w: set) -> set:
+    if k < 0:
+        raise ValueError("k must be >= 0")
     labels = a.labels()
     middle: set = {()}
     layer: set = {()}
@@ -269,32 +284,28 @@ def fundamental_test_inputs(model: Sxm, seq: PhiSequence) -> Tuple[str, ...]:
     input, the walk degrades to picking the smallest input outright for the
     remainder of the sequence.
     """
-    return _fundamental_inputs_flagged(model, seq)[0]
+    ((inputs, _),) = _translate(model, [seq])
+    return inputs
 
 
-def _fundamental_inputs_flagged(model: Sxm, seq: PhiSequence) -> Tuple[Tuple[str, ...], bool]:
+def _translate(model: Sxm, sequences) -> Iterator[Tuple[Tuple[str, ...], bool]]:
+    """(inputs, fell back) for each function sequence, in order."""
     inputs = sorted(model.inputs)
-    memory = model.initial_memory
-    chosen: list[str] = []
-    fallback = False
-    for fn_name in seq:
-        if fallback:
-            chosen.append(inputs[0])
-            continue
-        fn = model.functions[fn_name]
-        step_input = None
-        for sym in inputs:
-            result = fn.evaluate(memory, sym)
-            if result is not None:
-                step_input = sym
-                memory = result[1]
-                break
-        if step_input is None:
-            fallback = True
-            chosen.append(inputs[0])
-        else:
-            chosen.append(step_input)
-    return tuple(chosen), fallback
+
+    def advance(state, fn_name):
+        memory, fallback, chosen = state
+        if not fallback:
+            fn = model.functions[fn_name]
+            for sym in inputs:
+                result = fn.evaluate(memory, sym)
+                if result is not None:
+                    return result[1], False, chosen + (sym,)
+        return memory, True, chosen + (inputs[0],)
+
+    for _, fallback, chosen in replay_sequences(
+        sequences, (model.initial_memory, False, ()), advance
+    ):
+        yield chosen, fallback
 
 
 def build_w_suite(model: Sxm, k: int, branch_bound: int = 256, metadata=None) -> TestSuite:
@@ -309,18 +320,18 @@ def build_w_suite(model: Sxm, k: int, branch_bound: int = 256, metadata=None) ->
     minimal = minimize_automaton(automaton)
     cover = state_cover(minimal)
     w = characterization_set(minimal)
-    sequences = sorted(w_method_phi_sequences(minimal, k))
+    sequences = sorted(_w_method_sequences(minimal, k, cover, w))
     inputs: set = set()
     fallback_count = 0
-    for seq in sequences:
-        input_seq, fell_back = _fundamental_inputs_flagged(model, seq)
+    for input_seq, fell_back in _translate(model, sequences):
         if fell_back:
             fallback_count += 1
         for cut in range(len(input_seq) + 1):
             inputs.add(input_seq[:cut])
+    ordered = sorted(inputs)
     cases = [
-        TestCase(input_seq, run_outputs(model, input_seq, branch_bound))
-        for input_seq in sorted(inputs)
+        TestCase(input_seq, outputs)
+        for input_seq, outputs in zip(ordered, replay_outputs(model, ordered, branch_bound))
     ]
     meta = {
         "method": "W",

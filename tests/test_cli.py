@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -311,3 +312,73 @@ def test_env_seed_default(models_dir, capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert doc["seed"] == 1
     assert doc["mode"] == "seeded"
+
+
+def _reject_before_generating(commands, violation, tmp_path, capsys):
+    out_file = tmp_path / "artifact.json"
+    for args in commands:
+        assert main(args + ["-o", str(out_file)]) == 1, args
+        err = capsys.readouterr().err
+        assert violation in err and "Traceback" not in err
+        assert not out_file.exists()
+
+
+def test_machine_commands_reject_model_validate_rejects(models_dir, tmp_path, capsys):
+    spec = str(models_dir / "counter_testable.json")
+    suite, mutants = str(tmp_path / "suite.json"), str(tmp_path / "mutants.json")
+    assert main(["gen-tests", "sxm", spec, "-o", suite]) == 0
+    assert main(["mutate", spec, "-o", mutants]) == 0
+    doc = json.loads((models_dir / "counter_testable.json").read_text(encoding="utf-8"))
+    doc["functions"][0]["cases"][0]["output"] = "zzz"
+    model = tmp_path / "counter.json"
+    model.write_text(json.dumps(doc))
+    assert main(["validate", str(model)]) == 1
+    capsys.readouterr()
+    _reject_before_generating(
+        [
+            ["gen-tests", "sxm", str(model)],
+            ["mutate", str(model)],
+            ["score", str(model), "--mutants", mutants, "--suite", suite],
+        ],
+        "output 'zzz' not in the output alphabet",
+        tmp_path,
+        capsys,
+    )
+
+
+def test_psystem_commands_reject_rhs_target_outside_the_membranes(models_dir, tmp_path, capsys):
+    spec = str(models_dir / "ps2.json")
+    testset, mutants = str(tmp_path / "testset.json"), str(tmp_path / "mutants.json")
+    assert main(["gen-tests", "psystem", spec, "-o", testset]) == 0
+    assert main(["mutate", spec, "-o", mutants]) == 0
+    doc = json.loads((models_dir / "ps2.json").read_text(encoding="utf-8"))
+    doc["rules"]["1"][2]["rhs"][1] = ["a", 5]
+    model = tmp_path / "ps2.json"
+    model.write_text(json.dumps(doc))
+    assert main(["validate", str(model)]) == 1
+    capsys.readouterr()
+    _reject_before_generating(
+        [
+            ["simulate", str(model), "--depth", "3"],
+            ["gen-tests", "psystem", str(model)],
+            ["coverage", str(model), "--depth", "3"],
+            ["mutate", str(model)],
+            ["score", str(model), "--mutants", mutants, "--test-set", testset],
+        ],
+        "target 5 is neither the parent nor a child of compartment 1",
+        tmp_path,
+        capsys,
+    )
+
+
+def test_gen_tests_heterotic_k3_pinned(models_dir, tmp_path, capsys):
+    out_file = tmp_path / "suite.json"
+    code = main([
+        "gen-tests", "heterotic", str(models_dir / "ps2_heterotic.json"),
+        "--extra-states", "3", "-o", str(out_file),
+    ])
+    assert code == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == "3aa7403adc8e9cad116df2eda783cf5cd5bfeb53743d14e62f0c63edeeb5d83c"
+    assert json.loads(out_file.read_text())["metadata"]["phi_sequences"] == 146_060
