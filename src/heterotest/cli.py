@@ -3,7 +3,7 @@
 One binary, subcommand style; every artifact is a JSON file so runs are
 scriptable and diffable.  Exit codes: 0 success, 1 validation or
 design-for-test failure, 2 generation failure (nondeterministic product,
-branch explosion, ...), 3 I/O or parse error.
+branch explosion, ...) or usage error, 3 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import model_io, mutation
 from .csxms import (
+    CsxmSystem,
     build_product_sxm,
     check_csxm_dft,
     extend_for_testing,
@@ -22,10 +23,10 @@ from .csxms import (
     validate_system,
 )
 from .dft import check_dft
-from .errors import AlphabetCollision, DftFailure, HeterotestError, SchemaError
-from .heterotic import generate_integration_tests
+from .errors import AlphabetCollision, DftFailure, HeterotestError, InvalidModel, SchemaError
+from .heterotic import generate_integration_tests, run_heterotic, subprocess_oracle
 from .psystem import generate_coverage_test_set, psystem_run, rule_coverage, validate_psystem
-from .sxm import validate_sxm
+from .sxm import Violation, validate_sxm
 from .testgen import generate_sxm_test_suite
 
 
@@ -34,6 +35,28 @@ def _env_seed() -> int:
         return int(os.environ.get("HETEROTEST_SEED", "0"))
     except ValueError:
         return 0
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``, so an
+    out-of-range flag is a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _command(text: str) -> list[str]:
+    """An argparse type: a non-blank command line, split on whitespace."""
+    words = text.split()
+    if not words:
+        raise argparse.ArgumentTypeError("the command is empty")
+    return words
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -48,40 +71,36 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-class _InvalidModel(Exception):
-    """A model failed the structural checks of ``validate``."""
-
-    def __init__(self, kind: str, violations):
-        super().__init__(f"{kind} model has {len(violations)} violation(s)")
-        self.violations = violations
-
-
-def _violations(kind: str, model) -> list:
-    """The structural violations ``validate`` reports for a loaded model."""
-    if kind == "sxm":
-        return validate_sxm(model)
-    if kind == "csxm":
-        return validate_csxm(model)
-    if kind == "system":
-        return validate_system(model)
-    if kind == "psystem":
-        return validate_psystem(model)
-    # heterotic: loading already built and validated the wiring
-    return validate_system(model.as_system)
+# The structural checks ``validate`` runs on each kind of model file.
+_VALIDATORS = {
+    "sxm": validate_sxm,
+    "csxm": validate_csxm,
+    "system": validate_system,
+    "psystem": validate_psystem,
+    # loading a heterotic file validated its parts and the port wiring
+    "heterotic": lambda h: validate_system(h.as_system),
+}
 
 
-def _require_valid(kind: str, model) -> None:
-    """Stop a command before it generates anything from a model that
-    ``validate`` rejects."""
-    violations = _violations(kind, model)
+def _require_valid(kind: str, model, label: str) -> None:
+    violations = _VALIDATORS[kind](model)
     if violations:
-        raise _InvalidModel(kind, violations)
+        raise InvalidModel(label, violations)
+
+
+def _load(path: str, kinds=tuple(_VALIDATORS), wrong_kind: str = "", gate: bool = True):
+    """Load a model file and check that it is one of ``kinds``.  With
+    ``gate``, stop before anything is generated from a model that
+    ``validate`` rejects."""
+    kind, model = model_io.load_model_file(path)
+    if kind not in kinds:
+        raise SchemaError(wrong_kind)
+    if gate:
+        _require_valid(kind, model, kind)
+    return kind, model
 
 
 def _cmd_validate(args) -> int:
-    from .csxms import CsxmSystem
-    from .sxm import Violation
-
     def component_reports(system, violations):
         # The design-for-test conditions apply to the extended components:
         # unextended communicating functions consume no input symbol and
@@ -93,18 +112,17 @@ def _cmd_validate(args) -> int:
             return {}
         return {comp.name: check_csxm_dft(comp) for comp in extended.components}
 
-    kind, model = model_io.load_model_file(args.model)
-    violations = _violations(kind, model)
+    kind, model = _load(args.model, gate=False)
+    violations = _VALIDATORS[kind](model)
     reports = {}
-    if args.dft:
+    # the design-for-test conditions presuppose a structurally valid model
+    if args.dft and not violations:
         if kind == "sxm":
             reports[model.name] = check_dft(model)
         elif kind == "csxm":
             reports = component_reports(CsxmSystem(model.name, (model,)), violations)
-        elif kind == "system":
-            reports = component_reports(model, violations)
-        elif kind == "heterotic":
-            reports = component_reports(model.as_system, violations)
+        elif kind != "psystem":
+            reports = component_reports(model if kind == "system" else model.as_system, violations)
 
     payload = {
         "schema": 1,
@@ -126,12 +144,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    kind, model = model_io.load_model_file(args.model)
+    kind, model = _load(args.model, ("psystem", "heterotic"),
+                        "simulate expects a P-system or heterotic model file")
     if kind == "heterotic":
         return _simulate_heterotic(args, model)
-    if kind != "psystem":
-        raise SchemaError("simulate expects a P-system or heterotic model file")
-    _require_valid(kind, model)
     if args.depth is None:
         raise SchemaError("simulate on a P system needs --depth")
     mode = "seeded" if args.seed is not None else "all"
@@ -151,12 +167,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _simulate_heterotic(args, system) -> int:
-    from .heterotic import run_heterotic, subprocess_oracle
-
     oracle = None
     if args.oracle_cmd:
         oracle = subprocess_oracle(
-            args.oracle_cmd.split(),
+            args.oracle_cmd,
             system.psystem,
             timeout_ms=args.oracle_timeout_ms,
             retries=args.oracle_retries,
@@ -174,22 +188,16 @@ def _simulate_heterotic(args, system) -> int:
     return 0
 
 
+_GEN_TESTS_KINDS = {
+    "sxm": "gen-tests sxm expects a machine model file",
+    "psystem": "gen-tests psystem expects a P-system model file",
+    "heterotic": "gen-tests heterotic expects a heterotic system file",
+}
+
+
 def _cmd_gen_tests(args) -> int:
-    kind, model = model_io.load_model_file(args.model)
-    if args.target == "sxm":
-        if kind != "sxm":
-            raise SchemaError("gen-tests sxm expects a machine model file")
-        _require_valid(kind, model)
-        suite = generate_sxm_test_suite(model, args.extra_states)
-        payload = model_io.suite_to_dict(suite)
-        lines = [f"{len(suite.cases)} cases (k={args.extra_states})"]
-        lines += [" ".join(case.input) or "<empty>" for case in suite.cases]
-        _emit(args, payload, lines)
-        return 0
+    _, model = _load(args.model, (args.target,), _GEN_TESTS_KINDS[args.target])
     if args.target == "psystem":
-        if kind != "psystem":
-            raise SchemaError("gen-tests psystem expects a P-system model file")
-        _require_valid(kind, model)
         members, report = generate_coverage_test_set(model, args.depth)
         payload = model_io.testset_to_dict(members, report, args.depth)
         lines = [f"{len(members)} member(s), depth {args.depth}"]
@@ -199,20 +207,17 @@ def _cmd_gen_tests(args) -> int:
             lines.append(f"rule {entry.rule}: {status}")
         _emit(args, payload, lines)
         return 0 if report.all_covered() else 2
-    # heterotic
-    if kind != "heterotic":
-        raise SchemaError("gen-tests heterotic expects a heterotic system file")
-    suite = generate_integration_tests(model, args.extra_states)
-    payload = model_io.suite_to_dict(suite)
+    generate = generate_sxm_test_suite if args.target == "sxm" else generate_integration_tests
+    suite = generate(model, args.extra_states)
     lines = [f"{len(suite.cases)} cases (k={args.extra_states})"]
-    _emit(args, payload, lines)
+    if args.target == "sxm":
+        lines += [" ".join(case.input) or "<empty>" for case in suite.cases]
+    _emit(args, model_io.suite_to_dict(suite), lines)
     return 0
 
 
 def _cmd_product(args) -> int:
-    kind, model = model_io.load_model_file(args.model)
-    if kind != "system":
-        raise SchemaError("product expects a system model file")
+    _, model = _load(args.model, ("system",), "product expects a system model file")
     product = build_product_sxm(extend_for_testing(model))
     payload = model_io.product_summary_to_dict(product)
     lines = [
@@ -229,10 +234,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    kind, model = model_io.load_model_file(args.model)
-    if kind != "psystem":
-        raise SchemaError("coverage expects a P-system model file")
-    _require_valid(kind, model)
+    _, model = _load(args.model, ("psystem",), "coverage expects a P-system model file")
     traces = psystem_run(model, args.depth, mode="all")
     report = rule_coverage(model, traces)
     payload = model_io.coverage_report_to_dict(report)
@@ -245,10 +247,8 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
-    kind, model = model_io.load_model_file(args.model)
-    if kind not in ("sxm", "psystem"):
-        raise SchemaError("mutate expects a machine or P-system model file")
-    _require_valid(kind, model)
+    kind, model = _load(args.model, ("sxm", "psystem"),
+                        "mutate expects a machine or P-system model file")
     operators = args.ops.split(",") if args.ops else None
     seed = args.seed if args.seed is not None else _env_seed()
     batch = mutation.mutate_model(model, operators, seed=seed, count=args.count)
@@ -261,11 +261,12 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    kind, model = model_io.load_model_file(args.model)
+    kind, model = _load(args.model)
     mutants_kind, batch = mutation.mutants_from_dict(model_io.load_json(args.mutants))
     if mutants_kind != kind:
         raise SchemaError(f"mutants are for a {mutants_kind} model, spec is {kind}")
-    _require_valid(kind, model)
+    for mutant in batch:
+        _require_valid(kind, mutant.model, f"mutant {mutant.mutant_id}")
     if kind == "sxm":
         if not args.suite:
             raise SchemaError("score on a machine spec needs --suite")
@@ -276,7 +277,7 @@ def _cmd_score(args) -> int:
             raise SchemaError("score on a P-system spec needs --test-set")
         testset_doc = model_io.load_json(args.test_set)
         members = model_io.testset_members_from_dict(testset_doc)
-        depth = args.depth if args.depth is not None else int(testset_doc.get("depth", 3))
+        depth = args.depth if args.depth is not None else testset_doc.get("depth", 3)
         report = mutation.score_psystem_testset(model, batch, members, depth)
     payload = mutation.score_to_dict(report)
     lines = [
@@ -312,12 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="run a P system, or drive a heterotic system")
     p.add_argument("model")
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=_int_at_least(0), default=None)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--all-branches", action="store_true")
     group.add_argument("--seed", type=int, default=None)
-    p.add_argument("--rounds", type=int, default=1, help="heterotic systems only")
-    p.add_argument("--oracle-cmd", default=None,
+    p.add_argument("--rounds", type=_int_at_least(1), default=1, help="heterotic systems only")
+    p.add_argument("--oracle-cmd", type=_command, default=None,
                    help="external oracle command (heterotic systems only)")
     p.add_argument("--oracle-timeout-ms", type=int, default=10_000)
     p.add_argument("--oracle-retries", type=int, default=0)
@@ -327,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-tests", parents=[common], help="generate a test suite or coverage test set")
     p.add_argument("target", choices=("sxm", "psystem", "heterotic"))
     p.add_argument("model")
-    p.add_argument("--extra-states", type=int, default=0)
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--extra-states", type=_int_at_least(0), default=0)
+    p.add_argument("--depth", type=_int_at_least(1), default=3)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_gen_tests)
 
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coverage", parents=[common], help="rule coverage of the bounded branch exploration")
     p.add_argument("model")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_int_at_least(0), required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_coverage)
 
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--ops", default=None, help="comma-separated operator names")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_int_at_least(1), default=10)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_mutate)
 
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mutants", required=True)
     p.add_argument("--suite")
     p.add_argument("--test-set")
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=_int_at_least(0), default=None)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_score)
 
@@ -368,7 +369,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _InvalidModel as exc:
+    except InvalidModel as exc:
         print(f"error: {exc}", file=sys.stderr)
         for violation in exc.violations:
             print(f"  {violation}", file=sys.stderr)
@@ -378,10 +379,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         for line in exc.report.summary_lines():
             print(f"  {line}", file=sys.stderr)
         return 1
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except HeterotestError as exc:

@@ -27,10 +27,11 @@ from .sxm import (
     Sxm,
     Violation,
     associated_automaton,
+    structure_violations,
 )
 from .terms import Expr, Pattern, parse_expr, parse_pattern
 from .testgen import TestSuite, build_w_suite
-from .values import BOTTOM_M, NULL, RESERVED_ATOMS, Value, render, sort_key
+from .values import BOTTOM_M, NULL, Value, render, sort_key
 
 DEFAULT_COMM_SYMBOL = "a"
 
@@ -223,8 +224,8 @@ def initial_system_configuration(
 
 
 def validate_csxm(comp: Csxm) -> list[Violation]:
-    out: list[Violation] = []
     name = comp.name
+    out = structure_violations(comp, f"{name}.")
 
     if comp.ordinary_states & comp.communicating_states:
         shared = sorted(comp.ordinary_states & comp.communicating_states)
@@ -294,10 +295,6 @@ def validate_csxm(comp: Csxm) -> list[Violation]:
                               f"port value {render(v)} outside the memory domain")
                 )
 
-    for atom in sorted(RESERVED_ATOMS & comp.inputs):
-        out.append(Violation(f"{name}.inputs", f"reserved atom {atom!r} in input alphabet"))
-    for atom in sorted(RESERVED_ATOMS & comp.outputs):
-        out.append(Violation(f"{name}.outputs", f"reserved atom {atom!r} in output alphabet"))
     for atom in sorted(comp.inputs | comp.outputs):
         if TUPLE_SEPARATOR in atom:
             out.append(

@@ -13,6 +13,14 @@ class SchemaError(HeterotestError):
     """A model file does not conform to its JSON schema."""
 
 
+class InvalidModel(HeterotestError):
+    """A model failed the structural checks of ``validate``."""
+
+    def __init__(self, kind, violations):
+        super().__init__(f"{kind} model has {len(violations)} violation(s)")
+        self.violations = tuple(violations)
+
+
 class TermError(HeterotestError):
     """A pattern or update expression is malformed or cannot be evaluated."""
 

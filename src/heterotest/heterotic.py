@@ -48,7 +48,7 @@ from .psystem import (
 )
 from .sxm import MemoryDomain
 from .testgen import TestSuite
-from .values import BOTTOM_M, NULL, Value, sort_key
+from .values import BOTTOM_M, NULL, Value, render, sort_key
 
 BASE_INPUTS = ("emit", "load", "step")
 ADVANCE, EMIT, LOAD, SEND = "advance", "emit_result", "load_config", "send_result"
@@ -190,7 +190,12 @@ def wrap_psystem_as_csxm(
     sample: list[Value] = []
     finals: list[Value] = []
     seen = set()
-    starts = [tuple(ps.initial)] + [tuple(c) for c in initial_configs]
+    for cfg in initial_configs:
+        if not is_config_for(ps, cfg):
+            raise PortIncompatibility(
+                f"re-initialisation {render(cfg)} is not a configuration of {ps.name}"
+            )
+    starts = [tuple(ps.initial)] + list(initial_configs)
     for start in starts:
         final, _, visited = simulate_to_halt(ps, start, seed, depth_cap)
         for cfg in visited:
@@ -351,6 +356,10 @@ def subprocess_oracle(
             except subprocess.TimeoutExpired as exc:
                 last_error = exc
                 continue
+            if proc.returncode != 0:
+                stderr = proc.stderr.strip().splitlines()
+                detail = f": {stderr[-1]}" if stderr else ""
+                raise OracleInvalidResult(f"oracle exited with status {proc.returncode}{detail}")
             try:
                 reply = json.loads(proc.stdout.strip().splitlines()[-1])
                 final_map = reply["final"]
@@ -358,9 +367,12 @@ def subprocess_oracle(
                     Multiset.from_string(final_map[str(i + 1)])
                     for i in range(ps.n_compartments)
                 )
-                return final, reply.get("steps")
-            except (KeyError, IndexError, ValueError, json.JSONDecodeError) as exc:
+                steps = reply.get("steps")
+            except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
                 raise OracleInvalidResult(f"malformed oracle reply: {exc}") from exc
+            if steps is not None and (not isinstance(steps, int) or isinstance(steps, bool)):
+                raise OracleInvalidResult(f"oracle reply steps must be an integer, got {steps!r}")
+            return final, steps
         raise OracleTimeout(f"oracle timed out after {attempts} attempt(s)") from last_error
 
     return OracleBinding(run=run, timeout_ms=timeout_ms, retries=retries)

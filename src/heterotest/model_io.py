@@ -9,11 +9,19 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional
 
-from .csxms import Csxm, CsxmCase, CsxmCaseFunction, CsxmSystem
+from .csxms import (
+    COMMUNICATING,
+    ORDINARY,
+    Csxm,
+    CsxmCase,
+    CsxmCaseFunction,
+    CsxmSystem,
+    validate_csxm,
+)
 from .dft import DftReport
-from .errors import SchemaError, TermError
+from .errors import InvalidModel, SchemaError, TermError
 from .heterotic import (
     HeteroticSystem,
     HeteroticTrace,
@@ -29,6 +37,7 @@ from .psystem import (
     PRule,
     PSystem,
     config_canonical,
+    validate_psystem,
 )
 from .sxm import Case, CaseFunction, MemoryDomain, Sxm
 from .testgen import TestCase, TestSuite
@@ -51,21 +60,113 @@ def load_json(path) -> Any:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _check_keys(d: Mapping, required: set, optional: set, where: str) -> None:
-    if not isinstance(d, dict):
+# --- field specs ----------------------------------------------------------------
+#
+# Every JSON object a file holds is checked against one spec before any of
+# its values is used: the keys it must and may carry, and each key's JSON
+# type.  A file of the wrong shape therefore ends in a SchemaError, never
+# in a TypeError from deep inside a constructor.
+
+
+class JsonType(NamedTuple):
+    test: Callable[[Any], bool]
+    name: str
+
+
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _list_of(test: Callable[[Any], bool], name: str) -> JsonType:
+    return JsonType(lambda v: isinstance(v, list) and all(map(test, v)), name)
+
+
+def _is_target_pair(v: Any) -> bool:
+    return (isinstance(v, list) and len(v) == 2 and isinstance(v[0], str)
+            and (v[1] == HERE or _is_int(v[1])))
+
+
+def _is_config(v: Any) -> bool:
+    return STR_MAP.test(v) and set(v) == {str(i + 1) for i in range(len(v))}
+
+
+STR = JsonType(lambda v: isinstance(v, str), "a string")
+INT = JsonType(_is_int, "an integer")
+NATURAL = JsonType(lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+OBJ = JsonType(lambda v: isinstance(v, dict), "an object")
+VALUE = JsonType(lambda v: True, "a value")
+VALUES = JsonType(lambda v: isinstance(v, list), "a list of values")
+STRS = _list_of(STR.test, "a list of strings")
+OBJS = _list_of(OBJ.test, "a list of objects")
+OUTPUTS = _list_of(STRS.test, "a list of lists of strings")
+STR_MAP = JsonType(lambda v: isinstance(v, dict) and all(map(STR.test, v.values())),
+                   "an object of strings")
+RULE_MAP = JsonType(
+    lambda v: isinstance(v, dict) and all(k.isdecimal() and OBJS.test(b) for k, b in v.items()),
+    "an object of lists of objects keyed by compartment id",
+)
+RANGE = JsonType(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+                 "a [low, high] pair of integers")
+RHS = _list_of(_is_target_pair, 'a list of [symbol, target] pairs, target "here" or an id')
+CONFIGS = _list_of(_is_config, 'a list of objects of strings keyed "1".."n"')
+MUTANT_KIND = JsonType(lambda v: v in ("sxm", "psystem"), '"sxm" or "psystem"')
+
+
+class Spec(NamedTuple):
+    required: Dict[str, JsonType]
+    optional: Dict[str, JsonType] = {}
+
+
+def check_fields(d: Any, spec: Spec, where: str) -> Mapping:
+    """Check ``d`` against ``spec``; return it unchanged when it conforms."""
+    if not OBJ.test(d):
         raise SchemaError(f"{where}: expected an object")
-    keys = set(d)
-    missing = required - keys
+    if "schema" in spec.required and d.get("schema") != SCHEMA_VERSION:
+        raise SchemaError(f"{where}: expected \"schema\": {SCHEMA_VERSION}")
+    missing = spec.required.keys() - d.keys()
     if missing:
         raise SchemaError(f"{where}: missing keys {sorted(missing)}")
-    unknown = keys - required - optional
+    unknown = d.keys() - spec.required.keys() - spec.optional.keys()
     if unknown:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, value in d.items():
+        kind = spec.required.get(key) or spec.optional[key]
+        if not kind.test(value):
+            raise SchemaError(f"{where}: {key} must be {kind.name}")
+    return d
 
 
-def _check_schema_version(d: Mapping, where: str) -> None:
-    if d.get("schema") != SCHEMA_VERSION:
-        raise SchemaError(f"{where}: expected \"schema\": {SCHEMA_VERSION}")
+# Machine keys named as the model attributes they hold.
+_MACHINE_SETS = ("inputs", "outputs", "states", "initial_states", "terminal_states")
+_CSXM_SETS = ("ordinary_states", "communicating_states", "ordinary_functions",
+              "communicating_functions")
+_PORT_DOMAINS = ("in_port_domain", "out_port_domain")
+
+_NAMED = {"name": STR}
+_MACHINE = Spec({"schema": INT, **dict.fromkeys(_MACHINE_SETS, STRS), "memory_domain": OBJ,
+                 "initial_memory": VALUE, "functions": OBJS, "next_state": OBJS}, _NAMED)
+_CSXM = Spec({**_MACHINE.required, **dict.fromkeys(_CSXM_SETS, STRS),
+              **dict.fromkeys(_PORT_DOMAINS, VALUES)}, _NAMED)
+_MEMORY_DOMAIN = Spec({}, {"set": VALUES, "range": RANGE, "open": OBJ})
+_OPEN_DOMAIN = Spec({"sample": VALUES})
+_FUNCTION = Spec({"name": STR, "cases": OBJS})
+_CASE = Spec({"mem_pattern": STR, "input": STR, "output": STR, "mem_next": STR})
+_CSXM_CASE = Spec({**_CASE.required, "port_pattern": STR}, {"out_port": STR, "send_to": INT})
+_ARC = Spec({"from": STR, "fn": STR, "to": STRS})
+_SYSTEM = Spec({"schema": INT, "components": OBJS}, _NAMED)
+_PSYSTEM = Spec({"schema": INT, "alphabet": STRS, "structure": OBJ, "initial": STR_MAP,
+                 "rules": RULE_MAP}, _NAMED)
+_MEMBRANE = Spec({"id": INT}, {"children": OBJS})
+_RULE = Spec({"name": STR, "lhs": STR, "rhs": RHS})
+_HETEROTIC = Spec({"schema": INT, "psystem": STR, "control": STR, "seed": INT,
+                   "depth_cap": INT}, _NAMED)
+_SUITE = Spec({"schema": INT, "method": STR, "k": INT, "cases": OBJS}, {"metadata": OBJ})
+_SUITE_CASE = Spec({"input": STRS, "expected_outputs": OUTPUTS})
+_TEST_SET = Spec({"schema": INT, "members": CONFIGS},
+                 {"method": STR, "depth": NATURAL, "report": OBJ})
+MUTANTS = Spec({"schema": INT, "kind": MUTANT_KIND, "mutants": OBJS},
+               {"invalid": INT, "duplicates": INT})
+MUTANT = Spec({"base": STR, "operator": STR, "location": STR, "model": OBJ}, {"id": STR})
 
 
 # --- memory domains ----------------------------------------------------------
@@ -80,59 +181,36 @@ def memory_domain_to_json(domain: MemoryDomain) -> Any:
 
 
 def memory_domain_from_json(obj: Any, where: str) -> MemoryDomain:
-    if not isinstance(obj, dict) or len(obj) != 1:
+    check_fields(obj, _MEMORY_DOMAIN, f"{where}.memory_domain")
+    if len(obj) != 1:
         raise SchemaError(f"{where}: memory_domain must be a single-key object")
-    if "set" in obj:
-        return MemoryDomain(kind="set", values=tuple(value_from_json(v) for v in obj["set"]))
     if "range" in obj:
-        lo, hi = obj["range"]
-        return MemoryDomain(kind="range", low=int(lo), high=int(hi))
-    if "open" in obj:
-        _check_keys(obj["open"], {"sample"}, set(), f"{where}.open")
-        sample = tuple(value_from_json(v) for v in obj["open"]["sample"])
-        return MemoryDomain(kind="open", sample=sample)
-    raise SchemaError(f"{where}: memory_domain kind must be set, range or open")
+        return MemoryDomain(kind="range", low=obj["range"][0], high=obj["range"][1])
+    if "set" in obj:
+        return MemoryDomain(kind="set", values=tuple(map(value_from_json, obj["set"])))
+    sample = check_fields(obj["open"], _OPEN_DOMAIN, f"{where}.open")["sample"]
+    return MemoryDomain(kind="open", sample=tuple(map(value_from_json, sample)))
 
 
-# --- stream X-machines -------------------------------------------------------
-
-_SXM_KEYS = {
-    "inputs", "outputs", "states", "initial_states", "terminal_states",
-    "memory_domain", "initial_memory", "functions", "next_state",
-}
+# --- stream X-machines and communicating machines --------------------------------
+#
+# A communicating machine is written as a machine plus six keys, and its
+# cases add a port pattern and the optional out-port update and send target.
 
 
-def sxm_to_dict(model: Sxm) -> Dict[str, Any]:
-    functions = []
-    for name in sorted(model.functions):
-        fn = model.functions[name]
-        if not isinstance(fn, CaseFunction):
-            raise SchemaError(f"function {name!r} is not a case table and cannot be serialised")
-        functions.append(
-            {
-                "name": name,
-                "cases": [
-                    {
-                        "mem_pattern": case.mem_pattern,
-                        "input": case.input,
-                        "output": case.output,
-                        "mem_next": case.mem_next,
-                    }
-                    for case in fn.cases
-                ],
-            }
-        )
+def _case_to_dict(case) -> Dict[str, Any]:
+    spec = _CSXM_CASE if isinstance(case, CsxmCase) else _CASE
+    fields = {key: getattr(case, key) for key in (*spec.required, *spec.optional)}
+    return {key: value for key, value in fields.items() if value is not None}
+
+
+def _machine_header(model) -> Dict[str, Any]:
+    """The keys a machine file and a product summary share."""
     return {
         "schema": SCHEMA_VERSION,
         "name": model.name,
-        "inputs": sorted(model.inputs),
-        "outputs": sorted(model.outputs),
-        "states": sorted(model.states),
-        "initial_states": sorted(model.initial_states),
-        "terminal_states": sorted(model.terminal_states),
-        "memory_domain": memory_domain_to_json(model.memory_domain),
+        **{key: sorted(getattr(model, key)) for key in _MACHINE_SETS},
         "initial_memory": value_to_json(model.initial_memory),
-        "functions": functions,
         "next_state": [
             {"from": q, "fn": fn, "to": list(targets)}
             for (q, fn), targets in sorted(model.next_state.items())
@@ -140,172 +218,86 @@ def sxm_to_dict(model: Sxm) -> Dict[str, Any]:
     }
 
 
-def _cases_from_json(body, where: str):
-    cases = []
-    for idx, case in enumerate(body):
-        _check_keys(case, {"mem_pattern", "input", "output", "mem_next"}, set(),
-                    f"{where}.cases[{idx}]")
-        try:
-            cases.append(Case.build(case["mem_pattern"], case["input"],
-                                    case["output"], case["mem_next"]))
-        except TermError as exc:
-            raise SchemaError(f"{where}.cases[{idx}]: {exc}") from exc
-    return cases
+def _machine_to_dict(model) -> Dict[str, Any]:
+    communicating = isinstance(model, Csxm)
+    functions = []
+    for name in sorted(model.functions):
+        fn = model.functions[name]
+        if not isinstance(fn, CsxmCaseFunction if communicating else CaseFunction):
+            raise SchemaError(f"function {name!r} is not a case table and cannot be serialised")
+        functions.append({"name": name, "cases": [_case_to_dict(case) for case in fn.cases]})
+    d = _machine_header(model)
+    d.update(memory_domain=memory_domain_to_json(model.memory_domain), functions=functions)
+    if communicating:
+        d.update({key: sorted(getattr(model, key)) for key in _CSXM_SETS})
+        d.update({key: [value_to_json(v) for v in getattr(model, key)] for key in _PORT_DOMAINS})
+    return d
 
 
-def sxm_from_dict(d: Mapping, default_name: str = "sxm") -> Sxm:
-    _check_schema_version(d, "sxm")
-    _check_keys(d, _SXM_KEYS | {"schema"}, {"name"}, "sxm")
+def _case_from_json(case: Any, communicating: bool, where: str):
+    check_fields(case, _CSXM_CASE if communicating else _CASE, where)
+    try:  # case keys are named as the parameters of ``build``
+        return (CsxmCase if communicating else Case).build(**case)
+    except TermError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _machine_from_dict(d: Any, default_name: str, communicating: bool):
+    where = "csxm" if communicating else "sxm"
+    check_fields(d, _CSXM if communicating else _MACHINE, where)
     functions = {}
     for entry in d["functions"]:
-        _check_keys(entry, {"name", "cases"}, set(), "functions[]")
+        check_fields(entry, _FUNCTION, "functions[]")
         name = entry["name"]
         if name in functions:
             raise SchemaError(f"duplicate function {name!r}")
-        functions[name] = CaseFunction(name, _cases_from_json(entry["cases"], f"functions[{name}]"))
+        cases = [
+            _case_from_json(case, communicating, f"functions[{name}].cases[{idx}]")
+            for idx, case in enumerate(entry["cases"])
+        ]
+        if communicating:
+            kind = COMMUNICATING if name in d["communicating_functions"] else ORDINARY
+            functions[name] = CsxmCaseFunction(name, kind, cases)
+        else:
+            functions[name] = CaseFunction(name, cases)
     next_state = {}
     for entry in d["next_state"]:
-        _check_keys(entry, {"from", "fn", "to"}, set(), "next_state[]")
+        check_fields(entry, _ARC, "next_state[]")
         key = (entry["from"], entry["fn"])
         if key in next_state:
             raise SchemaError(f"duplicate next_state entry {key}")
         next_state[key] = tuple(entry["to"])
-    return Sxm(
+    machine = dict(
+        {key: frozenset(d[key]) for key in _MACHINE_SETS},
         name=d.get("name", default_name),
-        inputs=frozenset(d["inputs"]),
-        outputs=frozenset(d["outputs"]),
-        states=frozenset(d["states"]),
-        initial_states=frozenset(d["initial_states"]),
-        terminal_states=frozenset(d["terminal_states"]),
-        memory_domain=memory_domain_from_json(d["memory_domain"], "sxm"),
+        memory_domain=memory_domain_from_json(d["memory_domain"], where),
         initial_memory=value_from_json(d["initial_memory"]),
         functions=functions,
         next_state=next_state,
     )
+    if not communicating:
+        return Sxm(**machine)
+    return Csxm(
+        **machine,
+        **{key: frozenset(d[key]) for key in _CSXM_SETS},
+        **{key: tuple(value_from_json(v) for v in d[key]) for key in _PORT_DOMAINS},
+    )
 
 
-# --- communicating machines ---------------------------------------------------
-
-_CSXM_EXTRA_KEYS = {
-    "in_port_domain", "out_port_domain",
-    "ordinary_states", "communicating_states",
-    "ordinary_functions", "communicating_functions",
-}
+# The model's type decides whether the communicating keys are written.
+sxm_to_dict = csxm_to_dict = _machine_to_dict
 
 
-def csxm_to_dict(comp: Csxm) -> Dict[str, Any]:
-    functions = []
-    for name in sorted(comp.functions):
-        fn = comp.functions[name]
-        if not isinstance(fn, CsxmCaseFunction):
-            raise SchemaError(f"function {name!r} is not a case table and cannot be serialised")
-        cases = []
-        for case in fn.cases:
-            body = {
-                "mem_pattern": case.mem_pattern,
-                "port_pattern": case.port_pattern,
-                "input": case.input,
-                "output": case.output,
-                "mem_next": case.mem_next,
-            }
-            if case.out_port is not None:
-                body["out_port"] = case.out_port
-            if case.send_to is not None:
-                body["send_to"] = case.send_to
-            cases.append(body)
-        functions.append({"name": name, "cases": cases})
-    return {
-        "schema": SCHEMA_VERSION,
-        "name": comp.name,
-        "inputs": sorted(comp.inputs),
-        "outputs": sorted(comp.outputs),
-        "states": sorted(comp.states),
-        "initial_states": sorted(comp.initial_states),
-        "terminal_states": sorted(comp.terminal_states),
-        "memory_domain": memory_domain_to_json(comp.memory_domain),
-        "initial_memory": value_to_json(comp.initial_memory),
-        "functions": functions,
-        "next_state": [
-            {"from": q, "fn": fn, "to": list(targets)}
-            for (q, fn), targets in sorted(comp.next_state.items())
-        ],
-        "in_port_domain": [value_to_json(v) for v in comp.in_port_domain],
-        "out_port_domain": [value_to_json(v) for v in comp.out_port_domain],
-        "ordinary_states": sorted(comp.ordinary_states),
-        "communicating_states": sorted(comp.communicating_states),
-        "ordinary_functions": sorted(comp.ordinary_functions),
-        "communicating_functions": sorted(comp.communicating_functions),
-    }
+def sxm_from_dict(d: Mapping, default_name: str = "sxm") -> Sxm:
+    return _machine_from_dict(d, default_name, communicating=False)
 
 
 def csxm_from_dict(d: Mapping, default_name: str = "csxm") -> Csxm:
-    _check_schema_version(d, "csxm")
-    _check_keys(d, _SXM_KEYS | _CSXM_EXTRA_KEYS | {"schema"}, {"name"}, "csxm")
-    ordinary_functions = frozenset(d["ordinary_functions"])
-    communicating_functions = frozenset(d["communicating_functions"])
-    functions = {}
-    for entry in d["functions"]:
-        _check_keys(entry, {"name", "cases"}, set(), "functions[]")
-        name = entry["name"]
-        kind = "communicating" if name in communicating_functions else "ordinary"
-        cases = []
-        for idx, case in enumerate(entry["cases"]):
-            _check_keys(
-                case,
-                {"mem_pattern", "port_pattern", "input", "output", "mem_next"},
-                {"out_port", "send_to"},
-                f"functions[{name}].cases[{idx}]",
-            )
-            send_to = case.get("send_to")
-            if send_to is not None and (not isinstance(send_to, int) or isinstance(send_to, bool)):
-                raise SchemaError(f"functions[{name}].cases[{idx}]: send_to must be an integer")
-            try:
-                cases.append(
-                    CsxmCase.build(
-                        case["mem_pattern"], case["port_pattern"], case["input"],
-                        case["output"], case["mem_next"],
-                        out_port=case.get("out_port"),
-                        send_to=send_to,
-                    )
-                )
-            except TermError as exc:
-                raise SchemaError(f"functions[{name}].cases[{idx}]: {exc}") from exc
-        functions[name] = CsxmCaseFunction(name, kind, cases)
-    next_state = {}
-    for entry in d["next_state"]:
-        _check_keys(entry, {"from", "fn", "to"}, set(), "next_state[]")
-        next_state[(entry["from"], entry["fn"])] = tuple(entry["to"])
-    return Csxm(
-        name=d.get("name", default_name),
-        inputs=frozenset(d["inputs"]),
-        outputs=frozenset(d["outputs"]),
-        states=frozenset(d["states"]),
-        initial_states=frozenset(d["initial_states"]),
-        terminal_states=frozenset(d["terminal_states"]),
-        memory_domain=memory_domain_from_json(d["memory_domain"], "csxm"),
-        initial_memory=value_from_json(d["initial_memory"]),
-        functions=functions,
-        next_state=next_state,
-        in_port_domain=tuple(value_from_json(v) for v in d["in_port_domain"]),
-        out_port_domain=tuple(value_from_json(v) for v in d["out_port_domain"]),
-        ordinary_states=frozenset(d["ordinary_states"]),
-        communicating_states=frozenset(d["communicating_states"]),
-        ordinary_functions=ordinary_functions,
-        communicating_functions=communicating_functions,
-    )
-
-
-def system_to_dict(sys: CsxmSystem) -> Dict[str, Any]:
-    return {
-        "schema": SCHEMA_VERSION,
-        "name": sys.name,
-        "components": [csxm_to_dict(c) for c in sys.components],
-    }
+    return _machine_from_dict(d, default_name, communicating=True)
 
 
 def system_from_dict(d: Mapping, default_name: str = "system") -> CsxmSystem:
-    _check_schema_version(d, "system")
-    _check_keys(d, {"schema", "components"}, {"name"}, "system")
+    check_fields(d, _SYSTEM, "system")
     components = tuple(
         csxm_from_dict(entry, default_name=f"c{i+1}")
         for i, entry in enumerate(d["components"])
@@ -346,10 +338,8 @@ def psystem_to_dict(ps: PSystem) -> Dict[str, Any]:
 
 
 def _structure_from_json(obj: Any, parent: Optional[int], acc: Dict[int, Optional[int]], where: str):
-    _check_keys(obj, {"id"}, {"children"}, where)
+    check_fields(obj, _MEMBRANE, where)
     comp = obj["id"]
-    if not isinstance(comp, int):
-        raise SchemaError(f"{where}: compartment id must be an integer")
     if comp in acc:
         raise SchemaError(f"{where}: duplicate compartment id {comp}")
     acc[comp] = parent
@@ -358,44 +348,29 @@ def _structure_from_json(obj: Any, parent: Optional[int], acc: Dict[int, Optiona
 
 
 def psystem_from_dict(d: Mapping, default_name: str = "psystem") -> PSystem:
-    _check_schema_version(d, "psystem")
-    _check_keys(d, {"schema", "alphabet", "structure", "initial", "rules"}, {"name"}, "psystem")
+    check_fields(d, _PSYSTEM, "psystem")
     parent: Dict[int, Optional[int]] = {}
     _structure_from_json(d["structure"], None, parent, "structure")
-    n = len(parent)
-    initial = []
-    for comp in range(1, n + 1):
-        text = d["initial"].get(str(comp), "")
-        initial.append(Multiset.from_string(text))
+    initial = tuple(
+        Multiset.from_string(d["initial"].get(str(comp), "")) for comp in range(1, len(parent) + 1)
+    )
     rules = []
     for comp_str, bodies in sorted(d["rules"].items()):
-        try:
-            comp = int(comp_str)
-        except ValueError as exc:
-            raise SchemaError(f"rules: compartment key {comp_str!r} is not an integer") from exc
         for entry in bodies:
-            _check_keys(entry, {"name", "lhs", "rhs"}, set(), f"rules[{comp_str}][]")
-            rhs = []
-            for item in entry["rhs"]:
-                if not isinstance(item, list) or len(item) != 2:
-                    raise SchemaError(f"rules[{comp_str}]: rhs items are [symbol, target] pairs")
-                sym, target = item
-                if target != HERE and not isinstance(target, int):
-                    raise SchemaError(f"rules[{comp_str}]: target must be \"here\" or an id")
-                rhs.append((sym, target))
+            check_fields(entry, _RULE, f"rules[{comp_str}][]")
             rules.append(
                 PRule(
                     name=entry["name"],
-                    compartment=comp,
+                    compartment=int(comp_str),
                     lhs=Multiset.from_string(entry["lhs"]),
-                    rhs=tuple(rhs),
+                    rhs=tuple(map(tuple, entry["rhs"])),
                 )
             )
     return PSystem(
         name=d.get("name", default_name),
         alphabet=frozenset(d["alphabet"]),
         parent=parent,
-        initial=tuple(initial),
+        initial=initial,
         rules=tuple(rules),
     )
 
@@ -474,12 +449,11 @@ def testset_to_dict(members, report: CoverageReport, depth: int) -> Dict[str, An
 
 
 def testset_members_from_dict(d: Mapping) -> list[PConfiguration]:
-    _check_schema_version(d, "test set")
-    members = []
-    for entry in d["members"]:
-        n = len(entry)
-        members.append(tuple(Multiset.from_string(entry[str(i + 1)]) for i in range(n)))
-    return members
+    check_fields(d, _TEST_SET, "test set")
+    return [
+        tuple(Multiset.from_string(entry[str(i + 1)]) for i in range(len(entry)))
+        for entry in d["members"]
+    ]
 
 
 def suite_to_dict(suite: TestSuite) -> Dict[str, Any]:
@@ -497,11 +471,10 @@ def suite_to_dict(suite: TestSuite) -> Dict[str, Any]:
 
 
 def suite_from_dict(d: Mapping) -> TestSuite:
-    _check_schema_version(d, "suite")
-    _check_keys(d, {"schema", "method", "k", "cases"}, {"metadata"}, "suite")
+    check_fields(d, _SUITE, "suite")
+    entries = [check_fields(c, _SUITE_CASE, f"suite.cases[{i}]") for i, c in enumerate(d["cases"])]
     cases = tuple(
-        TestCase(tuple(entry["input"]), tuple(tuple(o) for o in entry["expected_outputs"]))
-        for entry in d["cases"]
+        TestCase(tuple(e["input"]), tuple(map(tuple, e["expected_outputs"]))) for e in entries
     )
     metadata = {"method": d["method"], "k": d["k"]}
     metadata.update(d.get("metadata", {}))
@@ -561,30 +534,19 @@ def product_summary_to_dict(model: Sxm) -> Dict[str, Any]:
     """Product machines hold built-in functions, so they are summarised
     (alphabets, states, arcs, domain size) rather than re-loadable."""
     values, exhaustive = model.memory_values()
-    return {
-        "schema": SCHEMA_VERSION,
-        "name": model.name,
-        "inputs": sorted(model.inputs),
-        "outputs": sorted(model.outputs),
-        "states": sorted(model.states),
-        "initial_states": sorted(model.initial_states),
-        "terminal_states": sorted(model.terminal_states),
-        "functions": sorted(model.functions),
-        "next_state": [
-            {"from": q, "fn": fn, "to": list(targets)}
-            for (q, fn), targets in sorted(model.next_state.items())
-        ],
-        "memory_size": len(values),
-        "memory_exhaustive": exhaustive,
-        "initial_memory": value_to_json(model.initial_memory),
-    }
+    return dict(
+        _machine_header(model),
+        functions=sorted(model.functions),
+        memory_size=len(values),
+        memory_exhaustive=exhaustive,
+    )
 
 
 # --- top-level file loading -----------------------------------------------------
 
 
 def detect_kind(d: Mapping) -> str:
-    if not isinstance(d, dict):
+    if not OBJ.test(d):
         raise SchemaError("model file must hold a JSON object")
     if "components" in d:
         return "system"
@@ -599,23 +561,33 @@ def detect_kind(d: Mapping) -> str:
     raise SchemaError("cannot tell what kind of model this file holds")
 
 
-_HETEROTIC_KEYS = {"schema", "psystem", "control", "seed", "depth_cap"}
+_LOADERS = {
+    "sxm": sxm_from_dict,
+    "csxm": csxm_from_dict,
+    "system": system_from_dict,
+    "psystem": psystem_from_dict,
+}
 
 
 def load_heterotic_file(path) -> HeteroticSystem:
-    d = load_json(path)
-    _check_schema_version(d, "heterotic")
-    _check_keys(d, _HETEROTIC_KEYS, {"name"}, "heterotic")
+    """Load a heterotic file and the P system and control machine it names.
+
+    Both parts are validated before the P system is simulated to wrap it
+    as the Base component.
+    """
+    d = check_fields(load_json(path), _HETEROTIC, "heterotic")
     base_dir = Path(path).parent
     ps = psystem_from_dict(load_json(base_dir / d["psystem"]),
                            default_name=Path(d["psystem"]).stem)
     control = csxm_from_dict(load_json(base_dir / d["control"]),
                              default_name=Path(d["control"]).stem)
-    seed = int(d["seed"])
-    depth_cap = int(d["depth_cap"])
+    violations = validate_psystem(ps) + validate_csxm(control)
+    if violations:
+        raise InvalidModel("heterotic", violations)
+    seed, depth_cap = d["seed"], d["depth_cap"]
     base = wrap_psystem_as_csxm(
         ps, depth_cap, seed=seed,
-        initial_configs=[tuple(v) for v in control.out_port_domain],
+        initial_configs=control.out_port_domain,
     )
     return build_heterotic_system(
         base, control, ps, seed=seed, depth_cap=depth_cap,
@@ -631,13 +603,6 @@ def load_model_file(path):
     """
     d = load_json(path)
     kind = detect_kind(d)
-    stem = Path(path).stem
-    if kind == "sxm":
-        return kind, sxm_from_dict(d, default_name=stem)
-    if kind == "csxm":
-        return kind, csxm_from_dict(d, default_name=stem)
-    if kind == "system":
-        return kind, system_from_dict(d, default_name=stem)
-    if kind == "psystem":
-        return kind, psystem_from_dict(d, default_name=stem)
-    return kind, load_heterotic_file(path)
+    if kind == "heterotic":
+        return kind, load_heterotic_file(path)
+    return kind, _LOADERS[kind](d, default_name=Path(path).stem)

@@ -16,7 +16,10 @@ from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyMutantSet, NoValidMutants, TermError
 from .model_io import (
+    MUTANT,
+    MUTANTS,
     canonical_json,
+    check_fields,
     psystem_from_dict,
     psystem_to_dict,
     sxm_from_dict,
@@ -460,12 +463,11 @@ def mutants_to_dict(kind: str, batch: MutantBatch) -> Dict[str, object]:
 
 
 def mutants_from_dict(d) -> Tuple[str, MutantBatch]:
-    kind = d.get("kind")
-    if kind not in ("sxm", "psystem"):
-        raise EmptyMutantSet("mutants file does not declare a known model kind")
+    check_fields(d, MUTANTS, "mutants")
+    kind = d["kind"]
     build = sxm_from_dict if kind == "sxm" else psystem_from_dict
+    entries = [check_fields(e, MUTANT, f"mutants[{i}]") for i, e in enumerate(d["mutants"])]
     mutants = tuple(
-        Mutant(entry["base"], entry["operator"], entry["location"], build(entry["model"]))
-        for entry in d["mutants"]
+        Mutant(e["base"], e["operator"], e["location"], build(e["model"])) for e in entries
     )
-    return kind, MutantBatch(mutants, int(d.get("invalid", 0)), int(d.get("duplicates", 0)))
+    return kind, MutantBatch(mutants, d.get("invalid", 0), d.get("duplicates", 0))

@@ -214,26 +214,28 @@ class Violation:
         return f"{self.where}: {self.message}"
 
 
-def validate_sxm(model: Sxm) -> list[Violation]:
-    """Check every structural invariant; an empty report means valid."""
+def structure_violations(model, prefix: str = "") -> list[Violation]:
+    """The structural checks a machine and a communicating machine share:
+    reserved atoms, the state sets, the next-state map and the initial
+    memory.  ``prefix`` starts every ``where``."""
     out: list[Violation] = []
 
     for atom in sorted(RESERVED_ATOMS & model.inputs):
-        out.append(Violation("inputs", f"reserved atom {atom!r} in input alphabet"))
+        out.append(Violation(f"{prefix}inputs", f"reserved atom {atom!r} in input alphabet"))
     for atom in sorted(RESERVED_ATOMS & model.outputs):
-        out.append(Violation("outputs", f"reserved atom {atom!r} in output alphabet"))
+        out.append(Violation(f"{prefix}outputs", f"reserved atom {atom!r} in output alphabet"))
 
     if not model.states:
-        out.append(Violation("states", "state set is empty"))
+        out.append(Violation(f"{prefix}states", "state set is empty"))
     if not model.initial_states:
-        out.append(Violation("initial_states", "no initial state declared"))
+        out.append(Violation(f"{prefix}initial_states", "no initial state declared"))
     for q in sorted(model.initial_states - model.states):
-        out.append(Violation("initial_states", f"unknown state {q!r}"))
+        out.append(Violation(f"{prefix}initial_states", f"unknown state {q!r}"))
     for q in sorted(model.terminal_states - model.states):
-        out.append(Violation("terminal_states", f"unknown state {q!r}"))
+        out.append(Violation(f"{prefix}terminal_states", f"unknown state {q!r}"))
 
     for (q, fn), targets in sorted(model.next_state.items()):
-        where = f"next_state[{q},{fn}]"
+        where = f"{prefix}next_state[{q},{fn}]"
         if q not in model.states:
             out.append(Violation(where, f"unknown source state {q!r}"))
         if fn not in model.functions:
@@ -244,14 +246,20 @@ def validate_sxm(model: Sxm) -> list[Violation]:
         if not targets:
             out.append(Violation(where, "entry has no target states"))
 
-    domain = model.memory_domain
-    if domain.contains(model.initial_memory) is False:
+    if model.memory_domain.contains(model.initial_memory) is False:
         out.append(
             Violation(
-                "initial_memory",
+                f"{prefix}initial_memory",
                 f"initial memory {render(model.initial_memory)} lies outside the declared domain",
             )
         )
+    return out
+
+
+def validate_sxm(model: Sxm) -> list[Violation]:
+    """Check every structural invariant; an empty report means valid."""
+    out = structure_violations(model)
+    domain = model.memory_domain
 
     for name in sorted(model.functions):
         fn = model.functions[name]

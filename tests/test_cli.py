@@ -139,23 +139,24 @@ def test_gen_tests_heterotic(models_dir, tmp_path, capsys):
     assert doc["metadata"]["roles"] == {"base": "base", "control": "ps2_control"}
 
 
-def test_product_summary(models_dir, tmp_path, capsys):
-    # build a system file from the heterotic parts to exercise `product`
-    from heterotest.model_io import canonical_json, load_model_file
-
-    h = load_model_file(models_dir / "ps2_heterotic.json")[1]
-    sys_file = tmp_path / "system.json"
+def _control_pair(models_dir, tmp_path, first_sends_to):
+    # build a system file from the heterotic parts to exercise `product`;
     # the wrapped base holds built-in functions, so use a pure case-table pair
-    control = h.control
-    doc = {
-        "schema": 1,
-        "name": "pair",
-        "components": [
-            json.loads(canonical_json(_control_dict(control))),
-            json.loads(canonical_json(_control_dict(control))),
-        ],
-    }
-    sys_file.write_text(json.dumps(doc))
+    from heterotest.model_io import canonical_json, csxm_to_dict, load_model_file
+
+    control = load_model_file(models_dir / "ps2_heterotic.json")[1].control
+    first, second = (json.loads(canonical_json(csxm_to_dict(control))) for _ in range(2))
+    for fn in first["functions"]:
+        for case in fn["cases"]:
+            if "send_to" in case:
+                case["send_to"] = first_sends_to
+    sys_file = tmp_path / "system.json"
+    sys_file.write_text(json.dumps({"schema": 1, "name": "pair", "components": [first, second]}))
+    return sys_file
+
+
+def test_product_summary(models_dir, tmp_path, capsys):
+    sys_file = _control_pair(models_dir, tmp_path, first_sends_to=2)
     code = main(["--format", "json", "product", str(sys_file)])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
@@ -163,10 +164,11 @@ def test_product_summary(models_dir, tmp_path, capsys):
     assert payload["memory_size"] >= 1
 
 
-def _control_dict(control):
-    from heterotest.model_io import csxm_to_dict
-
-    return csxm_to_dict(control)
+def test_product_rejects_component_sending_to_itself(models_dir, tmp_path, capsys):
+    sys_file = _control_pair(models_dir, tmp_path, first_sends_to=1)
+    _reject_before_generating(
+        [["product", str(sys_file)]], "component cannot send to itself", tmp_path, capsys
+    )
 
 
 def _control_with_text_send_to(models_dir):

@@ -1,0 +1,246 @@
+"""Every CLI input ends in a documented exit code, never a traceback.
+
+Exit codes: 0 success, 1 validation failure, 2 generation failure or usage
+error, 3 I/O or parse error.  Each regression below writes a model or
+artifact that once crashed the toolkit; the fuzz test at the end replaces
+single nodes of every shipped model and generated artifact.
+"""
+
+import json
+import random
+import shutil
+import sys
+
+import pytest
+
+from heterotest.cli import main
+
+
+@pytest.fixture()
+def work(models_dir, tmp_path):
+    """A copy of the shipped models with a generated suite, test set and
+    mutants file beside them."""
+    for path in models_dir.glob("*.json"):
+        shutil.copy(path, tmp_path / path.name)
+    for args in (
+        ["gen-tests", "sxm", "counter_testable.json", "-o", "suite.json"],
+        ["gen-tests", "psystem", "ps2.json", "-o", "testset.json"],
+        ["mutate", "counter_testable.json", "--count", "3", "-o", "sxm_mutants.json"],
+        ["mutate", "ps2.json", "--count", "3", "-o", "ps_mutants.json"],
+    ):
+        assert main([str(tmp_path / a) if a.endswith(".json") else a for a in args]) == 0
+    return tmp_path
+
+
+def _edit(path, change):
+    """Apply ``change`` to the file's JSON in place; return the path."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    change(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _exits(code, args, message, tmp_path, capsys):
+    out_file = tmp_path / "artifact.json"
+    if args[0] != "validate":  # validate writes its report for an invalid model too
+        args = args + ["-o", str(out_file)]
+    try:
+        got = main(args)
+    except SystemExit as exc:  # argparse usage errors
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code, (args, err)
+    assert message in out + err and "Traceback" not in err, err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d.update(memory_domain={"range": [0, 1, 2]}),
+     "range must be a [low, high] pair of integers"),
+    (lambda d: d.update(inputs=5), "inputs must be a list of strings"),
+    (lambda d: d["functions"][0]["cases"][0].update(mem_pattern=3), "mem_pattern must be a string"),
+])
+def test_machine_of_wrong_shape_exits_three(work, capsys, change, message):
+    model = _edit(work / "counter_testable.json", change)
+    for args in (["validate", model], ["gen-tests", "sxm", model]):
+        _exits(3, args, message, work, capsys)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d.update(initial=["s", "t"]), "initial must be an object of strings"),
+    (lambda d: d["rules"]["1"][0].update(lhs=5), "lhs must be a string"),
+    (lambda d: d.update(rules=[]), "rules must be an object of lists of objects"),
+])
+def test_psystem_of_wrong_shape_exits_three(work, capsys, change, message):
+    model = _edit(work / "ps2.json", change)
+    for args in (["validate", model], ["simulate", model, "--depth", "2"]):
+        _exits(3, args, message, work, capsys)
+
+
+def _score_sxm(work, suite="suite.json", mutants="sxm_mutants.json"):
+    return ["score", str(work / "counter_testable.json"),
+            "--mutants", str(work / mutants), "--suite", str(work / suite)]
+
+
+def _score_psystem(work, testset="testset.json", mutants="ps_mutants.json"):
+    return ["score", str(work / "ps2.json"),
+            "--mutants", str(work / mutants), "--test-set", str(work / testset)]
+
+
+def test_artifacts_of_wrong_shape_exit_three(work, capsys):
+    _edit(work / "suite.json", lambda d: d["cases"][0].pop("expected_outputs"))
+    _exits(3, _score_sxm(work), "suite.cases[0]: missing keys ['expected_outputs']", work, capsys)
+    _edit(work / "testset.json", lambda d: d["members"].__setitem__(0, ["s", "t"]))
+    _exits(3, _score_psystem(work), "test set: members must be", work, capsys)
+    _edit(work / "ps_mutants.json", lambda d: d["mutants"][0].pop("base"))
+    _exits(3, _score_psystem(work), "mutants[0]: missing keys ['base']", work, capsys)
+    mutants = work / "sxm_mutants.json"
+    mutants.write_text("[" + mutants.read_text(encoding="utf-8") + "]", encoding="utf-8")
+    _exits(3, _score_sxm(work), "mutants: expected an object", work, capsys)
+
+
+def test_mutants_file_of_unknown_kind_exits_three(work, capsys):
+    _edit(work / "ps_mutants.json", lambda d: d.update(kind="csxm"))
+    _exits(3, _score_psystem(work), 'kind must be "sxm" or "psystem"', work, capsys)
+
+
+def test_score_rejects_mutant_validate_rejects(work, capsys):
+    _edit(work / "sxm_mutants.json",
+          lambda d: d["mutants"][0]["model"]["functions"][0].update(name="renamed"))
+    _exits(1, _score_sxm(work), "unknown function", work, capsys)
+
+
+def test_heterotic_commands_validate_parts_before_wrapping(work, capsys):
+    _edit(work / "ps2.json", lambda d: d["rules"]["1"][2]["rhs"].__setitem__(1, ["a", 5]))
+    model = str(work / "ps2_heterotic.json")
+    for args in (["validate", model], ["gen-tests", "heterotic", model], ["simulate", model]):
+        _exits(1, args, "target 5 is neither the parent nor a child of compartment 1", work, capsys)
+
+
+def test_heterotic_rejects_control_emitting_a_non_configuration(work, capsys):
+    _edit(work / "ps2_control.json", lambda d: d.update(out_port_domain=[0]))
+    _exits(2, ["validate", str(work / "ps2_heterotic.json")],
+           "re-initialisation 0 is not a configuration of ps2", work, capsys)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d["next_state"][0].update(to=["nowhere"]), "unknown target state 'nowhere'"),
+    (lambda d: d.update(initial_memory=7), "initial memory 7 lies outside the declared domain"),
+])
+def test_csxm_structure_checked_wherever_a_csxm_is_read(work, capsys, change, message):
+    control = _edit(work / "ps2_control.json", change)
+    _exits(1, ["validate", control], message, work, capsys)
+    _exits(1, ["validate", str(work / "ps2_heterotic.json")], message, work, capsys)
+    sending = json.loads((work / "ps2_control.json").read_text(encoding="utf-8"))
+    receiving = json.loads((work / "ps2_control.json").read_text(encoding="utf-8"))
+    for fn in sending["functions"]:
+        for case in fn["cases"]:
+            if "send_to" in case:
+                case["send_to"] = 2
+    system = work / "pair.json"
+    system.write_text(json.dumps({"schema": 1, "components": [sending, receiving]}))
+    _exits(1, ["product", str(system)], message, work, capsys)
+
+
+@pytest.mark.parametrize("args", [
+    ["gen-tests", "sxm", "counter_testable.json", "--extra-states", "-1"],
+    ["simulate", "ps2.json", "--depth", "-1"],
+    ["coverage", "ps2.json", "--depth", "-1"],
+    ["gen-tests", "psystem", "ps2.json", "--depth", "0"],
+    ["mutate", "ps2.json", "--count", "0"],
+    ["simulate", "ps2_heterotic.json", "--rounds", "0"],
+])
+def test_out_of_range_flags_are_usage_errors(models_dir, tmp_path, capsys, args):
+    args = [str(models_dir / a) if a.endswith(".json") else a for a in args]
+    _exits(2, args, "must be at least", tmp_path, capsys)
+
+
+def _oracle(tmp_path, body):
+    script = tmp_path / "oracle.py"
+    script.write_text("import json, sys\nsys.stdin.readline()\n" + body)
+    return f"{sys.executable} {script}"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("sys.stderr.write('starting\\nno answer\\n')\nsys.exit(4)\n",
+     "oracle exited with status 4: no answer"),
+    ("print(json.dumps({'final': {'1': 'bdf', '2': 'b'}, 'steps': 'two'}))\n",
+     "oracle reply steps must be an integer, got 'two'"),
+    ("print(json.dumps({'final': {'1': 'bdf', '2': 'b'}, 'steps': True}))\n",
+     "oracle reply steps must be an integer, got True"),
+])
+def test_oracle_failures_exit_two(models_dir, tmp_path, capsys, body, message):
+    args = ["simulate", str(models_dir / "ps2_heterotic.json"),
+            "--oracle-cmd", _oracle(tmp_path, body)]
+    _exits(2, args, message, tmp_path, capsys)
+
+
+def test_blank_oracle_command_is_a_usage_error(models_dir, tmp_path, capsys):
+    args = ["simulate", str(models_dir / "ps2_heterotic.json"), "--oracle-cmd", " "]
+    _exits(2, args, "the command is empty", tmp_path, capsys)
+
+
+# --- fuzz ---------------------------------------------------------------------
+
+# Small replacement values: a large integer in a memory range would make
+# ``validate`` enumerate it.
+REPLACEMENTS = (None, True, -1, 0, 2, "x", "", [], ["x"], {}, {"x": 1})
+
+
+def _json_type(value):
+    if value is None or isinstance(value, bool):
+        return repr(value)
+    return type(value).__name__
+
+
+def _nodes(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def test_fuzzed_files_end_in_an_exit_code(work, capsys):
+    def at(name):
+        return str(work / name)
+
+    commands = {
+        "counter.json": [["validate", "--dft", at("counter.json")]],
+        "counter_testable.json": [["gen-tests", "sxm", at("counter_testable.json")],
+                                  _score_sxm(work)],
+        "ps2.json": [["simulate", at("ps2.json"), "--depth", "2"], _score_psystem(work),
+                     ["simulate", at("ps2_heterotic.json")]],
+        "ps2_control.json": [["validate", "--dft", at("ps2_control.json")],
+                             ["gen-tests", "heterotic", at("ps2_heterotic.json")]],
+        "ps2_heterotic.json": [["simulate", at("ps2_heterotic.json")]],
+        "suite.json": [_score_sxm(work)],
+        "testset.json": [_score_psystem(work)],
+        "sxm_mutants.json": [_score_sxm(work)],
+        "ps_mutants.json": [_score_psystem(work)],
+    }
+    rng = random.Random(4)
+    for name in sorted(commands):
+        original = (work / name).read_text(encoding="utf-8")
+        nodes = list(_nodes(json.loads(original)))
+        for _ in range(25):
+            doc = json.loads(original)
+            path = rng.choice(nodes)
+            node = doc
+            for key in path:
+                node = node[key]
+            value = rng.choice([v for v in REPLACEMENTS if _json_type(v) != _json_type(node)])
+            (work / name).write_text(json.dumps(_replace(doc, path, value)), encoding="utf-8")
+            for args in commands[name]:
+                assert main(args) in (0, 1, 2, 3), (name, path, value, args)
+                capsys.readouterr()
+        (work / name).write_text(original, encoding="utf-8")
