@@ -19,6 +19,7 @@ from .csxms import (
     build_product_sxm,
     check_csxm_dft,
     extend_for_testing,
+    send_target_violations,
     validate_csxm,
     validate_system,
 )
@@ -77,8 +78,9 @@ _VALIDATORS = {
     "csxm": validate_csxm,
     "system": validate_system,
     "psystem": validate_psystem,
-    # loading a heterotic file validated its parts and the port wiring
-    "heterotic": lambda h: validate_system(h.as_system),
+    # loading a heterotic file validated the P system, the control machine
+    # and the port wiring; the wrapped Base and the send targets remain
+    "heterotic": lambda h: validate_csxm(h.base) + send_target_violations(h.as_system),
 }
 
 
@@ -112,8 +114,14 @@ def _cmd_validate(args) -> int:
             return {}
         return {comp.name: check_csxm_dft(comp) for comp in extended.components}
 
-    kind, model = _load(args.model, gate=False)
-    violations = _VALIDATORS[kind](model)
+    try:
+        kind, model = _load(args.model, gate=False)
+    except InvalidModel as exc:
+        # ungated, only a heterotic file whose parts have violations stops
+        # while loading; they make its report like any other kind's
+        kind, model, violations = "heterotic", None, list(exc.violations)
+    else:
+        violations = _VALIDATORS[kind](model)
     reports = {}
     # the design-for-test conditions presuppose a structurally valid model
     if args.dft and not violations:
@@ -276,7 +284,7 @@ def _cmd_score(args) -> int:
         if not args.test_set:
             raise SchemaError("score on a P-system spec needs --test-set")
         testset_doc = model_io.load_json(args.test_set)
-        members = model_io.testset_members_from_dict(testset_doc)
+        members = model_io.testset_members_from_dict(testset_doc, model)
         depth = args.depth if args.depth is not None else testset_doc.get("depth", 3)
         report = mutation.score_psystem_testset(model, batch, members, depth)
     payload = mutation.score_to_dict(report)

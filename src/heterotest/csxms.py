@@ -305,13 +305,17 @@ def validate_csxm(comp: Csxm) -> list[Violation]:
 
 
 def validate_system(sys: CsxmSystem) -> list[Violation]:
-    out: list[Violation] = []
     if not sys.components:
-        out.append(Violation(sys.name, "a system needs at least one component"))
-        return out
+        return [Violation(sys.name, "a system needs at least one component")]
+    out = [v for comp in sys.components for v in validate_csxm(comp)]
+    return out + send_target_violations(sys)
+
+
+def send_target_violations(sys: CsxmSystem) -> list[Violation]:
+    """The system-level half of :func:`validate_system`: every send target
+    of a communicating function names another component."""
+    out: list[Violation] = []
     n = len(sys.components)
-    for comp in sys.components:
-        out.extend(validate_csxm(comp))
     for idx, comp in enumerate(sys.components, start=1):
         for fname in sorted(comp.communicating_functions):
             fn = comp.functions[fname]

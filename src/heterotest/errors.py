@@ -40,10 +40,6 @@ class BranchBoundExceeded(HeterotestError):
 class ExplosionBoundExceeded(HeterotestError):
     """Enumeration of rule assignments or branches exceeded its cap."""
 
-    def __init__(self, message, partial=()):
-        super().__init__(message)
-        self.partial = tuple(partial)
-
 
 class NondeterministicInput(HeterotestError):
     """An automaton operation requires a deterministic automaton."""

@@ -448,12 +448,26 @@ def testset_to_dict(members, report: CoverageReport, depth: int) -> Dict[str, An
     }
 
 
-def testset_members_from_dict(d: Mapping) -> list[PConfiguration]:
+def testset_members_from_dict(d: Mapping, ps: PSystem) -> list[PConfiguration]:
+    """The members of a test set for ``ps``: each must hold one multiset
+    per compartment of ``ps``, over its alphabet."""
     check_fields(d, _TEST_SET, "test set")
-    return [
-        tuple(Multiset.from_string(entry[str(i + 1)]) for i in range(len(entry)))
-        for entry in d["members"]
-    ]
+    members = []
+    for idx, entry in enumerate(d["members"]):
+        where = f"test set: members[{idx}]"
+        if len(entry) != ps.n_compartments:
+            raise SchemaError(
+                f"{where} has {len(entry)} compartment(s), {ps.name} has {ps.n_compartments}"
+            )
+        cfg = tuple(Multiset.from_string(entry[str(i + 1)]) for i in range(len(entry)))
+        for comp, part in enumerate(cfg, start=1):
+            for sym in part.symbols():
+                if sym not in ps.alphabet:
+                    raise SchemaError(
+                        f'{where}["{comp}"]: symbol {sym!r} is not in the alphabet of {ps.name}'
+                    )
+        members.append(cfg)
+    return members
 
 
 def suite_to_dict(suite: TestSuite) -> Dict[str, Any]:

@@ -16,7 +16,10 @@ from typing import Iterable, Iterator, Mapping, Tuple
 class Multiset:
     """A frozen mapping from symbols to positive counts."""
 
-    __slots__ = ("_items",)
+    # ``_counts`` is the symbol -> count lookup of ``_items``; ``_canonical``
+    # and ``_hash`` cache the canonical string and the hash once first asked
+    # for, since configurations are hashed and printed many times over.
+    __slots__ = ("_items", "_counts", "_canonical", "_hash")
 
     def __init__(self, counts: Mapping[str, int] | None = None):
         items = []
@@ -26,6 +29,9 @@ class Multiset:
             if n > 0:
                 items.append((sym, n))
         object.__setattr__(self, "_items", tuple(items))
+        object.__setattr__(self, "_counts", dict(items))
+        object.__setattr__(self, "_canonical", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multiset is immutable")
@@ -53,10 +59,7 @@ class Multiset:
         return tuple(sym for sym, _ in self._items)
 
     def count(self, sym: str) -> int:
-        for s, n in self._items:
-            if s == sym:
-                return n
-        return 0
+        return self._counts.get(sym, 0)
 
     def size(self) -> int:
         return sum(n for _, n in self._items)
@@ -65,20 +68,23 @@ class Multiset:
         return not self._items
 
     def canonical(self) -> str:
-        joiner = " " if any(len(s) > 1 for s, _ in self._items) else ""
-        return joiner.join(s for s, n in self._items for _ in range(n))
+        if self._canonical is None:
+            joiner = " " if any(len(s) > 1 for s, _ in self._items) else ""
+            text = joiner.join(s for s, n in self._items for _ in range(n))
+            object.__setattr__(self, "_canonical", text)
+        return self._canonical
 
     def scaled(self, k: int) -> "Multiset":
         return Multiset({s: n * k for s, n in self._items})
 
     def __add__(self, other: "Multiset") -> "Multiset":
-        counts = dict(self._items)
+        counts = dict(self._counts)
         for s, n in other._items:
             counts[s] = counts.get(s, 0) + n
         return Multiset(counts)
 
     def __sub__(self, other: "Multiset") -> "Multiset":
-        counts = dict(self._items)
+        counts = dict(self._counts)
         for s, n in other._items:
             have = counts.get(s, 0)
             if have < n:
@@ -87,7 +93,8 @@ class Multiset:
         return Multiset(counts)
 
     def __le__(self, other: "Multiset") -> bool:
-        return all(other.count(s) >= n for s, n in self._items)
+        have = other._counts
+        return all(have.get(s, 0) >= n for s, n in self._items)
 
     def __lt__(self, other: "Multiset") -> bool:
         return self.canonical() < other.canonical()
@@ -96,7 +103,9 @@ class Multiset:
         return isinstance(other, Multiset) and self._items == other._items
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._items))
+        return self._hash
 
     def __iter__(self) -> Iterator[Tuple[str, int]]:
         return iter(self._items)

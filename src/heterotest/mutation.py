@@ -26,7 +26,15 @@ from .model_io import (
     sxm_to_dict,
 )
 from .multiset import Multiset
-from .psystem import HERE, PConfiguration, PRule, PSystem, config_canonical, validate_psystem
+from .psystem import (
+    HERE,
+    PConfiguration,
+    PRule,
+    PSystem,
+    config_canonical,
+    explore,
+    validate_psystem,
+)
 from .sxm import Case, CaseFunction, Sxm, replay_outputs, validate_sxm
 from .testgen import TestSuite
 
@@ -306,23 +314,10 @@ class ScoreReport:
 
 
 def _reachable_within(ps: PSystem, depth: int) -> set:
-    """Canonical forms of every configuration on any branch within depth."""
-    from .psystem import is_halting, step_choices
-
-    seen = {config_canonical(tuple(ps.initial))}
-    frontier = [tuple(ps.initial)]
-    for _ in range(depth):
-        next_frontier = []
-        for cfg in frontier:
-            if is_halting(ps, cfg):
-                continue
-            for _, successor in step_choices(ps, cfg):
-                key = config_canonical(successor)
-                if key not in seen:
-                    seen.add(key)
-                    next_frontier.append(successor)
-        frontier = next_frontier
-    return seen
+    """Canonical forms of every configuration on any branch within depth:
+    the nodes of the configuration DAG, without a branch cap."""
+    dag = explore(ps, depth, branch_cap=None)
+    return {config_canonical(cfg) for layer in dag.layers for cfg in layer}
 
 
 def _score(

@@ -6,14 +6,19 @@ Strict maximal parallelism is enforced uniformly: a step applies a multiset
 of rule instances per compartment such that no further instance of any rule
 is applicable to the leftover symbols.  Configurations compare by the
 canonical multiset string of each compartment.
+
+Every all-branch consumer (``psystem_run(mode="all")``, the coverage test
+set and mutant reachability) works on one layered configuration DAG built
+by :func:`explore`, which enumerates the steps of each distinct
+configuration once instead of once per computation reaching it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import ExplosionBoundExceeded, TraceReplayMismatch
 from .multiset import EMPTY_MULTISET, Multiset
@@ -50,6 +55,24 @@ class PSystem:
     parent: Mapping[int, Optional[int]]  # compartment id -> parent id (root: None)
     initial: PConfiguration
     rules: Tuple[PRule, ...]
+    # Lookups derived from ``rules``: the first rule of each name, and each
+    # compartment's rules sorted by name.
+    _by_name: Mapping[str, PRule] = field(init=False, repr=False, compare=False)
+    _by_compartment: Mapping[int, Tuple[PRule, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        by_name: Dict[str, PRule] = {}
+        by_compartment: Dict[int, list] = {}
+        for r in self.rules:
+            by_name.setdefault(r.name, r)
+            by_compartment.setdefault(r.compartment, []).append(r)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_by_compartment", {
+            comp: tuple(sorted(rules, key=lambda r: r.name))
+            for comp, rules in by_compartment.items()
+        })
 
     @property
     def n_compartments(self) -> int:
@@ -62,13 +85,10 @@ class PSystem:
         return tuple(sorted(c for c, p in self.parent.items() if p == comp))
 
     def rules_in(self, comp: int) -> Tuple[PRule, ...]:
-        return tuple(sorted((r for r in self.rules if r.compartment == comp), key=lambda r: r.name))
+        return self._by_compartment.get(comp, ())
 
     def rule(self, name: str) -> PRule:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+        return self._by_name[name]
 
     def legal_targets(self, comp: int) -> Tuple[int, ...]:
         p = self.parent.get(comp)
@@ -92,6 +112,10 @@ class TraceStep:
     result: PConfiguration
 
 
+def _fired_names(fired: Assignment) -> Iterator[str]:
+    return (name for comp_fired in fired for name, _ in comp_fired)
+
+
 @dataclass(frozen=True)
 class ComputationTrace:
     """A computation: initial configuration plus the fired-rule record and
@@ -110,12 +134,7 @@ class ComputationTrace:
         return (self.initial,) + tuple(s.result for s in self.steps)
 
     def fired_rules(self) -> FrozenSet[str]:
-        names = set()
-        for step in self.steps:
-            for comp_fired in step.fired:
-                for name, _ in comp_fired:
-                    names.add(name)
-        return frozenset(names)
+        return frozenset(name for step in self.steps for name in _fired_names(step.fired))
 
     def key(self):
         return (
@@ -202,26 +221,21 @@ def _compartment_maximal_multisets(
 
     def dfs(idx: int, leftover: Multiset, chosen: list[Tuple[str, int]]):
         if len(results) > cap:
-            raise ExplosionBoundExceeded(
-                f"more than {cap} rule assignments in one compartment", results
-            )
+            raise ExplosionBoundExceeded(f"more than {cap} rule assignments in one compartment")
         if idx == len(rules):
             if not applicable(leftover):
                 results.append(tuple((n, c) for n, c in chosen if c > 0))
             return
         rule = rules[idx]
-        max_count = 0
-        probe = leftover
-        while rule.lhs <= probe:
-            probe = probe - rule.lhs
-            max_count += 1
-        for count in range(max_count + 1):
-            remaining = leftover
-            for _ in range(count):
-                remaining = remaining - rule.lhs
+        # each count's leftover is the previous count's minus one lhs
+        count, remaining = 0, leftover
+        while True:
             chosen.append((rule.name, count))
             dfs(idx + 1, remaining, chosen)
             chosen.pop()
+            if not rule.lhs <= remaining:
+                break
+            count, remaining = count + 1, remaining - rule.lhs
 
     dfs(0, available, [])
     return sorted(set(results))
@@ -246,9 +260,7 @@ def maximal_rule_multisets(
     for choices in per_comp:
         combos = [prefix + (choice,) for prefix in combos for choice in choices]
         if len(combos) > cap:
-            raise ExplosionBoundExceeded(
-                f"more than {cap} combined rule assignments", combos[:cap]
-            )
+            raise ExplosionBoundExceeded(f"more than {cap} combined rule assignments")
     return sorted(combos)
 
 
@@ -312,6 +324,165 @@ def seeded_choice_index(seed: int, cfg: PConfiguration, n_choices: int) -> int:
     return int.from_bytes(digest[:8], "big") % n_choices
 
 
+@dataclass(frozen=True)
+class Exploration:
+    """Every computation of at most ``depth`` steps, as a layered DAG.
+
+    Node ``(i, cfg)`` is configuration ``cfg`` reached in exactly ``i``
+    steps.  ``layers[i]`` maps each such configuration, in order of first
+    appearance on the list of computations, to the number of computations
+    that reach it; a layer follows only a layer with a non-halting
+    configuration.  ``steps[cfg]`` holds the :func:`step_choices` of each
+    configuration expanded, once per distinct configuration and as
+    :class:`TraceStep` objects shared by every computation through them.
+    A node ends a computation when it halts or lies at ``depth``.
+    """
+
+    ps: PSystem
+    depth: int
+    layers: Tuple[Dict[PConfiguration, int], ...]
+    steps: Dict[PConfiguration, Tuple[TraceStep, ...]]
+
+    def halted(self, cfg: PConfiguration) -> bool:
+        steps = self.steps.get(cfg)
+        return is_halting(self.ps, cfg) if steps is None else not steps
+
+    def trace_ends(self) -> Iterator[Tuple[int, PConfiguration]]:
+        """The nodes that end a computation, layer by layer."""
+        for i, layer in enumerate(self.layers):
+            for cfg in layer:
+                if i == self.depth or not self.steps[cfg]:
+                    yield i, cfg
+
+    def traces(self) -> list[ComputationTrace]:
+        """Every computation, sorted by :meth:`ComputationTrace.key`."""
+        done: list[ComputationTrace] = []
+        halted: Dict[PConfiguration, bool] = {}
+        stack: list[Tuple[PConfiguration, Tuple[TraceStep, ...]]] = [(self.ps.initial, ())]
+        while stack:
+            cfg, path = stack.pop()
+            if len(path) == self.depth or not self.steps[cfg]:
+                if cfg not in halted:
+                    halted[cfg] = self.halted(cfg)
+                done.append(ComputationTrace(self.ps.initial, path, halted[cfg]))
+            else:
+                stack.extend((step.result, path + (step,)) for step in self.steps[cfg])
+        return sorted(done, key=ComputationTrace.key)
+
+    def fired_by_layer(self) -> list[Dict[PConfiguration, FrozenSet[str]]]:
+        """Per layer: each node's rules fired on some computation reaching it."""
+        fired = [{self.ps.initial: frozenset()}]
+        for _ in self.layers[1:]:
+            reached: Dict[PConfiguration, FrozenSet[str]] = {}
+            for cfg, names in fired[-1].items():
+                for step in self.steps[cfg]:
+                    before = reached.get(step.result, frozenset())
+                    reached[step.result] = before | names.union(_fired_names(step.fired))
+            fired.append(reached)
+        return fired
+
+    def first_trace(
+        self, length: int, ends: Iterable[PConfiguration], rule: str
+    ) -> ComputationTrace:
+        """The first computation in :meth:`ComputationTrace.key` order among
+        those of ``length`` steps that fire ``rule`` and end in ``ends``
+        (configurations of layer ``length`` that end a computation); one
+        must exist.
+
+        The configuration sequence is chosen first, then the fired
+        sequence along it, each greedily from the initial configuration
+        over the nodes that can still complete such a computation.
+        ``done`` holds the nodes that can complete it with ``rule``
+        already fired, ``pending`` those that can complete it by firing
+        ``rule`` later.
+        """
+
+        def fires(step: TraceStep) -> bool:
+            return rule in _fired_names(step.fired)
+
+        def completions(nodes, final):
+            done, pending = [set(final)], [set()]
+            for i in range(length - 1, -1, -1):
+                ahead_done, ahead_pending = done[0], pending[0]
+                done.insert(0, {c for c in nodes[i] if any(
+                    s.result in ahead_done for s in self.steps[c])})
+                pending.insert(0, {c for c in nodes[i] if any(
+                    s.result in ahead_pending or (s.result in ahead_done and fires(s))
+                    for s in self.steps[c])})
+            return done, pending
+
+        # Distinct configurations of one layer may share a canonical form,
+        # so the chosen prefix can lead to several nodes, each with the
+        # best "already fired" flag any path to it achieves.
+        done, pending = completions(self.layers, ends)
+        state = {self.ps.initial: False}
+        chosen = [state]
+        for i in range(length):
+            reached: Dict[PConfiguration, bool] = {}
+            for cfg, flag in state.items():
+                for step in self.steps[cfg]:
+                    fired = flag or fires(step)
+                    if step.result in (done if fired else pending)[i + 1]:
+                        reached[step.result] = reached.get(step.result, False) or fired
+            least = min(config_canonical(c) for c in reached)
+            state = {c: f for c, f in reached.items() if config_canonical(c) == least}
+            chosen.append(state)
+
+        done, pending = completions(chosen, chosen[-1])
+        cfg, fired, path = self.ps.initial, False, []
+        for i in range(length):
+            # steps are in assignment order, so the first that can still
+            # complete the computation is the least
+            step = next(
+                s for s in self.steps[cfg]
+                if s.result in (done if fired or fires(s) else pending)[i + 1]
+            )
+            cfg, fired = step.result, fired or fires(step)
+            path.append(step)
+        return ComputationTrace(self.ps.initial, tuple(path), self.halted(cfg))
+
+
+def explore(
+    ps: PSystem,
+    depth: int,
+    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
+    branch_cap: Optional[int] = DEFAULT_BRANCH_CAP,
+) -> Exploration:
+    """Build the layered configuration DAG of every computation of at most
+    ``depth`` steps.
+
+    Each distinct configuration is expanded with :func:`step_choices` once.
+    Raises :class:`ExplosionBoundExceeded` past ``assignment_cap``
+    assignments at one configuration, or, unless ``branch_cap`` is None, as
+    soon as the computations reaching the layer being built number more
+    than ``branch_cap``.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    interned: Dict[PConfiguration, PConfiguration] = {ps.initial: ps.initial}
+    steps: Dict[PConfiguration, Tuple[TraceStep, ...]] = {}
+    layers = [{ps.initial: 1}]
+    for _ in range(depth):
+        layer: Dict[PConfiguration, int] = {}
+        branches = 0
+        for cfg, paths in layers[-1].items():
+            out = steps.get(cfg)
+            if out is None:
+                out = steps[cfg] = tuple(
+                    TraceStep(a, interned.setdefault(successor, successor))
+                    for a, successor in step_choices(ps, cfg, assignment_cap)
+                )
+            branches += paths * len(out)
+            if branch_cap is not None and branches > branch_cap:
+                raise ExplosionBoundExceeded(f"more than {branch_cap} simultaneous branches")
+            for step in out:
+                layer[step.result] = layer.get(step.result, 0) + paths
+        if not layer:
+            break
+        layers.append(layer)
+    return Exploration(ps, depth, tuple(layers), steps)
+
+
 def psystem_run(
     ps: PSystem,
     depth: int,
@@ -323,14 +494,16 @@ def psystem_run(
     """Explore computations from the initial configuration.
 
     ``mode="all"`` follows every maximal assignment at every step up to
-    ``depth`` (halting configurations terminate branches early);
-    ``mode="seeded"`` follows the single branch picked by
+    ``depth`` (halting configurations terminate branches early), through
+    :func:`explore`; ``mode="seeded"`` follows the single branch picked by
     :func:`seeded_choice_index`.  Traces are sorted canonically.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if mode not in ("all", "seeded"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "all":
+        return explore(ps, depth, assignment_cap, branch_cap).traces()
 
     done: list[ComputationTrace] = []
     active: list[Tuple[PConfiguration, Tuple[TraceStep, ...]]] = [(ps.initial, ())]
@@ -343,29 +516,36 @@ def psystem_run(
             if not choices:
                 done.append(ComputationTrace(ps.initial, steps, halted=True))
                 continue
-            if mode == "seeded":
-                choices = [choices[seeded_choice_index(seed, cfg, len(choices))]]
-            for assignment, successor in choices:
-                next_active.append((successor, steps + (TraceStep(assignment, successor),)))
+            assignment, successor = choices[seeded_choice_index(seed, cfg, len(choices))]
+            next_active.append((successor, steps + (TraceStep(assignment, successor),)))
         if len(next_active) > branch_cap:
-            raise ExplosionBoundExceeded(
-                f"more than {branch_cap} simultaneous branches",
-                [ComputationTrace(ps.initial, s, halted=False) for _, s in next_active[:branch_cap]],
-            )
+            raise ExplosionBoundExceeded(f"more than {branch_cap} simultaneous branches")
         active = next_active
     for cfg, steps in active:
         done.append(ComputationTrace(ps.initial, steps, halted=is_halting(ps, cfg)))
     return sorted(done, key=ComputationTrace.key)
 
 
-def replay_trace(ps: PSystem, trace: ComputationTrace) -> None:
-    """Check a trace against the step semantics; raises on mismatch."""
+def replay_trace(
+    ps: PSystem,
+    trace: ComputationTrace,
+    applied: Optional[Dict[Tuple[PConfiguration, Assignment], PConfiguration]] = None,
+) -> None:
+    """Check a trace against the step semantics; raises on mismatch.
+
+    ``applied`` memoises each (configuration, assignment) step verified,
+    across calls, so a step shared by many traces is applied once.
+    """
+    applied = {} if applied is None else applied
     cfg = trace.initial
     for idx, step in enumerate(trace.steps):
-        try:
-            result = apply_assignment(ps, cfg, step.fired)
-        except (ValueError, KeyError) as exc:
-            raise TraceReplayMismatch(f"step {idx} does not apply: {exc}") from exc
+        result = applied.get((cfg, step.fired))
+        if result is None:
+            try:
+                result = apply_assignment(ps, cfg, step.fired)
+            except (ValueError, KeyError) as exc:
+                raise TraceReplayMismatch(f"step {idx} does not apply: {exc}") from exc
+            applied[cfg, step.fired] = result
         if config_canonical(result) != config_canonical(step.result):
             raise TraceReplayMismatch(
                 f"step {idx}: expected {render_config(step.result)}, "
@@ -403,22 +583,12 @@ class CoverageReport:
         raise KeyError(rule)
 
 
-def rule_coverage(ps: PSystem, traces: Iterable[ComputationTrace]) -> CoverageReport:
-    """Mark each rule covered when some trace fires it.
-
-    Traces are replay-verified first.  The covering configuration is the
-    witness trace's final configuration; the shortest witness is preferred.
-    """
-    trace_list = sorted(traces, key=ComputationTrace.key)
-    for trace in trace_list:
-        replay_trace(ps, trace)
+def _coverage_report(ps: PSystem, witnesses: Mapping[str, ComputationTrace]) -> CoverageReport:
+    """One entry per rule, in (compartment, name) order, covered by its
+    witness when it has one."""
     entries = []
     for rule in sorted(ps.rules, key=lambda r: (r.compartment, r.name)):
-        witness = None
-        for trace in trace_list:  # sorted: shortest first
-            if rule.name in trace.fired_rules():
-                witness = trace
-                break
+        witness = witnesses.get(rule.name)
         entries.append(
             RuleCoverage(
                 rule.name,
@@ -429,6 +599,25 @@ def rule_coverage(ps: PSystem, traces: Iterable[ComputationTrace]) -> CoverageRe
             )
         )
     return CoverageReport(tuple(entries))
+
+
+def rule_coverage(ps: PSystem, traces: Iterable[ComputationTrace]) -> CoverageReport:
+    """Mark each rule covered when some trace fires it.
+
+    Traces are replay-verified first, each distinct step once.  The
+    covering configuration is the witness trace's final configuration; the
+    first trace in :meth:`ComputationTrace.key` order, so the shortest, is
+    the witness.
+    """
+    trace_list = sorted(traces, key=ComputationTrace.key)
+    applied: Dict[Tuple[PConfiguration, Assignment], PConfiguration] = {}
+    for trace in trace_list:
+        replay_trace(ps, trace, applied)
+    witnesses: Dict[str, ComputationTrace] = {}
+    for trace in trace_list:
+        for name in trace.fired_rules():
+            witnesses.setdefault(name, trace)
+    return _coverage_report(ps, witnesses)
 
 
 def generate_coverage_test_set(
@@ -442,55 +631,38 @@ def generate_coverage_test_set(
 
     Rules with no covering computation inside the depth bound are reported
     uncovered.  Greedy set cover keeps the result reproducible; optimal
-    cover would be NP-hard.
+    cover would be NP-hard.  Each rule's witness is the first computation
+    in :meth:`ComputationTrace.key` order that fires it and ends in a
+    member.  Works on the configuration DAG of :func:`explore` and
+    materialises only the witnesses.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    traces = psystem_run(ps, depth, "all", assignment_cap=assignment_cap, branch_cap=branch_cap)
+    dag = explore(ps, depth, assignment_cap, branch_cap)
+    fired = dag.fired_by_layer()
 
-    coverable: Dict[str, set] = {}
-    by_final: Dict[Tuple[str, ...], list[ComputationTrace]] = {}
-    for trace in traces:
-        key = config_canonical(trace.final)
-        by_final.setdefault(key, []).append(trace)
-        for rule in trace.fired_rules():
-            coverable.setdefault(rule, set()).add(key)
+    # final configuration's canonical form -> rules fired on a computation ending there
+    by_final: Dict[Tuple[str, ...], set] = {}
+    for i, cfg in dag.trace_ends():
+        by_final.setdefault(config_canonical(cfg), set()).update(fired[i][cfg])
 
     members: list[Tuple[str, ...]] = []
-    uncovered = set(coverable)
+    uncovered = set().union(*by_final.values())
     while uncovered:
         # Most new rules covered first; ties break on the smaller canonical form.
-        best = min(
-            sorted(by_final),
-            key=lambda key: (-len({r for r in uncovered if key in coverable[r]}), key),
-        )
-        gained = {r for r in uncovered if best in coverable[r]}
-        if not gained:
-            break
+        best = min(by_final, key=lambda key: (-len(uncovered & by_final[key]), key))
         members.append(best)
-        uncovered -= gained
+        uncovered -= by_final[best]
     members.sort()
 
     member_set = set(members)
-    entries = []
-    for rule in sorted(ps.rules, key=lambda r: (r.compartment, r.name)):
-        witness = None
-        for trace in traces:  # sorted: shortest witness preferred
-            if (
-                rule.name in trace.fired_rules()
-                and config_canonical(trace.final) in member_set
-            ):
-                witness = trace
-                break
-        entries.append(
-            RuleCoverage(
-                rule.name,
-                rule.compartment,
-                witness is not None,
-                witness.final if witness else None,
-                witness,
-            )
-        )
-    report = CoverageReport(tuple(entries))
+    ends = [(i, cfg) for i, cfg in dag.trace_ends() if config_canonical(cfg) in member_set]
+    witnesses: Dict[str, ComputationTrace] = {}
+    for rule in ps.rules:
+        lengths = [i for i, cfg in ends if rule.name in fired[i][cfg]]
+        if lengths:
+            length = min(lengths)  # the shortest witness comes first
+            layer_ends = {cfg for i, cfg in ends if i == length}
+            witnesses[rule.name] = dag.first_trace(length, layer_ends, rule.name)
     configs = [tuple(Multiset.from_string(c) for c in key) for key in members]
-    return configs, report
+    return configs, _coverage_report(ps, witnesses)

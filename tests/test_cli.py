@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from heterotest.cli import main
 
 HETEROTEST = [sys.executable, "-m", "heterotest.cli"]
@@ -384,3 +386,52 @@ def test_gen_tests_heterotic_k3_pinned(models_dir, tmp_path, capsys):
     digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
     assert digest == "3aa7403adc8e9cad116df2eda783cf5cd5bfeb53743d14e62f0c63edeeb5d83c"
     assert json.loads(out_file.read_text())["metadata"]["phi_sequences"] == 146_060
+
+
+# A two-compartment P system from the benchmark's skeleton: 3,115 traces
+# through 125 distinct configurations at depth 4.  ``PAST_CAP`` differs only
+# in its initial multisets and grows past 10,000 branches in its last layer.
+BRANCHING = {
+    "schema": 1, "name": "branch2_1", "alphabet": ["a", "b", "c", "d"],
+    "structure": {"id": 1, "children": [{"id": 2, "children": []}]},
+    "initial": {"1": "d", "2": "acddd"},
+    "rules": {
+        "1": [{"name": "r11", "lhs": "b", "rhs": [["d", "here"]]},
+              {"name": "r12", "lhs": "d", "rhs": [["b", "here"]]},
+              {"name": "r13", "lhs": "c", "rhs": [["b", "here"]]},
+              {"name": "r14", "lhs": "b", "rhs": [["a", 2]]}],
+        "2": [{"name": "r21", "lhs": "a", "rhs": [["d", "here"]]},
+              {"name": "r22", "lhs": "a", "rhs": [["c", 1]]},
+              {"name": "r23", "lhs": "d", "rhs": [["a", "here"]]},
+              {"name": "r24", "lhs": "d", "rhs": [["c", 1]]}],
+    },
+}
+PAST_CAP = dict(BRANCHING, name="pastcap_1", initial={"1": "bbcccd", "2": "d"})
+
+
+@pytest.mark.parametrize("command, flags, digest", [
+    (["simulate"], ["--all-branches"],
+     "44325fdc1375da806ef842fe230051635ff38b9231c72c41892cfe9a045141e5"),
+    (["coverage"], [],
+     "d57d569b89b572b3cd738c1e9c0439f4afbb50aa3c02275606fdbe8cb3d038e8"),
+    (["gen-tests", "psystem"], [],
+     "f1bb4abac58150a1f38af763de54e14ff5fa25f05640f0bb2b34ec6f1d064991"),
+])
+def test_all_branch_artifacts_pinned(tmp_path, capsys, command, flags, digest):
+    model = tmp_path / "branch2_1.json"
+    model.write_text(json.dumps(BRANCHING))
+    out_file = tmp_path / "artifact.json"
+    assert main(command + [str(model), "--depth", "4"] + flags + ["-o", str(out_file)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+def test_all_branches_past_the_branch_cap_exit_two(tmp_path, capsys):
+    model = tmp_path / "pastcap_1.json"
+    model.write_text(json.dumps(PAST_CAP))
+    out_file = tmp_path / "traces.json"
+    code = main(["simulate", str(model), "--depth", "4", "--all-branches", "-o", str(out_file)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: more than 10000 simultaneous branches\n"
+    assert not out_file.exists()

@@ -117,6 +117,49 @@ def test_heterotic_commands_validate_parts_before_wrapping(work, capsys):
         _exits(1, args, "target 5 is neither the parent nor a child of compartment 1", work, capsys)
 
 
+@pytest.mark.parametrize("part, change, message", [
+    ("ps2.json", lambda d: d["rules"]["1"][2]["rhs"].__setitem__(1, ["a", 5]),
+     "target 5 is neither the parent nor a child of compartment 1"),
+    ("ps2_control.json", lambda d: d.update(initial_memory=7),
+     "initial memory 7 lies outside the declared domain"),
+])
+def test_validate_reports_heterotic_part_violations(work, capsys, part, change, message):
+    _edit(work / part, change)
+    report = work / "report.json"
+    assert main(["validate", str(work / "ps2_heterotic.json"), "-o", str(report)]) == 1
+    out, err = capsys.readouterr()
+    assert message in out and "Traceback" not in err
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert doc["kind"] == "heterotic"
+    assert any(message in v["message"] for v in doc["violations"])
+
+
+def test_validate_checks_each_heterotic_machine_once(work, capsys, monkeypatch):
+    from heterotest import cli, csxms, model_io
+
+    checked, validate_csxm = [], csxms.validate_csxm
+
+    def counting(machine):
+        checked.append(machine.name)
+        return validate_csxm(machine)
+
+    for module in (cli, csxms, model_io):
+        monkeypatch.setattr(module, "validate_csxm", counting)
+    assert main(["validate", str(work / "ps2_heterotic.json")]) == 0
+    capsys.readouterr()
+    assert sorted(checked) == ["base", "ps2_control"]
+
+
+@pytest.mark.parametrize("member, message", [
+    ({"1": "s"}, "test set: members[0] has 1 compartment(s), ps2 has 2"),
+    ({"1": "zz", "2": "t"},
+     'test set: members[0]["1"]: symbol \'z\' is not in the alphabet of ps2'),
+])
+def test_score_rejects_test_set_members_outside_the_model(work, capsys, member, message):
+    _edit(work / "testset.json", lambda d: d["members"].__setitem__(0, member))
+    _exits(3, _score_psystem(work), message, work, capsys)
+
+
 def test_heterotic_rejects_control_emitting_a_non_configuration(work, capsys):
     _edit(work / "ps2_control.json", lambda d: d.update(out_port_domain=[0]))
     _exits(2, ["validate", str(work / "ps2_heterotic.json")],

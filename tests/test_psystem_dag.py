@@ -1,0 +1,390 @@
+"""Differential checks of the layered configuration DAG.
+
+The path-copying explorations the DAG replaced are kept here as the
+reference: ``reference_run`` copies one path per branch and calls
+``step_choices`` once per path, the coverage set and rule coverage are
+computed from its materialised traces, and reachability is a breadth-first
+search.  On seeded random P systems and on the benchmark's two-compartment
+skeleton, ``psystem_run(mode="all")``, ``rule_coverage``,
+``generate_coverage_test_set`` and ``mutation._reachable_within`` must give
+identical traces, reports, test sets, reachable sets and cap errors.
+"""
+
+import pathlib
+import random
+import runpy
+
+import pytest
+
+from heterotest.errors import ExplosionBoundExceeded, TraceReplayMismatch
+from heterotest.model_io import psystem_from_dict
+from heterotest.multiset import Multiset
+from heterotest.mutation import _reachable_within
+from heterotest.psystem import (
+    HERE,
+    ComputationTrace,
+    CoverageReport,
+    PRule,
+    PSystem,
+    RuleCoverage,
+    TraceStep,
+    apply_assignment,
+    config_canonical,
+    generate_coverage_test_set,
+    is_halting,
+    psystem_run,
+    render_config,
+    rule_coverage,
+    step_choices,
+    validate_psystem,
+)
+
+GEN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+
+M = Multiset.from_string
+
+
+# --- the reference: one path per branch ---------------------------------------
+
+
+def reference_run(ps, depth, assignment_cap=10_000, branch_cap=10_000):
+    done = []
+    active = [(ps.initial, ())]
+    for _ in range(depth):
+        if not active:
+            break
+        next_active = []
+        for cfg, steps in active:
+            choices = step_choices(ps, cfg, assignment_cap)
+            if not choices:
+                done.append(ComputationTrace(ps.initial, steps, halted=True))
+                continue
+            for assignment, successor in choices:
+                next_active.append((successor, steps + (TraceStep(assignment, successor),)))
+        if len(next_active) > branch_cap:
+            raise ExplosionBoundExceeded(f"more than {branch_cap} simultaneous branches")
+        active = next_active
+    for cfg, steps in active:
+        done.append(ComputationTrace(ps.initial, steps, halted=is_halting(ps, cfg)))
+    return sorted(done, key=ComputationTrace.key)
+
+
+def reference_replay(ps, trace):
+    cfg = trace.initial
+    for idx, step in enumerate(trace.steps):
+        try:
+            result = apply_assignment(ps, cfg, step.fired)
+        except (ValueError, KeyError) as exc:
+            raise TraceReplayMismatch(f"step {idx} does not apply: {exc}") from exc
+        if config_canonical(result) != config_canonical(step.result):
+            raise TraceReplayMismatch(
+                f"step {idx}: expected {render_config(step.result)}, "
+                f"replay gives {render_config(result)}"
+            )
+        cfg = result
+
+
+def _entries(ps, witness_for):
+    entries = []
+    for rule in sorted(ps.rules, key=lambda r: (r.compartment, r.name)):
+        witness = witness_for(rule)
+        entries.append(RuleCoverage(rule.name, rule.compartment, witness is not None,
+                                    witness.final if witness else None, witness))
+    return CoverageReport(tuple(entries))
+
+
+def reference_rule_coverage(ps, traces):
+    trace_list = sorted(traces, key=ComputationTrace.key)
+    for trace in trace_list:
+        reference_replay(ps, trace)
+    return _entries(ps, lambda rule: next(
+        (t for t in trace_list if rule.name in t.fired_rules()), None))
+
+
+def reference_coverage_test_set(ps, depth, assignment_cap=10_000, branch_cap=10_000):
+    traces = reference_run(ps, depth, assignment_cap, branch_cap)
+    coverable, by_final = {}, {}
+    for trace in traces:
+        key = config_canonical(trace.final)
+        by_final.setdefault(key, []).append(trace)
+        for rule in trace.fired_rules():
+            coverable.setdefault(rule, set()).add(key)
+    members = []
+    uncovered = set(coverable)
+    while uncovered:
+        best = min(
+            sorted(by_final),
+            key=lambda key: (-len({r for r in uncovered if key in coverable[r]}), key),
+        )
+        gained = {r for r in uncovered if best in coverable[r]}
+        if not gained:
+            break
+        members.append(best)
+        uncovered -= gained
+    members.sort()
+    member_set = set(members)
+    report = _entries(ps, lambda rule: next(
+        (t for t in traces
+         if rule.name in t.fired_rules() and config_canonical(t.final) in member_set),
+        None))
+    return [tuple(Multiset.from_string(c) for c in key) for key in members], report
+
+
+def reference_reachable(ps, depth):
+    seen = {config_canonical(tuple(ps.initial))}
+    frontier = [tuple(ps.initial)]
+    for _ in range(depth):
+        next_frontier = []
+        for cfg in frontier:
+            if is_halting(ps, cfg):
+                continue
+            for _, successor in step_choices(ps, cfg):
+                key = config_canonical(successor)
+                if key not in seen:
+                    seen.add(key)
+                    next_frontier.append(successor)
+        frontier = next_frontier
+    return seen
+
+
+# --- systems ------------------------------------------------------------------
+
+
+def random_psystem(seed):
+    """One to three compartments, two to four symbols, up to three rules per
+    compartment with one- or two-symbol left-hand sides and up to two
+    deposits each, and up to four initial symbols per compartment.  A
+    quarter of the rules after the first in a compartment copy an earlier
+    one under a new name, so distinct assignments reach one successor."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    parent = {1: None}
+    for comp in range(2, n + 1):
+        parent[comp] = rng.randint(1, comp - 1)
+    alphabet = "abcd"[:rng.randint(2, 4)]
+    rules = []
+    for comp in range(1, n + 1):
+        targets = [HERE] + [c for c, p in parent.items() if p == comp]
+        if parent[comp] is not None:
+            targets.append(parent[comp])
+        own = []
+        for k in range(rng.randint(0, 3)):
+            if own and rng.random() < 0.25:
+                lhs, rhs = rng.choice(own)
+            else:
+                lhs = M("".join(rng.choices(alphabet, k=rng.randint(1, 2))))
+                rhs = tuple((rng.choice(alphabet), rng.choice(targets))
+                            for _ in range(rng.randint(0, 2)))
+            own.append((lhs, rhs))
+            rules.append(PRule(f"r{comp}{k}", comp, lhs, rhs))
+    initial = tuple(M("".join(rng.choices(alphabet, k=rng.randint(0, 4)))) for _ in parent)
+    ps = PSystem(f"random{seed}", frozenset(alphabet), parent, initial, tuple(rules))
+    assert validate_psystem(ps) == []
+    return ps
+
+
+def skeleton(initial):
+    """The benchmark's two-compartment skeleton (perfbench/gen.py, read
+    only) with the given initial multisets, one count per slot."""
+    gen = runpy.run_path(str(GEN))
+    doc = gen["_psystem_doc"]("skeleton", list("abcd"), [[1, 2, 3, 4], [1, 2, 3, 4]], initial)
+    return psystem_from_dict(doc)
+
+
+SEEDS = range(60)
+# Count of each symbol a..d in compartment 1, then in compartment 2.  The
+# last three reach 338, 706 and 1,036 computations at depth 4.
+SKELETON_INITIALS = [
+    (1, 0, 0, 0, 0, 0, 0, 0),
+    (0, 1, 1, 0, 1, 0, 0, 1),
+    (0, 0, 0, 0, 1, 1, 1, 0),
+    (1, 0, 0, 0, 0, 1, 1, 0),
+    (1, 1, 0, 1, 0, 0, 1, 0),
+    (2, 0, 0, 1, 0, 0, 1, 0),
+]
+# More than 10,000 branches in the fourth layer (13,114).
+SKELETON_PAST_CAP = (1, 1, 0, 1, 0, 2, 1, 0)
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ExplosionBoundExceeded as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def _same_everywhere(ps, depths, **caps):
+    for depth in depths:
+        traces = _outcome(psystem_run, ps, depth, "all", **caps)
+        assert traces == _outcome(reference_run, ps, depth, **caps), (ps.name, depth)
+        if isinstance(traces, list):
+            assert rule_coverage(ps, traces) == reference_rule_coverage(ps, traces)
+        if depth >= 1:
+            assert (_outcome(generate_coverage_test_set, ps, depth, **caps)
+                    == _outcome(reference_coverage_test_set, ps, depth, **caps)), (ps.name, depth)
+
+
+# --- the checks -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_systems_match_the_reference(seed):
+    ps = random_psystem(seed)
+    _same_everywhere(ps, range(5), branch_cap=2_000)
+    for depth in range(5):
+        assert _outcome(_reachable_within, ps, depth) == _outcome(reference_reachable, ps, depth)
+
+
+@pytest.mark.parametrize("initial", SKELETON_INITIALS)
+def test_benchmark_skeleton_matches_the_reference(initial):
+    ps = skeleton(initial)
+    _same_everywhere(ps, (1, 3, 4))
+    assert _reachable_within(ps, 4) == reference_reachable(ps, 4)
+
+
+def test_depth_zero_is_the_initial_configuration(ps2):
+    assert psystem_run(ps2, 0) == reference_run(ps2, 0)
+    assert [config_canonical(t.final) for t in psystem_run(ps2, 0)] == [("s", "t")]
+    assert _reachable_within(ps2, 0) == {("s", "t")}
+
+
+def test_early_halting_stops_the_layers(ps2):
+    # every computation of ps2 halts within three steps
+    _same_everywhere(ps2, (3, 4, 6))
+    assert all(len(t.steps) <= 3 and t.halted for t in psystem_run(ps2, 6))
+    assert _reachable_within(ps2, 6) == reference_reachable(ps2, 6)
+
+
+def _twin_rules(*extra):
+    """``r1`` and ``r2`` both turn a into b, so two assignments reach the
+    same successor and only the fired tuple orders their computations."""
+    rules = (PRule("r1", 1, M("a"), (("b", HERE),)),
+             PRule("r2", 1, M("a"), (("b", HERE),))) + extra
+    return PSystem("twins", frozenset("abc"), {1: None}, (M("a"),), rules)
+
+
+def test_two_assignments_to_one_successor_order_by_fired():
+    ps = _twin_rules(PRule("r3", 1, M("b"), (("c", HERE),)))
+    traces = psystem_run(ps, 3)
+    assert [[name for step in t.steps for comp in step.fired for name, _ in comp]
+            for t in traces] == [["r1", "r3"], ["r2", "r3"]]
+    assert traces == reference_run(ps, 3)
+    _same_everywhere(ps, (1, 2, 3))
+
+
+def test_witness_decided_by_the_fired_tuple_alone():
+    # a -> b -> a by r1|r2 then r3|r4: four computations over one
+    # configuration sequence; r4's witness is the least fired tuple
+    # that fires it, ((r1), (r4)), not the first computation overall
+    ps = _twin_rules(PRule("r3", 1, M("b"), (("a", HERE),)),
+                     PRule("r4", 1, M("b"), (("a", HERE),)))
+    members, report = generate_coverage_test_set(ps, 2)
+    assert [step.fired for step in report.entry("r4").witness.steps] == [
+        ((("r1", 1),),), ((("r4", 1),),)]
+    assert [step.fired for step in report.entry("r2").witness.steps] == [
+        ((("r2", 1),),), ((("r3", 1),),)]
+    assert (members, report) == reference_coverage_test_set(ps, 2)
+    _same_everywhere(ps, (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("seed", range(0, 60, 3))
+def test_branch_cap_trips_at_the_same_layer(seed):
+    ps = random_psystem(seed)
+    for cap in (1, 2, 3, 5, 8, 13, 21, 34):
+        # the first depth that raises is the layer the cap trips at
+        _same_everywhere(ps, range(5), branch_cap=cap)
+
+
+@pytest.mark.parametrize("initial", SKELETON_INITIALS[2:5])
+def test_branch_cap_on_the_skeleton(initial):
+    ps = skeleton(initial)
+    for cap in (10, 40, 100, 300, 700):
+        _same_everywhere(ps, (2, 3, 4), branch_cap=cap)
+
+
+def test_past_cap_message_unchanged():
+    ps = skeleton(SKELETON_PAST_CAP)
+    with pytest.raises(ExplosionBoundExceeded, match="^more than 10000 simultaneous branches$"):
+        psystem_run(ps, 4)
+    with pytest.raises(ExplosionBoundExceeded, match="^more than 10000 simultaneous branches$"):
+        generate_coverage_test_set(ps, 4)
+
+
+@pytest.mark.parametrize("seed", range(0, 60, 2))
+def test_assignment_cap_matches_the_reference(seed):
+    ps = random_psystem(seed)
+    for cap in (1, 2, 4):
+        _same_everywhere(ps, range(4), assignment_cap=cap)
+
+
+def test_assignment_cap_messages():
+    rules = tuple(PRule(f"r{i}", 1, M("a"), ((s, HERE),)) for i, s in enumerate("bcd"))
+    one = PSystem("wide", frozenset("abcd"), {1: None}, (M("aaaa"),), rules)
+    two = PSystem("pair", frozenset("abcd"), {1: None, 2: 1}, (M("aa"), M("aa")),
+                  rules + tuple(PRule(f"q{i}", 2, M("a"), ((s, HERE),))
+                                for i, s in enumerate("bcd")))
+    for ps, cap, message in ((one, 10, "more than 10 rule assignments in one compartment"),
+                             (two, 10, "more than 10 combined rule assignments")):
+        for fn in (psystem_run, generate_coverage_test_set, reference_run):
+            with pytest.raises(ExplosionBoundExceeded, match=f"^{message}$"):
+                fn(ps, 2, assignment_cap=cap)
+
+
+def test_rule_coverage_replays_with_the_same_message(ps2):
+    traces = psystem_run(ps2, 3)
+    step = traces[-1].steps[-1]
+    bad = ComputationTrace(traces[-1].initial,
+                           traces[-1].steps[:-1] + (TraceStep(step.fired, (M("z"), M("")),),),
+                           traces[-1].halted)
+    wrong = ComputationTrace(traces[0].initial,
+                             (TraceStep(((("r99", 1),), ()), traces[0].final),),
+                             traces[0].halted)
+    for broken in (bad, wrong):
+        with pytest.raises(TraceReplayMismatch) as got:
+            rule_coverage(ps2, traces + [broken])
+        with pytest.raises(TraceReplayMismatch) as want:
+            reference_rule_coverage(ps2, traces + [broken])
+        assert str(got.value) == str(want.value)
+
+
+def test_traces_share_their_prefix_steps():
+    ps = skeleton(SKELETON_INITIALS[2])
+    traces = psystem_run(ps, 4)
+    steps = {id(step) for t in traces for step in t.steps}
+    assert len(steps) < sum(len(t.steps) for t in traces) / 4
+
+
+def test_configurations_sharing_a_canonical_form():
+    # {a, b} and {ab} both print as "ab": two nodes of one layer share a
+    # canonical form, and only later configurations order their paths
+    rules = (PRule("r1", 1, M("s"), (("a", HERE), ("b", HERE))),
+             PRule("r2", 1, M("s"), (("ab", HERE),)),
+             PRule("r3", 1, M("a"), (("b", HERE),)),
+             PRule("r4", 1, Multiset({"ab": 1}), (("a", HERE),)),
+             PRule("r5", 1, M("b"), (("s", HERE),)))
+    ps = PSystem("shared", frozenset({"s", "a", "b", "ab"}), {1: None}, (M("s"),), rules)
+    traces = psystem_run(ps, 2)
+    assert [t.steps[0].fired for t in traces] == [((("r2", 1),),), ((("r1", 1),),)]
+    _same_everywhere(ps, (1, 2, 3, 4))
+    # The reference search skips {ab} once it has seen "ab" for {a, b}, so
+    # it misses (a) and (b), which only {ab} leads to; the DAG keys its
+    # nodes by configuration and keeps them.
+    assert _reachable_within(ps, 4) == reference_reachable(ps, 4) | {("a",), ("b",)}
+
+
+def test_branch_cap_trips_before_a_later_assignment_cap():
+    # Layer 1 holds (x) and then (yyyy).  (x) brings the layer to four
+    # branches, past a cap of three, so the DAG stops before enumerating the
+    # fifteen assignments of (yyyy); the reference enumerates every
+    # configuration of the layer first and trips the assignment cap.
+    rules = ((PRule("r1", 1, M("a"), (("x", HERE),)),
+              PRule("r2", 1, M("a"), (("y", HERE),) * 4))
+             + tuple(PRule(f"q{i}", 1, M("x"), (("c", HERE),)) for i in range(4))
+             + tuple(PRule(f"s{i}", 1, M("y"), (("c", HERE),)) for i in range(3)))
+    ps = PSystem("late", frozenset("acxy"), {1: None}, (M("a"),), rules)
+    caps = {"assignment_cap": 4, "branch_cap": 3}
+    assert _outcome(psystem_run, ps, 2, **caps) == (
+        "raised", "ExplosionBoundExceeded", "more than 3 simultaneous branches")
+    assert _outcome(reference_run, ps, 2, **caps) == (
+        "raised", "ExplosionBoundExceeded", "more than 4 rule assignments in one compartment")
