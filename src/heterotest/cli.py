@@ -13,22 +13,18 @@ import os
 import sys
 from typing import Optional
 
-from . import model_io, mutation
-from .csxms import (
-    CsxmSystem,
-    build_product_sxm,
-    check_csxm_dft,
-    extend_for_testing,
-    send_target_violations,
-    validate_csxm,
-    validate_system,
+from . import model_io
+from .errors import (
+    AlphabetCollision,
+    DftFailure,
+    HeterotestError,
+    InvalidModel,
+    SchemaError,
+    Violation,
 )
-from .dft import check_dft
-from .errors import AlphabetCollision, DftFailure, HeterotestError, InvalidModel, SchemaError
-from .heterotic import generate_integration_tests, run_heterotic, subprocess_oracle
-from .psystem import generate_coverage_test_set, psystem_run, rule_coverage, validate_psystem
-from .sxm import Violation, validate_sxm
-from .testgen import generate_sxm_test_suite
+
+# Each handler imports the modules it runs, so a command pays the start-up
+# cost of its own kind of model only.
 
 
 def _env_seed() -> int:
@@ -72,25 +68,37 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-# The structural checks ``validate`` runs on each kind of model file.
-_VALIDATORS = {
-    "sxm": validate_sxm,
-    "csxm": validate_csxm,
-    "system": validate_system,
-    "psystem": validate_psystem,
+_KINDS = ("sxm", "csxm", "system", "psystem", "heterotic")
+
+
+def _violations(kind: str, model) -> list:
+    """The structural checks ``validate`` runs on each kind of model file."""
+    if kind == "sxm":
+        from .sxm import validate_sxm
+
+        return validate_sxm(model)
+    if kind == "psystem":
+        from .psystem import validate_psystem
+
+        return validate_psystem(model)
+    from .csxms import send_target_violations, validate_csxm, validate_system
+
+    if kind == "csxm":
+        return validate_csxm(model)
+    if kind == "system":
+        return validate_system(model)
     # loading a heterotic file validated the P system, the control machine
     # and the port wiring; the wrapped Base and the send targets remain
-    "heterotic": lambda h: validate_csxm(h.base) + send_target_violations(h.as_system),
-}
+    return validate_csxm(model.base) + send_target_violations(model.as_system)
 
 
 def _require_valid(kind: str, model, label: str) -> None:
-    violations = _VALIDATORS[kind](model)
+    violations = _violations(kind, model)
     if violations:
         raise InvalidModel(label, violations)
 
 
-def _load(path: str, kinds=tuple(_VALIDATORS), wrong_kind: str = "", gate: bool = True):
+def _load(path: str, kinds=_KINDS, wrong_kind: str = "", gate: bool = True):
     """Load a model file and check that it is one of ``kinds``.  With
     ``gate``, stop before anything is generated from a model that
     ``validate`` rejects."""
@@ -104,6 +112,8 @@ def _load(path: str, kinds=tuple(_VALIDATORS), wrong_kind: str = "", gate: bool 
 
 def _cmd_validate(args) -> int:
     def component_reports(system, violations):
+        from .csxms import check_csxm_dft, extend_for_testing
+
         # The design-for-test conditions apply to the extended components:
         # unextended communicating functions consume no input symbol and
         # would trivially fail completeness.
@@ -121,13 +131,17 @@ def _cmd_validate(args) -> int:
         # while loading; they make its report like any other kind's
         kind, model, violations = "heterotic", None, list(exc.violations)
     else:
-        violations = _VALIDATORS[kind](model)
+        violations = _violations(kind, model)
     reports = {}
     # the design-for-test conditions presuppose a structurally valid model
     if args.dft and not violations:
         if kind == "sxm":
+            from .dft import check_dft
+
             reports[model.name] = check_dft(model)
         elif kind == "csxm":
+            from .csxms import CsxmSystem
+
             reports = component_reports(CsxmSystem(model.name, (model,)), violations)
         elif kind != "psystem":
             reports = component_reports(model if kind == "system" else model.as_system, violations)
@@ -158,6 +172,8 @@ def _cmd_simulate(args) -> int:
         return _simulate_heterotic(args, model)
     if args.depth is None:
         raise SchemaError("simulate on a P system needs --depth")
+    from .psystem import psystem_run, render_ptrace
+
     mode = "seeded" if args.seed is not None else "all"
     seed = args.seed if args.seed is not None else _env_seed()
     traces = psystem_run(model, args.depth, mode=mode, seed=seed)
@@ -169,12 +185,14 @@ def _cmd_simulate(args) -> int:
         "seed": seed if mode == "seeded" else None,
         "traces": [model_io.ptrace_to_dict(t) for t in traces],
     }
-    lines = [model_io.render_ptrace(t) for t in traces]
+    lines = [render_ptrace(t) for t in traces]
     _emit(args, payload, lines)
     return 0
 
 
 def _simulate_heterotic(args, system) -> int:
+    from .heterotic import run_heterotic, subprocess_oracle
+
     oracle = None
     if args.oracle_cmd:
         oracle = subprocess_oracle(
@@ -206,6 +224,8 @@ _GEN_TESTS_KINDS = {
 def _cmd_gen_tests(args) -> int:
     _, model = _load(args.model, (args.target,), _GEN_TESTS_KINDS[args.target])
     if args.target == "psystem":
+        from .psystem import generate_coverage_test_set
+
         members, report = generate_coverage_test_set(model, args.depth)
         payload = model_io.testset_to_dict(members, report, args.depth)
         lines = [f"{len(members)} member(s), depth {args.depth}"]
@@ -215,7 +235,10 @@ def _cmd_gen_tests(args) -> int:
             lines.append(f"rule {entry.rule}: {status}")
         _emit(args, payload, lines)
         return 0 if report.all_covered() else 2
-    generate = generate_sxm_test_suite if args.target == "sxm" else generate_integration_tests
+    if args.target == "sxm":
+        from .testgen import generate_sxm_test_suite as generate
+    else:
+        from .heterotic import generate_integration_tests as generate
     suite = generate(model, args.extra_states)
     lines = [f"{len(suite.cases)} cases (k={args.extra_states})"]
     if args.target == "sxm":
@@ -226,6 +249,8 @@ def _cmd_gen_tests(args) -> int:
 
 def _cmd_product(args) -> int:
     _, model = _load(args.model, ("system",), "product expects a system model file")
+    from .csxms import build_product_sxm, extend_for_testing
+
     product = build_product_sxm(extend_for_testing(model))
     payload = model_io.product_summary_to_dict(product)
     lines = [
@@ -243,6 +268,8 @@ def _cmd_product(args) -> int:
 
 def _cmd_coverage(args) -> int:
     _, model = _load(args.model, ("psystem",), "coverage expects a P-system model file")
+    from .psystem import psystem_run, rule_coverage
+
     traces = psystem_run(model, args.depth, mode="all")
     report = rule_coverage(model, traces)
     payload = model_io.coverage_report_to_dict(report)
@@ -257,6 +284,8 @@ def _cmd_coverage(args) -> int:
 def _cmd_mutate(args) -> int:
     kind, model = _load(args.model, ("sxm", "psystem"),
                         "mutate expects a machine or P-system model file")
+    from . import mutation
+
     operators = args.ops.split(",") if args.ops else None
     seed = args.seed if args.seed is not None else _env_seed()
     batch = mutation.mutate_model(model, operators, seed=seed, count=args.count)
@@ -269,6 +298,8 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    from . import mutation
+
     kind, model = _load(args.model)
     mutants_kind, batch = mutation.mutants_from_dict(model_io.load_json(args.mutants))
     if mutants_kind != kind:

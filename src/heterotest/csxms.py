@@ -20,12 +20,17 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .dft import DftReport, decide_conditions
-from .errors import AlphabetCollision, DftFailure, NondeterministicProduct, UnextendedSystem
+from .errors import (
+    AlphabetCollision,
+    DftFailure,
+    NondeterministicProduct,
+    UnextendedSystem,
+    Violation,
+)
 from .sxm import (
     MemoryDomain,
     ProcessingFunction,
     Sxm,
-    Violation,
     associated_automaton,
     structure_violations,
 )

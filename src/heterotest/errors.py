@@ -4,6 +4,19 @@ Validation *violations* are ordinary data (see ``validate_*`` functions);
 exceptions are reserved for conditions that make an operation impossible.
 """
 
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Violation:
+    """A single well-formedness violation, located for the report."""
+
+    where: str
+    message: str
+
+    def __str__(self):
+        return f"{self.where}: {self.message}"
+
 
 class HeterotestError(Exception):
     """Base class for all toolkit errors."""

@@ -15,7 +15,6 @@ recorded trace identical for identical answers.
 from __future__ import annotations
 
 import json
-import subprocess
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -43,7 +42,7 @@ from .psystem import (
     PSystem,
     config_canonical,
     is_halting,
-    seeded_choice_index,
+    seeded_chooser,
     step_choices,
 )
 from .sxm import MemoryDomain
@@ -80,11 +79,12 @@ def simulate_to_halt(
     """
     cfg = start
     visited = [cfg]
+    choose = seeded_chooser(seed)
     for steps in range(depth_cap + 1):
         if is_halting(ps, cfg):
             return cfg, steps, tuple(visited)
         choices = step_choices(ps, cfg)
-        cfg = choices[seeded_choice_index(seed, cfg, len(choices))][1]
+        cfg = choices[choose(cfg, len(choices))][1]
         visited.append(cfg)
     raise DepthCapExceeded(
         f"{ps.name} did not halt within {depth_cap} steps from "
@@ -102,6 +102,7 @@ class AdvanceFunction(CsxmFunction):
         self.name = ADVANCE
         self.ps = ps
         self.seed = seed
+        self.choose = seeded_chooser(seed)
 
     def evaluate(self, input_symbol, in_port, memory):
         if input_symbol != "step" or in_port != BOTTOM_M:
@@ -112,7 +113,7 @@ class AdvanceFunction(CsxmFunction):
         if is_halting(self.ps, cfg):
             return CsxmResult(memory=memory, output="ran")
         choices = step_choices(self.ps, cfg)
-        successor = choices[seeded_choice_index(self.seed, cfg, len(choices))][1]
+        successor = choices[self.choose(cfg, len(choices))][1]
         return CsxmResult(memory=config_value(successor), output="ran")
 
 
@@ -336,6 +337,7 @@ def subprocess_oracle(
 ) -> OracleBinding:
     """Child-process oracle: one JSON request line on stdin, one JSON
     response line on stdout, one process invocation per request."""
+    import subprocess
 
     def run(initial: PConfiguration):
         request = json.dumps(

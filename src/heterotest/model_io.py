@@ -8,46 +8,72 @@ bytes, and every model round-trips through its dictionary form unchanged.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, NamedTuple, Optional
 
-from .csxms import (
-    COMMUNICATING,
-    ORDINARY,
-    Csxm,
-    CsxmCase,
-    CsxmCaseFunction,
-    CsxmSystem,
-    validate_csxm,
-)
-from .dft import DftReport
 from .errors import InvalidModel, SchemaError, TermError
-from .heterotic import (
-    HeteroticSystem,
-    HeteroticTrace,
-    build_heterotic_system,
-    wrap_psystem_as_csxm,
-)
 from .multiset import Multiset
-from .psystem import (
-    HERE,
-    ComputationTrace,
-    CoverageReport,
-    PConfiguration,
-    PRule,
-    PSystem,
-    config_canonical,
-    validate_psystem,
-)
-from .sxm import Case, CaseFunction, MemoryDomain, Sxm
-from .testgen import TestCase, TestSuite
 from .values import render, value_from_json, value_to_json
+
+# Each codec imports the model modules of its own kind when it runs, so a
+# command reading one kind of file never executes the others' modules.
+if TYPE_CHECKING:
+    from .csxms import Csxm, CsxmSystem
+    from .dft import DftReport
+    from .heterotic import HeteroticSystem, HeteroticTrace
+    from .psystem import ComputationTrace, CoverageReport, PConfiguration, PSystem
+    from .sxm import MemoryDomain, Sxm
+    from .testgen import TestSuite
 
 SCHEMA_VERSION = 1
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)``
+    plus a newline, byte for byte.
+
+    With ``indent``, ``json.dumps`` runs its pure-Python encoder; this
+    writer joins each container's text at once and quotes strings with the
+    C function ``json.dumps`` itself uses.  A value it does not write
+    exactly (a non-string key, a subclass of a JSON type, a non-finite
+    float, a cycle) is handed whole to ``json.dumps``."""
+    try:
+        text = _indented(obj, "\n")
+    except (TypeError, ValueError, RecursionError):
+        text = json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)
+    return text + "\n"
+
+
+def _indented(o: Any, indent: str) -> str:
+    """``o`` as indented JSON; ``indent`` is the line break and indentation
+    that close it.  Raises TypeError on what it does not write."""
+    t = type(o)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        return ("{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _indented(v, inner) for k, v in sorted(o.items())]
+        ) + indent + "}")
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_indented(v, inner) for v in o]) + indent + "]"
+    if t is str:
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if t is int:
+        return int.__repr__(o)
+    if t is float and o - o == 0:
+        return float.__repr__(o)
+    raise TypeError(f"{t.__name__} is left to json.dumps")
 
 
 def load_json(path) -> Any:
@@ -82,8 +108,9 @@ def _list_of(test: Callable[[Any], bool], name: str) -> JsonType:
 
 
 def _is_target_pair(v: Any) -> bool:
+    # "here" is psystem.HERE, the rule's own compartment
     return (isinstance(v, list) and len(v) == 2 and isinstance(v[0], str)
-            and (v[1] == HERE or _is_int(v[1])))
+            and (v[1] == "here" or _is_int(v[1])))
 
 
 def _is_config(v: Any) -> bool:
@@ -181,6 +208,8 @@ def memory_domain_to_json(domain: MemoryDomain) -> Any:
 
 
 def memory_domain_from_json(obj: Any, where: str) -> MemoryDomain:
+    from .sxm import MemoryDomain
+
     check_fields(obj, _MEMORY_DOMAIN, f"{where}.memory_domain")
     if len(obj) != 1:
         raise SchemaError(f"{where}: memory_domain must be a single-key object")
@@ -198,8 +227,7 @@ def memory_domain_from_json(obj: Any, where: str) -> MemoryDomain:
 # cases add a port pattern and the optional out-port update and send target.
 
 
-def _case_to_dict(case) -> Dict[str, Any]:
-    spec = _CSXM_CASE if isinstance(case, CsxmCase) else _CASE
+def _case_to_dict(case, spec: Spec) -> Dict[str, Any]:
     fields = {key: getattr(case, key) for key in (*spec.required, *spec.optional)}
     return {key: value for key, value in fields.items() if value is not None}
 
@@ -219,13 +247,20 @@ def _machine_header(model) -> Dict[str, Any]:
 
 
 def _machine_to_dict(model) -> Dict[str, Any]:
-    communicating = isinstance(model, Csxm)
+    from .sxm import CaseFunction, Sxm
+
+    communicating = not isinstance(model, Sxm)
+    if communicating:
+        from .csxms import CsxmCaseFunction
+    case_table = CsxmCaseFunction if communicating else CaseFunction
+    case_spec = _CSXM_CASE if communicating else _CASE
     functions = []
     for name in sorted(model.functions):
         fn = model.functions[name]
-        if not isinstance(fn, CsxmCaseFunction if communicating else CaseFunction):
+        if not isinstance(fn, case_table):
             raise SchemaError(f"function {name!r} is not a case table and cannot be serialised")
-        functions.append({"name": name, "cases": [_case_to_dict(case) for case in fn.cases]})
+        cases = [_case_to_dict(case, case_spec) for case in fn.cases]
+        functions.append({"name": name, "cases": cases})
     d = _machine_header(model)
     d.update(memory_domain=memory_domain_to_json(model.memory_domain), functions=functions)
     if communicating:
@@ -234,17 +269,22 @@ def _machine_to_dict(model) -> Dict[str, Any]:
     return d
 
 
-def _case_from_json(case: Any, communicating: bool, where: str):
-    check_fields(case, _CSXM_CASE if communicating else _CASE, where)
+def _case_from_json(case: Any, spec: Spec, build: Callable, where: str):
+    check_fields(case, spec, where)
     try:  # case keys are named as the parameters of ``build``
-        return (CsxmCase if communicating else Case).build(**case)
+        return build(**case)
     except TermError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _machine_from_dict(d: Any, default_name: str, communicating: bool):
+    if communicating:
+        from .csxms import COMMUNICATING, ORDINARY, Csxm, CsxmCase, CsxmCaseFunction
+    else:
+        from .sxm import Case, CaseFunction, Sxm
     where = "csxm" if communicating else "sxm"
     check_fields(d, _CSXM if communicating else _MACHINE, where)
+    case_spec, build = (_CSXM_CASE, CsxmCase.build) if communicating else (_CASE, Case.build)
     functions = {}
     for entry in d["functions"]:
         check_fields(entry, _FUNCTION, "functions[]")
@@ -252,7 +292,7 @@ def _machine_from_dict(d: Any, default_name: str, communicating: bool):
         if name in functions:
             raise SchemaError(f"duplicate function {name!r}")
         cases = [
-            _case_from_json(case, communicating, f"functions[{name}].cases[{idx}]")
+            _case_from_json(case, case_spec, build, f"functions[{name}].cases[{idx}]")
             for idx, case in enumerate(entry["cases"])
         ]
         if communicating:
@@ -297,6 +337,8 @@ def csxm_from_dict(d: Mapping, default_name: str = "csxm") -> Csxm:
 
 
 def system_from_dict(d: Mapping, default_name: str = "system") -> CsxmSystem:
+    from .csxms import CsxmSystem
+
     check_fields(d, _SYSTEM, "system")
     components = tuple(
         csxm_from_dict(entry, default_name=f"c{i+1}")
@@ -348,6 +390,8 @@ def _structure_from_json(obj: Any, parent: Optional[int], acc: Dict[int, Optiona
 
 
 def psystem_from_dict(d: Mapping, default_name: str = "psystem") -> PSystem:
+    from .psystem import PRule, PSystem
+
     check_fields(d, _PSYSTEM, "psystem")
     parent: Dict[int, Optional[int]] = {}
     _structure_from_json(d["structure"], None, parent, "structure")
@@ -398,29 +442,6 @@ def ptrace_to_dict(trace: ComputationTrace) -> Dict[str, Any]:
         ],
         "halted": trace.halted,
     }
-
-
-def render_fired(fired) -> str:
-    parts = []
-    for comp_fired in fired:
-        if not comp_fired:
-            parts.append("∅")
-        else:
-            parts.append(
-                "{" + ",".join(n if c == 1 else f"{n}x{c}" for n, c in comp_fired) + "}"
-            )
-    return "(" + ",".join(parts) + ")"
-
-
-def render_ptrace(trace: ComputationTrace) -> str:
-    bits = ["(" + ",".join(config_canonical(trace.initial)) + ")"]
-    for step in trace.steps:
-        bits.append(f"⟹{render_fired(step.fired)}")
-        bits.append("(" + ",".join(config_canonical(step.result)) + ")")
-    text = " ".join(bits)
-    if trace.halted:
-        text += "  [halted]"
-    return text
 
 
 def coverage_report_to_dict(report: CoverageReport) -> Dict[str, Any]:
@@ -485,6 +506,8 @@ def suite_to_dict(suite: TestSuite) -> Dict[str, Any]:
 
 
 def suite_from_dict(d: Mapping) -> TestSuite:
+    from .testgen import TestCase, TestSuite
+
     check_fields(d, _SUITE, "suite")
     entries = [check_fields(c, _SUITE_CASE, f"suite.cases[{i}]") for i, c in enumerate(d["cases"])]
     cases = tuple(
@@ -589,6 +612,10 @@ def load_heterotic_file(path) -> HeteroticSystem:
     Both parts are validated before the P system is simulated to wrap it
     as the Base component.
     """
+    from .csxms import validate_csxm
+    from .heterotic import build_heterotic_system, wrap_psystem_as_csxm
+    from .psystem import validate_psystem
+
     d = check_fields(load_json(path), _HETEROTIC, "heterotic")
     base_dir = Path(path).parent
     ps = psystem_from_dict(load_json(base_dir / d["psystem"]),

@@ -10,15 +10,14 @@ reproducible.
 
 from __future__ import annotations
 
-import random
+import json
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyMutantSet, NoValidMutants, TermError
 from .model_io import (
     MUTANT,
     MUTANTS,
-    canonical_json,
     check_fields,
     psystem_from_dict,
     psystem_to_dict,
@@ -26,17 +25,13 @@ from .model_io import (
     sxm_to_dict,
 )
 from .multiset import Multiset
-from .psystem import (
-    HERE,
-    PConfiguration,
-    PRule,
-    PSystem,
-    config_canonical,
-    explore,
-    validate_psystem,
-)
-from .sxm import Case, CaseFunction, Sxm, replay_outputs, validate_sxm
-from .testgen import TestSuite
+
+# The machine and the P-system code each import their own model module
+# when they run, so mutating or scoring one kind never executes the other.
+if TYPE_CHECKING:
+    from .psystem import PConfiguration, PRule, PSystem
+    from .sxm import Case, CaseFunction, Sxm
+    from .testgen import TestSuite
 
 SXM_OPERATORS = (
     "transition-retarget",
@@ -51,7 +46,7 @@ PSYSTEM_OPERATORS = (
     "lhs-multiplicity-change",
 )
 
-Model = Union[Sxm, PSystem]
+Model = Union["Sxm", "PSystem"]
 
 
 @dataclass(frozen=True)
@@ -80,27 +75,23 @@ class MutantBatch:
 
 
 def _model_key(model: Model) -> str:
-    if isinstance(model, Sxm):
-        return canonical_json(sxm_to_dict(model))
-    return canonical_json(psystem_to_dict(model))
-
-
-def _validate(model: Model) -> bool:
-    if isinstance(model, Sxm):
-        return not validate_sxm(model)
-    return not validate_psystem(model)
+    """Equal exactly when the models' files would be equal; compact, so
+    that ``json.dumps`` runs its C encoder."""
+    to_dict = sxm_to_dict if model.kind == "sxm" else psystem_to_dict
+    return json.dumps(to_dict(model), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 # --- machine operators --------------------------------------------------------
 
 
-def _rebuild_function(fn: CaseFunction, case_idx: int, new_case: Case) -> CaseFunction:
-    cases = list(fn.cases)
-    cases[case_idx] = new_case
-    return CaseFunction(fn.name, cases)
-
-
 def _sxm_candidates(model: Sxm, operators: Sequence[str]):
+    from .sxm import Case, CaseFunction
+
+    def rebuilt(fn: CaseFunction, case_idx: int, new_case: Case) -> CaseFunction:
+        cases = list(fn.cases)
+        cases[case_idx] = new_case
+        return CaseFunction(fn.name, cases)
+
     if "transition-retarget" in operators:
         for (q, fn), targets in sorted(model.next_state.items()):
             for pos, old in enumerate(targets):
@@ -136,7 +127,7 @@ def _sxm_candidates(model: Sxm, operators: Sequence[str]):
                         continue
                     new_case = Case.build(case.mem_pattern, case.input, output, case.mem_next)
                     functions = dict(model.functions)
-                    functions[name] = _rebuild_function(fn, idx, new_case)
+                    functions[name] = rebuilt(fn, idx, new_case)
                     yield (
                         "case-output-swap",
                         f"functions[{name}].cases[{idx}].output={output}",
@@ -155,7 +146,7 @@ def _sxm_candidates(model: Sxm, operators: Sequence[str]):
                     except TermError:
                         continue
                     functions = dict(model.functions)
-                    functions[name] = _rebuild_function(fn, idx, new_case)
+                    functions[name] = rebuilt(fn, idx, new_case)
                     yield (
                         "memory-update-perturb",
                         f"functions[{name}].cases[{idx}].mem_next{tag}",
@@ -175,6 +166,8 @@ def _replace_rule(ps: PSystem, old: PRule, new: Optional[PRule]) -> PSystem:
 
 
 def _psystem_candidates(ps: PSystem, operators: Sequence[str]):
+    from .psystem import HERE
+
     rules = sorted(ps.rules, key=lambda r: (r.compartment, r.name))
     if "rule-delete" in operators:
         for rule in rules:
@@ -238,10 +231,14 @@ def _psystem_candidates(ps: PSystem, operators: Sequence[str]):
 
 def enumerate_mutants(model: Model, operators: Optional[Sequence[str]] = None) -> MutantBatch:
     """Every valid, distinct single-operator mutant in deterministic order."""
-    if isinstance(model, Sxm):
+    if model.kind == "sxm":
+        from .sxm import validate_sxm as violations
+
         operators = tuple(operators) if operators else SXM_OPERATORS
         candidates = _sxm_candidates(model, operators)
     else:
+        from .psystem import validate_psystem as violations
+
         operators = tuple(operators) if operators else PSYSTEM_OPERATORS
         candidates = _psystem_candidates(model, operators)
 
@@ -251,7 +248,7 @@ def enumerate_mutants(model: Model, operators: Optional[Sequence[str]] = None) -
     invalid = 0
     duplicates = 0
     for operator, location, mutated in candidates:
-        if not _validate(mutated):
+        if violations(mutated):
             invalid += 1
             continue
         key = _model_key(mutated)
@@ -281,6 +278,8 @@ def mutate_model(
         raise NoValidMutants(f"no valid mutants for {model.name!r}")
     if count >= len(batch.mutants):
         return batch
+    import random
+
     rng = random.Random(seed)
     sample = rng.sample(list(batch.mutants), count)
     sample.sort(key=lambda m: m.mutant_id)
@@ -316,6 +315,8 @@ class ScoreReport:
 def _reachable_within(ps: PSystem, depth: int) -> set:
     """Canonical forms of every configuration on any branch within depth:
     the nodes of the configuration DAG, without a branch cap."""
+    from .psystem import config_canonical, explore
+
     dag = explore(ps, depth, branch_cap=None)
     return {config_canonical(cfg) for layer in dag.layers for cfg in layer}
 
@@ -370,6 +371,7 @@ def score_sxm_suite(
     expected outputs recorded in the suite; the witness is the first such
     case in suite order.  Each case replays from the longest prefix it
     shares with the case before it."""
+    from .sxm import replay_outputs
 
     def kill_witness(model: Sxm) -> Optional[str]:
         observed = replay_outputs(model, suite.inputs(), branch_bound)
@@ -389,6 +391,8 @@ def score_psystem_testset(
 ) -> ScoreReport:
     """A mutant is killed when some test-set configuration is unreachable in
     it within the generation depth."""
+    from .psystem import config_canonical
+
     member_keys = [config_canonical(tuple(m)) for m in members]
 
     def kill_witness(model: PSystem) -> Optional[str]:
@@ -410,7 +414,7 @@ def mutation_score(
 ) -> ScoreReport:
     """Dispatch on the suite kind: machine suites replay input sequences,
     P-system coverage sets check member reachability."""
-    if isinstance(spec, Sxm):
+    if spec.kind == "sxm":
         return score_sxm_suite(spec, mutants, suite, branch_bound)
     return score_psystem_testset(spec, mutants, suite, depth)
 

@@ -15,14 +15,12 @@ configuration once instead of once per computation reaching it.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
-from .errors import ExplosionBoundExceeded, TraceReplayMismatch
-from .multiset import EMPTY_MULTISET, Multiset
-from .sxm import Violation
+from .errors import ExplosionBoundExceeded, TraceReplayMismatch, Violation
+from .multiset import Multiset
 from .values import RESERVED_ATOMS
 
 # A configuration is one multiset per compartment, index i-1 <-> compartment i.
@@ -50,6 +48,8 @@ class PRule:
 
 @dataclass(frozen=True)
 class PSystem:
+    kind = "psystem"  # the model-file kind; a class attribute, not a field
+
     name: str
     alphabet: FrozenSet[str]
     parent: Mapping[int, Optional[int]]  # compartment id -> parent id (root: None)
@@ -142,6 +142,29 @@ class ComputationTrace:
             tuple(config_canonical(c) for c in self.configurations()),
             tuple(s.fired for s in self.steps),
         )
+
+
+def render_fired(fired: Assignment) -> str:
+    parts = []
+    for comp_fired in fired:
+        if not comp_fired:
+            parts.append("∅")
+        else:
+            parts.append(
+                "{" + ",".join(n if c == 1 else f"{n}x{c}" for n, c in comp_fired) + "}"
+            )
+    return "(" + ",".join(parts) + ")"
+
+
+def render_ptrace(trace: ComputationTrace) -> str:
+    bits = [render_config(trace.initial)]
+    for step in trace.steps:
+        bits.append(f"⟹{render_fired(step.fired)}")
+        bits.append(render_config(step.result))
+    text = " ".join(bits)
+    if trace.halted:
+        text += "  [halted]"
+    return text
 
 
 def validate_psystem(ps: PSystem) -> list[Violation]:
@@ -266,26 +289,43 @@ def maximal_rule_multisets(
 
 def apply_assignment(ps: PSystem, cfg: PConfiguration, assignment: Assignment) -> PConfiguration:
     """Fire one assignment: per compartment,
-    result = source - consumed lhs + deposited rhs (here + incoming)."""
-    consumed = [EMPTY_MULTISET for _ in cfg]
-    deposited = [EMPTY_MULTISET for _ in cfg]
+    result = source - consumed lhs + deposited rhs (here + incoming).
+
+    Each compartment's change is summed in one symbol -> count dict; a
+    compartment the assignment leaves untouched keeps its multiset."""
+    consumed: list[Dict[str, int]] = [{} for _ in cfg]
+    deposited: list[Dict[str, int]] = [{} for _ in cfg]
     for comp_idx, comp_fired in enumerate(assignment):
         comp = comp_idx + 1
+        taken = consumed[comp_idx]
         for name, count in comp_fired:
             rule = ps.rule(name)
             if rule.compartment != comp:
                 raise ValueError(f"rule {name} fired in wrong compartment {comp}")
-            consumed[comp_idx] = consumed[comp_idx] + rule.lhs.scaled(count)
+            if count < 0:
+                raise ValueError(f"negative count for rule {name}")
+            for sym, n in rule.lhs.items():
+                taken[sym] = taken.get(sym, 0) + n * count
             for sym, target in rule.rhs:
-                dest = comp_idx if target == HERE else target - 1
-                deposited[dest] = deposited[dest] + Multiset({sym: count})
+                given = deposited[comp_idx if target == HERE else target - 1]
+                given[sym] = given.get(sym, 0) + count
     result = []
     for idx, source in enumerate(cfg):
-        if not consumed[idx] <= source:
-            raise ValueError(
-                f"assignment consumes more than compartment {idx + 1} holds"
-            )
-        result.append(source - consumed[idx] + deposited[idx])
+        taken, given = consumed[idx], deposited[idx]
+        if not taken and not given:
+            result.append(source)
+            continue
+        counts = dict(source.items())
+        for sym, n in taken.items():
+            left = counts.get(sym, 0) - n
+            if left < 0:
+                raise ValueError(
+                    f"assignment consumes more than compartment {idx + 1} holds"
+                )
+            counts[sym] = left
+        for sym, n in given.items():
+            counts[sym] = counts.get(sym, 0) + n
+        result.append(Multiset(counts))
     return tuple(result)
 
 
@@ -317,11 +357,23 @@ def step_choices(
     return [(a, apply_assignment(ps, cfg, a)) for a in maximal_rule_multisets(ps, cfg, cap)]
 
 
+def seeded_chooser(seed: int) -> Callable[[PConfiguration, int], int]:
+    """:func:`seeded_choice_index` with ``seed`` bound, made once per run
+    so that a seeded loop imports the hash module once, not per step."""
+    import hashlib
+
+    sha256, prefix = hashlib.sha256, f"{seed}|"
+
+    def choose(cfg: PConfiguration, n_choices: int) -> int:
+        digest = sha256((prefix + "|".join(config_canonical(cfg))).encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "big") % n_choices
+
+    return choose
+
+
 def seeded_choice_index(seed: int, cfg: PConfiguration, n_choices: int) -> int:
     """Stable pseudo-random branch pick, a pure function of (seed, cfg)."""
-    text = f"{seed}|" + "|".join(config_canonical(cfg))
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % n_choices
+    return seeded_chooser(seed)(cfg, n_choices)
 
 
 @dataclass(frozen=True)
@@ -505,6 +557,7 @@ def psystem_run(
     if mode == "all":
         return explore(ps, depth, assignment_cap, branch_cap).traces()
 
+    choose = seeded_chooser(seed)
     done: list[ComputationTrace] = []
     active: list[Tuple[PConfiguration, Tuple[TraceStep, ...]]] = [(ps.initial, ())]
     for _ in range(depth):
@@ -516,7 +569,7 @@ def psystem_run(
             if not choices:
                 done.append(ComputationTrace(ps.initial, steps, halted=True))
                 continue
-            assignment, successor = choices[seeded_choice_index(seed, cfg, len(choices))]
+            assignment, successor = choices[choose(cfg, len(choices))]
             next_active.append((successor, steps + (TraceStep(assignment, successor),)))
         if len(next_active) > branch_cap:
             raise ExplosionBoundExceeded(f"more than {branch_cap} simultaneous branches")

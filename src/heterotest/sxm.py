@@ -22,7 +22,7 @@ from typing import (
     TypeVar,
 )
 
-from .errors import BranchBoundExceeded, MissingSampleError, TermError
+from .errors import BranchBoundExceeded, MissingSampleError, TermError, Violation
 from .terms import Pattern, Expr, parse_expr, parse_pattern
 from .values import RESERVED_ATOMS, Value, is_value, render, sort_key
 
@@ -141,6 +141,8 @@ class Sxm:
     model permits (products need it) but run exploration bounds.
     """
 
+    kind = "sxm"  # the model-file kind; a class attribute, not a field
+
     name: str
     inputs: FrozenSet[str]
     outputs: FrozenSet[str]
@@ -201,17 +203,6 @@ class Automaton:
                 return (src, label)
             seen[(src, label)] = dst
         return None
-
-
-@dataclass(frozen=True)
-class Violation:
-    """A single well-formedness violation, located for the report."""
-
-    where: str
-    message: str
-
-    def __str__(self):
-        return f"{self.where}: {self.message}"
 
 
 def structure_violations(model, prefix: str = "") -> list[Violation]:

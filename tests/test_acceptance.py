@@ -8,6 +8,7 @@ import json
 import time
 from collections import deque
 
+import pytest
 from gen_models import random_csxm_system, random_dft_sxm, random_messy_sxm
 
 from heterotest.cli import main
@@ -184,6 +185,20 @@ def _relation_difference_upto(spec, mutant, max_len):
     return None
 
 
+def _check_survivors(model, batch, score, max_len=6):
+    """Every mutant the suite does not kill must be relation-equivalent to
+    the model on all inputs up to ``max_len``; returns the survivor count."""
+    by_id = {m.mutant_id: m for m in batch.mutants}
+    survivors = 0
+    for verdict in score.per_mutant:
+        if verdict.verdict == "killed":
+            continue
+        survivors += 1
+        word = _relation_difference_upto(model, by_id[verdict.mutant_id].model, max_len)
+        assert word is None, f"{verdict.mutant_id} survived but differs on {word}"
+    return survivors
+
+
 def test_criterion_5_w_method_mutation_adequacy():
     started = time.monotonic()
     models = mutants_total = killed_total = survivors = 0
@@ -193,20 +208,14 @@ def test_criterion_5_w_method_mutation_adequacy():
         batch = enumerate_mutants(model)
         assert batch.mutants, "every machine must have mutants"
         score = score_sxm_suite(model, batch, suite)
-        by_id = {m.mutant_id: m for m in batch.mutants}
+        mutants_total += score.total
+        killed_total += score.killed
+        # survivors must be relation-equivalent on all inputs <= 6
         suite_max = max(len(case.input) for case in suite.cases)
-        for verdict in score.per_mutant:
-            mutants_total += 1
-            if verdict.verdict == "killed":
-                killed_total += 1
-                continue
-            survivors += 1
-            # survivors must be relation-equivalent on all inputs <= 6
-            word = _relation_difference_upto(model, by_id[verdict.mutant_id].model, 6)
-            assert word is None, (
-                f"seed {seed}: {verdict.mutant_id} survived but differs on {word} "
-                f"(suite max length {suite_max})"
-            )
+        try:
+            survivors += _check_survivors(model, batch, score)
+        except AssertionError as exc:
+            raise AssertionError(f"seed {seed}: {exc} (suite max length {suite_max})") from None
         models += 1
     elapsed = time.monotonic() - started
     assert models == 100
@@ -216,6 +225,24 @@ def test_criterion_5_w_method_mutation_adequacy():
         f"{killed_total}/{mutants_total} mutants killed, "
         f"{survivors} survivors all equivalent up to length 6",
     )
+
+
+def test_criterion_5_survivor_check_on_known_mutants(counter_testable):
+    # counter_testable outputs o on every i and z on every r whatever its
+    # memory holds, so a changed memory update is equivalent; its W suite
+    # at k=1 kills neither those nor a wrong output once memory reaches 3,
+    # which the survivor check must catch
+    suite = generate_sxm_test_suite(counter_testable, 1)
+    equivalent = enumerate_mutants(counter_testable, ["memory-update-perturb"])
+    score = score_sxm_suite(counter_testable, equivalent, suite)
+    assert score.killed == 0 and score.identical == 0
+    assert _check_survivors(counter_testable, equivalent, score) == len(equivalent) == 3
+    swapped = enumerate_mutants(counter_testable, ["case-output-swap"])
+    score = score_sxm_suite(counter_testable, swapped, suite)
+    late = "case-output-swap:functions[inc].cases[1].output=z"
+    assert [v.mutant_id for v in score.per_mutant if v.verdict != "killed"] == [late]
+    with pytest.raises(AssertionError, match=r"\('i', 'i', 'i', 'i'\)"):
+        _check_survivors(counter_testable, swapped, score)
 
 
 def test_criterion_6_dft_witness_validity():

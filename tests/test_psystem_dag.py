@@ -8,6 +8,10 @@ search.  On seeded random P systems and on the benchmark's two-compartment
 skeleton, ``psystem_run(mode="all")``, ``rule_coverage``,
 ``generate_coverage_test_set`` and ``mutation._reachable_within`` must give
 identical traces, reports, test sets, reachable sets and cap errors.
+
+``reference_apply_assignment`` is the step that sums multisets, kept as the
+reference for ``apply_assignment``, which sums one count dict per
+compartment: both must give equal successors and equal errors.
 """
 
 import pathlib
@@ -32,6 +36,7 @@ from heterotest.psystem import (
     config_canonical,
     generate_coverage_test_set,
     is_halting,
+    maximal_rule_multisets,
     psystem_run,
     render_config,
     rule_coverage,
@@ -69,11 +74,34 @@ def reference_run(ps, depth, assignment_cap=10_000, branch_cap=10_000):
     return sorted(done, key=ComputationTrace.key)
 
 
+def reference_apply_assignment(ps, cfg, assignment):
+    consumed = [Multiset() for _ in cfg]
+    deposited = [Multiset() for _ in cfg]
+    for comp_idx, comp_fired in enumerate(assignment):
+        comp = comp_idx + 1
+        for name, count in comp_fired:
+            rule = ps.rule(name)
+            if rule.compartment != comp:
+                raise ValueError(f"rule {name} fired in wrong compartment {comp}")
+            consumed[comp_idx] = consumed[comp_idx] + rule.lhs.scaled(count)
+            for sym, target in rule.rhs:
+                dest = comp_idx if target == HERE else target - 1
+                deposited[dest] = deposited[dest] + Multiset({sym: count})
+    result = []
+    for idx, source in enumerate(cfg):
+        if not consumed[idx] <= source:
+            raise ValueError(
+                f"assignment consumes more than compartment {idx + 1} holds"
+            )
+        result.append(source - consumed[idx] + deposited[idx])
+    return tuple(result)
+
+
 def reference_replay(ps, trace):
     cfg = trace.initial
     for idx, step in enumerate(trace.steps):
         try:
-            result = apply_assignment(ps, cfg, step.fired)
+            result = reference_apply_assignment(ps, cfg, step.fired)
         except (ValueError, KeyError) as exc:
             raise TraceReplayMismatch(f"step {idx} does not apply: {exc}") from exc
         if config_canonical(result) != config_canonical(step.result):
@@ -206,6 +234,32 @@ SKELETON_INITIALS = [
 SKELETON_PAST_CAP = (1, 1, 0, 1, 0, 2, 1, 0)
 
 
+def reference_steps(ps, depth):
+    """Every (configuration, assignment) pair of the computations of at
+    most ``depth`` steps, each configuration stepped once."""
+    seen, frontier, pairs = {ps.initial}, [ps.initial], []
+    for _ in range(depth):
+        next_frontier = []
+        for cfg in frontier:
+            if is_halting(ps, cfg):
+                continue
+            for assignment in maximal_rule_multisets(ps, cfg):
+                pairs.append((cfg, assignment))
+                successor = reference_apply_assignment(ps, cfg, assignment)
+                if successor not in seen:
+                    seen.add(successor)
+                    next_frontier.append(successor)
+        frontier = next_frontier
+    return pairs
+
+
+def _raised(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, KeyError) as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
 def _outcome(fn, *args, **kwargs):
     """The result of a call, or the type and message of what it raised."""
     try:
@@ -234,6 +288,41 @@ def test_random_systems_match_the_reference(seed):
     _same_everywhere(ps, range(5), branch_cap=2_000)
     for depth in range(5):
         assert _outcome(_reachable_within, ps, depth) == _outcome(reference_reachable, ps, depth)
+
+
+def _broken(ps, assignment):
+    """Assignments that must not apply: every count tenfold (consuming more
+    than is held), each compartment's rules shifted to the next
+    compartment, and an unknown rule."""
+    yield tuple(tuple((name, 10 * count) for name, count in comp) for comp in assignment)
+    yield assignment[-1:] + assignment[:-1]
+    yield ((("nope", 1),),) + assignment[1:]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_apply_assignment_matches_the_reference(seed):
+    ps = random_psystem(seed)
+    for cfg, assignment in reference_steps(ps, 6):
+        got = apply_assignment(ps, cfg, assignment)
+        assert got == reference_apply_assignment(ps, cfg, assignment)
+        assert config_canonical(got) == config_canonical(
+            reference_apply_assignment(ps, cfg, assignment))
+        for broken in _broken(ps, assignment):
+            assert (_raised(apply_assignment, ps, cfg, broken)
+                    == _raised(reference_apply_assignment, ps, cfg, broken))
+
+
+@pytest.mark.parametrize("initial", SKELETON_INITIALS[:4])
+def test_apply_assignment_matches_the_reference_on_the_skeleton(initial):
+    ps = skeleton(initial)
+    pairs = reference_steps(ps, 4)
+    assert pairs
+    for cfg, assignment in pairs:
+        assert apply_assignment(ps, cfg, assignment) == reference_apply_assignment(
+            ps, cfg, assignment)
+        for broken in _broken(ps, assignment):
+            assert (_raised(apply_assignment, ps, cfg, broken)
+                    == _raised(reference_apply_assignment, ps, cfg, broken))
 
 
 @pytest.mark.parametrize("initial", SKELETON_INITIALS)

@@ -1,0 +1,201 @@
+"""Start-up: each command executes only the modules its kind of model needs.
+
+``import heterotest`` registers every submodule but ``cli`` as a lazy
+module that executes on first attribute access.  The commands below run in
+fresh processes under an audit hook that records each module body the
+interpreter executes, so the check never touches a module's attributes.
+"""
+
+import importlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import heterotest
+from heterotest.cli import main
+
+PACKAGE = pathlib.Path(heterotest.__file__).resolve().parent
+# the child processes import this checkout's package from any directory
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+
+# Runs ``python -m heterotest.cli ARGS`` and writes to the file named first
+# the stems of the heterotest modules whose bodies executed and the
+# on-demand standard modules the command imported.
+PROBE = """
+import json, pathlib, runpy, sys
+ran, preloaded = set(), set(sys.modules)
+
+def hook(event, args):
+    if event == "exec" and getattr(args[0], "co_name", "") == "<module>":
+        path = pathlib.Path(args[0].co_filename)
+        if path.parent.name == "heterotest":
+            ran.add(path.stem)
+
+sys.addaudithook(hook)
+out, sys.argv = sys.argv[1], ["heterotest", *sys.argv[2:]]
+try:
+    runpy.run_module("heterotest.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+imported = sorted(set(sys.modules) - preloaded & {"hashlib", "random", "subprocess"})
+pathlib.Path(out).write_text(json.dumps([sorted(ran), imported]))
+"""
+
+MACHINE_ONLY = {"csxms", "heterotic", "testgen", "dft", "sxm", "terms"}
+PSYSTEM_ONLY = {"psystem"}
+SYSTEM_ONLY = {"csxms", "heterotic"}
+
+
+def executed(args, cwd):
+    """The heterotest modules the command executed; checks that it imports
+    ``hashlib`` only to pick a seeded branch, ``random`` only to sample
+    mutants and ``subprocess`` never."""
+    out = cwd / "executed.json"
+    proc = subprocess.run([sys.executable, "-c", PROBE, str(out), *args],
+                          cwd=str(cwd), env=ENV, capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    ran, imported = json.loads(out.read_text())
+    allowed = {"hashlib"} if "--seed" in args else {"random"} if args[0] == "mutate" else set()
+    assert set(imported) <= allowed, imported
+    return set(ran)
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory, models_dir):
+    """Artifacts for the generating commands to score."""
+    work = tmp_path_factory.mktemp("startup")
+    for args in (
+        ["gen-tests", "psystem", str(models_dir / "ps2.json"), "-o", str(work / "testset.json")],
+        ["mutate", str(models_dir / "ps2.json"), "-o", str(work / "ps2_mutants.json")],
+        ["gen-tests", "sxm", str(models_dir / "counter_testable.json"),
+         "-o", str(work / "suite.json")],
+        ["mutate", str(models_dir / "counter_testable.json"),
+         "-o", str(work / "counter_mutants.json")],
+    ):
+        assert main(args) == 0
+    return work
+
+
+PSYSTEM_COMMANDS = [
+    ["validate", "ps2.json"],
+    ["validate", "--dft", "ps2.json"],
+    ["simulate", "ps2.json", "--depth", "3", "--all-branches"],
+    ["simulate", "ps2.json", "--depth", "3", "--seed", "1"],
+    ["coverage", "ps2.json", "--depth", "3"],
+    ["gen-tests", "psystem", "ps2.json"],
+    ["mutate", "ps2.json"],
+    ["score", "ps2.json", "--mutants", "{work}/ps2_mutants.json",
+     "--test-set", "{work}/testset.json"],
+]
+MACHINE_COMMANDS = [
+    ["validate", "counter_testable.json"],
+    ["validate", "--dft", "counter.json"],
+    ["gen-tests", "sxm", "counter_testable.json", "--extra-states", "1"],
+    ["mutate", "counter_testable.json"],
+    ["score", "counter_testable.json", "--mutants", "{work}/counter_mutants.json",
+     "--suite", "{work}/suite.json"],
+]
+
+
+def _resolve(command, models_dir, work):
+    return [str(models_dir / arg) if arg.endswith(".json") and "/" not in arg
+            else arg.format(work=work) for arg in command]
+
+
+@pytest.mark.parametrize("command", PSYSTEM_COMMANDS, ids=" ".join)
+def test_psystem_commands_execute_no_machine_module(command, models_dir, work):
+    ran = executed(_resolve(command, models_dir, work), work)
+    assert "psystem" in ran
+    assert not ran & MACHINE_ONLY, sorted(ran & MACHINE_ONLY)
+
+
+@pytest.mark.parametrize("command", MACHINE_COMMANDS, ids=" ".join)
+def test_machine_commands_execute_no_psystem_or_system_module(command, models_dir, work):
+    ran = executed(_resolve(command, models_dir, work), work)
+    assert "sxm" in ran
+    assert not ran & (PSYSTEM_ONLY | SYSTEM_ONLY), sorted(ran & (PSYSTEM_ONLY | SYSTEM_ONLY))
+
+
+def test_importing_cli_registers_every_module_and_executes_none(tmp_path):
+    # perfbench/tracer.py looks its modules up in sys.modules right after
+    # ``from heterotest import cli``
+    code = (
+        "import json, sys, types\n"
+        "from heterotest import cli\n"
+        "mods = {n: type(m) is types.ModuleType for n, m in sys.modules.items()\n"
+        "        if n.startswith('heterotest.')}\n"
+        "print(json.dumps(mods))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=str(tmp_path), env=ENV, check=True)
+    loaded = json.loads(proc.stdout)
+    stems = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert set(loaded) == {f"heterotest.{stem}" for stem in stems}
+    assert sorted(n for n, ran in loaded.items() if ran) == ["heterotest.cli", "heterotest.errors"]
+
+
+def test_running_cli_as_a_module_warns_nothing(models_dir):
+    proc = subprocess.run([sys.executable, "-m", "heterotest.cli", "validate",
+                           str(models_dir / "ps2.json")], env=ENV, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == "psystem: valid\n"
+    assert proc.stderr == ""
+
+
+# Every name ``heterotest/__init__.py`` exported when it imported every
+# submodule, by defining module.
+EXPORTS = {
+    "csxms": (
+        "Csxm", "CsxmCase", "CsxmCaseFunction", "CsxmSystem", "build_product_sxm",
+        "check_csxm_dft", "extend_for_testing", "generate_csxms_test_suite",
+        "initial_system_configuration", "system_step", "validate_csxm", "validate_system",
+    ),
+    "dft": ("DftReport", "check_dft"),
+    "heterotic": (
+        "HeteroticSystem", "HeteroticTrace", "OracleBinding", "build_heterotic_system",
+        "generate_integration_tests", "run_heterotic", "simulator_oracle",
+        "subprocess_oracle", "wrap_psystem_as_csxm",
+    ),
+    "multiset": ("Multiset",),
+    "mutation": (
+        "Mutant", "MutantBatch", "ScoreReport", "enumerate_mutants", "mutate_model",
+        "mutation_score",
+    ),
+    "psystem": (
+        "ComputationTrace", "CoverageReport", "PRule", "PSystem",
+        "generate_coverage_test_set", "maximal_rule_multisets", "psystem_run",
+        "rule_coverage", "validate_psystem",
+    ),
+    "sxm": (
+        "Automaton", "Case", "CaseFunction", "MemoryDomain", "Sxm", "SxmConfiguration",
+        "associated_automaton", "sxm_run", "sxm_step", "validate_sxm",
+    ),
+    "testgen": (
+        "TestCase", "TestSuite", "characterization_set", "fundamental_test_inputs",
+        "generate_sxm_test_suite", "minimize_automaton", "state_cover",
+        "w_method_phi_sequences",
+    ),
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(EXPORTS))
+def test_old_exports_resolve_to_their_defining_object(module_name):
+    module = importlib.import_module(f"heterotest.{module_name}")
+    for name in EXPORTS[module_name]:
+        namespace = {}
+        exec(f"from heterotest import {name}", namespace)
+        assert namespace[name] is getattr(module, name), name
+        assert getattr(heterotest, name) is getattr(module, name), name
+        assert name in dir(heterotest) and name in heterotest.__all__
+
+
+def test_package_attributes():
+    assert heterotest.__version__ == "0.1.0"
+    assert heterotest.sxm.Violation is heterotest.errors.Violation
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        heterotest.nothing  # noqa: B018
