@@ -309,7 +309,7 @@ def _cmd_score(args) -> int:
     if kind == "sxm":
         if not args.suite:
             raise SchemaError("score on a machine spec needs --suite")
-        suite = model_io.suite_from_dict(model_io.load_json(args.suite))
+        suite = model_io.suite_from_dict(model_io.load_json(args.suite), model)
         report = mutation.score_sxm_suite(model, batch, suite)
     else:
         if not args.test_set:

@@ -192,7 +192,7 @@ _SUITE_CASE = Spec({"input": STRS, "expected_outputs": OUTPUTS})
 _TEST_SET = Spec({"schema": INT, "members": CONFIGS},
                  {"method": STR, "depth": NATURAL, "report": OBJ})
 MUTANTS = Spec({"schema": INT, "kind": MUTANT_KIND, "mutants": OBJS},
-               {"invalid": INT, "duplicates": INT})
+               {"invalid": NATURAL, "duplicates": NATURAL})
 MUTANT = Spec({"base": STR, "operator": STR, "location": STR, "model": OBJ}, {"id": STR})
 
 
@@ -505,11 +505,21 @@ def suite_to_dict(suite: TestSuite) -> Dict[str, Any]:
     }
 
 
-def suite_from_dict(d: Mapping) -> TestSuite:
+def suite_from_dict(d: Mapping, model: Optional[Sxm] = None) -> TestSuite:
+    """The suite ``d`` holds; with ``model``, every case input must lie in
+    the model's input alphabet."""
     from .testgen import TestCase, TestSuite
 
     check_fields(d, _SUITE, "suite")
     entries = [check_fields(c, _SUITE_CASE, f"suite.cases[{i}]") for i, c in enumerate(d["cases"])]
+    if model is not None:
+        for idx, entry in enumerate(entries):
+            for sym in entry["input"]:
+                if sym not in model.inputs:
+                    raise SchemaError(
+                        f"suite.cases[{idx}]: input {sym!r} is not in the input alphabet "
+                        f"of {model.name}"
+                    )
     cases = tuple(
         TestCase(tuple(e["input"]), tuple(map(tuple, e["expected_outputs"]))) for e in entries
     )

@@ -10,11 +10,10 @@ reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from .errors import EmptyMutantSet, NoValidMutants, TermError
+from .errors import BranchBoundExceeded, EmptyMutantSet, NoValidMutants, TermError
 from .model_io import (
     MUTANT,
     MUTANTS,
@@ -74,11 +73,51 @@ class MutantBatch:
         return len(self.mutants)
 
 
-def _model_key(model: Model) -> str:
-    """Equal exactly when the models' files would be equal; compact, so
-    that ``json.dumps`` runs its C encoder."""
-    to_dict = sxm_to_dict if model.kind == "sxm" else psystem_to_dict
-    return json.dumps(to_dict(model), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+def _model_key(model: Model) -> tuple:
+    """A hashable key built from the frozen model parts, equal exactly when
+    the models' files would be equal.  Multisets enter by their canonical
+    text, which is what a file holds: ``{ab}`` and ``{a,b}`` both write
+    ``"ab"``.  Machines must hold case tables only."""
+    if model.kind == "sxm":
+        domain = model.memory_domain
+        if domain.kind == "set":
+            domain_key = ("set", tuple(map(_value_key, domain.values)))
+        elif domain.kind == "range":
+            domain_key = ("range", domain.low, domain.high)
+        else:
+            domain_key = ("open", tuple(map(_value_key, domain.sample)))
+        return (
+            "sxm", model.name, model.inputs, model.outputs, model.states,
+            model.initial_states, model.terminal_states, domain_key,
+            _value_key(model.initial_memory),
+            frozenset((name, fn.cases) for name, fn in model.functions.items()),
+            frozenset(model.next_state.items()),
+        )
+
+    def tree(comp):
+        return comp, tuple(map(tree, model.children(comp)))
+
+    roots = [c for c, p in model.parent.items() if p is None]
+    return (
+        "psystem", model.name, model.alphabet, tree(roots[0]) if roots else None,
+        tuple(m.canonical() for m in model.initial),
+        tuple(
+            (comp, tuple((r.name, r.lhs.canonical(), r.rhs) for r in model.rules_in(comp)))
+            for comp in model.compartments()
+        ),
+    )
+
+
+_MULTISET = object()  # tags a multiset's key apart from any sequence's
+
+
+def _value_key(v):
+    """A memory value's part of :func:`_model_key`."""
+    if isinstance(v, tuple):
+        return tuple(map(_value_key, v))
+    if isinstance(v, Multiset):
+        return (_MULTISET, v.canonical())
+    return v
 
 
 # --- machine operators --------------------------------------------------------
@@ -361,6 +400,95 @@ def _score(
     )
 
 
+# The machine fields besides the arcs and the case tables.  Some of them
+# (the name, the alphabets) do not change a run, but a mutant that changes
+# any of them is simply replayed on every case.
+_RUN_FIELDS = ("name", "inputs", "outputs", "states", "initial_states", "terminal_states",
+               "memory_domain", "initial_memory")
+
+
+def _changed_elements(spec: Sxm, model: Sxm) -> Optional[set]:
+    """What ``model`` changes of ``spec``, named as :func:`sxm.replay_reached`
+    names what a run fires: ``("arc", state, function)`` for an arc whose
+    targets changed or that was deleted, ``("case", function, index)`` for
+    a case whose output or update changed.
+
+    None when the change is not confined to those: an added arc, an added,
+    removed or non-case-table function, a changed case count, pattern or
+    input, or any field in ``_RUN_FIELDS``.  Otherwise a run of ``model``
+    equals the run of ``spec`` up to the first step that fires a changed
+    element: until then both frontiers agree, the same functions are
+    defined at the same points, and only a changed element can step
+    differently."""
+    from .sxm import CaseFunction
+
+    if any(getattr(spec, f) != getattr(model, f) for f in _RUN_FIELDS):
+        return None
+    if model.next_state.keys() - spec.next_state.keys():
+        return None
+    if model.functions.keys() != spec.functions.keys():
+        return None
+    changed = {
+        ("arc", *arc) for arc, targets in spec.next_state.items()
+        if model.next_state.get(arc) != targets
+    }
+    for name, old in spec.functions.items():
+        new = model.functions[name]
+        if new is old:
+            continue
+        if not (isinstance(old, CaseFunction) and isinstance(new, CaseFunction)):
+            return None
+        if len(new.cases) != len(old.cases):
+            return None
+        for idx, (was, now) in enumerate(zip(old.cases, new.cases)):
+            if was == now:
+                continue
+            if (was.mem_pattern, was.input) != (now.mem_pattern, now.input):
+                return None
+            changed.add(("case", name, idx))
+    return changed
+
+
+class _SpecRun:
+    """The spec's run of every suite case: its observed outputs and, for
+    each arc or case it fired, the cases whose run fired it.
+
+    When the spec's replay stops at a case (branch bound, term error),
+    ``observed`` ends there and every mutant replays that case and those
+    after it, so a mutant raises what a replay of it alone would."""
+
+    def __init__(self, spec: Sxm, suite: TestSuite, branch_bound: int):
+        from .sxm import replay_reached
+
+        self.spec, self.n_cases = spec, len(suite.cases)
+        self.observed: list = []
+        self.fired_by: Dict[tuple, list] = {}
+        try:
+            for idx, (outputs, fired) in enumerate(
+                replay_reached(spec, suite.inputs(), branch_bound)
+            ):
+                self.observed.append(outputs)
+                for element in fired:
+                    self.fired_by.setdefault(element, []).append(idx)
+        except (BranchBoundExceeded, TermError):
+            pass
+        self.failed = [
+            idx for idx, outputs in enumerate(self.observed)
+            if outputs != suite.cases[idx].expected_outputs
+        ]
+
+    def cases_to_replay(self, model: Sxm) -> set:
+        """Indexes of the cases on which ``model`` may observe other
+        outputs than the spec."""
+        changed = _changed_elements(self.spec, model)
+        if changed is None:
+            return set(range(self.n_cases))
+        replay = set(range(len(self.observed), self.n_cases))
+        for element in changed:
+            replay.update(self.fired_by.get(element, ()))
+        return replay
+
+
 def score_sxm_suite(
     spec: Sxm,
     mutants: Union[MutantBatch, Iterable[Mutant]],
@@ -369,16 +497,33 @@ def score_sxm_suite(
 ) -> ScoreReport:
     """A mutant is killed when some case's observed outputs differ from the
     expected outputs recorded in the suite; the witness is the first such
-    case in suite order.  Each case replays from the longest prefix it
-    shares with the case before it."""
+    case in suite order.
+
+    The spec is replayed once.  A mutant observes the spec's outputs on
+    every case whose spec run fired nothing the mutant changed (see
+    :func:`_changed_elements`), so only the other cases are replayed, in
+    suite order, each from the longest prefix it shares with the replayed
+    case before it.  A case the spec itself fails still kills."""
     from .sxm import replay_outputs
 
+    cases, inputs = suite.cases, suite.inputs()
+    spec_run: Optional[_SpecRun] = None
+
+    def witness(idx: int) -> str:
+        return " ".join(cases[idx].input) if cases[idx].input else "<empty input>"
+
     def kill_witness(model: Sxm) -> Optional[str]:
-        observed = replay_outputs(model, suite.inputs(), branch_bound)
-        for case, outputs in zip(suite.cases, observed):
-            if outputs != case.expected_outputs:
-                return " ".join(case.input) if case.input else "<empty input>"
-        return None
+        nonlocal spec_run
+        if spec_run is None:
+            spec_run = _SpecRun(spec, suite, branch_bound)
+        replay = spec_run.cases_to_replay(model)
+        stop = next((idx for idx in spec_run.failed if idx not in replay), len(cases))
+        order = sorted(idx for idx in replay if idx < stop)
+        observed = replay_outputs(model, [inputs[idx] for idx in order], branch_bound)
+        for idx, outputs in zip(order, observed):
+            if outputs != cases[idx].expected_outputs:
+                return witness(idx)
+        return witness(stop) if stop < len(cases) else None
 
     return _score(spec, mutants, kill_witness)
 

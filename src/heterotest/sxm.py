@@ -9,7 +9,9 @@ construction; every operation here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import (
     Callable,
     FrozenSet,
@@ -64,34 +66,101 @@ class Case:
         )
 
 
+class _CaseTable:
+    """The evaluation table of one case tuple, filled as it is asked:
+    (memory, input) -> (indexes of the matching cases, the error matching
+    stopped at, the result of the first match, the error ``evaluate``
+    raises).
+
+    Matching stops at the first case whose pattern raises; ``evaluate``
+    raises that error only when no case matched before it, as trying the
+    cases top to bottom would.
+    """
+
+    __slots__ = ("cases", "entries", "__weakref__")
+
+    def __init__(self, cases: Tuple[Case, ...]):
+        self.cases = cases
+        self.entries: dict = {}
+
+    def entry(self, memory: Value, input_symbol: str):
+        key = (memory, input_symbol)
+        found = self.entries.get(key)
+        if found is None:
+            found = self.entries[key] = self._fill(memory, input_symbol)
+        return found
+
+    def _fill(self, memory, input_symbol):
+        hits, first_env, error = [], None, None
+        for idx, case in enumerate(self.cases):
+            if case.input != input_symbol:
+                continue
+            try:
+                env = case.pattern.match(memory)
+            except TermError as exc:
+                error = exc
+                break
+            if env is not None:
+                if not hits:
+                    first_env = env
+                hits.append(idx)
+        result, failure = None, None
+        if hits:
+            case = self.cases[hits[0]]
+            try:
+                result = (case.output, case.update.evaluate(first_env))
+            except TermError as exc:
+                failure = exc
+        else:
+            failure = error
+        return tuple(hits), error, result, failure
+
+
+# Functions with equal case tuples share one table: a mutant's unchanged
+# functions, and the same function loaded from several files, fill it once.
+_TABLES: "weakref.WeakValueDictionary[Tuple[Case, ...], _CaseTable]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _table_for(cases: Tuple[Case, ...]) -> _CaseTable:
+    table = _TABLES.get(cases)
+    if table is None:
+        table = _TABLES[cases] = _CaseTable(cases)
+    return table
+
+
 class CaseFunction(ProcessingFunction):
     """A processing function given by an ordered case table.
 
     Cases are tried top to bottom; a well-formed model has at most one
     matching case for every (memory, input) pair, which ``validate_sxm``
-    checks by enumeration over the declared domain.
+    checks by enumeration over the declared domain.  Results come from the
+    evaluation table shared by every function with the same cases.
     """
 
     def __init__(self, name: str, cases: Sequence[Case]):
         self.name = name
         self.cases = tuple(cases)
+        self._table = _table_for(self.cases)
 
     def evaluate(self, memory, input_symbol):
-        for case in self.cases:
-            if case.input != input_symbol:
-                continue
-            env = case.pattern.match(memory)
-            if env is None:
-                continue
-            return case.output, case.update.evaluate(env)
-        return None
+        _, _, result, failure = self._table.entry(memory, input_symbol)
+        if failure is not None:
+            raise failure.with_traceback(None)
+        return result
 
     def matching_cases(self, memory: Value, input_symbol: str) -> list[int]:
-        hits = []
-        for idx, case in enumerate(self.cases):
-            if case.input == input_symbol and case.pattern.match(memory) is not None:
-                hits.append(idx)
-        return hits
+        hits, error, _, _ = self._table.entry(memory, input_symbol)
+        if error is not None:
+            raise error.with_traceback(None)
+        return list(hits)
+
+    def fired_case(self, memory: Value, input_symbol: str) -> Optional[int]:
+        """The index of the case ``evaluate`` applies, or None where the
+        function is undefined."""
+        hits, _, result, _ = self._table.entry(memory, input_symbol)
+        return hits[0] if result is not None else None
 
     def __repr__(self):
         return f"CaseFunction({self.name!r}, {len(self.cases)} cases)"
@@ -156,6 +225,15 @@ class Sxm:
 
     def memory_values(self) -> Tuple[Tuple[Value, ...], bool]:
         return self.memory_domain.enumerate()
+
+    @cached_property
+    def arcs_by_state(self) -> Mapping[str, Tuple[Tuple[str, Tuple[str, ...]], ...]]:
+        """The (function name, targets) of each source state's arcs, in
+        ``next_state`` order."""
+        arcs: dict = {}
+        for (q, fn_name), targets in self.next_state.items():
+            arcs.setdefault(q, []).append((fn_name, targets))
+        return {q: tuple(out) for q, out in arcs.items()}
 
 
 @dataclass(frozen=True)
@@ -251,12 +329,10 @@ def validate_sxm(model: Sxm) -> list[Violation]:
     """Check every structural invariant; an empty report means valid."""
     out = structure_violations(model)
     domain = model.memory_domain
-
-    for name in sorted(model.functions):
-        fn = model.functions[name]
-        if not isinstance(fn, CaseFunction):
-            continue
-        for idx, case in enumerate(fn.cases):
+    tables = [(name, fn.cases) for name, fn in sorted(model.functions.items())
+              if isinstance(fn, CaseFunction)]
+    for name, cases in tables:
+        for idx, case in enumerate(cases):
             where = f"functions[{name}].cases[{idx}]"
             if case.input not in model.inputs:
                 out.append(Violation(where, f"input {case.input!r} not in the input alphabet"))
@@ -275,46 +351,54 @@ def validate_sxm(model: Sxm) -> list[Violation]:
             out.append(Violation("memory_domain", f"not a value: {v!r}"))
             return out
 
-    for name in sorted(model.functions):
-        fn = model.functions[name]
-        if not isinstance(fn, CaseFunction):
-            continue
-        overlap_reported = set()
-        for m in values:
-            for sym in sorted(model.inputs):
-                try:
-                    hits = fn.matching_cases(m, sym)
-                except TermError as exc:
-                    out.append(Violation(f"functions[{name}]", f"pattern error: {exc}"))
-                    hits = []
-                if len(hits) > 1:
-                    pair = (hits[0], hits[1])
-                    if pair not in overlap_reported:
-                        overlap_reported.add(pair)
-                        out.append(
-                            Violation(
-                                f"functions[{name}]",
-                                f"cases {pair[0]} and {pair[1]} overlap at "
-                                f"memory {render(m)}, input {sym!r}",
-                            )
-                        )
-                if hits and domain.kind != "open":
-                    try:
-                        result = fn.evaluate(m, sym)
-                    except TermError as exc:
-                        out.append(
-                            Violation(f"functions[{name}]", f"update error at {render(m)}: {exc}")
-                        )
-                        continue
-                    if result is not None and domain.contains(result[1]) is False:
-                        out.append(
-                            Violation(
-                                f"functions[{name}]",
-                                f"update at memory {render(m)}, input {sym!r} leaves the "
-                                f"declared domain ({render(result[1])})",
-                            )
-                        )
+    for name, cases in tables:
+        out.extend(_domain_violations(name, cases, domain, model.inputs))
     return out
+
+
+# The checks over the memory domain depend on nothing but these arguments,
+# and a mutant shares all but at most one function with its specification.
+@lru_cache(maxsize=4096)
+def _domain_violations(name, cases, domain, inputs) -> Tuple[Violation, ...]:
+    fn = CaseFunction(name, cases)
+    values, _ = domain.enumerate()
+    out = []
+    overlap_reported = set()
+    for m in values:
+        for sym in sorted(inputs):
+            try:
+                hits = fn.matching_cases(m, sym)
+            except TermError as exc:
+                out.append(Violation(f"functions[{name}]", f"pattern error: {exc}"))
+                hits = []
+            if len(hits) > 1:
+                pair = (hits[0], hits[1])
+                if pair not in overlap_reported:
+                    overlap_reported.add(pair)
+                    out.append(
+                        Violation(
+                            f"functions[{name}]",
+                            f"cases {pair[0]} and {pair[1]} overlap at "
+                            f"memory {render(m)}, input {sym!r}",
+                        )
+                    )
+            if hits and domain.kind != "open":
+                try:
+                    result = fn.evaluate(m, sym)
+                except TermError as exc:
+                    out.append(
+                        Violation(f"functions[{name}]", f"update error at {render(m)}: {exc}")
+                    )
+                    continue
+                if result is not None and domain.contains(result[1]) is False:
+                    out.append(
+                        Violation(
+                            f"functions[{name}]",
+                            f"update at memory {render(m)}, input {sym!r} leaves the "
+                            f"declared domain ({render(result[1])})",
+                        )
+                    )
+    return tuple(out)
 
 
 def sxm_step(model: Sxm, cfg: SxmConfiguration) -> list[SxmConfiguration]:
@@ -326,19 +410,10 @@ def sxm_step(model: Sxm, cfg: SxmConfiguration) -> list[SxmConfiguration]:
     if not cfg.remaining_input:
         return []
     head, rest = cfg.remaining_input[0], cfg.remaining_input[1:]
-    successors = []
-    for (q, fn_name), targets in model.next_state.items():
-        if q != cfg.state:
-            continue
-        result = model.functions[fn_name].evaluate(cfg.memory, head)
-        if result is None:
-            continue
-        output, new_memory = result
-        for target in targets:
-            successors.append(
-                SxmConfiguration(new_memory, target, rest, cfg.output_so_far + (output,))
-            )
-    return sorted(set(successors), key=SxmConfiguration.key)
+    return [
+        SxmConfiguration(succ.memory, succ.state, rest, succ.output_so_far)
+        for succ in _layer(model, (cfg,), head, None)
+    ]
 
 
 def replay_sequences(
@@ -378,15 +453,41 @@ class _Overflow(Exception):
         self.frontier = frontier
 
 
+def _layer(model: Sxm, frontier, symbol: str, fired: Optional[set]):
+    """Every configuration one step from ``frontier`` on ``symbol``, with
+    no remaining input, deduplicated and sorted.  With ``fired``, adds
+    ``("arc", state, function)`` for each arc applied and ``("case",
+    function, case index)`` for each case of a case table applied."""
+    functions, arcs = model.functions, model.arcs_by_state
+    successors = set()
+    for cfg in frontier:
+        for fn_name, targets in arcs.get(cfg.state, ()):
+            fn = functions[fn_name]
+            result = fn.evaluate(cfg.memory, symbol)
+            if result is None:
+                continue
+            if fired is not None:
+                fired.add(("arc", cfg.state, fn_name))
+                if isinstance(fn, CaseFunction):
+                    fired.add(("case", fn_name, fn.fired_case(cfg.memory, symbol)))
+            output, memory = result
+            produced = cfg.output_so_far + (output,)
+            for target in targets:
+                successors.add(SxmConfiguration(memory, target, (), produced))
+    return tuple(sorted(successors, key=SxmConfiguration.key))
+
+
 def _replay_frontiers(
-    model: Sxm, sequences: Iterable[Sequence[str]], branch_bound: int
-) -> Iterator[Tuple[SxmConfiguration, ...]]:
+    model: Sxm, sequences: Iterable[Sequence[str]], branch_bound: int, reach: bool = False
+) -> Iterator:
     """The final frontier of each input sequence, in order.
 
     A frontier holds every configuration reached after a prefix, with no
-    remaining input; each layer steps with :func:`sxm_step`.  A layer wider
-    than ``branch_bound`` raises :class:`BranchBoundExceeded` carrying that
-    layer's frontier, completed with the rest of the sequence being run.
+    remaining input; each layer is one :func:`_layer` step.  A layer
+    wider than ``branch_bound`` raises :class:`BranchBoundExceeded` carrying
+    that layer's frontier, completed with the rest of the sequence being
+    run.  With ``reach``, each frontier is paired with the frozenset of
+    arcs and cases fired on the way to it (see :func:`_layer`).
     """
     if branch_bound < 1:
         raise ValueError("branch_bound must be >= 1")
@@ -396,23 +497,27 @@ def _replay_frontiers(
             raise _Overflow(frontier)
         return frontier
 
-    def advance(frontier, symbol):
-        successors = set()
-        for cfg in frontier:
-            fed = SxmConfiguration(cfg.memory, cfg.state, (symbol,), cfg.output_so_far)
-            successors.update(sxm_step(model, fed))
-        return bounded(tuple(sorted(successors, key=SxmConfiguration.key)))
-
     start = tuple(
         SxmConfiguration(model.initial_memory, q, (), ()) for q in sorted(model.initial_states)
     )
+    if reach:
+        def advance(node, symbol):
+            fired = set(node[1])
+            return bounded(_layer(model, node[0], symbol, fired)), frozenset(fired)
+
+        root = (start, frozenset())
+    else:
+        def advance(frontier, symbol):
+            return bounded(_layer(model, frontier, symbol, None))
+
+        root = start
     sequences = [tuple(seq) for seq in sequences]
     done = 0
     try:
         if sequences:
             bounded(start)
-        for frontier in replay_sequences(sequences, start, advance):
-            yield frontier
+        for node in replay_sequences(sequences, root, advance):
+            yield node
             done += 1
     except _Overflow as overflow:
         stream = sequences[done]
@@ -427,6 +532,12 @@ def _replay_frontiers(
         ) from None
 
 
+def _final_outputs(model: Sxm, frontier) -> Tuple[Tuple[str, ...], ...]:
+    return tuple(
+        sorted({cfg.output_so_far for cfg in frontier if cfg.state in model.terminal_states})
+    )
+
+
 def replay_outputs(
     model: Sxm,
     sequences: Iterable[Sequence[str]],
@@ -435,9 +546,20 @@ def replay_outputs(
     """Yield :func:`run_outputs` of each input sequence, in order, sharing
     the work of common prefixes between consecutive sequences."""
     for frontier in _replay_frontiers(model, sequences, branch_bound):
-        yield tuple(
-            sorted({cfg.output_so_far for cfg in frontier if cfg.state in model.terminal_states})
-        )
+        yield _final_outputs(model, frontier)
+
+
+def replay_reached(
+    model: Sxm,
+    sequences: Iterable[Sequence[str]],
+    branch_bound: int = DEFAULT_BRANCH_BOUND,
+) -> Iterator[Tuple[Tuple[Tuple[str, ...], ...], FrozenSet[tuple]]]:
+    """Yield, for each input sequence in order, its :func:`run_outputs`
+    and what its run fired on any branch: ``("arc", state, function)``
+    for every arc applied and ``("case", function, case index)`` for every
+    case of a case table applied."""
+    for frontier, fired in _replay_frontiers(model, sequences, branch_bound, reach=True):
+        yield _final_outputs(model, frontier), fired
 
 
 def sxm_run(

@@ -23,6 +23,7 @@ negative elements in parentheses (``[?x (-1)]``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .errors import TermError
@@ -267,12 +268,12 @@ class Pattern:
     source: str
 
     def match(self, value: Value) -> Optional[Dict[str, Value]]:
+        # A successful node match binds every variable of the node, and
+        # parse_pattern rejects guards over any other variable.
         env: Dict[str, Value] = {}
         if not self.node.match(value, env):
             return None
         for guard in self.guards:
-            if guard.variables() - env.keys():
-                raise TermError(f"guard in {self.source!r} uses unbound variables")
             if not guard.holds(env):
                 return None
         return env
@@ -397,6 +398,10 @@ class _Parser:
         return Guard(left, op, self.expr())
 
 
+# Parsed terms are immutable, so each source text is parsed once and its
+# result shared: a model file and its mutants repeat the same case strings.
+# A text that fails to parse is not cached and raises again.
+@lru_cache(maxsize=4096)
 def parse_pattern(text: str) -> Pattern:
     p = _Parser(text)
     node = p.pattern()
@@ -416,6 +421,7 @@ def parse_pattern(text: str) -> Pattern:
     return Pattern(node, tuple(guards), text)
 
 
+@lru_cache(maxsize=4096)
 def parse_expr(text: str) -> Expr:
     p = _Parser(text)
     node = p.expr()

@@ -350,6 +350,28 @@ def test_machine_commands_reject_model_validate_rejects(models_dir, tmp_path, ca
     )
 
 
+def test_score_reports_a_hand_edited_invalid_mutant(models_dir, tmp_path, capsys):
+    # the per-mutant gate now reuses the spec's memoised function checks;
+    # its report must read as the full validation's did
+    spec = str(models_dir / "counter_testable.json")
+    suite, mutants = str(tmp_path / "suite.json"), tmp_path / "mutants.json"
+    assert main(["gen-tests", "sxm", spec, "-o", suite]) == 0
+    assert main(["mutate", spec, "-o", str(mutants)]) == 0
+    doc = json.loads(mutants.read_text(encoding="utf-8"))
+    cases = doc["mutants"][1]["model"]["functions"][0]["cases"]
+    cases[0]["output"] = "zzz"
+    cases[1]["mem_next"] = "?m + 7"
+    mutants.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["score", spec, "--mutants", str(mutants), "--suite", suite]) == 1
+    assert capsys.readouterr().err == (
+        "error: mutant case-output-swap:functions[inc].cases[1].output=z model has "
+        "2 violation(s)\n"
+        "  functions[inc].cases[0]: output 'zzz' not in the output alphabet\n"
+        "  functions[inc]: update at memory 3, input 'i' leaves the declared domain (10)\n"
+    )
+
+
 def test_psystem_commands_reject_rhs_target_outside_the_membranes(models_dir, tmp_path, capsys):
     spec = str(models_dir / "ps2.json")
     testset, mutants = str(tmp_path / "testset.json"), str(tmp_path / "mutants.json")

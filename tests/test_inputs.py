@@ -110,6 +110,21 @@ def test_score_rejects_mutant_validate_rejects(work, capsys):
     _exits(1, _score_sxm(work), "unknown function", work, capsys)
 
 
+@pytest.mark.parametrize("field", ["invalid", "duplicates"])
+def test_mutants_file_counts_are_natural(work, capsys, field):
+    # a negative count was once copied into the score artifact
+    _edit(work / "sxm_mutants.json", lambda d: d.update({field: -5}))
+    _exits(3, _score_sxm(work), f"{field} must be a non-negative integer", work, capsys)
+
+
+def test_score_rejects_suite_input_outside_the_alphabet(work, capsys):
+    # scored as if every mutant were killed, with witness "nope", before
+    _edit(work / "suite.json", lambda d: d["cases"][3].update(input=["i", "nope"]))
+    _exits(3, _score_sxm(work),
+           "suite.cases[3]: input 'nope' is not in the input alphabet of counter_testable",
+           work, capsys)
+
+
 def test_heterotic_commands_validate_parts_before_wrapping(work, capsys):
     _edit(work / "ps2.json", lambda d: d["rules"]["1"][2]["rhs"].__setitem__(1, ["a", 5]))
     model = str(work / "ps2_heterotic.json")

@@ -69,6 +69,31 @@ def test_guard_unbound_variable_rejected():
         parse_pattern("?m where ?q < 3")
 
 
+@pytest.mark.parametrize("text", [
+    "_ where ?x == 1",
+    "[?a ?b] where ?a < ?c",
+    "?m where ?m < 3, ?z > 1",
+    "7 where ?m + 1 > 0",
+])
+def test_unbound_guards_are_rejected_at_parse_time(text):
+    # Pattern.match does not check guard variables: a successful node match
+    # binds every variable the node has, and parsing admits no other
+    with pytest.raises(TermError, match="guard uses unbound variables"):
+        parse_pattern(text)
+
+
+def test_guards_over_sequence_variables_match():
+    p = parse_pattern("[?a [?b _]] where ?a < ?b, ?b != 9")
+    assert p.match((1, (2, "x"))) == {"a": 1, "b": 2}
+    assert p.match((2, (1, "x"))) is None
+    assert p.match((1, (9, "x"))) is None
+
+
+def test_parsed_terms_are_shared_by_source_text():
+    assert parse_pattern("?m where ?m < 3") is parse_pattern("?m where ?m < 3")
+    assert parse_expr("(?m + 1) % 4") is parse_expr("(?m + 1) % 4")
+
+
 def test_expr_arithmetic():
     e = parse_expr("(?m + 1) * 2 % 5")
     assert e.evaluate({"m": 3}) == 3
