@@ -359,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=_int_at_least(1), default=1, help="heterotic systems only")
     p.add_argument("--oracle-cmd", type=_command, default=None,
                    help="external oracle command (heterotic systems only)")
-    p.add_argument("--oracle-timeout-ms", type=int, default=10_000)
-    p.add_argument("--oracle-retries", type=int, default=0)
+    p.add_argument("--oracle-timeout-ms", type=_int_at_least(1), default=10_000)
+    p.add_argument("--oracle-retries", type=_int_at_least(0), default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_simulate)
 

@@ -33,6 +33,7 @@ from .sxm import (
     Sxm,
     associated_automaton,
     structure_violations,
+    table_for,
 )
 from .terms import Expr, Pattern, parse_expr, parse_pattern
 from .testgen import TestSuite, build_w_suite
@@ -91,37 +92,37 @@ class CsxmCase:
             out_expr=parse_expr(out_port) if out_port is not None else None,
         )
 
+    def bind(self, memory: Value, input_symbol: str, in_port: Value):
+        env = self.pattern.match(memory)
+        port_env = None if env is None else self.port_pat.match(in_port)
+        return None if port_env is None else {**env, **port_env}
+
+    def apply(self, env) -> CsxmResult:
+        # the out-port expression is evaluated before the update
+        out_value = self.out_expr.evaluate(env) if self.out_expr is not None else None
+        return CsxmResult(
+            memory=self.update.evaluate(env),
+            output=self.output,
+            set_out_port=self.out_expr is not None,
+            out_port=out_value,
+            send_to=self.send_to,
+        )
+
 
 class CsxmCaseFunction(CsxmFunction):
     """Case-table implementation; memory and port patterns bind separate
-    variable sets and the guards of each pattern see only its own."""
+    variable sets and the guards of each pattern see only its own.  Results
+    come from the evaluation table shared by every function with the same
+    cases, keyed by (memory, input, in-port)."""
 
     def __init__(self, name: str, kind: str, cases: Sequence[CsxmCase]):
         self.name = name
         self.kind = kind
         self.cases = tuple(cases)
+        self._table = table_for(self.cases)
 
     def evaluate(self, input_symbol, in_port, memory):
-        for case in self.cases:
-            if case.input != input_symbol:
-                continue
-            env = case.pattern.match(memory)
-            if env is None:
-                continue
-            port_env = case.port_pat.match(in_port)
-            if port_env is None:
-                continue
-            merged = dict(env)
-            merged.update(port_env)
-            out_value = case.out_expr.evaluate(merged) if case.out_expr is not None else None
-            return CsxmResult(
-                memory=case.update.evaluate(merged),
-                output=case.output,
-                set_out_port=case.out_expr is not None,
-                out_port=out_value,
-                send_to=case.send_to,
-            )
-        return None
+        return self._table.evaluate(memory, input_symbol, in_port)
 
     def __repr__(self):
         return f"CsxmCaseFunction({self.name!r}, {self.kind}, {len(self.cases)} cases)"

@@ -43,7 +43,7 @@ from .psystem import (
     config_canonical,
     is_halting,
     seeded_chooser,
-    step_choices,
+    seeded_trace,
 )
 from .sxm import MemoryDomain
 from .testgen import TestSuite
@@ -77,19 +77,13 @@ def simulate_to_halt(
     Returns (final, steps, visited configurations).  Raises
     :class:`DepthCapExceeded` when no halt is reached within the cap.
     """
-    cfg = start
-    visited = [cfg]
-    choose = seeded_chooser(seed)
-    for steps in range(depth_cap + 1):
-        if is_halting(ps, cfg):
-            return cfg, steps, tuple(visited)
-        choices = step_choices(ps, cfg)
-        cfg = choices[choose(cfg, len(choices))][1]
-        visited.append(cfg)
-    raise DepthCapExceeded(
-        f"{ps.name} did not halt within {depth_cap} steps from "
-        f"{'|'.join(config_canonical(start))}"
-    )
+    trace = seeded_trace(ps, start, seeded_chooser(seed), depth_cap)
+    if not trace.halted:
+        raise DepthCapExceeded(
+            f"{ps.name} did not halt within {depth_cap} steps from "
+            f"{'|'.join(config_canonical(start))}"
+        )
+    return trace.final, len(trace.steps), trace.configurations()
 
 
 class AdvanceFunction(CsxmFunction):
@@ -101,7 +95,6 @@ class AdvanceFunction(CsxmFunction):
     def __init__(self, ps: PSystem, seed: int):
         self.name = ADVANCE
         self.ps = ps
-        self.seed = seed
         self.choose = seeded_chooser(seed)
 
     def evaluate(self, input_symbol, in_port, memory):
@@ -109,11 +102,7 @@ class AdvanceFunction(CsxmFunction):
             return None
         if not is_config_for(self.ps, memory):
             return None
-        cfg = tuple(memory)
-        if is_halting(self.ps, cfg):
-            return CsxmResult(memory=memory, output="ran")
-        choices = step_choices(self.ps, cfg)
-        successor = choices[self.choose(cfg, len(choices))][1]
+        successor = seeded_trace(self.ps, tuple(memory), self.choose, 1).final
         return CsxmResult(memory=config_value(successor), output="ran")
 
 
@@ -172,8 +161,6 @@ def wrap_psystem_as_csxm(
     seed: int = 0,
     initial_configs: Sequence[PConfiguration] = (),
     branch_mode: str = "seeded",
-    target_index: int = 2,
-    name: str = "base",
 ) -> Csxm:
     """Wrap a P system as a communicating component.
 
@@ -213,7 +200,7 @@ def wrap_psystem_as_csxm(
         ADVANCE: AdvanceFunction(ps, seed),
         EMIT: EmitFunction(ps),
         LOAD: LoadFunction(ps),
-        SEND: SendFunction(target_index),
+        SEND: SendFunction(2),
     }
     states = {RUNNING, SENDING, WAITING}
     next_state: Dict[Tuple[str, str], Tuple[str, ...]] = {
@@ -229,7 +216,7 @@ def wrap_psystem_as_csxm(
         next_state[(FORKING, EMIT)] = (SENDING,)
 
     return Csxm(
-        name=name,
+        name="base",
         inputs=frozenset(BASE_INPUTS),
         outputs=frozenset({"ran", "put", "got"}),
         states=frozenset(states),

@@ -358,8 +358,10 @@ def step_choices(
 
 
 def seeded_chooser(seed: int) -> Callable[[PConfiguration, int], int]:
-    """:func:`seeded_choice_index` with ``seed`` bound, made once per run
-    so that a seeded loop imports the hash module once, not per step."""
+    """A stable pseudo-random branch pick, a pure function of (``seed``,
+    configuration): ``choose(cfg, n_choices)`` is an index below
+    ``n_choices``.  Made once per run, so that a seeded run imports the
+    hash module once, not per step."""
     import hashlib
 
     sha256, prefix = hashlib.sha256, f"{seed}|"
@@ -371,9 +373,28 @@ def seeded_chooser(seed: int) -> Callable[[PConfiguration, int], int]:
     return choose
 
 
-def seeded_choice_index(seed: int, cfg: PConfiguration, n_choices: int) -> int:
-    """Stable pseudo-random branch pick, a pure function of (seed, cfg)."""
-    return seeded_chooser(seed)(cfg, n_choices)
+def seeded_trace(
+    ps: PSystem,
+    start: PConfiguration,
+    choose: Callable[[PConfiguration, int], int],
+    depth: int,
+    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
+) -> ComputationTrace:
+    """The single computation from ``start`` that takes, at each step, the
+    choice ``choose`` picks among the :func:`step_choices`, until the
+    configuration halts or ``depth`` steps are taken.
+
+    The configuration reached at ``depth`` is not expanded: only whether it
+    halts is checked.
+    """
+    cfg, steps = start, []
+    for _ in range(depth):
+        choices = step_choices(ps, cfg, assignment_cap)
+        if not choices:
+            return ComputationTrace(start, tuple(steps), halted=True)
+        assignment, cfg = choices[choose(cfg, len(choices))]
+        steps.append(TraceStep(assignment, cfg))
+    return ComputationTrace(start, tuple(steps), halted=is_halting(ps, cfg))
 
 
 @dataclass(frozen=True)
@@ -547,8 +568,8 @@ def psystem_run(
 
     ``mode="all"`` follows every maximal assignment at every step up to
     ``depth`` (halting configurations terminate branches early), through
-    :func:`explore`; ``mode="seeded"`` follows the single branch picked by
-    :func:`seeded_choice_index`.  Traces are sorted canonically.
+    :func:`explore`; ``mode="seeded"`` is the one :func:`seeded_trace` of
+    ``seed``.  Traces are sorted canonically.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -557,26 +578,7 @@ def psystem_run(
     if mode == "all":
         return explore(ps, depth, assignment_cap, branch_cap).traces()
 
-    choose = seeded_chooser(seed)
-    done: list[ComputationTrace] = []
-    active: list[Tuple[PConfiguration, Tuple[TraceStep, ...]]] = [(ps.initial, ())]
-    for _ in range(depth):
-        if not active:
-            break
-        next_active: list[Tuple[PConfiguration, Tuple[TraceStep, ...]]] = []
-        for cfg, steps in active:
-            choices = step_choices(ps, cfg, assignment_cap)
-            if not choices:
-                done.append(ComputationTrace(ps.initial, steps, halted=True))
-                continue
-            assignment, successor = choices[choose(cfg, len(choices))]
-            next_active.append((successor, steps + (TraceStep(assignment, successor),)))
-        if len(next_active) > branch_cap:
-            raise ExplosionBoundExceeded(f"more than {branch_cap} simultaneous branches")
-        active = next_active
-    for cfg, steps in active:
-        done.append(ComputationTrace(ps.initial, steps, halted=is_halting(ps, cfg)))
-    return sorted(done, key=ComputationTrace.key)
+    return [seeded_trace(ps, ps.initial, seeded_chooser(seed), depth, assignment_cap)]
 
 
 def replay_trace(

@@ -65,38 +65,53 @@ class Case:
             update=parse_expr(mem_next),
         )
 
+    def bind(self, memory: Value, input_symbol: str):
+        return self.pattern.match(memory)
+
+    def apply(self, env) -> Tuple[str, Value]:
+        return self.output, self.update.evaluate(env)
+
 
 class _CaseTable:
     """The evaluation table of one case tuple, filled as it is asked:
-    (memory, input) -> (indexes of the matching cases, the error matching
-    stopped at, the result of the first match, the error ``evaluate``
-    raises).
+    key -> (indexes of the matching cases, the error matching stopped at,
+    the result of the first match, the error ``evaluate`` raises).
 
-    Matching stops at the first case whose pattern raises; ``evaluate``
-    raises that error only when no case matched before it, as trying the
-    cases top to bottom would.
+    A key is what the cases ``bind``: (memory, input) for :class:`Case`,
+    (memory, input, in-port) for a communicating machine's case.  A case
+    binds a key with its own input to None or an environment, or raises
+    :class:`TermError`; ``apply`` turns the first match's environment into
+    the result.  Matching stops at the first case whose
+    binding raises; ``evaluate`` raises that error only when no case
+    matched before it, as trying the cases top to bottom would.
     """
 
     __slots__ = ("cases", "entries", "__weakref__")
 
-    def __init__(self, cases: Tuple[Case, ...]):
+    def __init__(self, cases: tuple):
         self.cases = cases
         self.entries: dict = {}
 
-    def entry(self, memory: Value, input_symbol: str):
-        key = (memory, input_symbol)
+    def entry(self, *key):
         found = self.entries.get(key)
         if found is None:
-            found = self.entries[key] = self._fill(memory, input_symbol)
+            found = self.entries[key] = self._fill(key)
         return found
 
-    def _fill(self, memory, input_symbol):
+    def evaluate(self, *key):
+        _, _, result, failure = self.entry(*key)
+        if failure is not None:
+            raise failure.with_traceback(None)
+        return result
+
+    def _fill(self, key):
+        input_symbol = key[1]
         hits, first_env, error = [], None, None
         for idx, case in enumerate(self.cases):
             if case.input != input_symbol:
                 continue
             try:
-                env = case.pattern.match(memory)
+                env = case.bind(*key)
             except TermError as exc:
                 error = exc
                 break
@@ -106,9 +121,8 @@ class _CaseTable:
                 hits.append(idx)
         result, failure = None, None
         if hits:
-            case = self.cases[hits[0]]
             try:
-                result = (case.output, case.update.evaluate(first_env))
+                result = self.cases[hits[0]].apply(first_env)
             except TermError as exc:
                 failure = exc
         else:
@@ -118,12 +132,10 @@ class _CaseTable:
 
 # Functions with equal case tuples share one table: a mutant's unchanged
 # functions, and the same function loaded from several files, fill it once.
-_TABLES: "weakref.WeakValueDictionary[Tuple[Case, ...], _CaseTable]" = (
-    weakref.WeakValueDictionary()
-)
+_TABLES: "weakref.WeakValueDictionary[tuple, _CaseTable]" = weakref.WeakValueDictionary()
 
 
-def _table_for(cases: Tuple[Case, ...]) -> _CaseTable:
+def table_for(cases: tuple) -> _CaseTable:
     table = _TABLES.get(cases)
     if table is None:
         table = _TABLES[cases] = _CaseTable(cases)
@@ -142,13 +154,10 @@ class CaseFunction(ProcessingFunction):
     def __init__(self, name: str, cases: Sequence[Case]):
         self.name = name
         self.cases = tuple(cases)
-        self._table = _table_for(self.cases)
+        self._table = table_for(self.cases)
 
     def evaluate(self, memory, input_symbol):
-        _, _, result, failure = self._table.entry(memory, input_symbol)
-        if failure is not None:
-            raise failure.with_traceback(None)
-        return result
+        return self._table.evaluate(memory, input_symbol)
 
     def matching_cases(self, memory: Value, input_symbol: str) -> list[int]:
         hits, error, _, _ = self._table.entry(memory, input_symbol)
@@ -261,6 +270,11 @@ class Automaton:
 
     def labels(self) -> Tuple[str, ...]:
         return tuple(sorted({label for _, label, _ in self.arcs}))
+
+    @cached_property
+    def transitions(self) -> Mapping[Tuple[str, str], str]:
+        """(state, label) -> target; a deterministic automaton's arcs."""
+        return {(src, label): dst for src, label, dst in self.arcs}
 
     def is_deterministic(self) -> bool:
         if len(self.initial) != 1:

@@ -48,10 +48,6 @@ def _require_deterministic(a: Automaton) -> None:
         )
 
 
-def _transitions(a: Automaton) -> Dict[Tuple[str, str], str]:
-    return {(src, label): dst for src, label, dst in a.arcs}
-
-
 def reachable_states(a: Automaton) -> FrozenSet[str]:
     seen = set(a.initial)
     queue = deque(sorted(a.initial))
@@ -84,7 +80,7 @@ def minimize_automaton(a: Automaton) -> Automaton:
     _require_deterministic(a)
     a = prune_unreachable(a)
     labels = a.labels()
-    trans = _transitions(a)
+    trans = a.transitions
 
     # Moore-style refinement; undefined transitions are part of the signature
     # because a missing arc is observable (the machine stops producing output).
@@ -165,7 +161,7 @@ def state_cover(a: Automaton) -> set:
 def _cover_map(a: Automaton) -> Dict[str, PhiSequence]:
     initial = next(iter(a.initial))
     labels = a.labels()
-    trans = _transitions(a)
+    trans = a.transitions
     cover: Dict[str, PhiSequence] = {initial: ()}
     queue = deque([initial])
     while queue:
@@ -178,10 +174,10 @@ def _cover_map(a: Automaton) -> Dict[str, PhiSequence]:
     return cover
 
 
-def _walk(trans: Dict[Tuple[str, str], str], start: str, seq: PhiSequence) -> Optional[str]:
+def _walk(a: Automaton, start: str, seq: PhiSequence) -> Optional[str]:
     q = start
     for label in seq:
-        q = trans.get((q, label))
+        q = a.transitions.get((q, label))
         if q is None:
             return None
     return q
@@ -191,24 +187,19 @@ def separates(a: Automaton, u: str, v: str, seq: PhiSequence) -> bool:
     """True when ``seq`` observably distinguishes states u and v: the walk
     is defined from exactly one of them, or it ends with different
     acceptance."""
-    return _separates(_transitions(a), a.terminal, u, v, seq)
-
-
-def _separates(
-    trans: Dict[Tuple[str, str], str], terminal: FrozenSet[str], u: str, v: str, seq: PhiSequence
-) -> bool:
-    pu = _walk(trans, u, seq)
-    pv = _walk(trans, v, seq)
+    pu = _walk(a, u, seq)
+    pv = _walk(a, v, seq)
     if (pu is None) != (pv is None):
         return True
     if pu is None:
         return False
-    return (pu in terminal) != (pv in terminal)
+    return (pu in a.terminal) != (pv in a.terminal)
 
 
 def _shortest_separator(
-    a: Automaton, trans: Dict[Tuple[str, str], str], labels: Tuple[str, ...], u: str, v: str
+    a: Automaton, labels: Tuple[str, ...], u: str, v: str
 ) -> Optional[PhiSequence]:
+    trans = a.transitions
     seen = {frozenset((u, v))}
     queue = deque([(u, v, ())])
     while queue:
@@ -241,17 +232,16 @@ def characterization_set(a: Automaton) -> set:
     if len(states) == 1:
         return {()}
     pairs = [(u, v) for i, u in enumerate(states) for v in states[i + 1 :]]
-    trans = _transitions(a)
     labels = a.labels()
     shortest: Dict[tuple, PhiSequence] = {}
     for u, v in pairs:
-        sep = _shortest_separator(a, trans, labels, u, v)
+        sep = _shortest_separator(a, labels, u, v)
         if sep is None:
             raise NotMinimalError(f"states {u} and {v} are not separable", (u, v))
         shortest[(u, v)] = sep
     w: set = set()
     for u, v in sorted(pairs, key=lambda p: (len(shortest[p]), shortest[p])):
-        if not any(_separates(trans, a.terminal, u, v, seq) for seq in w):
+        if not any(separates(a, u, v, seq) for seq in w):
             w.add(shortest[(u, v)])
     return w
 

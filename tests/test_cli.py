@@ -457,3 +457,36 @@ def test_all_branches_past_the_branch_cap_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: more than 10000 simultaneous branches\n"
     assert not out_file.exists()
+
+
+# sha256 of the ``-o`` artifact and of the text stdout of the seeded run,
+# the heterotic driver and the design-for-test report, measured before the
+# seeded step and the communicating case tables were given one
+# implementation each.
+@pytest.mark.parametrize("args, artifact, stdout", [
+    (["simulate", "BRANCHING", "--depth", "4", "--seed", "0"],
+     "9c117bc52d1cbe1f77b83e9436053c2441beeff0c7e7dfc06a3162a225398ce1",
+     "de3b7ed32ec6287b475526059d51518c0195a9484ea33c4fff137f403709942c"),
+    (["simulate", "BRANCHING", "--depth", "4", "--seed", "1"],
+     "41cb6186475d113b810abf4592e6aaf7def5634cf96683a8dc75eebd725c7e2b",
+     "c1934d7eed9568110de1cf1086f274d55563c02445f15a5c288f079e43c021ed"),
+    (["simulate", "BRANCHING", "--depth", "4", "--seed", "2"],
+     "9522fe578b2e87327830400223bbcdf5e175c86f11c0682c72153ac51bb103ef",
+     "39b77fbea79966d84ea66ffe241eebf5995f054219ed5e593b541c5ca4faab1c"),
+    (["simulate", "ps2_heterotic.json", "--rounds", "2"],
+     "1b703ea18500c123471a4baf5d2b31546b873f855eb6b2d2d405bddc8af8bcd9",
+     "172d85f732169c7e3b9dc2f0fc9e6a29db14957be5e788d2aa6d09f408a635b5"),
+    (["validate", "--dft", "ps2_heterotic.json"],
+     "b2dd9520c3f4b68f08acec02c0bb7fdb6086f96b0c46a6bde8479a4fd31d7dd7",
+     "abadd2be2a5cd919c86c47bac1e1064ff15f703f18eb1ae28a31598b9abce281"),
+])
+def test_seeded_and_heterotic_outputs_pinned(models_dir, tmp_path, capsys, args, artifact, stdout):
+    model = tmp_path / "branch2_1.json"
+    model.write_text(json.dumps(BRANCHING))
+    args = [str(model) if a == "BRANCHING" else str(models_dir / a) if a.endswith(".json") else a
+            for a in args]
+    out_file = tmp_path / "artifact.json"
+    assert main(args + ["-o", str(out_file)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == artifact
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout

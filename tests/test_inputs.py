@@ -207,6 +207,8 @@ def test_csxm_structure_checked_wherever_a_csxm_is_read(work, capsys, change, me
     ["gen-tests", "psystem", "ps2.json", "--depth", "0"],
     ["mutate", "ps2.json", "--count", "0"],
     ["simulate", "ps2_heterotic.json", "--rounds", "0"],
+    ["simulate", "ps2_heterotic.json", "--oracle-cmd", "true", "--oracle-retries", "-1"],
+    ["simulate", "ps2_heterotic.json", "--oracle-cmd", "true", "--oracle-timeout-ms", "0"],
 ])
 def test_out_of_range_flags_are_usage_errors(models_dir, tmp_path, capsys, args):
     args = [str(models_dir / a) if a.endswith(".json") else a for a in args]

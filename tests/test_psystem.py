@@ -16,7 +16,7 @@ from heterotest.psystem import (
     psystem_run,
     rule_coverage,
     replay_trace,
-    seeded_choice_index,
+    seeded_chooser,
     validate_psystem,
 )
 
@@ -143,7 +143,7 @@ class TestRun:
 
     def test_seeded_choice_is_pure_function(self, ps2):
         c = cfg("abe", "b")
-        assert seeded_choice_index(5, c, 2) == seeded_choice_index(5, c, 2)
+        assert seeded_chooser(5)(c, 2) == seeded_chooser(5)(c, 2)
 
     def test_branch_cap(self):
         rules = (

@@ -1,0 +1,349 @@
+"""Differential checks of the one seeded P-system run and of the case
+tables of communicating machines.
+
+The seeded step used to be written three times; those loops are kept here
+verbatim as references: ``reference_seeded_run`` (``psystem_run`` in
+seeded mode), ``reference_simulate_to_halt`` and ``reference_advance``
+(the Base's advance function).  ``psystem.seeded_trace`` must give the
+same traces, halting results, cap errors and advance results on seeded
+random P systems.
+
+``reference_csxm_evaluate`` is the case loop communicating machines used
+to run on every call.  Their functions now read the evaluation table
+shared with ordinary machines' case tables, and must give the same result,
+or raise the same error, at every (memory, in-port, input) point.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from gen_models import random_csxm_system
+from test_psystem_dag import random_psystem
+
+from heterotest.csxms import (
+    CsxmCase,
+    CsxmCaseFunction,
+    CsxmResult,
+    ExtendedCommFunction,
+    extend_for_testing,
+)
+from heterotest.errors import DepthCapExceeded, ExplosionBoundExceeded, TermError
+from heterotest.heterotic import AdvanceFunction, config_value, is_config_for, simulate_to_halt
+from heterotest.model_io import load_model_file
+from heterotest.multiset import Multiset
+from heterotest.psystem import (
+    ComputationTrace,
+    PRule,
+    PSystem,
+    TraceStep,
+    config_canonical,
+    is_halting,
+    psystem_run,
+    seeded_chooser,
+    step_choices,
+)
+from heterotest.values import BOTTOM_M, NULL
+
+M = Multiset.from_string
+
+
+# --- the references: the three seeded loops -----------------------------------
+
+
+def reference_seeded_run(ps, depth, seed=0, assignment_cap=10_000, branch_cap=10_000):
+    choose = seeded_chooser(seed)
+    done = []
+    active = [(ps.initial, ())]
+    for _ in range(depth):
+        if not active:
+            break
+        next_active = []
+        for cfg, steps in active:
+            choices = step_choices(ps, cfg, assignment_cap)
+            if not choices:
+                done.append(ComputationTrace(ps.initial, steps, halted=True))
+                continue
+            assignment, successor = choices[choose(cfg, len(choices))]
+            next_active.append((successor, steps + (TraceStep(assignment, successor),)))
+        if len(next_active) > branch_cap:
+            raise ExplosionBoundExceeded(f"more than {branch_cap} simultaneous branches")
+        active = next_active
+    for cfg, steps in active:
+        done.append(ComputationTrace(ps.initial, steps, halted=is_halting(ps, cfg)))
+    return sorted(done, key=ComputationTrace.key)
+
+
+def reference_simulate_to_halt(ps, start, seed, depth_cap):
+    cfg = start
+    visited = [cfg]
+    choose = seeded_chooser(seed)
+    for steps in range(depth_cap + 1):
+        if is_halting(ps, cfg):
+            return cfg, steps, tuple(visited)
+        choices = step_choices(ps, cfg)
+        cfg = choices[choose(cfg, len(choices))][1]
+        visited.append(cfg)
+    raise DepthCapExceeded(
+        f"{ps.name} did not halt within {depth_cap} steps from "
+        f"{'|'.join(config_canonical(start))}"
+    )
+
+
+def reference_advance(ps, seed, input_symbol, in_port, memory):
+    choose = seeded_chooser(seed)
+    if input_symbol != "step" or in_port != BOTTOM_M:
+        return None
+    if not is_config_for(ps, memory):
+        return None
+    cfg = tuple(memory)
+    if is_halting(ps, cfg):
+        return CsxmResult(memory=memory, output="ran")
+    choices = step_choices(ps, cfg)
+    successor = choices[choose(cfg, len(choices))][1]
+    return CsxmResult(memory=config_value(successor), output="ran")
+
+
+# --- the reference: one communicating case loop --------------------------------
+
+
+def reference_csxm_evaluate(cases, input_symbol, in_port, memory):
+    for case in cases:
+        if case.input != input_symbol:
+            continue
+        env = case.pattern.match(memory)
+        if env is None:
+            continue
+        port_env = case.port_pat.match(in_port)
+        if port_env is None:
+            continue
+        merged = dict(env)
+        merged.update(port_env)
+        out_value = case.out_expr.evaluate(merged) if case.out_expr is not None else None
+        return CsxmResult(
+            memory=case.update.evaluate(merged),
+            output=case.output,
+            set_out_port=case.out_expr is not None,
+            out_port=out_value,
+            send_to=case.send_to,
+        )
+    return None
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (DepthCapExceeded, ExplosionBoundExceeded, TermError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _traces(traces):
+    return [(t.key(), t.halted) for t in traces]
+
+
+def _halt(result):
+    if isinstance(result[0], str):
+        return result
+    final, steps, visited = result
+    return config_canonical(final), steps, tuple(config_canonical(c) for c in visited)
+
+
+# --- the seeded run ------------------------------------------------------------
+
+SEEDS = range(60)
+CHOOSERS = range(5)
+DEPTHS = range(7)
+
+# "fwd" and "back" turn a into b and back again: the run never halts.
+SPIN = PSystem(
+    "spin", frozenset("ab"), {1: None}, (M("a"),),
+    (PRule("fwd", 1, M("a"), (("b", "here"),)), PRule("back", 1, M("b"), (("a", "here"),))),
+)
+
+
+def _systems():
+    return [random_psystem(seed) for seed in SEEDS] + [SPIN]
+
+
+@pytest.mark.parametrize("ps", _systems(), ids=lambda ps: ps.name)
+def test_seeded_run_equals_the_reference(ps):
+    for seed in CHOOSERS:
+        for depth in DEPTHS:
+            got = _outcome(psystem_run, ps, depth, "seeded", seed)
+            want = _outcome(reference_seeded_run, ps, depth, seed)
+            if isinstance(want, list):
+                got, want = _traces(got), _traces(want)
+            assert got == want, (seed, depth)
+        # the assignment cap trips in the same step, with the same message
+        for cap in (0, 1):
+            got = _outcome(psystem_run, ps, 6, "seeded", seed, assignment_cap=cap)
+            want = _outcome(reference_seeded_run, ps, 6, seed, assignment_cap=cap)
+            if isinstance(want, list):
+                got, want = _traces(got), _traces(want)
+            assert got == want, (seed, cap)
+
+
+@pytest.mark.parametrize("ps", _systems(), ids=lambda ps: ps.name)
+def test_simulate_to_halt_equals_the_reference(ps):
+    for seed in CHOOSERS:
+        for depth_cap in DEPTHS:
+            got = _outcome(simulate_to_halt, ps, ps.initial, seed, depth_cap)
+            want = _outcome(reference_simulate_to_halt, ps, ps.initial, seed, depth_cap)
+            assert _halt(got) == _halt(want), (seed, depth_cap)
+
+
+def test_a_two_cycle_exceeds_every_cap_with_the_reference_message():
+    for depth_cap in DEPTHS:
+        want = _outcome(reference_simulate_to_halt, SPIN, SPIN.initial, 0, depth_cap)
+        assert want[0] == "DepthCapExceeded"
+        assert _outcome(simulate_to_halt, SPIN, SPIN.initial, 0, depth_cap) == want
+    assert want[1] == "spin did not halt within 6 steps from a"
+
+
+@pytest.mark.parametrize("ps", _systems(), ids=lambda ps: ps.name)
+def test_advance_equals_the_reference_along_every_trajectory(ps):
+    checked = 0
+    for seed in CHOOSERS:
+        advance = AdvanceFunction(ps, seed)
+        (trace,) = psystem_run(ps, 6, "seeded", seed)
+        for cfg in trace.configurations():
+            memory = config_value(cfg)
+            for symbol, port in (("step", BOTTOM_M), ("emit", BOTTOM_M), ("step", memory)):
+                got = advance.evaluate(symbol, port, memory)
+                assert got == reference_advance(ps, seed, symbol, port, memory), (seed, cfg)
+            checked += 1
+    assert checked >= len(CHOOSERS)
+
+
+def test_advance_stutters_on_every_halted_trajectory_end():
+    stutters = 0
+    for ps in _systems():
+        for seed in CHOOSERS:
+            (trace,) = psystem_run(ps, 6, "seeded", seed)
+            if trace.halted:
+                memory = config_value(trace.final)
+                result = AdvanceFunction(ps, seed).evaluate("step", BOTTOM_M, memory)
+                assert result == CsxmResult(memory=memory, output="ran")
+                stutters += 1
+    assert stutters > 100
+
+
+# --- communicating case tables -------------------------------------------------
+
+
+def _points(comp):
+    """Every memory value and port value the component declares, each also
+    tried as the other, plus the undefined port value."""
+    memories, _ = comp.memory_domain.enumerate()
+    values = list(memories) + list(comp.in_port_domain) + list(comp.out_port_domain)
+    ports = [BOTTOM_M] + values
+    inputs = sorted(comp.inputs | {NULL, "a"})
+    return [(m, p, s) for m in values for p in ports for s in inputs]
+
+
+def _check_function(fn, points):
+    """Compare one function (or an extended communicating function around
+    one) with the reference at every point; returns the points defined."""
+    inner = fn.inner if isinstance(fn, ExtendedCommFunction) else fn
+    assert isinstance(inner, CsxmCaseFunction)
+    defined = 0
+    for memory, port, symbol in points:
+        got = _outcome(fn.evaluate, symbol, port, memory)
+        if isinstance(fn, ExtendedCommFunction):
+            want = None
+            if symbol == fn.comm_symbol:
+                want = _outcome(reference_csxm_evaluate, inner.cases, NULL, port, memory)
+                if isinstance(want, CsxmResult):
+                    want = replace(want, output=fn.output_symbol)
+        else:
+            want = _outcome(reference_csxm_evaluate, inner.cases, symbol, port, memory)
+        assert got == want, (fn.name, memory, port, symbol)
+        defined += want is not None
+    return defined
+
+
+def test_ps2_control_equals_the_reference(models_dir):
+    _, control = load_model_file(models_dir / "ps2_control.json")
+    _, heterotic = load_model_file(models_dir / "ps2_heterotic.json")
+    defined = 0
+    for comp in (control, heterotic.control):
+        for fn in comp.functions.values():
+            defined += _check_function(fn, _points(comp))
+    assert defined > 0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_extended_random_systems_equal_the_reference(seed):
+    system = extend_for_testing(random_csxm_system(seed))
+    defined = 0
+    for comp in system.components:
+        for fn in comp.functions.values():
+            defined += _check_function(fn, _points(comp))
+    assert defined > 0
+
+
+def _table(*cases, kind="ordinary"):
+    return CsxmCaseFunction("f", kind, [CsxmCase.build(*case) for case in cases])
+
+
+# (memory pattern, port pattern, input, output, update[, out-port expression])
+RAISING_TABLES = {
+    "memory pattern raises": _table(
+        ("?m where ?m % 0 == 0", "_", "go", "o", "?m"),
+        ("_", "_", "go", "p", "1"),
+    ),
+    "port pattern raises": _table(
+        ("?m", "?p where ?p % 0 == 0", "go", "o", "?m"),
+        ("_", "_", "go", "p", "1"),
+    ),
+    "out-port expression raises": _table(
+        ("?m", "⊥_M", "go", "o", "?m", "?m % 0"),
+    ),
+    "update raises": _table(
+        ("?m", "_", "go", "o", "?m % 0"),
+    ),
+    # both raise, with different messages: the out-port expression's wins
+    "out-port expression and update raise": _table(
+        ("?m", "_", "go", "o", "?m + x", "?m % 0"),
+    ),
+    # matching stops at the raising pattern, but an earlier match still wins
+    "a later pattern raises after a match": _table(
+        ("0", "_", "go", "zero", "5", "7"),
+        ("?m where ?m % 0 == 0", "_", "go", "o", "?m"),
+        ("_", "_", "go", "p", "1"),
+    ),
+    "a later port pattern raises after a match": _table(
+        ("_", "⊥_M", "go", "idle", "5"),
+        ("?m", "?p where ?p % 0 == 0", "go", "o", "?m"),
+    ),
+    "the first match wins over a later one": _table(
+        ("?m where ?m > 1", "_", "go", "big", "?m + 1"),
+        ("?m", "?p where ?p != ⊥_M", "go", "port", "?p", "?m"),
+        ("_", "_", "go", "any", "0"),
+    ),
+}
+RAISING_POINTS = [
+    (m, p, s) for m in (0, 1, 2, "x", (0, 1)) for p in (BOTTOM_M, 0, 3, "y") for s in ("go", "stop")
+]
+
+
+@pytest.mark.parametrize("name", sorted(RAISING_TABLES))
+def test_hand_made_tables_equal_the_reference(name):
+    fn = RAISING_TABLES[name]
+    outcomes = {_outcome(fn.evaluate, s, p, m) for m, p, s in RAISING_POINTS}
+    _check_function(fn, RAISING_POINTS)
+    assert len(outcomes) > 1  # each table is defined, undefined or raises somewhere
+    # a second call reads the table, and must give the same again
+    _check_function(fn, RAISING_POINTS)
+
+
+def test_hand_made_tables_cover_each_error_and_the_earlier_match():
+    fn = RAISING_TABLES["out-port expression and update raise"]
+    assert _outcome(fn.evaluate, "go", BOTTOM_M, 3) == ("TermError", "modulo by zero")
+    fn = RAISING_TABLES["a later pattern raises after a match"]
+    assert fn.evaluate("go", BOTTOM_M, 0) == CsxmResult(5, "zero", True, 7)
+    assert _outcome(fn.evaluate, "go", BOTTOM_M, 1) == ("TermError", "modulo by zero")
+    fn = RAISING_TABLES["a later port pattern raises after a match"]
+    assert fn.evaluate("go", BOTTOM_M, 2) == CsxmResult(5, "idle")
+    assert _outcome(fn.evaluate, "go", 3, 2) == ("TermError", "modulo by zero")
