@@ -20,6 +20,7 @@ from .errors import (
     HeterotestError,
     InvalidModel,
     SchemaError,
+    UsageError,
     Violation,
 )
 
@@ -171,7 +172,7 @@ def _cmd_simulate(args) -> int:
     if kind == "heterotic":
         return _simulate_heterotic(args, model)
     if args.depth is None:
-        raise SchemaError("simulate on a P system needs --depth")
+        raise UsageError("simulate on a P system needs --depth")
     from .psystem import psystem_run, render_ptrace
 
     mode = "seeded" if args.seed is not None else "all"
@@ -268,10 +269,9 @@ def _cmd_product(args) -> int:
 
 def _cmd_coverage(args) -> int:
     _, model = _load(args.model, ("psystem",), "coverage expects a P-system model file")
-    from .psystem import psystem_run, rule_coverage
+    from .psystem import rule_coverage
 
-    traces = psystem_run(model, args.depth, mode="all")
-    report = rule_coverage(model, traces)
+    report = rule_coverage(model, args.depth)
     payload = model_io.coverage_report_to_dict(report)
     lines = []
     for entry in report.entries:
@@ -308,12 +308,12 @@ def _cmd_score(args) -> int:
         _require_valid(kind, mutant.model, f"mutant {mutant.mutant_id}")
     if kind == "sxm":
         if not args.suite:
-            raise SchemaError("score on a machine spec needs --suite")
+            raise UsageError("score on a machine spec needs --suite")
         suite = model_io.suite_from_dict(model_io.load_json(args.suite), model)
         report = mutation.score_sxm_suite(model, batch, suite)
     else:
         if not args.test_set:
-            raise SchemaError("score on a P-system spec needs --test-set")
+            raise UsageError("score on a P-system spec needs --test-set")
         testset_doc = model_io.load_json(args.test_set)
         members = model_io.testset_members_from_dict(testset_doc, model)
         depth = args.depth if args.depth is not None else testset_doc.get("depth", 3)

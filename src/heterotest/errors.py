@@ -26,6 +26,10 @@ class SchemaError(HeterotestError):
     """A model file does not conform to its JSON schema."""
 
 
+class UsageError(HeterotestError):
+    """A command lacks a flag that its kind of model needs."""
+
+
 class InvalidModel(HeterotestError):
     """A model failed the structural checks of ``validate``."""
 
@@ -117,10 +121,6 @@ class OracleInvalidResult(HeterotestError):
 
 class DeadlockError(HeterotestError):
     """A heterotic run stopped with no enabled move before completing."""
-
-
-class TraceReplayMismatch(HeterotestError):
-    """A computation trace does not replay against its P system."""
 
 
 class NoValidMutants(HeterotestError):

@@ -51,7 +51,7 @@ from .values import BOTTOM_M, NULL, Value, render, sort_key
 
 BASE_INPUTS = ("emit", "load", "step")
 ADVANCE, EMIT, LOAD, SEND = "advance", "emit_result", "load_config", "send_result"
-RUNNING, FORKING, SENDING, WAITING = "running", "forking", "sending", "waiting"
+RUNNING, SENDING, WAITING = "running", "sending", "waiting"
 
 
 def config_value(cfg: PConfiguration) -> Value:
@@ -160,21 +160,14 @@ def wrap_psystem_as_csxm(
     depth_cap: int,
     seed: int = 0,
     initial_configs: Sequence[PConfiguration] = (),
-    branch_mode: str = "seeded",
 ) -> Csxm:
     """Wrap a P system as a communicating component.
 
     The memory sample holds every configuration on the seeded trajectory
     from the P system's own initial configuration and from each declared
     re-initialisation in ``initial_configs``; each trajectory must halt
-    within ``depth_cap`` steps.  ``branch_mode="all"`` marks unresolved
-    branching structurally (a duplicated run state reached by the same
-    function) so downstream test generation rejects the machine instead of
-    silently picking branches.
+    within ``depth_cap`` steps.
     """
-    if branch_mode not in ("seeded", "all"):
-        raise ValueError(f"unknown branch mode {branch_mode!r}")
-
     sample: list[Value] = []
     finals: list[Value] = []
     seen = set()
@@ -202,33 +195,27 @@ def wrap_psystem_as_csxm(
         LOAD: LoadFunction(ps),
         SEND: SendFunction(2),
     }
-    states = {RUNNING, SENDING, WAITING}
+    states = frozenset({RUNNING, SENDING, WAITING})
     next_state: Dict[Tuple[str, str], Tuple[str, ...]] = {
         (RUNNING, ADVANCE): (RUNNING,),
         (RUNNING, EMIT): (SENDING,),
         (SENDING, SEND): (WAITING,),
         (WAITING, LOAD): (RUNNING,),
     }
-    if branch_mode == "all":
-        states.add(FORKING)
-        next_state[(RUNNING, ADVANCE)] = (FORKING, RUNNING)
-        next_state[(FORKING, ADVANCE)] = (FORKING, RUNNING)
-        next_state[(FORKING, EMIT)] = (SENDING,)
-
     return Csxm(
         name="base",
         inputs=frozenset(BASE_INPUTS),
         outputs=frozenset({"ran", "put", "got"}),
-        states=frozenset(states),
+        states=states,
         initial_states=frozenset({RUNNING}),
-        terminal_states=frozenset(states),
+        terminal_states=states,
         memory_domain=MemoryDomain(kind="open", sample=tuple(sample)),
         initial_memory=config_value(tuple(ps.initial)),
         functions=functions,
         next_state=next_state,
         in_port_domain=tuple(sorted({config_value(tuple(c)) for c in initial_configs}, key=sort_key)),
         out_port_domain=tuple(finals),
-        ordinary_states=frozenset(states - {SENDING}),
+        ordinary_states=states - {SENDING},
         communicating_states=frozenset({SENDING}),
         ordinary_functions=frozenset({ADVANCE, EMIT, LOAD}),
         communicating_functions=frozenset({SEND}),

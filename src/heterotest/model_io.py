@@ -186,7 +186,7 @@ _PSYSTEM = Spec({"schema": INT, "alphabet": STRS, "structure": OBJ, "initial": S
 _MEMBRANE = Spec({"id": INT}, {"children": OBJS})
 _RULE = Spec({"name": STR, "lhs": STR, "rhs": RHS})
 _HETEROTIC = Spec({"schema": INT, "psystem": STR, "control": STR, "seed": INT,
-                   "depth_cap": INT}, _NAMED)
+                   "depth_cap": NATURAL}, _NAMED)
 _SUITE = Spec({"schema": INT, "method": STR, "k": INT, "cases": OBJS}, {"metadata": OBJ})
 _SUITE_CASE = Spec({"input": STRS, "expected_outputs": OUTPUTS})
 _TEST_SET = Spec({"schema": INT, "members": CONFIGS},

@@ -7,10 +7,13 @@ of rule instances per compartment such that no further instance of any rule
 is applicable to the leftover symbols.  Configurations compare by the
 canonical multiset string of each compartment.
 
-Every all-branch consumer (``psystem_run(mode="all")``, the coverage test
-set and mutant reachability) works on one layered configuration DAG built
-by :func:`explore`, which enumerates the steps of each distinct
-configuration once instead of once per computation reaching it.
+Every all-branch consumer (``psystem_run(mode="all")``, rule coverage, the
+coverage test set and mutant reachability) works on one layered
+configuration DAG built by :func:`explore`, which enumerates the steps of
+each distinct configuration once instead of once per computation reaching
+it.  Rule coverage and the coverage test set pick each rule's witness on
+the DAG (:func:`_witnesses`) and build no computation but the witnesses;
+only ``psystem_run``, which serves ``simulate``, lists every computation.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
-from .errors import ExplosionBoundExceeded, TraceReplayMismatch, Violation
+from .errors import ExplosionBoundExceeded, Violation
 from .multiset import Multiset
 from .values import RESERVED_ATOMS
 
@@ -581,34 +584,6 @@ def psystem_run(
     return [seeded_trace(ps, ps.initial, seeded_chooser(seed), depth, assignment_cap)]
 
 
-def replay_trace(
-    ps: PSystem,
-    trace: ComputationTrace,
-    applied: Optional[Dict[Tuple[PConfiguration, Assignment], PConfiguration]] = None,
-) -> None:
-    """Check a trace against the step semantics; raises on mismatch.
-
-    ``applied`` memoises each (configuration, assignment) step verified,
-    across calls, so a step shared by many traces is applied once.
-    """
-    applied = {} if applied is None else applied
-    cfg = trace.initial
-    for idx, step in enumerate(trace.steps):
-        result = applied.get((cfg, step.fired))
-        if result is None:
-            try:
-                result = apply_assignment(ps, cfg, step.fired)
-            except (ValueError, KeyError) as exc:
-                raise TraceReplayMismatch(f"step {idx} does not apply: {exc}") from exc
-            applied[cfg, step.fired] = result
-        if config_canonical(result) != config_canonical(step.result):
-            raise TraceReplayMismatch(
-                f"step {idx}: expected {render_config(step.result)}, "
-                f"replay gives {render_config(result)}"
-            )
-        cfg = result
-
-
 @dataclass(frozen=True)
 class RuleCoverage:
     rule: str
@@ -656,23 +631,43 @@ def _coverage_report(ps: PSystem, witnesses: Mapping[str, ComputationTrace]) -> 
     return CoverageReport(tuple(entries))
 
 
-def rule_coverage(ps: PSystem, traces: Iterable[ComputationTrace]) -> CoverageReport:
-    """Mark each rule covered when some trace fires it.
-
-    Traces are replay-verified first, each distinct step once.  The
-    covering configuration is the witness trace's final configuration; the
-    first trace in :meth:`ComputationTrace.key` order, so the shortest, is
-    the witness.
-    """
-    trace_list = sorted(traces, key=ComputationTrace.key)
-    applied: Dict[Tuple[PConfiguration, Assignment], PConfiguration] = {}
-    for trace in trace_list:
-        replay_trace(ps, trace, applied)
+def _witnesses(
+    dag: Exploration,
+    fired: Sequence[Mapping[PConfiguration, FrozenSet[str]]],
+    ends: Sequence[Tuple[int, PConfiguration]],
+) -> Dict[str, ComputationTrace]:
+    """Each rule's witness: the first computation in
+    :meth:`ComputationTrace.key` order that fires it and ends in one of
+    ``ends`` (nodes of :meth:`Exploration.trace_ends`).  ``fired`` is
+    :meth:`Exploration.fired_by_layer`.  The shortest computation comes
+    first, so the witness lies on the least layer where the rule was
+    fired on the way to an end."""
     witnesses: Dict[str, ComputationTrace] = {}
-    for trace in trace_list:
-        for name in trace.fired_rules():
-            witnesses.setdefault(name, trace)
-    return _coverage_report(ps, witnesses)
+    for rule in dag.ps.rules:
+        lengths = [i for i, cfg in ends if rule.name in fired[i][cfg]]
+        if lengths:
+            length = min(lengths)
+            layer_ends = {cfg for i, cfg in ends if i == length}
+            witnesses[rule.name] = dag.first_trace(length, layer_ends, rule.name)
+    return witnesses
+
+
+def rule_coverage(
+    ps: PSystem,
+    depth: int,
+    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
+    branch_cap: int = DEFAULT_BRANCH_CAP,
+) -> CoverageReport:
+    """Mark each rule covered when some computation of at most ``depth``
+    steps fires it.
+
+    The witness is the first such computation in
+    :meth:`ComputationTrace.key` order, so the shortest, and the covering
+    configuration is its final one.  Works on the configuration DAG of
+    :func:`explore` and materialises only the witnesses.
+    """
+    dag = explore(ps, depth, assignment_cap, branch_cap)
+    return _coverage_report(ps, _witnesses(dag, dag.fired_by_layer(), list(dag.trace_ends())))
 
 
 def generate_coverage_test_set(
@@ -712,12 +707,5 @@ def generate_coverage_test_set(
 
     member_set = set(members)
     ends = [(i, cfg) for i, cfg in dag.trace_ends() if config_canonical(cfg) in member_set]
-    witnesses: Dict[str, ComputationTrace] = {}
-    for rule in ps.rules:
-        lengths = [i for i, cfg in ends if rule.name in fired[i][cfg]]
-        if lengths:
-            length = min(lengths)  # the shortest witness comes first
-            layer_ends = {cfg for i, cfg in ends if i == length}
-            witnesses[rule.name] = dag.first_trace(length, layer_ends, rule.name)
     configs = [tuple(Multiset.from_string(c) for c in key) for key in members]
-    return configs, _coverage_report(ps, witnesses)
+    return configs, _coverage_report(ps, _witnesses(dag, fired, ends))

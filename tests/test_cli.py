@@ -1,13 +1,20 @@
 import hashlib
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import heterotest
 from heterotest.cli import main
 
 HETEROTEST = [sys.executable, "-m", "heterotest.cli"]
+# the child interpreter imports the package this process imported
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(pathlib.Path(heterotest.__file__).resolve().parent.parent),
+    os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(args, models_dir):
@@ -16,6 +23,7 @@ def run_cli(args, models_dir):
         capture_output=True,
         text=True,
         cwd=str(models_dir.parent),
+        env=ENV,
     )
     return proc
 
@@ -304,7 +312,7 @@ def test_simulate_heterotic_with_oracle_cmd(models_dir, tmp_path, capsys):
 
 
 def test_simulate_psystem_requires_depth(models_dir, capsys):
-    assert main(["simulate", str(models_dir / "ps2.json")]) == 3
+    assert main(["simulate", str(models_dir / "ps2.json")]) == 2
     capsys.readouterr()
 
 
@@ -456,6 +464,34 @@ def test_all_branches_past_the_branch_cap_exit_two(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == "error: more than 10000 simultaneous branches\n"
+    assert not out_file.exists()
+
+
+# sha256 of the ``coverage`` artifact of ps2 at each depth, measured while
+# coverage still replayed a materialised list of every computation.
+@pytest.mark.parametrize("depth, digest", [
+    (0, "91f01e006bf89fc6595188eb541ff6fc4e3de4f59cecf22bddf3372a4e0b380f"),
+    (1, "7a3d34bca92ef630f2b8ef1f5951ebd5dea47d8e35c18e2e2c3edea0c6d95094"),
+    (2, "81990732378ad581da7dc95f55a50935d93fd961d322a018e232bb35320327a9"),
+    (3, "be6aefca94def2f2d7ab47fce40643ddc22e9c0fd24e74dab150c58dd3e70476"),
+    (4, "be6aefca94def2f2d7ab47fce40643ddc22e9c0fd24e74dab150c58dd3e70476"),
+])
+def test_ps2_coverage_pinned(models_dir, tmp_path, capsys, depth, digest):
+    out_file = tmp_path / "coverage.json"
+    assert main(["coverage", str(models_dir / "ps2.json"), "--depth", str(depth),
+                 "-o", str(out_file)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+def test_coverage_past_the_branch_cap_exit_two(tmp_path, capsys):
+    model = tmp_path / "pastcap_1.json"
+    model.write_text(json.dumps(PAST_CAP))
+    out_file = tmp_path / "coverage.json"
+    assert main(["coverage", str(model), "--depth", "4", "-o", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: more than 10000 simultaneous branches\n"
+    assert captured.out == ""
     assert not out_file.exists()
 
 

@@ -6,7 +6,6 @@ from heterotest.csxms import system_step, initial_system_configuration
 from heterotest.errors import (
     DepthCapExceeded,
     DftFailure,
-    NondeterministicProduct,
     OracleInvalidResult,
     OracleTimeout,
     PortIncompatibility,
@@ -190,15 +189,6 @@ class TestIntegrationSuite:
                 assert (tuple(per_component[0]), tuple(per_component[1])) in outcomes
             checked += 1
         assert checked
-
-    def test_all_branches_wrap_rejected_as_nondeterministic_product(self, ps2, ps2_heterotic):
-        base = wrap_psystem_as_csxm(
-            ps2, 10, seed=0, branch_mode="all",
-            initial_configs=[tuple(ps2.initial)],
-        )
-        h = build_heterotic_system(base, ps2_heterotic.control, ps2, seed=0, depth_cap=10)
-        with pytest.raises(NondeterministicProduct):
-            generate_integration_tests(h, 0)
 
     def test_dft_failing_control_gates(self, ps2, ps2_heterotic):
         from dataclasses import replace

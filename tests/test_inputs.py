@@ -132,6 +132,26 @@ def test_heterotic_commands_validate_parts_before_wrapping(work, capsys):
         _exits(1, args, "target 5 is neither the parent nor a child of compartment 1", work, capsys)
 
 
+def test_negative_depth_cap_is_a_parse_error(work, capsys):
+    # exited 2 with "ps2 did not halt within -1 steps from s|t" before
+    model = _edit(work / "ps2_heterotic.json", lambda d: d.update(depth_cap=-1))
+    for args in (["validate", model], ["simulate", model], ["gen-tests", "heterotic", model]):
+        _exits(3, args, "heterotic: depth_cap must be a non-negative integer", work, capsys)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "ps2.json"], "simulate on a P system needs --depth"),
+    (["score", "counter_testable.json", "--mutants", "sxm_mutants.json"],
+     "score on a machine spec needs --suite"),
+    (["score", "ps2.json", "--mutants", "ps_mutants.json"],
+     "score on a P-system spec needs --test-set"),
+])
+def test_missing_per_kind_flag_is_a_usage_error(work, capsys, args, message):
+    # exited 3, the code of an I/O or parse error, before
+    args = [str(work / a) if a.endswith(".json") else a for a in args]
+    _exits(2, args, message, work, capsys)
+
+
 @pytest.mark.parametrize("part, change, message", [
     ("ps2.json", lambda d: d["rules"]["1"][2]["rhs"].__setitem__(1, ["a", 5]),
      "target 5 is neither the parent nor a child of compartment 1"),

@@ -1,6 +1,6 @@
 import pytest
 
-from heterotest.errors import ExplosionBoundExceeded, TraceReplayMismatch
+from heterotest.errors import ExplosionBoundExceeded
 from heterotest.multiset import Multiset
 from heterotest.psystem import (
     ComputationTrace,
@@ -15,10 +15,10 @@ from heterotest.psystem import (
     maximal_rule_multisets,
     psystem_run,
     rule_coverage,
-    replay_trace,
     seeded_chooser,
     validate_psystem,
 )
+from test_psystem_dag import TraceReplayMismatch, reference_replay
 
 M = Multiset.from_string
 
@@ -159,36 +159,38 @@ class TestRun:
 
 class TestCoverage:
     def test_paper_computations_cover_all_rules(self, ps2):
-        traces = psystem_run(ps2, 3, "all")
-        report = rule_coverage(ps2, traces)
+        report = rule_coverage(ps2, 3)
         assert report.all_covered()
         assert len(report.entries) == 7
 
     def test_empty_traces_cover_nothing(self, ps2):
-        report = rule_coverage(ps2, [])
+        # at depth 0 the one computation is the initial configuration
+        report = rule_coverage(ps2, 0)
         assert report.uncovered_rules() == tuple(sorted(r.name for r in ps2.rules))
 
     def test_single_step_trace_covers_fired_rules_only(self, ps2):
+        # the one step from (s,t) fires r11 and r21 and reaches (abe,b)
+        report = rule_coverage(ps2, 1)
+        assert set(report.covered_rules()) == {"r11", "r21"}
         step = TraceStep(((("r11", 1),), (("r21", 1),)), cfg("abe", "b"))
         trace = ComputationTrace(cfg("s", "t"), (step,), halted=False)
-        report = rule_coverage(ps2, [trace])
-        assert set(report.covered_rules()) == {"r11", "r21"}
+        assert report.entry("r11").witness == report.entry("r21").witness == trace
 
     def test_replay_mismatch_detected(self, ps2):
+        # the replay that checks the witnesses below rejects a wrong result
         bad = ComputationTrace(
             cfg("s", "t"),
             (TraceStep(((("r11", 1),), (("r21", 1),)), cfg("abe", "c")),),
             halted=False,
         )
         with pytest.raises(TraceReplayMismatch):
-            replay_trace(ps2, bad)
+            reference_replay(ps2, bad)
 
     def test_witnesses_replay_and_fire_rule(self, ps2):
-        traces = psystem_run(ps2, 3, "all")
-        report = rule_coverage(ps2, traces)
+        report = rule_coverage(ps2, 3)
         for entry in report.entries:
             assert entry.covered
-            replay_trace(ps2, entry.witness)
+            reference_replay(ps2, entry.witness)
             assert entry.rule in entry.witness.fired_rules()
             assert entry.configuration == entry.witness.final
 
@@ -206,7 +208,7 @@ class TestCoverageTestSet:
         members, report = generate_coverage_test_set(ps2, 3)
         keys = {config_canonical(m) for m in members}
         for entry in report.entries:
-            replay_trace(ps2, entry.witness)
+            reference_replay(ps2, entry.witness)
             assert config_canonical(entry.witness.final) in keys
             assert entry.rule in entry.witness.fired_rules()
 

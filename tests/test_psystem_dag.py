@@ -3,9 +3,10 @@
 The path-copying explorations the DAG replaced are kept here as the
 reference: ``reference_run`` copies one path per branch and calls
 ``step_choices`` once per path, the coverage set and rule coverage are
-computed from its materialised traces, and reachability is a breadth-first
+computed from its materialised traces (rule coverage after replaying each
+of them with ``reference_replay``), and reachability is a breadth-first
 search.  On seeded random P systems and on the benchmark's two-compartment
-skeleton, ``psystem_run(mode="all")``, ``rule_coverage``,
+skeleton, ``psystem_run(mode="all")``, ``rule_coverage(ps, depth)``,
 ``generate_coverage_test_set`` and ``mutation._reachable_within`` must give
 identical traces, reports, test sets, reachable sets and cap errors.
 
@@ -20,7 +21,7 @@ import runpy
 
 import pytest
 
-from heterotest.errors import ExplosionBoundExceeded, TraceReplayMismatch
+from heterotest.errors import ExplosionBoundExceeded
 from heterotest.model_io import psystem_from_dict
 from heterotest.multiset import Multiset
 from heterotest.mutation import _reachable_within
@@ -50,6 +51,10 @@ M = Multiset.from_string
 
 
 # --- the reference: one path per branch ---------------------------------------
+
+
+class TraceReplayMismatch(Exception):
+    """A computation trace does not replay against its P system."""
 
 
 def reference_run(ps, depth, assignment_cap=10_000, branch_cap=10_000):
@@ -127,6 +132,10 @@ def reference_rule_coverage(ps, traces):
         reference_replay(ps, trace)
     return _entries(ps, lambda rule: next(
         (t for t in trace_list if rule.name in t.fired_rules()), None))
+
+
+def reference_coverage(ps, depth, assignment_cap=10_000, branch_cap=10_000):
+    return reference_rule_coverage(ps, reference_run(ps, depth, assignment_cap, branch_cap))
 
 
 def reference_coverage_test_set(ps, depth, assignment_cap=10_000, branch_cap=10_000):
@@ -270,10 +279,10 @@ def _outcome(fn, *args, **kwargs):
 
 def _same_everywhere(ps, depths, **caps):
     for depth in depths:
-        traces = _outcome(psystem_run, ps, depth, "all", **caps)
-        assert traces == _outcome(reference_run, ps, depth, **caps), (ps.name, depth)
-        if isinstance(traces, list):
-            assert rule_coverage(ps, traces) == reference_rule_coverage(ps, traces)
+        assert (_outcome(psystem_run, ps, depth, "all", **caps)
+                == _outcome(reference_run, ps, depth, **caps)), (ps.name, depth)
+        assert (_outcome(rule_coverage, ps, depth, **caps)
+                == _outcome(reference_coverage, ps, depth, **caps)), (ps.name, depth)
         if depth >= 1:
             assert (_outcome(generate_coverage_test_set, ps, depth, **caps)
                     == _outcome(reference_coverage_test_set, ps, depth, **caps)), (ps.name, depth)
@@ -334,6 +343,8 @@ def test_benchmark_skeleton_matches_the_reference(initial):
 
 def test_depth_zero_is_the_initial_configuration(ps2):
     assert psystem_run(ps2, 0) == reference_run(ps2, 0)
+    assert rule_coverage(ps2, 0) == reference_coverage(ps2, 0)
+    assert rule_coverage(ps2, 0).covered_rules() == ()
     assert [config_canonical(t.final) for t in psystem_run(ps2, 0)] == [("s", "t")]
     assert _reachable_within(ps2, 0) == {("s", "t")}
 
@@ -398,6 +409,8 @@ def test_past_cap_message_unchanged():
         psystem_run(ps, 4)
     with pytest.raises(ExplosionBoundExceeded, match="^more than 10000 simultaneous branches$"):
         generate_coverage_test_set(ps, 4)
+    with pytest.raises(ExplosionBoundExceeded, match="^more than 10000 simultaneous branches$"):
+        rule_coverage(ps, 4)
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 2))
@@ -415,26 +428,9 @@ def test_assignment_cap_messages():
                                 for i, s in enumerate("bcd")))
     for ps, cap, message in ((one, 10, "more than 10 rule assignments in one compartment"),
                              (two, 10, "more than 10 combined rule assignments")):
-        for fn in (psystem_run, generate_coverage_test_set, reference_run):
+        for fn in (psystem_run, rule_coverage, generate_coverage_test_set, reference_run):
             with pytest.raises(ExplosionBoundExceeded, match=f"^{message}$"):
                 fn(ps, 2, assignment_cap=cap)
-
-
-def test_rule_coverage_replays_with_the_same_message(ps2):
-    traces = psystem_run(ps2, 3)
-    step = traces[-1].steps[-1]
-    bad = ComputationTrace(traces[-1].initial,
-                           traces[-1].steps[:-1] + (TraceStep(step.fired, (M("z"), M("")),),),
-                           traces[-1].halted)
-    wrong = ComputationTrace(traces[0].initial,
-                             (TraceStep(((("r99", 1),), ()), traces[0].final),),
-                             traces[0].halted)
-    for broken in (bad, wrong):
-        with pytest.raises(TraceReplayMismatch) as got:
-            rule_coverage(ps2, traces + [broken])
-        with pytest.raises(TraceReplayMismatch) as want:
-            reference_rule_coverage(ps2, traces + [broken])
-        assert str(got.value) == str(want.value)
 
 
 def test_traces_share_their_prefix_steps():
