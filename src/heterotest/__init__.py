@@ -36,7 +36,6 @@ _EXPORTS = {
     "multiset": ("Multiset",),
     "mutation": (
         "Mutant", "MutantBatch", "ScoreReport", "enumerate_mutants", "mutate_model",
-        "mutation_score",
     ),
     "psystem": (
         "ComputationTrace", "CoverageReport", "PRule", "PSystem",

@@ -166,9 +166,21 @@ def _cmd_validate(args) -> int:
     return 1 if (violations or dft_failed) else 0
 
 
+# The ``simulate`` flags a kind of model file rejects: those of the other kind.
+_FOREIGN_SIMULATE_FLAGS = {
+    "psystem": ("heterotic systems", ("rounds", "oracle_cmd", "oracle_timeout_ms",
+                                      "oracle_retries")),
+    "heterotic": ("P systems", ("depth", "seed", "all_branches")),
+}
+
+
 def _cmd_simulate(args) -> int:
     kind, model = _load(args.model, ("psystem", "heterotic"),
                         "simulate expects a P-system or heterotic model file")
+    owner, flags = _FOREIGN_SIMULATE_FLAGS[kind]
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise UsageError(f"simulate --{flag.replace('_', '-')} applies to {owner} only")
     if kind == "heterotic":
         return _simulate_heterotic(args, model)
     if args.depth is None:
@@ -176,14 +188,13 @@ def _cmd_simulate(args) -> int:
     from .psystem import psystem_run, render_ptrace
 
     mode = "seeded" if args.seed is not None else "all"
-    seed = args.seed if args.seed is not None else _env_seed()
-    traces = psystem_run(model, args.depth, mode=mode, seed=seed)
+    traces = psystem_run(model, args.depth, mode=mode, seed=args.seed)
     payload = {
         "schema": 1,
         "system": model.name,
         "depth": args.depth,
         "mode": mode,
-        "seed": seed if mode == "seeded" else None,
+        "seed": args.seed,
         "traces": [model_io.ptrace_to_dict(t) for t in traces],
     }
     lines = [render_ptrace(t) for t in traces]
@@ -199,10 +210,10 @@ def _simulate_heterotic(args, system) -> int:
         oracle = subprocess_oracle(
             args.oracle_cmd,
             system.psystem,
-            timeout_ms=args.oracle_timeout_ms,
-            retries=args.oracle_retries,
+            timeout_ms=args.oracle_timeout_ms or 10_000,
+            retries=args.oracle_retries or 0,
         )
-    trace = run_heterotic(system, rounds=args.rounds, oracle=oracle)
+    trace = run_heterotic(system, rounds=args.rounds or 1, oracle=oracle)
     payload = model_io.htrace_to_dict(trace)
     lines = []
     for e in trace.exchanges:
@@ -354,13 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--depth", type=_int_at_least(0), default=None)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--all-branches", action="store_true")
+    # None marks a flag as absent, so a flag of the other kind is an error
+    group.add_argument("--all-branches", action="store_true", default=None)
     group.add_argument("--seed", type=int, default=None)
-    p.add_argument("--rounds", type=_int_at_least(1), default=1, help="heterotic systems only")
+    p.add_argument("--rounds", type=_int_at_least(1), default=None,
+                   help="heterotic systems only (default 1)")
     p.add_argument("--oracle-cmd", type=_command, default=None,
                    help="external oracle command (heterotic systems only)")
-    p.add_argument("--oracle-timeout-ms", type=_int_at_least(1), default=10_000)
-    p.add_argument("--oracle-retries", type=_int_at_least(0), default=0)
+    p.add_argument("--oracle-timeout-ms", type=_int_at_least(1), default=None,
+                   help="heterotic systems only (default 10000)")
+    p.add_argument("--oracle-retries", type=_int_at_least(0), default=None,
+                   help="heterotic systems only (default 0)")
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_simulate)
 

@@ -290,6 +290,9 @@ def validate_csxm(comp: Csxm) -> list[Violation]:
                     if case.out_port is not None:
                         out.append(Violation(where, "communicating cases cannot set the out-port"))
 
+    if comp.memory_domain.kind == "open" and not comp.memory_domain.sample:
+        out.append(Violation(f"{name}.memory_domain", "open domain declares no test sample"))
+
     for port_name, domain in (("in_port_domain", comp.in_port_domain),
                               ("out_port_domain", comp.out_port_domain)):
         for v in domain:
@@ -674,7 +677,7 @@ def _component_step(fn: CsxmFunction, memory: Value, point):
     return result.output, result.memory, (result.output, out_effect, result.send_to)
 
 
-def check_csxm_dft(comp: Csxm, witness_limit: int = 16) -> DftReport:
+def check_csxm_dft(comp: Csxm) -> DftReport:
     """The three design-for-test conditions for one component.
 
     The component is a machine over the paired input alphabet (symbol,
@@ -692,11 +695,10 @@ def check_csxm_dft(comp: Csxm, witness_limit: int = 16) -> DftReport:
         [(port, symbol) for port in ports for symbol in inputs],
         _component_step,
         lambda m, point: ((m, point[0]), point[1]),
-        witness_limit,
     )
 
 
-def generate_csxms_test_suite(sys: CsxmSystem, k: int, branch_bound: int = 256) -> TestSuite:
+def generate_csxms_test_suite(sys: CsxmSystem, k: int) -> TestSuite:
     """Extend, fold into the product machine, and run W-method generation.
 
     Per-component design-for-test failures raise :class:`DftFailure`; a
@@ -729,7 +731,7 @@ def generate_csxms_test_suite(sys: CsxmSystem, k: int, branch_bound: int = 256) 
         "comm_symbol": extended.comm_symbol,
         "null_symbol": NULL,
     }
-    return build_w_suite(product, k, branch_bound, metadata=metadata)
+    return build_w_suite(product, k, metadata=metadata)
 
 
 # --- step-graph faithfulness helpers ----------------------------------------

@@ -15,6 +15,9 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from .sxm import Sxm, associated_automaton
 from .values import Value, render, sort_key
 
+# Witnesses kept per condition.
+WITNESS_LIMIT = 16
+
 
 @dataclass(frozen=True)
 class DeterminismWitness:
@@ -102,7 +105,6 @@ def decide_conditions(
     points: Sequence[object],
     evaluate: Callable[[object, Value, object], Optional[Tuple[str, Value, object]]],
     locate: Callable[[Value, object], Tuple[Value, str]],
-    witness_limit: int,
     structural: Sequence[str] = (),
 ) -> DftReport:
     """Decide the three design-for-test conditions for a function table.
@@ -113,7 +115,7 @@ def decide_conditions(
     is undefined, else ``(output, next memory, observable)``: functions are
     distinguishable where their observables differ.  ``locate(m, point)``
     gives a witness's (memory, input symbol).  Witnesses keep enumeration
-    order up to ``witness_limit`` per condition; ``structural`` issues
+    order up to ``WITNESS_LIMIT`` per condition; ``structural`` issues
     follow the initial-state check and also fail determinism.
     """
     values, exhaustive = model.memory_domain.enumerate()
@@ -133,7 +135,7 @@ def decide_conditions(
                 continue
             for m in values:
                 for point in points:
-                    if len(found) >= witness_limit:
+                    if len(found) >= WITNESS_LIMIT:
                         return found
                     r1 = evaluate(f1, m, point)
                     if r1 is None:
@@ -166,7 +168,7 @@ def decide_conditions(
         for m in values:
             if all(evaluate(fn, m, point) is None for point in points):
                 ok = False
-                if len(comp) < witness_limit:
+                if len(comp) < WITNESS_LIMIT:
                     comp.append(CompletenessWitness(name, m))
         complete_per_function[name] = ok
 
@@ -197,22 +199,18 @@ def _machine_step(fn, memory, symbol):
     return None if result is None else (result[0], result[1], result[0])
 
 
-def check_dft(model: Sxm, witness_limit: int = 16) -> DftReport:
+def check_dft(model: Sxm) -> DftReport:
     """Check the three design-for-test conditions over the declared domain.
 
-    Witnesses are capped at ``witness_limit`` per condition; each witness
+    Witnesses are capped at ``WITNESS_LIMIT`` per condition; each witness
     replays as a genuine violation through the case tables.
     """
-    arc_issues: list[str] = []
-    seen_arcs = {}
-    for src, label, dst in sorted(associated_automaton(model).arcs):
-        if (src, label) in seen_arcs and seen_arcs[(src, label)] != dst:
-            arc_issues.append(f"associated automaton has two {label}-arcs from state {src}")
-        seen_arcs[(src, label)] = dst
-
+    arc_issues = [
+        f"associated automaton has two {label}-arcs from state {src}"
+        for src, label in associated_automaton(model).conflicts()
+    ]
     report = decide_conditions(
-        model, sorted(model.inputs), _machine_step, lambda m, symbol: (m, symbol),
-        witness_limit, arc_issues,
+        model, sorted(model.inputs), _machine_step, lambda m, symbol: (m, symbol), arc_issues
     )
     report.determinism_witnesses = tuple(sorted(
         report.determinism_witnesses,

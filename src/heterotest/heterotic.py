@@ -460,9 +460,9 @@ def run_heterotic(
     )
 
 
-def generate_integration_tests(h: HeteroticSystem, k: int, branch_bound: int = 256) -> TestSuite:
+def generate_integration_tests(h: HeteroticSystem, k: int) -> TestSuite:
     """W-method integration suite for the Base/Control pair."""
-    suite = generate_csxms_test_suite(h.as_system, k, branch_bound)
+    suite = generate_csxms_test_suite(h.as_system, k)
     metadata = dict(suite.metadata)
     metadata["roles"] = {"base": h.base.name, "control": h.control.name}
     metadata["seed"] = h.seed

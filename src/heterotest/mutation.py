@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from .errors import BranchBoundExceeded, EmptyMutantSet, NoValidMutants, TermError
+from .errors import (
+    DEFAULT_BRANCH_BOUND, BranchBoundExceeded, EmptyMutantSet, NoValidMutants, TermError,
+)
 from .model_io import (
     MUTANT,
     MUTANTS,
@@ -493,7 +495,7 @@ def score_sxm_suite(
     spec: Sxm,
     mutants: Union[MutantBatch, Iterable[Mutant]],
     suite: TestSuite,
-    branch_bound: int = 256,
+    branch_bound: int = DEFAULT_BRANCH_BOUND,
 ) -> ScoreReport:
     """A mutant is killed when some case's observed outputs differ from the
     expected outputs recorded in the suite; the witness is the first such
@@ -548,20 +550,6 @@ def score_psystem_testset(
         return None
 
     return _score(spec, mutants, kill_witness)
-
-
-def mutation_score(
-    spec: Model,
-    mutants: Union[MutantBatch, Iterable[Mutant]],
-    suite,
-    depth: int = 3,
-    branch_bound: int = 256,
-) -> ScoreReport:
-    """Dispatch on the suite kind: machine suites replay input sequences,
-    P-system coverage sets check member reachability."""
-    if spec.kind == "sxm":
-        return score_sxm_suite(spec, mutants, suite, branch_bound)
-    return score_psystem_testset(spec, mutants, suite, depth)
 
 
 def score_to_dict(report: ScoreReport) -> Dict[str, object]:

@@ -24,11 +24,11 @@ from typing import (
     TypeVar,
 )
 
-from .errors import BranchBoundExceeded, MissingSampleError, TermError, Violation
+from .errors import (
+    DEFAULT_BRANCH_BOUND, BranchBoundExceeded, MissingSampleError, TermError, Violation,
+)
 from .terms import Pattern, Expr, parse_expr, parse_pattern
 from .values import RESERVED_ATOMS, Value, is_value, render, sort_key
-
-DEFAULT_BRANCH_BOUND = 256
 
 S = TypeVar("S")
 T = TypeVar("T")
@@ -276,25 +276,21 @@ class Automaton:
         """(state, label) -> target; a deterministic automaton's arcs."""
         return {(src, label): dst for src, label, dst in self.arcs}
 
-    def is_deterministic(self) -> bool:
-        if len(self.initial) != 1:
-            return False
-        seen = set()
-        for src, label, _ in self.arcs:
-            if (src, label) in seen:
-                return False
-            seen.add((src, label))
-        return True
+    def conflicts(self) -> Iterator[Tuple[str, str]]:
+        """(state, label) once for every arc after the first that leaves
+        ``state`` under ``label``, in sorted arc order."""
+        previous = None
+        for src, label, _ in sorted(self.arcs):
+            if previous == (src, label):
+                yield previous
+            previous = (src, label)
 
     def nondeterministic_witness(self) -> Optional[Tuple[str, str]]:
+        """None for a deterministic automaton, else the initial-state set
+        or the first conflicting (state, label)."""
         if len(self.initial) != 1:
             return ("<initial>", ",".join(sorted(self.initial)))
-        seen = {}
-        for src, label, dst in sorted(self.arcs):
-            if (src, label) in seen and seen[(src, label)] != dst:
-                return (src, label)
-            seen[(src, label)] = dst
-        return None
+        return next(self.conflicts(), None)
 
 
 def structure_violations(model, prefix: str = "") -> list[Violation]:

@@ -75,8 +75,8 @@ def prune_unreachable(a: Automaton) -> Automaton:
 
 def minimize_automaton(a: Automaton) -> Automaton:
     """Smallest automaton with the same defined-sequence/acceptance
-    behaviour, states renamed q0, q1, ... breadth-first from the initial
-    state (labels expanded in sorted order)."""
+    behaviour, states renamed q0, q1, ... in state-cover order (breadth-first
+    from the initial state, labels expanded in sorted order)."""
     _require_deterministic(a)
     a = prune_unreachable(a)
     labels = a.labels()
@@ -84,62 +84,33 @@ def minimize_automaton(a: Automaton) -> Automaton:
 
     # Moore-style refinement; undefined transitions are part of the signature
     # because a missing arc is observable (the machine stops producing output).
-    def partition_of(assignment: Dict[str, int]) -> frozenset:
-        blocks: Dict[int, set] = {}
-        for q, b in assignment.items():
-            blocks.setdefault(b, set()).add(q)
-        return frozenset(frozenset(members) for members in blocks.values())
-
+    # Each round refines the last, so the partition is stable once the block
+    # count stops growing.
     block: Dict[str, int] = {q: (1 if q in a.terminal else 0) for q in a.states}
+    count = len(set(block.values()))
     while True:
-        signatures: Dict[str, tuple] = {}
-        for q in a.states:
-            sig = (block[q],) + tuple(
-                block.get(trans.get((q, label))) if (q, label) in trans else None
-                for label in labels
-            )
-            signatures[q] = sig
+        signatures = {
+            q: (block[q],) + tuple(block.get(trans.get((q, label))) for label in labels)
+            for q in a.states
+        }
         renumber = {sig: idx for idx, sig in enumerate(sorted(set(signatures.values()), key=repr))}
-        new_block = {q: renumber[signatures[q]] for q in a.states}
-        if partition_of(new_block) == partition_of(block):
+        block = {q: renumber[signatures[q]] for q in a.states}
+        if len(renumber) == count:
             break
-        block = new_block
+        count = len(renumber)
 
-    initial = next(iter(a.initial))
-    # Breadth-first canonical names over the quotient.
-    name: Dict[int, str] = {}
-    order: list[int] = []
-
-    def visit(b: int) -> None:
-        if b not in name:
-            name[b] = f"q{len(name)}"
-            order.append(b)
-
-    repr_of: Dict[int, str] = {}
-    for q in sorted(a.states):
-        repr_of.setdefault(block[q], q)
-
-    visit(block[initial])
-    queue = deque([block[initial]])
-    while queue:
-        b = queue.popleft()
-        q = repr_of[b]
-        for label in labels:
-            if (q, label) in trans:
-                target = block[trans[(q, label)]]
-                if target not in name:
-                    visit(target)
-                    queue.append(target)
-
-    arcs = set()
-    for (q, label), dst in trans.items():
-        arcs.add((name[block[q]], label, name[block[dst]]))
-    terminal = {name[block[q]] for q in a.terminal}
+    quotient = Automaton(
+        states=frozenset(block.values()),
+        initial=frozenset(block[q] for q in a.initial),
+        terminal=frozenset(block[q] for q in a.terminal),
+        arcs=frozenset((block[q], label, block[dst]) for (q, label), dst in trans.items()),
+    )
+    name = {b: f"q{i}" for i, b in enumerate(_cover_map(quotient))}
     return Automaton(
         states=frozenset(name.values()),
-        initial=frozenset({name[block[initial]]}),
-        terminal=frozenset(terminal),
-        arcs=frozenset(arcs),
+        initial=frozenset(name[b] for b in quotient.initial),
+        terminal=frozenset(name[b] for b in quotient.terminal),
+        arcs=frozenset((name[b], label, name[c]) for b, label, c in quotient.arcs),
     )
 
 
@@ -150,15 +121,16 @@ def state_cover(a: Automaton) -> set:
     names.  The empty sequence reaches the initial state.
     """
     _require_deterministic(a)
-    missing = a.states - reachable_states(a)
+    cover = _cover_map(a)
+    missing = sorted(a.states - cover.keys())
     if missing:
-        raise UnreachableStateError(
-            f"unreachable states: {sorted(missing)}", sorted(missing)
-        )
-    return set(_cover_map(a).values())
+        raise UnreachableStateError(f"unreachable states: {missing}", missing)
+    return set(cover.values())
 
 
 def _cover_map(a: Automaton) -> Dict[str, PhiSequence]:
+    """One shortest access sequence per reachable state, in the order a
+    breadth-first walk over sorted labels discovers the states."""
     initial = next(iter(a.initial))
     labels = a.labels()
     trans = a.transitions
@@ -298,16 +270,14 @@ def _translate(model: Sxm, sequences) -> Iterator[Tuple[Tuple[str, ...], bool]]:
         yield chosen, fallback
 
 
-def build_w_suite(model: Sxm, k: int, branch_bound: int = 256, metadata=None) -> TestSuite:
+def build_w_suite(model: Sxm, k: int, metadata=None) -> TestSuite:
     """W-method suite without the DFT gate (callers gate themselves).
 
     The case set is closed under input prefixes: expected outputs compare
     complete runs only, and testing every prefix of a sequence is what makes
     that equivalent to observing the output stream step by step.
     """
-    automaton = prune_unreachable(associated_automaton(model))
-    _require_deterministic(automaton)
-    minimal = minimize_automaton(automaton)
+    minimal = minimize_automaton(prune_unreachable(associated_automaton(model)))
     cover = state_cover(minimal)
     w = characterization_set(minimal)
     sequences = sorted(_w_method_sequences(minimal, k, cover, w))
@@ -321,7 +291,7 @@ def build_w_suite(model: Sxm, k: int, branch_bound: int = 256, metadata=None) ->
     ordered = sorted(inputs)
     cases = [
         TestCase(input_seq, outputs)
-        for input_seq, outputs in zip(ordered, replay_outputs(model, ordered, branch_bound))
+        for input_seq, outputs in zip(ordered, replay_outputs(model, ordered))
     ]
     meta = {
         "method": "W",
@@ -337,7 +307,7 @@ def build_w_suite(model: Sxm, k: int, branch_bound: int = 256, metadata=None) ->
     return TestSuite(tuple(cases), meta)
 
 
-def generate_sxm_test_suite(model: Sxm, k: int, branch_bound: int = 256) -> TestSuite:
+def generate_sxm_test_suite(model: Sxm, k: int) -> TestSuite:
     """DFT-gated W-method suite for a single machine.
 
     Raises :class:`DftFailure` carrying the report when any design-for-test
@@ -347,5 +317,4 @@ def generate_sxm_test_suite(model: Sxm, k: int, branch_bound: int = 256) -> Test
     report = check_dft(model)
     if not report.all_pass():
         raise DftFailure(f"model {model.name!r} fails design-for-test checks", report)
-    suite = build_w_suite(model, k, branch_bound, metadata={"dft_exhaustive": report.exhaustive})
-    return suite
+    return build_w_suite(model, k, metadata={"dft_exhaustive": report.exhaustive})

@@ -326,6 +326,24 @@ def test_env_seed_default(models_dir, capsys, monkeypatch):
     assert doc["mode"] == "seeded"
 
 
+def test_env_seed_is_the_mutate_seed(models_dir, tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "mutants.json"
+
+    def digest(*flags):
+        assert main(["mutate", str(models_dir / "ps2.json"), "--count", "3", *flags,
+                     "-o", str(out_file)]) == 0
+        capsys.readouterr()
+        return hashlib.sha256(out_file.read_bytes()).hexdigest()
+
+    monkeypatch.delenv("HETEROTEST_SEED", raising=False)
+    unset = digest()
+    assert digest("--seed", "3") == (
+        "d5b4256d0a55bf7901e1691005c365fff9380ee55a690d49a811c9c81f2dd495")
+    monkeypatch.setenv("HETEROTEST_SEED", "3")
+    assert digest() == "d5b4256d0a55bf7901e1691005c365fff9380ee55a690d49a811c9c81f2dd495"
+    assert unset == "555381f23429275d0b2fbd9f1bb9040523feaba09746059d6be456b3de943823"
+
+
 def _reject_before_generating(commands, violation, tmp_path, capsys):
     out_file = tmp_path / "artifact.json"
     for args in commands:
@@ -526,3 +544,54 @@ def test_seeded_and_heterotic_outputs_pinned(models_dir, tmp_path, capsys, args,
     out = capsys.readouterr().out
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == artifact
     assert hashlib.sha256(out.encode()).hexdigest() == stdout
+
+
+# sha256 of the ``-o`` artifact of W-method generation and of the
+# design-for-test report, measured before minimisation named its states
+# through the state-cover walk and before the three nondeterminism scans
+# became one.
+@pytest.mark.parametrize("k, digest", [
+    (0, "7c1de5330baafb22889dcbd939fbaec63b6f01a665dba0a0e597674f9f3fe70a"),
+    (1, "b4e4074c78082912058a00adccbdb2779ea6dff772a723c54d36d22f702b25e9"),
+    (2, "ff68e7881200391d039fba816cd8d1d19edd2e4434eed6661875e0b16d43fa29"),
+])
+def test_gen_tests_sxm_pinned(models_dir, tmp_path, capsys, k, digest):
+    out_file = tmp_path / "suite.json"
+    assert main(["gen-tests", "sxm", str(models_dir / "counter_testable.json"),
+                 "--extra-states", str(k), "-o", str(out_file)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+def _multi_target_machine(models_dir, tmp_path):
+    """counter_testable with three inc-targets and two reset-targets from
+    q0: its associated automaton has three conflicting arcs."""
+    doc = json.loads((models_dir / "counter_testable.json").read_text(encoding="utf-8"))
+    doc["name"] = "two_target"
+    doc["states"] = ["q0", "q1", "q2"]
+    doc["next_state"] = [
+        {"from": "q0", "fn": "inc", "to": ["q0", "q1", "q2"]},
+        {"from": "q0", "fn": "reset", "to": ["q1", "q2"]},
+    ]
+    model = tmp_path / "two_target.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    return str(model)
+
+
+@pytest.mark.parametrize("model, code, digest", [
+    ("counter.json", 1, "c7089eca4062944959395d3d74577b91aa0d491ff4cb85d7daacc420f33eb423"),
+    ("counter_testable.json", 0,
+     "911cf95e130ec3c624f897a9d02b9f5e3db914f4696e717cdc68eb2cba499084"),
+    ("ps2.json", 0, "362cdf32f6c05920f9fc24f1417f42384f142b77dbb803837c847fa58e0e8c03"),
+    ("ps2_control.json", 0, "72afe17ac65c08baf893087087134793912672fdb5fe929d01f3948e1329ba57"),
+    ("ps2_heterotic.json", 0,
+     "b2dd9520c3f4b68f08acec02c0bb7fdb6086f96b0c46a6bde8479a4fd31d7dd7"),
+    ("MULTI_TARGET", 1, "fbfc8dfe5442fbd6028530b44855b1d60452252bc50ea2ae1eb955cf5cf5cae2"),
+])
+def test_validate_dft_pinned(models_dir, tmp_path, capsys, model, code, digest):
+    path = (_multi_target_machine(models_dir, tmp_path) if model == "MULTI_TARGET"
+            else str(models_dir / model))
+    out_file = tmp_path / "report.json"
+    assert main(["validate", "--dft", path, "-o", str(out_file)]) == code
+    capsys.readouterr()
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest

@@ -152,6 +152,42 @@ def test_missing_per_kind_flag_is_a_usage_error(work, capsys, args, message):
     _exits(2, args, message, work, capsys)
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["simulate", "ps2_heterotic.json", "--depth", "3"], "--depth"),
+    (["simulate", "ps2_heterotic.json", "--depth", "3", "--seed", "4"], "--depth"),
+    (["simulate", "ps2_heterotic.json", "--seed", "4"], "--seed"),
+    (["simulate", "ps2_heterotic.json", "--all-branches"], "--all-branches"),
+    (["simulate", "ps2.json", "--depth", "2", "--rounds", "3"], "--rounds"),
+    (["simulate", "ps2.json", "--depth", "2", "--rounds", "3", "--oracle-cmd", "false"],
+     "--rounds"),
+    (["simulate", "ps2.json", "--depth", "2", "--oracle-cmd", "false"], "--oracle-cmd"),
+    (["simulate", "ps2.json", "--depth", "2", "--oracle-timeout-ms", "5"],
+     "--oracle-timeout-ms"),
+    (["simulate", "ps2.json", "--depth", "2", "--oracle-retries", "0"], "--oracle-retries"),
+])
+def test_simulate_flag_of_the_other_kind_is_a_usage_error(work, capsys, args, flag):
+    # exited 0 before: a heterotic run used the file's seed, and a P-system
+    # run never started the oracle
+    args = [str(work / a) if a.endswith(".json") else a for a in args]
+    _exits(2, args, f"simulate {flag} applies to", work, capsys)
+
+
+def test_communicating_open_domain_needs_a_sample(work, capsys):
+    # validate exited 0, validate --dft and gen-tests heterotic exited 2 on
+    # the missing sample, and simulate exited 0 before
+    _edit(work / "ps2_control.json", lambda d: d.update(memory_domain={"open": {"sample": []}}))
+    message = "ps2_control.memory_domain: open domain declares no test sample"
+    control, heterotic = str(work / "ps2_control.json"), str(work / "ps2_heterotic.json")
+    for args in (["validate", control], ["validate", "--dft", control],
+                 ["gen-tests", "heterotic", heterotic], ["simulate", heterotic]):
+        _exits(1, args, message, work, capsys)
+    # as a machine's does
+    machine = _edit(work / "counter_testable.json",
+                    lambda d: d.update(memory_domain={"open": {"sample": []}}))
+    _exits(1, ["validate", machine], "memory_domain: open domain declares no test sample",
+           work, capsys)
+
+
 @pytest.mark.parametrize("part, change, message", [
     ("ps2.json", lambda d: d["rules"]["1"][2]["rhs"].__setitem__(1, ["a", 5]),
      "target 5 is neither the parent nor a child of compartment 1"),

@@ -14,7 +14,6 @@ from heterotest.mutation import (
     mutants_from_dict,
     mutants_to_dict,
     mutate_model,
-    mutation_score,
     score_psystem_testset,
     score_sxm_suite,
     score_to_dict,
@@ -172,13 +171,13 @@ class TestScoring:
         with pytest.raises(EmptyMutantSet):
             score_sxm_suite(counter_testable, MutantBatch((), 0, 0), suite)
 
-    def test_dispatch_helper(self, ps2, counter_testable):
+    def test_score_totals_count_every_mutant(self, ps2, counter_testable):
         members, _ = generate_coverage_test_set(ps2, 3)
         pbatch = enumerate_mutants(ps2, ["rule-delete"])
-        assert mutation_score(ps2, pbatch, members, depth=3).total == len(pbatch.mutants)
+        assert score_psystem_testset(ps2, pbatch, members, 3).total == len(pbatch.mutants)
         suite = generate_sxm_test_suite(counter_testable, 0)
         sbatch = enumerate_mutants(counter_testable, ["transition-retarget"])
-        assert mutation_score(counter_testable, sbatch, suite).total == len(sbatch.mutants)
+        assert score_sxm_suite(counter_testable, sbatch, suite).total == len(sbatch.mutants)
 
     def test_score_report_serialises(self, ps2):
         members, _ = generate_coverage_test_set(ps2, 3)

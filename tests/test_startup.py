@@ -164,7 +164,6 @@ EXPORTS = {
     "multiset": ("Multiset",),
     "mutation": (
         "Mutant", "MutantBatch", "ScoreReport", "enumerate_mutants", "mutate_model",
-        "mutation_score",
     ),
     "psystem": (
         "ComputationTrace", "CoverageReport", "PRule", "PSystem",

@@ -183,12 +183,12 @@ class TestAutomaton:
 
     def test_determinism_flag(self):
         model = make_sxm(next_state={("q0", "f"): ("q0", "q0")})
-        assert associated_automaton(model).is_deterministic()
+        assert associated_automaton(model).nondeterministic_witness() is None
         model2 = make_sxm(
             states=frozenset({"q0", "q1"}),
             next_state={("q0", "f"): ("q0", "q1")},
         )
-        assert not associated_automaton(model2).is_deterministic()
+        assert associated_automaton(model2).nondeterministic_witness() == ("q0", "f")
 
 
 class TestSerialization:

@@ -222,3 +222,225 @@ class TestSuiteGeneration:
         assert suite.metadata["k"] == 0
         assert suite.metadata["state_cover_size"] >= 1
         assert suite.metadata["characterization_size"] >= 1
+
+
+# --- reference implementations ------------------------------------------------
+#
+# ``minimize_automaton`` once named the quotient's states with its own
+# breadth-first walk and stopped the Moore loop on an equal partition, and
+# ``check_dft`` scanned the arcs for conflicts itself.  The copies below are
+# those implementations verbatim; the new code must agree with them.
+
+
+def reference_minimize_automaton(a: Automaton) -> Automaton:
+    from collections import deque
+    from typing import Dict
+
+    from heterotest.testgen import _require_deterministic, prune_unreachable
+
+    _require_deterministic(a)
+    a = prune_unreachable(a)
+    labels = a.labels()
+    trans = a.transitions
+
+    # Moore-style refinement; undefined transitions are part of the signature
+    # because a missing arc is observable (the machine stops producing output).
+    def partition_of(assignment: Dict[str, int]) -> frozenset:
+        blocks: Dict[int, set] = {}
+        for q, b in assignment.items():
+            blocks.setdefault(b, set()).add(q)
+        return frozenset(frozenset(members) for members in blocks.values())
+
+    block: Dict[str, int] = {q: (1 if q in a.terminal else 0) for q in a.states}
+    while True:
+        signatures: Dict[str, tuple] = {}
+        for q in a.states:
+            sig = (block[q],) + tuple(
+                block.get(trans.get((q, label))) if (q, label) in trans else None
+                for label in labels
+            )
+            signatures[q] = sig
+        renumber = {sig: idx for idx, sig in enumerate(sorted(set(signatures.values()), key=repr))}
+        new_block = {q: renumber[signatures[q]] for q in a.states}
+        if partition_of(new_block) == partition_of(block):
+            break
+        block = new_block
+
+    initial = next(iter(a.initial))
+    # Breadth-first canonical names over the quotient.
+    name: Dict[int, str] = {}
+    order: list[int] = []
+
+    def visit(b: int) -> None:
+        if b not in name:
+            name[b] = f"q{len(name)}"
+            order.append(b)
+
+    repr_of: Dict[int, str] = {}
+    for q in sorted(a.states):
+        repr_of.setdefault(block[q], q)
+
+    visit(block[initial])
+    queue = deque([block[initial]])
+    while queue:
+        b = queue.popleft()
+        q = repr_of[b]
+        for label in labels:
+            if (q, label) in trans:
+                target = block[trans[(q, label)]]
+                if target not in name:
+                    visit(target)
+                    queue.append(target)
+
+    arcs = set()
+    for (q, label), dst in trans.items():
+        arcs.add((name[block[q]], label, name[block[dst]]))
+    terminal = {name[block[q]] for q in a.terminal}
+    return Automaton(
+        states=frozenset(name.values()),
+        initial=frozenset({name[block[initial]]}),
+        terminal=frozenset(terminal),
+        arcs=frozenset(arcs),
+    )
+
+
+def reference_arc_issues(model) -> list:
+    from heterotest.sxm import associated_automaton
+
+    arc_issues: list[str] = []
+    seen_arcs = {}
+    for src, label, dst in sorted(associated_automaton(model).arcs):
+        if (src, label) in seen_arcs and seen_arcs[(src, label)] != dst:
+            arc_issues.append(f"associated automaton has two {label}-arcs from state {src}")
+        seen_arcs[(src, label)] = dst
+    return arc_issues
+
+
+def reference_witness(a: Automaton):
+    if len(a.initial) != 1:
+        return ("<initial>", ",".join(sorted(a.initial)))
+    seen = {}
+    for src, label, dst in sorted(a.arcs):
+        if (src, label) in seen and seen[(src, label)] != dst:
+            return (src, label)
+        seen[(src, label)] = dst
+    return None
+
+
+def reference_state_cover(a: Automaton) -> set:
+    from heterotest.testgen import _cover_map, _require_deterministic, reachable_states
+
+    _require_deterministic(a)
+    missing = a.states - reachable_states(a)
+    if missing:
+        raise UnreachableStateError(
+            f"unreachable states: {sorted(missing)}", sorted(missing)
+        )
+    return set(_cover_map(a).values())
+
+
+def outcome(function, *args):
+    """A function's result, or the type, message and payload of its error."""
+    try:
+        return function(*args)
+    except NondeterministicInput as exc:
+        return ("nondeterministic", str(exc))
+    except UnreachableStateError as exc:
+        return ("unreachable", str(exc), list(exc.states))
+
+
+def random_automaton(seed: int, deterministic: bool = True) -> Automaton:
+    """1-9 states, 1-4 labels, partial arcs and random terminals; a
+    nondeterministic one may have several initial states and up to three
+    targets per (state, label)."""
+    import random
+
+    rng = random.Random(f"automaton:{seed}:{deterministic}")
+    states = [f"s{i}" for i in range(rng.randint(1, 9))]
+    labels = [f"l{j}" for j in range(rng.randint(1, 4))]
+    arcs = set()
+    for src in states:
+        for label in labels:
+            if rng.random() < 0.7:
+                fanout = 1 if deterministic or rng.random() < 0.7 else rng.randint(2, 3)
+                for dst in rng.sample(states, min(fanout, len(states))):
+                    arcs.add((src, label, dst))
+    initial = {states[0]}
+    if not deterministic and rng.random() < 0.2:
+        initial |= set(rng.sample(states, rng.randint(1, len(states))))
+    return Automaton(
+        states=frozenset(states),
+        initial=frozenset(initial),
+        terminal=frozenset(q for q in states if rng.random() < 0.5),
+        arcs=frozenset(arcs),
+    )
+
+
+def _minimal_model_automata():
+    from gen_models import random_csxm_system, random_messy_sxm
+
+    from heterotest.csxms import build_product_sxm, extend_for_testing
+    from heterotest.sxm import associated_automaton
+
+    models = [random_dft_sxm(seed) for seed in range(20)]
+    models += [random_messy_sxm(seed) for seed in range(60)]
+    models += [build_product_sxm(extend_for_testing(random_csxm_system(seed)))
+               for seed in range(6)]
+    return [associated_automaton(model) for model in models]
+
+
+class TestAgainstReferences:
+    def test_minimize_matches_reference_on_random_automata(self):
+        merged = 0
+        for seed in range(2000):
+            a = random_automaton(seed)
+            minimal = minimize_automaton(a)
+            assert minimal == reference_minimize_automaton(a), seed
+            merged += len(minimal.states) < len(a.states)
+        assert merged > 500  # the sample exercises the refinement
+
+    def test_minimize_matches_reference_on_model_automata(self):
+        for a in _minimal_model_automata():
+            assert outcome(minimize_automaton, a) == outcome(reference_minimize_automaton, a)
+
+    def test_minimal_automata_are_fixed_points(self):
+        for a in _minimal_model_automata():
+            if a.nondeterministic_witness() is None:
+                minimal = minimize_automaton(a)
+                assert minimize_automaton(minimal) == reference_minimize_automaton(minimal)
+
+    def test_witness_and_state_cover_match_reference(self):
+        kinds = {}
+        for seed in range(2000):
+            for deterministic in (True, False):
+                a = random_automaton(seed, deterministic)
+                assert a.nondeterministic_witness() == reference_witness(a), seed
+                result = outcome(state_cover, a)
+                assert result == outcome(reference_state_cover, a), seed
+                kind = result[0] if isinstance(result, tuple) else "cover"
+                kinds[kind] = kinds.get(kind, 0) + 1
+        # the sample reaches a cover, an unreachable state and nondeterminism
+        assert len(kinds) == 3 and min(kinds.values()) > 100, kinds
+
+    def test_arc_issues_match_reference(self):
+        from gen_models import random_messy_sxm
+
+        from dataclasses import replace
+
+        from heterotest.dft import check_dft
+
+        several = 0
+        for seed in range(300):
+            base = random_messy_sxm(seed)
+            # widen every next-state entry to a seeded set of targets
+            states = sorted(base.states)
+            next_state = {
+                key: tuple(states[: 1 + (seed + i) % len(states)])
+                for i, key in enumerate(sorted(base.next_state))
+            }
+            for model in (base, replace(base, next_state=next_state)):
+                issues = list(check_dft(model).structural_issues)
+                expected = reference_arc_issues(model)
+                assert [i for i in issues if "arcs from state" in i] == expected, seed
+                several += len(expected) > len(set(expected))
+        assert several > 10  # one state and label with three or more targets
