@@ -204,9 +204,14 @@ def _cmd_simulate(args) -> int:
 
 def _simulate_heterotic(args, system) -> int:
     from .heterotic import run_heterotic, subprocess_oracle
+    from .psystem import render_config
 
     oracle = None
-    if args.oracle_cmd:
+    if args.oracle_cmd is None:
+        for flag in ("oracle_timeout_ms", "oracle_retries"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"simulate --{flag.replace('_', '-')} needs --oracle-cmd")
+    else:
         oracle = subprocess_oracle(
             args.oracle_cmd,
             system.psystem,
@@ -219,9 +224,7 @@ def _simulate_heterotic(args, system) -> int:
     for e in trace.exchanges:
         arrow = "base -> control" if e.direction == "base_to_control" else "control -> base"
         steps = f" after {e.steps} step(s)" if e.steps is not None else ""
-        lines.append(
-            f"round {e.round}: {arrow}: (" + ",".join(e.configuration) + ")" + steps
-        )
+        lines.append(f"round {e.round}: {arrow}: {render_config(e.configuration)}{steps}")
     _emit(args, payload, lines)
     return 0
 

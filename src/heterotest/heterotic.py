@@ -7,9 +7,11 @@ the machine stays deterministic), a second moves the halted configuration
 to the out-port, a communicating function ships it to Control, and a final
 ordinary function accepts Control's re-initialisation from the in-port.
 
-An external oracle can replace the in-process simulation: the driver then
-injects the oracle's final configuration instead of stepping, leaving the
-recorded trace identical for identical answers.
+Every Base phase of the round driver runs through one oracle contract:
+initial configuration in, halting configuration and step count out.  The
+in-process run is the built-in seeded simulator behind that contract, and
+an external executor can stand in for it; identical answers record
+identical traces.
 """
 
 from __future__ import annotations
@@ -35,38 +37,25 @@ from .errors import (
     OracleInvalidResult,
     OracleTimeout,
     PortIncompatibility,
+    SchemaError,
 )
-from .multiset import Multiset
+from .model_io import config_from_json, config_to_json
 from .psystem import (
     PConfiguration,
     PSystem,
     config_canonical,
+    is_config_for,
     is_halting,
     seeded_chooser,
     seeded_trace,
 )
 from .sxm import MemoryDomain
 from .testgen import TestSuite
-from .values import BOTTOM_M, NULL, Value, render, sort_key
+from .values import BOTTOM_M, NULL, render, sort_key
 
 BASE_INPUTS = ("emit", "load", "step")
 ADVANCE, EMIT, LOAD, SEND = "advance", "emit_result", "load_config", "send_result"
 RUNNING, SENDING, WAITING = "running", "sending", "waiting"
-
-
-def config_value(cfg: PConfiguration) -> Value:
-    return tuple(cfg)
-
-
-def is_config_for(ps: PSystem, value: Value) -> bool:
-    if not isinstance(value, tuple) or len(value) != ps.n_compartments:
-        return False
-    for part in value:
-        if not isinstance(part, Multiset):
-            return False
-        if any(sym not in ps.alphabet for sym, _ in part.items()):
-            return False
-    return True
 
 
 def simulate_to_halt(
@@ -103,7 +92,7 @@ class AdvanceFunction(CsxmFunction):
         if not is_config_for(self.ps, memory):
             return None
         successor = seeded_trace(self.ps, tuple(memory), self.choose, 1).final
-        return CsxmResult(memory=config_value(successor), output="ran")
+        return CsxmResult(memory=successor, output="ran")
 
 
 class EmitFunction(CsxmFunction):
@@ -168,26 +157,16 @@ def wrap_psystem_as_csxm(
     re-initialisation in ``initial_configs``; each trajectory must halt
     within ``depth_cap`` steps.
     """
-    sample: list[Value] = []
-    finals: list[Value] = []
-    seen = set()
     for cfg in initial_configs:
         if not is_config_for(ps, cfg):
             raise PortIncompatibility(
                 f"re-initialisation {render(cfg)} is not a configuration of {ps.name}"
             )
-    starts = [tuple(ps.initial)] + list(initial_configs)
-    for start in starts:
+    sample, finals = set(), set()
+    for start in [tuple(ps.initial)] + list(initial_configs):
         final, _, visited = simulate_to_halt(ps, start, seed, depth_cap)
-        for cfg in visited:
-            key = config_canonical(cfg)
-            if key not in seen:
-                seen.add(key)
-                sample.append(config_value(cfg))
-        if config_value(final) not in finals:
-            finals.append(config_value(final))
-    sample.sort(key=sort_key)
-    finals.sort(key=sort_key)
+        sample.update(visited)
+        finals.add(final)
 
     functions: Dict[str, CsxmFunction] = {
         ADVANCE: AdvanceFunction(ps, seed),
@@ -209,12 +188,12 @@ def wrap_psystem_as_csxm(
         states=states,
         initial_states=frozenset({RUNNING}),
         terminal_states=states,
-        memory_domain=MemoryDomain(kind="open", sample=tuple(sample)),
-        initial_memory=config_value(tuple(ps.initial)),
+        memory_domain=MemoryDomain(kind="open", sample=tuple(sorted(sample, key=sort_key))),
+        initial_memory=tuple(ps.initial),
         functions=functions,
         next_state=next_state,
-        in_port_domain=tuple(sorted({config_value(tuple(c)) for c in initial_configs}, key=sort_key)),
-        out_port_domain=tuple(finals),
+        in_port_domain=tuple(sorted({tuple(c) for c in initial_configs}, key=sort_key)),
+        out_port_domain=tuple(sorted(finals, key=sort_key)),
         ordinary_states=states - {SENDING},
         communicating_states=frozenset({SENDING}),
         ordinary_functions=frozenset({ADVANCE, EMIT, LOAD}),
@@ -270,7 +249,7 @@ def build_heterotic_system(
 class Exchange:
     round: int
     direction: str  # "base_to_control" | "control_to_base"
-    configuration: Tuple[str, ...]  # canonical multiset strings
+    configuration: PConfiguration
     steps: Optional[int] = None  # base-phase step count, base_to_control only
 
 
@@ -288,12 +267,10 @@ class HeteroticTrace:
 
 @dataclass(frozen=True)
 class OracleBinding:
-    """External-executor contract: initial configuration in, final
+    """The Base-phase contract: initial configuration in, final
     configuration (plus optional step count) out."""
 
     run: Callable[[PConfiguration], Tuple[PConfiguration, Optional[int]]]
-    timeout_ms: Optional[int] = None
-    retries: int = 0
 
 
 def simulator_oracle(ps: PSystem, seed: int, depth_cap: int) -> OracleBinding:
@@ -314,10 +291,7 @@ def subprocess_oracle(
     import subprocess
 
     def run(initial: PConfiguration):
-        request = json.dumps(
-            {"initial": {str(i + 1): m.canonical() for i, m in enumerate(initial)}},
-            sort_keys=True,
-        )
+        request = json.dumps({"initial": config_to_json(initial)}, sort_keys=True)
         attempts = retries + 1
         last_error = None
         for _ in range(attempts):
@@ -338,20 +312,16 @@ def subprocess_oracle(
                 raise OracleInvalidResult(f"oracle exited with status {proc.returncode}{detail}")
             try:
                 reply = json.loads(proc.stdout.strip().splitlines()[-1])
-                final_map = reply["final"]
-                final = tuple(
-                    Multiset.from_string(final_map[str(i + 1)])
-                    for i in range(ps.n_compartments)
-                )
+                final = config_from_json(reply["final"], ps.n_compartments, "final")
                 steps = reply.get("steps")
-            except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+            except (KeyError, IndexError, TypeError, ValueError, SchemaError) as exc:
                 raise OracleInvalidResult(f"malformed oracle reply: {exc}") from exc
             if steps is not None and (not isinstance(steps, int) or isinstance(steps, bool)):
                 raise OracleInvalidResult(f"oracle reply steps must be an integer, got {steps!r}")
             return final, steps
         raise OracleTimeout(f"oracle timed out after {attempts} attempt(s)") from last_error
 
-    return OracleBinding(run=run, timeout_ms=timeout_ms, retries=retries)
+    return OracleBinding(run=run)
 
 
 def _invoke_oracle(h: HeteroticSystem, oracle: OracleBinding, cfg: PConfiguration):
@@ -374,12 +344,15 @@ def run_heterotic(
     Moves are chosen communicating-first, then ordinary in (component,
     function, symbol) order, skipping stutters; that realises the intended
     alternation (Base runs to halt, emits, sends; Control inspects and
-    replies) without hard-coding either machine.  With an oracle bound the
-    Base stepping function is bypassed and the oracle's final configuration
-    is injected in its place.
+    replies) without hard-coding either machine.  Each Base phase is one
+    call of ``oracle``, by default the built-in simulator: its final
+    configuration is injected in place of the Base's stepping, since while
+    the Base can step no other move is chosen.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if oracle is None:
+        oracle = simulator_oracle(h.psystem, h.seed, h.depth_cap)
     sys = h.as_system
     core = initial_system_core(sys)
     exchanges: list[Exchange] = []
@@ -418,31 +391,19 @@ def run_heterotic(
             value = core[i - 1][3]
             if i == 1:
                 b2c += 1
-                exchanges.append(
-                    Exchange(b2c, "base_to_control", config_canonical(tuple(value)), steps_this_phase)
-                )
+                exchanges.append(Exchange(b2c, "base_to_control", tuple(value), steps_this_phase))
                 steps_this_phase = 0
             else:
                 if b2c >= rounds:
                     break
-                exchanges.append(
-                    Exchange(b2c, "control_to_base", config_canonical(tuple(value)), None)
-                )
+                exchanges.append(Exchange(b2c, "control_to_base", tuple(value), None))
             core = succ
             continue
 
         if i == 1 and fname == ADVANCE:
-            if oracle is not None:
-                final, steps = _invoke_oracle(h, oracle, tuple(core[0][0]))
-                _, state, in_port, out_port = core[0]
-                core = ((config_value(final), state, in_port, out_port),) + core[1:]
-                steps_this_phase = steps
-                continue
-            steps_this_phase += 1
-            if steps_this_phase > h.depth_cap:
-                raise DepthCapExceeded(
-                    f"base exceeded {h.depth_cap} steps without halting"
-                )
+            final, steps_this_phase = _invoke_oracle(h, oracle, tuple(core[0][0]))
+            core = ((final,) + core[0][1:],) + core[1:]
+            continue
         core = succ
     else:
         raise DeadlockError("driver exceeded its micro-step budget (livelock?)")

@@ -114,7 +114,11 @@ def _is_target_pair(v: Any) -> bool:
 
 
 def _is_config(v: Any) -> bool:
-    return STR_MAP.test(v) and set(v) == {str(i + 1) for i in range(len(v))}
+    # the JSON form of a configuration of as many compartments as it names
+    try:
+        return config_from_json(v, len(v), "") is not None
+    except (SchemaError, TypeError):
+        return False
 
 
 STR = JsonType(lambda v: isinstance(v, str), "a string")
@@ -350,6 +354,20 @@ def system_from_dict(d: Mapping, default_name: str = "system") -> CsxmSystem:
 # --- P systems ----------------------------------------------------------------
 
 
+def config_to_json(cfg: PConfiguration) -> Dict[str, str]:
+    """The one JSON form of a configuration: each compartment's canonical
+    multiset string under its id, "1".."n"."""
+    return {str(i + 1): m.canonical() for i, m in enumerate(cfg)}
+
+
+def config_from_json(obj: Any, n: int, where: str) -> PConfiguration:
+    """The configuration of ``n`` compartments that ``obj`` writes in that
+    form: exactly the keys "1".."n", each a multiset string."""
+    keys = [str(i) for i in range(1, n + 1)]
+    check_fields(obj, Spec(dict.fromkeys(keys, STR)), where)
+    return tuple(Multiset.from_string(obj[k]) for k in keys)
+
+
 def _structure_to_json(ps: PSystem, root: int) -> Dict[str, Any]:
     return {
         "id": root,
@@ -374,7 +392,7 @@ def psystem_to_dict(ps: PSystem) -> Dict[str, Any]:
         "name": ps.name,
         "alphabet": sorted(ps.alphabet),
         "structure": _structure_to_json(ps, roots[0]) if roots else {},
-        "initial": {str(i + 1): m.canonical() for i, m in enumerate(ps.initial)},
+        "initial": config_to_json(ps.initial),
         "rules": rules,
     }
 
@@ -395,9 +413,10 @@ def psystem_from_dict(d: Mapping, default_name: str = "psystem") -> PSystem:
     check_fields(d, _PSYSTEM, "psystem")
     parent: Dict[int, Optional[int]] = {}
     _structure_from_json(d["structure"], None, parent, "structure")
-    initial = tuple(
-        Multiset.from_string(d["initial"].get(str(comp), "")) for comp in range(1, len(parent) + 1)
-    )
+    n = len(parent)
+    # a compartment the file leaves out starts empty
+    initial = config_from_json({**dict.fromkeys(map(str, range(1, n + 1)), ""), **d["initial"]},
+                               n, "initial")
     rules = []
     for comp_str, bodies in sorted(d["rules"].items()):
         for entry in bodies:
@@ -429,15 +448,11 @@ def _fired_to_json(fired) -> Dict[str, Dict[str, int]]:
     }
 
 
-def _config_to_json(cfg: PConfiguration) -> Dict[str, str]:
-    return {str(i + 1): m.canonical() for i, m in enumerate(cfg)}
-
-
 def ptrace_to_dict(trace: ComputationTrace) -> Dict[str, Any]:
     return {
-        "initial": _config_to_json(trace.initial),
+        "initial": config_to_json(trace.initial),
         "steps": [
-            {"fired": _fired_to_json(step.fired), "result": _config_to_json(step.result)}
+            {"fired": _fired_to_json(step.fired), "result": config_to_json(step.result)}
             for step in trace.steps
         ],
         "halted": trace.halted,
@@ -453,7 +468,7 @@ def coverage_report_to_dict(report: CoverageReport) -> Dict[str, Any]:
             "covered": entry.covered,
         }
         if entry.covered:
-            body["configuration"] = _config_to_json(entry.configuration)
+            body["configuration"] = config_to_json(entry.configuration)
             body["witness"] = ptrace_to_dict(entry.witness)
         rules.append(body)
     return {"schema": SCHEMA_VERSION, "rules": rules, "all_covered": report.all_covered()}
@@ -464,29 +479,24 @@ def testset_to_dict(members, report: CoverageReport, depth: int) -> Dict[str, An
         "schema": SCHEMA_VERSION,
         "method": "rule-coverage",
         "depth": depth,
-        "members": [_config_to_json(cfg) for cfg in members],
+        "members": [config_to_json(cfg) for cfg in members],
         "report": coverage_report_to_dict(report),
     }
 
 
 def testset_members_from_dict(d: Mapping, ps: PSystem) -> list[PConfiguration]:
-    """The members of a test set for ``ps``: each must hold one multiset
-    per compartment of ``ps``, over its alphabet."""
+    """The members of a test set for ``ps``: each must be a configuration
+    of ``ps``."""
+    from .psystem import config_defect
+
     check_fields(d, _TEST_SET, "test set")
     members = []
     for idx, entry in enumerate(d["members"]):
         where = f"test set: members[{idx}]"
-        if len(entry) != ps.n_compartments:
-            raise SchemaError(
-                f"{where} has {len(entry)} compartment(s), {ps.name} has {ps.n_compartments}"
-            )
-        cfg = tuple(Multiset.from_string(entry[str(i + 1)]) for i in range(len(entry)))
-        for comp, part in enumerate(cfg, start=1):
-            for sym in part.symbols():
-                if sym not in ps.alphabet:
-                    raise SchemaError(
-                        f'{where}["{comp}"]: symbol {sym!r} is not in the alphabet of {ps.name}'
-                    )
+        cfg = config_from_json(entry, len(entry), where)
+        defect = config_defect(ps, cfg)
+        if defect:
+            raise SchemaError(where + defect)
         members.append(cfg)
     return members
 
@@ -569,7 +579,7 @@ def htrace_to_dict(trace: HeteroticTrace) -> Dict[str, Any]:
             {
                 "round": e.round,
                 "direction": e.direction,
-                "configuration": {str(i + 1): c for i, c in enumerate(e.configuration)},
+                "configuration": config_to_json(e.configuration),
                 "steps": e.steps,
             }
             for e in trace.exchanges

@@ -109,6 +109,25 @@ def render_config(cfg: PConfiguration) -> str:
     return "(" + ",".join(m.canonical() for m in cfg) + ")"
 
 
+def config_defect(ps: PSystem, value) -> Optional[str]:
+    """What keeps ``value`` from being a configuration of ``ps``, one
+    multiset per compartment over its alphabet, as the end of a message
+    about it; None when it is one."""
+    if not isinstance(value, tuple) or not all(isinstance(part, Multiset) for part in value):
+        return " is not a configuration"
+    if len(value) != ps.n_compartments:
+        return f" has {len(value)} compartment(s), {ps.name} has {ps.n_compartments}"
+    for comp, part in enumerate(value, start=1):
+        for sym, _ in part.items():
+            if sym not in ps.alphabet:
+                return f'["{comp}"]: symbol {sym!r} is not in the alphabet of {ps.name}'
+    return None
+
+
+def is_config_for(ps: PSystem, value) -> bool:
+    return config_defect(ps, value) is None
+
+
 @dataclass(frozen=True)
 class TraceStep:
     fired: Assignment

@@ -60,7 +60,8 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _is_int(tok: str) -> bool:
-    return tok.isdigit()
+    # ASCII only: str.isdigit also holds for "²", which int() rejects
+    return tok.isascii() and tok.isdigit()
 
 
 # --- expression nodes -------------------------------------------------------

@@ -595,3 +595,56 @@ def test_validate_dft_pinned(models_dir, tmp_path, capsys, model, code, digest):
     assert main(["validate", "--dft", path, "-o", str(out_file)]) == code
     capsys.readouterr()
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+# sha256 of the ``-o`` artifact and of the text stdout of the heterotic
+# driver, in process and through the fixed-reply oracle of
+# ``test_simulate_heterotic_with_oracle_cmd``, and of the P-system test set,
+# mutants and score, measured while the driver still stepped the Base
+# itself and each configuration reader had its own key rule.
+@pytest.mark.parametrize("rounds, artifact, stdout", [
+    (1, "19a4e18c64b07c7f20a54164b74ff26b1dd88bce4fc741b98b471d5f796cecab",
+     "65d1e223cf1b5783940dc4dd126ddc5f3937a9b24a7115bd14782b60d85d05b1"),
+    (2, "1b703ea18500c123471a4baf5d2b31546b873f855eb6b2d2d405bddc8af8bcd9",
+     "172d85f732169c7e3b9dc2f0fc9e6a29db14957be5e788d2aa6d09f408a635b5"),
+    (3, "e97f1afeeee4d70edfb0790c34ce0a42338ead9818fe4e997f6f06615da559ad",
+     "172d85f732169c7e3b9dc2f0fc9e6a29db14957be5e788d2aa6d09f408a635b5"),
+])
+@pytest.mark.parametrize("oracle", [False, True], ids=["in-process", "oracle-cmd"])
+def test_heterotic_driver_pinned(models_dir, tmp_path, capsys, rounds, artifact, stdout, oracle):
+    flags = []
+    if oracle:
+        script = tmp_path / "oracle.py"
+        script.write_text(
+            "import json,sys\n"
+            "json.loads(sys.stdin.readline())\n"
+            "print(json.dumps({'final': {'1': 'bdf', '2': 'b'}, 'steps': 2}))\n"
+        )
+        flags = ["--oracle-cmd", f"{sys.executable} {script}"]
+    out_file = tmp_path / "trace.json"
+    assert main(["simulate", str(models_dir / "ps2_heterotic.json"), "--rounds", str(rounds),
+                 *flags, "-o", str(out_file)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == artifact
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout
+
+
+def test_psystem_test_set_mutants_and_score_pinned(models_dir, tmp_path, capsys):
+    def digests(name, args):
+        out_file = tmp_path / name
+        assert main(args + ["-o", str(out_file)]) == 0
+        out = capsys.readouterr().out
+        return (hashlib.sha256(out_file.read_bytes()).hexdigest(),
+                hashlib.sha256(out.encode()).hexdigest())
+
+    ps2 = str(models_dir / "ps2.json")
+    assert digests("testset.json", ["gen-tests", "psystem", ps2]) == (
+        "56dc952fc9eead0238f0e8dc4099ce5389d2a668d4b38a6766b8ee2036c746d2",
+        "7ec9af49623d87261b304437eea13af461a936ee8fbdfe7594d125be934b2b11")
+    assert digests("mutants.json", ["mutate", ps2, "--seed", "3"]) == (
+        "c9d2a96cd07996f44040daadf27b86717b9bd516d105770524887ff6269a2e4c",
+        "1df6bf1f80213a6ead2f84885ebf1a8557f759b26048cdf4c16c257838b48def")
+    assert digests("score.json", ["score", ps2, "--mutants", str(tmp_path / "mutants.json"),
+                                  "--test-set", str(tmp_path / "testset.json")]) == (
+        "49eff2d87b3a3d5b041b98684d5b13755b8c902a20afe3d5281b4d03aa9a8380",
+        "4baaacca5abce47c6e5f5c21bc02deae3b4ada61edfe796ee2976f27fa361d7d")

@@ -1,9 +1,18 @@
+import json
+import shutil
 import sys
 
 import pytest
 
-from heterotest.csxms import system_step, initial_system_configuration
+from heterotest.csxms import (
+    initial_system_configuration,
+    initial_system_core,
+    system_core_successors,
+    system_step,
+)
+from heterotest.cli import main
 from heterotest.errors import (
+    DeadlockError,
     DepthCapExceeded,
     DftFailure,
     OracleInvalidResult,
@@ -14,18 +23,17 @@ from heterotest.heterotic import (
     OracleBinding,
     build_heterotic_system,
     generate_integration_tests,
-    is_config_for,
     run_heterotic,
     simulate_to_halt,
     simulator_oracle,
     subprocess_oracle,
     wrap_psystem_as_csxm,
 )
-from heterotest.model_io import canonical_json, htrace_to_dict
+from heterotest.model_io import canonical_json, htrace_to_dict, load_model_file
 from heterotest.multiset import Multiset
-from heterotest.psystem import PRule, PSystem, config_canonical
+from heterotest.psystem import PRule, PSystem, config_canonical, is_config_for
 from heterotest.csxms import check_csxm_dft, extend_for_testing
-from heterotest.values import BOTTOM_M
+from heterotest.values import BOTTOM_M, sort_key
 
 M = Multiset.from_string
 
@@ -104,8 +112,7 @@ class TestRun:
         assert directions == ["base_to_control", "control_to_base", "base_to_control"]
         assert trace.rounds_completed == 2
         for e in trace.exchanges:
-            cfg = tuple(M(c) for c in e.configuration)
-            assert is_config_for(ps2_heterotic.psystem, cfg)
+            assert is_config_for(ps2_heterotic.psystem, e.configuration)
 
     def test_one_round_single_exchange(self, ps2_heterotic):
         trace = run_heterotic(ps2_heterotic, rounds=1)
@@ -138,7 +145,7 @@ class TestRun:
         )
         oracle = subprocess_oracle([sys.executable, "-c", script], ps2_heterotic.psystem)
         trace = run_heterotic(ps2_heterotic, rounds=2, oracle=oracle)
-        assert trace.exchanges[0].configuration == ("bdf", "b")
+        assert config_canonical(trace.exchanges[0].configuration) == ("bdf", "b")
         assert trace.exchanges[0].steps == 2
 
     def test_subprocess_oracle_timeout(self, ps2_heterotic):
@@ -237,3 +244,124 @@ def _system_outcomes(sys_, streams):
                     nxt.add(succ)
         frontier = nxt
     return outcomes
+
+
+# --- the reference: the driver that stepped the Base itself ----------------------
+
+
+def reference_run_heterotic(h, rounds):
+    """The round driver from before every Base phase ran through the oracle
+    contract: without an oracle it took the Base's advance edge one
+    micro-step at a time and counted the steps against ``depth_cap`` itself.
+    Returns the exchanges as (round, direction, canonical configuration,
+    steps)."""
+    sys_ = h.as_system
+    core = initial_system_core(sys_)
+    exchanges = []
+    steps_this_phase = 0
+    b2c = 0
+    micro_cap = (h.depth_cap + 8) * (rounds + 1) * (len(sys_.components) + 2) * 4
+
+    def edge_key(edge):
+        label, successor = edge
+        return label, tuple(
+            (sort_key(m), q, sort_key(p_in), sort_key(p_out))
+            for (m, q, p_in, p_out) in successor
+        )
+
+    for _ in range(micro_cap):
+        edges = sorted(system_core_successors(sys_, core), key=edge_key)
+        chosen = None
+        for label, succ in edges:
+            i, fname, _ = label
+            if fname in sys_.components[i - 1].communicating_functions:
+                chosen = (label, succ)
+                break
+        if chosen is None:
+            for label, succ in edges:
+                if succ != core:
+                    chosen = (label, succ)
+                    break
+        if chosen is None:
+            break
+        (i, fname, _), succ = chosen
+        if fname in sys_.components[i - 1].communicating_functions:
+            value = core[i - 1][3]
+            if i == 1:
+                b2c += 1
+                exchanges.append((b2c, "base_to_control", config_canonical(value), steps_this_phase))
+                steps_this_phase = 0
+            else:
+                if b2c >= rounds:
+                    break
+                exchanges.append((b2c, "control_to_base", config_canonical(value), None))
+            core = succ
+            continue
+        if i == 1 and fname == "advance":
+            steps_this_phase += 1
+            if steps_this_phase > h.depth_cap:
+                raise DepthCapExceeded(f"base exceeded {h.depth_cap} steps without halting")
+        core = succ
+    else:
+        raise DeadlockError("driver exceeded its micro-step budget (livelock?)")
+    return exchanges
+
+
+def _exchanges(trace):
+    return [(e.round, e.direction, config_canonical(e.configuration), e.steps)
+            for e in trace.exchanges]
+
+
+def _reseeded(h, seed):
+    base = wrap_psystem_as_csxm(h.psystem, h.depth_cap, seed=seed,
+                                initial_configs=h.control.out_port_domain)
+    return build_heterotic_system(base, h.control, h.psystem, seed=seed,
+                                  depth_cap=h.depth_cap, name=h.as_system.name)
+
+
+def test_driver_equals_the_stepping_reference(ps2_heterotic):
+    steps = set()
+    for seed in range(64):
+        h = _reseeded(ps2_heterotic, seed)
+        for rounds in range(1, 5):
+            got = _exchanges(run_heterotic(h, rounds))
+            assert got == reference_run_heterotic(h, rounds), (seed, rounds)
+            steps.update(e[3] for e in got if e[3] is not None)
+    # both halting configurations of ps2, at 2 and 3 steps, are reached
+    assert steps == {2, 3}
+
+
+@pytest.fixture()
+def undeclared_reply(models_dir, tmp_path):
+    """A heterotic file: ps2 behind a Control whose reply is a configuration
+    it does not declare, on which ps2 does not halt within the file's depth
+    cap of 3."""
+    shutil.copy(models_dir / "ps2.json", tmp_path / "ps2.json")
+    control = json.loads((models_dir / "ps2_control.json").read_text(encoding="utf-8"))
+    control["functions"][0]["cases"][0]["out_port"] = "[{b b b b b b b b c} {t}]"
+    (tmp_path / "ps2_control.json").write_text(json.dumps(control), encoding="utf-8")
+    path = tmp_path / "undeclared.json"
+    path.write_text(json.dumps({"schema": 1, "psystem": "ps2.json", "control": "ps2_control.json",
+                                "seed": 0, "depth_cap": 3}), encoding="utf-8")
+    return path
+
+
+def test_base_past_the_depth_cap_raises_like_the_reference(undeclared_reply):
+    h = load_model_file(undeclared_reply)[1]
+    assert _exchanges(run_heterotic(h, 1)) == reference_run_heterotic(h, 1)
+    with pytest.raises(DepthCapExceeded, match="base exceeded 3 steps without halting"):
+        reference_run_heterotic(h, 2)
+    with pytest.raises(DepthCapExceeded,
+                       match=r"^ps2 did not halt within 3 steps from bbbbbbbbc\|t$"):
+        run_heterotic(h, 2)
+
+
+def test_base_past_the_depth_cap_exits_two(undeclared_reply, capsys):
+    # the in-process run printed "error: base exceeded 3 steps without
+    # halting" before; the oracle run already printed this message
+    out_file = undeclared_reply.parent / "trace.json"
+    assert main(["simulate", str(undeclared_reply), "--rounds", "2", "-o", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: ps2 did not halt within 3 steps from bbbbbbbbc|t\n"
+    assert captured.out == ""
+    assert not out_file.exists()

@@ -70,6 +70,10 @@ def test_machine_of_wrong_shape_exits_three(work, capsys, change, message):
     (lambda d: d.update(initial=["s", "t"]), "initial must be an object of strings"),
     (lambda d: d["rules"]["1"][0].update(lhs=5), "lhs must be a string"),
     (lambda d: d.update(rules=[]), "rules must be an object of lists of objects"),
+    # keys that are not compartment ids were dropped before
+    (lambda d: d.update(initial={"1": "s", "02": "t"}), "initial: unknown keys ['02']"),
+    (lambda d: d.update(initial={"1": "s", "2": "t", "3": "u"}), "initial: unknown keys ['3']"),
+    (lambda d: d.update(initial={"0": "s", "2": "t"}), "initial: unknown keys ['0']"),
 ])
 def test_psystem_of_wrong_shape_exits_three(work, capsys, change, message):
     model = _edit(work / "ps2.json", change)
@@ -271,6 +275,10 @@ def test_out_of_range_flags_are_usage_errors(models_dir, tmp_path, capsys, args)
     _exits(2, args, "must be at least", tmp_path, capsys)
 
 
+def _replies(final):
+    return f"print(json.dumps({{'final': {final!r}, 'steps': 2}}))\n"
+
+
 def _oracle(tmp_path, body):
     script = tmp_path / "oracle.py"
     script.write_text("import json, sys\nsys.stdin.readline()\n" + body)
@@ -284,6 +292,13 @@ def _oracle(tmp_path, body):
      "oracle reply steps must be an integer, got 'two'"),
     ("print(json.dumps({'final': {'1': 'bdf', '2': 'b'}, 'steps': True}))\n",
      "oracle reply steps must be an integer, got True"),
+    # an extra compartment exited 0 before, the extra keys ignored
+    (_replies({"1": "bdf", "2": "b", "3": "zzz", "x": 1}),
+     "malformed oracle reply: final: unknown keys ['3', 'x']"),
+    (_replies({"1": "bdf"}), "malformed oracle reply: final: missing keys ['2']"),
+    (_replies({"1": "bdf", "2": ["b"]}), "malformed oracle reply: final: 2 must be a string"),
+    (_replies("bdf|b"), "malformed oracle reply: final: expected an object"),
+    ("", "malformed oracle reply: list index out of range"),
 ])
 def test_oracle_failures_exit_two(models_dir, tmp_path, capsys, body, message):
     args = ["simulate", str(models_dir / "ps2_heterotic.json"),
@@ -294,6 +309,28 @@ def test_oracle_failures_exit_two(models_dir, tmp_path, capsys, body, message):
 def test_blank_oracle_command_is_a_usage_error(models_dir, tmp_path, capsys):
     args = ["simulate", str(models_dir / "ps2_heterotic.json"), "--oracle-cmd", " "]
     _exits(2, args, "the command is empty", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--oracle-retries", "3"], "--oracle-retries"),
+    (["--oracle-timeout-ms", "5"], "--oracle-timeout-ms"),
+    (["--oracle-retries", "3", "--oracle-timeout-ms", "5"], "--oracle-timeout-ms"),
+])
+def test_oracle_flags_need_an_oracle_command(models_dir, tmp_path, capsys, flags, flag):
+    # exited 0 and ran in process before
+    args = ["simulate", str(models_dir / "ps2_heterotic.json"), *flags]
+    _exits(2, args, f"simulate {flag} needs --oracle-cmd", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("field, text, code, message", [
+    ("mem_pattern", "²", 0, "sxm: valid"),
+    ("mem_next", "?m + ¹", 1, "arithmetic '+' needs integers, got 0, '¹'"),
+])
+def test_digits_int_rejects_are_atoms(work, capsys, field, text, code, message):
+    # a ValueError traceback, exit 1, before
+    model = _edit(work / "counter.json",
+                  lambda d: d["functions"][0]["cases"][0].update({field: text}))
+    _exits(code, ["validate", model], message, work, capsys)
 
 
 # --- fuzz ---------------------------------------------------------------------

@@ -29,7 +29,7 @@ from heterotest.csxms import (
     extend_for_testing,
 )
 from heterotest.errors import DepthCapExceeded, ExplosionBoundExceeded, TermError
-from heterotest.heterotic import AdvanceFunction, config_value, is_config_for, simulate_to_halt
+from heterotest.heterotic import AdvanceFunction, simulate_to_halt
 from heterotest.model_io import load_model_file
 from heterotest.multiset import Multiset
 from heterotest.psystem import (
@@ -38,6 +38,7 @@ from heterotest.psystem import (
     PSystem,
     TraceStep,
     config_canonical,
+    is_config_for,
     is_halting,
     psystem_run,
     seeded_chooser,
@@ -101,7 +102,7 @@ def reference_advance(ps, seed, input_symbol, in_port, memory):
         return CsxmResult(memory=memory, output="ran")
     choices = step_choices(ps, cfg)
     successor = choices[choose(cfg, len(choices))][1]
-    return CsxmResult(memory=config_value(successor), output="ran")
+    return CsxmResult(memory=successor, output="ran")
 
 
 # --- the reference: one communicating case loop --------------------------------
@@ -208,7 +209,7 @@ def test_advance_equals_the_reference_along_every_trajectory(ps):
         advance = AdvanceFunction(ps, seed)
         (trace,) = psystem_run(ps, 6, "seeded", seed)
         for cfg in trace.configurations():
-            memory = config_value(cfg)
+            memory = cfg
             for symbol, port in (("step", BOTTOM_M), ("emit", BOTTOM_M), ("step", memory)):
                 got = advance.evaluate(symbol, port, memory)
                 assert got == reference_advance(ps, seed, symbol, port, memory), (seed, cfg)
@@ -222,7 +223,7 @@ def test_advance_stutters_on_every_halted_trajectory_end():
         for seed in CHOOSERS:
             (trace,) = psystem_run(ps, 6, "seeded", seed)
             if trace.halted:
-                memory = config_value(trace.final)
+                memory = trace.final
                 result = AdvanceFunction(ps, seed).evaluate("step", BOTTOM_M, memory)
                 assert result == CsxmResult(memory=memory, output="ran")
                 stutters += 1

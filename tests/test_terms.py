@@ -122,3 +122,22 @@ def test_reserved_atoms_tokenize():
     p = parse_pattern("⊥_M")
     assert p.match("⊥_M") == {}
     assert p.match("x") is None
+
+
+@pytest.mark.parametrize("text", ["²", "¹", "٣"])
+def test_only_ascii_digits_are_integers(text):
+    # str.isdigit holds for each; int() rejects "²" and "¹", which ended in
+    # a ValueError, and reads "٣" as 3
+    pattern = parse_pattern(text)
+    assert pattern.match(text) == {}
+    assert pattern.match(2) is None and pattern.match(3) is None
+    assert parse_expr(text).evaluate({}) == text
+
+
+def test_a_non_ascii_digit_is_no_operand():
+    with pytest.raises(TermError, match="expected integer after '-'"):
+        parse_pattern("-²")
+    with pytest.raises(TermError, match="arithmetic '\\+' needs integers, got 1, '¹'"):
+        parse_expr("?m + ¹").evaluate({"m": 1})
+    with pytest.raises(TermError, match="unary minus needs an integer"):
+        parse_expr("-¹").evaluate({})
