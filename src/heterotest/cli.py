@@ -29,10 +29,11 @@ from .errors import (
 
 
 def _env_seed() -> int:
+    text = os.environ.get("HETEROTEST_SEED", "0")
     try:
-        return int(os.environ.get("HETEROTEST_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise UsageError(f"HETEROTEST_SEED must be an integer, got {text!r}") from None
 
 
 def _int_at_least(low: int):

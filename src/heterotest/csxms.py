@@ -12,6 +12,10 @@ function is redefined to consume a fresh input symbol and emit a
 component/function-identifying output symbol, making communication
 observable.  The extended system is then folded into a single product
 machine whose step relation mirrors the system's.
+
+The fresh input symbol is the module constant ``COMM_SYMBOL``, ``"a"``,
+read wherever a communicating step is offered or checked; a system whose
+alphabets already hold it cannot be extended.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .terms import Expr, Pattern, parse_expr, parse_pattern
 from .testgen import TestSuite, build_w_suite
 from .values import BOTTOM_M, NULL, Value, render, sort_key
 
-DEFAULT_COMM_SYMBOL = "a"
+COMM_SYMBOL = "a"
 
 ORDINARY = "ordinary"
 COMMUNICATING = "communicating"
@@ -134,14 +138,13 @@ class ExtendedCommFunction(CsxmFunction):
 
     kind = COMMUNICATING
 
-    def __init__(self, inner: CsxmFunction, comm_symbol: str, output_symbol: str):
+    def __init__(self, inner: CsxmFunction, output_symbol: str):
         self.inner = inner
         self.name = inner.name
-        self.comm_symbol = comm_symbol
         self.output_symbol = output_symbol
 
     def evaluate(self, input_symbol, in_port, memory):
-        if input_symbol != self.comm_symbol:
+        if input_symbol != COMM_SYMBOL:
             return None
         result = self.inner.evaluate(NULL, in_port, memory)
         if result is None:
@@ -180,7 +183,6 @@ class CsxmSystem:
     name: str
     components: Tuple[Csxm, ...]
     extended: bool = False
-    comm_symbol: str = DEFAULT_COMM_SYMBOL
 
 
 @dataclass(frozen=True)
@@ -434,7 +436,7 @@ def comm_output_symbol(component_index: int, function_position: int) -> str:
     return f"[{component_index},{function_position}]"
 
 
-def extend_for_testing(sys: CsxmSystem, comm_symbol: str = DEFAULT_COMM_SYMBOL) -> CsxmSystem:
+def extend_for_testing(sys: CsxmSystem) -> CsxmSystem:
     """Make communication observable.
 
     Every communicating function of component i gains the fresh input symbol
@@ -448,9 +450,9 @@ def extend_for_testing(sys: CsxmSystem, comm_symbol: str = DEFAULT_COMM_SYMBOL) 
         for pos, _ in enumerate(sorted(comp.communicating_functions), start=1):
             used_symbols.append(comm_output_symbol(idx, pos))
     for comp in sys.components:
-        if comm_symbol in comp.inputs or comm_symbol in comp.outputs:
+        if COMM_SYMBOL in comp.inputs or COMM_SYMBOL in comp.outputs:
             raise AlphabetCollision(
-                f"communication symbol {comm_symbol!r} already in {comp.name}'s alphabets"
+                f"communication symbol {COMM_SYMBOL!r} already in {comp.name}'s alphabets"
             )
         for sym in used_symbols:
             if sym in comp.inputs or sym in comp.outputs:
@@ -467,17 +469,17 @@ def extend_for_testing(sys: CsxmSystem, comm_symbol: str = DEFAULT_COMM_SYMBOL) 
         added_outputs = set()
         for pos, fname in enumerate(sorted(comp.communicating_functions), start=1):
             symbol = comm_output_symbol(idx, pos)
-            functions[fname] = ExtendedCommFunction(comp.functions[fname], comm_symbol, symbol)
+            functions[fname] = ExtendedCommFunction(comp.functions[fname], symbol)
             added_outputs.add(symbol)
         new_components.append(
             replace(
                 comp,
-                inputs=comp.inputs | {comm_symbol},
+                inputs=comp.inputs | {COMM_SYMBOL},
                 outputs=comp.outputs | added_outputs,
                 functions=functions,
             )
         )
-    return replace(sys, components=tuple(new_components), extended=True, comm_symbol=comm_symbol)
+    return replace(sys, components=tuple(new_components), extended=True)
 
 
 # --- the product machine ----------------------------------------------------
@@ -584,7 +586,7 @@ def build_product_sxm(sys: CsxmSystem) -> Sxm:
     input_parts = []
     output_parts = []
     for comp in sys.components:
-        input_parts.append(sorted(comp.inputs | {sys.comm_symbol, NULL}))
+        input_parts.append(sorted(comp.inputs | {COMM_SYMBOL, NULL}))
         output_parts.append(sorted(comp.outputs | {NULL}))
     inputs = {
         encode_tuple_atom(parts)
@@ -728,7 +730,7 @@ def generate_csxms_test_suite(sys: CsxmSystem, k: int) -> TestSuite:
         "system": sys.name,
         "components": [comp.name for comp in sys.components],
         "tuple_order": [comp.name for comp in sys.components],
-        "comm_symbol": extended.comm_symbol,
+        "comm_symbol": COMM_SYMBOL,
         "null_symbol": NULL,
     }
     return build_w_suite(product, k, metadata=metadata)
@@ -755,7 +757,7 @@ def system_core_successors(sys: CsxmSystem, core: SystemCore):
     def offered(i, ordinary):
         if ordinary:
             return sorted(sys.components[i].inputs)
-        return (sys.comm_symbol if sys.extended else NULL,)
+        return (COMM_SYMBOL if sys.extended else NULL,)
 
     return {
         ((i + 1, fname, symbol), succ)

@@ -46,12 +46,6 @@ class MissingSampleError(HeterotestError):
     """An open memory domain was used without a declared finite sample."""
 
 
-# The simultaneous-branch bound of a machine run, unless a caller sets one.
-# It lives here so that mutation.py can name it without executing sxm.py in
-# P-system commands.
-DEFAULT_BRANCH_BOUND = 256
-
-
 class BranchBoundExceeded(HeterotestError):
     """Run exploration hit the simultaneous-branch bound."""
 

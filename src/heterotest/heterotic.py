@@ -44,6 +44,7 @@ from .psystem import (
     PConfiguration,
     PSystem,
     config_canonical,
+    config_defect,
     is_config_for,
     is_halting,
     seeded_chooser,
@@ -396,6 +397,9 @@ def run_heterotic(
             else:
                 if b2c >= rounds:
                     break
+                defect = config_defect(h.psystem, value)
+                if defect:
+                    raise PortIncompatibility(f"{comp.name}'s reply{defect}")
                 exchanges.append(Exchange(b2c, "control_to_base", tuple(value), None))
             core = succ
             continue

@@ -133,7 +133,7 @@ OUTPUTS = _list_of(STRS.test, "a list of lists of strings")
 STR_MAP = JsonType(lambda v: isinstance(v, dict) and all(map(STR.test, v.values())),
                    "an object of strings")
 RULE_MAP = JsonType(
-    lambda v: isinstance(v, dict) and all(k.isdecimal() and OBJS.test(b) for k, b in v.items()),
+    lambda v: isinstance(v, dict) and all(map(OBJS.test, v.values())),
     "an object of lists of objects keyed by compartment id",
 )
 RANGE = JsonType(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
@@ -407,6 +407,17 @@ def _structure_from_json(obj: Any, parent: Optional[int], acc: Dict[int, Optiona
         _structure_from_json(child, comp, acc, f"{where}.children[{idx}]")
 
 
+def _compartment_id(key: str) -> Optional[int]:
+    """The id ``key`` names when it is written as ``config_to_json`` writes
+    ids, in ASCII digits with no leading zero ("01" and "٢" are not)."""
+    if not (key.isascii() and key.isdecimal()) or (key[0] == "0" and key != "0"):
+        return None
+    try:
+        return int(key)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def psystem_from_dict(d: Mapping, default_name: str = "psystem") -> PSystem:
     from .psystem import PRule, PSystem
 
@@ -419,12 +430,15 @@ def psystem_from_dict(d: Mapping, default_name: str = "psystem") -> PSystem:
                                n, "initial")
     rules = []
     for comp_str, bodies in sorted(d["rules"].items()):
+        comp = _compartment_id(comp_str)
+        if comp is None:
+            raise SchemaError(f"psystem: rules key {comp_str!r} is not a compartment id")
         for entry in bodies:
             check_fields(entry, _RULE, f"rules[{comp_str}][]")
             rules.append(
                 PRule(
                     name=entry["name"],
-                    compartment=int(comp_str),
+                    compartment=comp,
                     lhs=Multiset.from_string(entry["lhs"]),
                     rhs=tuple(map(tuple, entry["rhs"])),
                 )

@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from .errors import (
-    DEFAULT_BRANCH_BOUND, BranchBoundExceeded, EmptyMutantSet, NoValidMutants, TermError,
-)
+from .errors import BranchBoundExceeded, EmptyMutantSet, NoValidMutants, TermError
 from .model_io import (
     MUTANT,
     MUTANTS,
@@ -358,7 +356,7 @@ def _reachable_within(ps: PSystem, depth: int) -> set:
     the nodes of the configuration DAG, without a branch cap."""
     from .psystem import config_canonical, explore
 
-    dag = explore(ps, depth, branch_cap=None)
+    dag = explore(ps, depth, capped=False)
     return {config_canonical(cfg) for layer in dag.layers for cfg in layer}
 
 
@@ -459,16 +457,14 @@ class _SpecRun:
     ``observed`` ends there and every mutant replays that case and those
     after it, so a mutant raises what a replay of it alone would."""
 
-    def __init__(self, spec: Sxm, suite: TestSuite, branch_bound: int):
+    def __init__(self, spec: Sxm, suite: TestSuite):
         from .sxm import replay_reached
 
         self.spec, self.n_cases = spec, len(suite.cases)
         self.observed: list = []
         self.fired_by: Dict[tuple, list] = {}
         try:
-            for idx, (outputs, fired) in enumerate(
-                replay_reached(spec, suite.inputs(), branch_bound)
-            ):
+            for idx, (outputs, fired) in enumerate(replay_reached(spec, suite.inputs())):
                 self.observed.append(outputs)
                 for element in fired:
                     self.fired_by.setdefault(element, []).append(idx)
@@ -495,7 +491,6 @@ def score_sxm_suite(
     spec: Sxm,
     mutants: Union[MutantBatch, Iterable[Mutant]],
     suite: TestSuite,
-    branch_bound: int = DEFAULT_BRANCH_BOUND,
 ) -> ScoreReport:
     """A mutant is killed when some case's observed outputs differ from the
     expected outputs recorded in the suite; the witness is the first such
@@ -517,11 +512,11 @@ def score_sxm_suite(
     def kill_witness(model: Sxm) -> Optional[str]:
         nonlocal spec_run
         if spec_run is None:
-            spec_run = _SpecRun(spec, suite, branch_bound)
+            spec_run = _SpecRun(spec, suite)
         replay = spec_run.cases_to_replay(model)
         stop = next((idx for idx in spec_run.failed if idx not in replay), len(cases))
         order = sorted(idx for idx in replay if idx < stop)
-        observed = replay_outputs(model, [inputs[idx] for idx in order], branch_bound)
+        observed = replay_outputs(model, [inputs[idx] for idx in order])
         for idx, outputs in zip(order, observed):
             if outputs != cases[idx].expected_outputs:
                 return witness(idx)

@@ -14,6 +14,11 @@ each distinct configuration once instead of once per computation reaching
 it.  Rule coverage and the coverage test set pick each rule's witness on
 the DAG (:func:`_witnesses`) and build no computation but the witnesses;
 only ``psystem_run``, which serves ``simulate``, lists every computation.
+
+Two module constants bound every exploration, and each is read where it is
+checked: ``ASSIGNMENT_CAP`` rule assignments at one configuration, in one
+compartment or combined, and ``BRANCH_CAP`` computations reaching the layer
+being built.  Past either, :class:`ExplosionBoundExceeded` is raised.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ PConfiguration = Tuple[Multiset, ...]
 # One step's rule instances: per compartment, sorted (rule name, count) pairs.
 Assignment = Tuple[Tuple[Tuple[str, int], ...], ...]
 
-DEFAULT_ASSIGNMENT_CAP = 10_000
-DEFAULT_BRANCH_CAP = 10_000
+ASSIGNMENT_CAP = 10_000
+BRANCH_CAP = 10_000
 
 HERE = "here"
 
@@ -256,10 +261,11 @@ def validate_psystem(ps: PSystem) -> list[Violation]:
 
 
 def _compartment_maximal_multisets(
-    rules: Sequence[PRule], available: Multiset, cap: int
+    rules: Sequence[PRule], available: Multiset
 ) -> list[Tuple[Tuple[str, int], ...]]:
     """All maximal rule-instance multisets for one compartment."""
     results: list[Tuple[Tuple[str, int], ...]] = []
+    cap = ASSIGNMENT_CAP
 
     def applicable(leftover: Multiset) -> bool:
         return any(r.lhs <= leftover for r in rules)
@@ -286,26 +292,24 @@ def _compartment_maximal_multisets(
     return sorted(set(results))
 
 
-def maximal_rule_multisets(
-    ps: PSystem, cfg: PConfiguration, cap: int = DEFAULT_ASSIGNMENT_CAP
-) -> list[Assignment]:
+def maximal_rule_multisets(ps: PSystem, cfg: PConfiguration) -> list[Assignment]:
     """Every maximally parallel assignment at ``cfg``.
 
     Applicability depends only on each compartment's own multiset, so
     per-compartment maximal choices combine as a Cartesian product.  The
     output ordering is canonical.  Raises
-    :class:`ExplosionBoundExceeded` past ``cap`` enumerated assignments.
+    :class:`ExplosionBoundExceeded` past ``ASSIGNMENT_CAP`` enumerated
+    assignments, before building a product that would pass it.
     """
     per_comp: list[list] = []
     for comp in ps.compartments():
-        per_comp.append(
-            _compartment_maximal_multisets(ps.rules_in(comp), cfg[comp - 1], cap)
-        )
+        per_comp.append(_compartment_maximal_multisets(ps.rules_in(comp), cfg[comp - 1]))
+    cap = ASSIGNMENT_CAP
     combos: list[Assignment] = [()]
     for choices in per_comp:
-        combos = [prefix + (choice,) for prefix in combos for choice in choices]
-        if len(combos) > cap:
+        if len(combos) * len(choices) > cap:
             raise ExplosionBoundExceeded(f"more than {cap} combined rule assignments")
+        combos = [prefix + (choice,) for prefix in combos for choice in choices]
     return sorted(combos)
 
 
@@ -370,13 +374,11 @@ def is_maximal(ps: PSystem, cfg: PConfiguration, assignment: Assignment) -> bool
     return True
 
 
-def step_choices(
-    ps: PSystem, cfg: PConfiguration, cap: int = DEFAULT_ASSIGNMENT_CAP
-) -> list[Tuple[Assignment, PConfiguration]]:
+def step_choices(ps: PSystem, cfg: PConfiguration) -> list[Tuple[Assignment, PConfiguration]]:
     """(assignment, successor) pairs; empty exactly at halting configurations."""
     if is_halting(ps, cfg):
         return []
-    return [(a, apply_assignment(ps, cfg, a)) for a in maximal_rule_multisets(ps, cfg, cap)]
+    return [(a, apply_assignment(ps, cfg, a)) for a in maximal_rule_multisets(ps, cfg)]
 
 
 def seeded_chooser(seed: int) -> Callable[[PConfiguration, int], int]:
@@ -400,7 +402,6 @@ def seeded_trace(
     start: PConfiguration,
     choose: Callable[[PConfiguration, int], int],
     depth: int,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
 ) -> ComputationTrace:
     """The single computation from ``start`` that takes, at each step, the
     choice ``choose`` picks among the :func:`step_choices`, until the
@@ -411,7 +412,7 @@ def seeded_trace(
     """
     cfg, steps = start, []
     for _ in range(depth):
-        choices = step_choices(ps, cfg, assignment_cap)
+        choices = step_choices(ps, cfg)
         if not choices:
             return ComputationTrace(start, tuple(steps), halted=True)
         assignment, cfg = choices[choose(cfg, len(choices))]
@@ -537,23 +538,19 @@ class Exploration:
         return ComputationTrace(self.ps.initial, tuple(path), self.halted(cfg))
 
 
-def explore(
-    ps: PSystem,
-    depth: int,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
-    branch_cap: Optional[int] = DEFAULT_BRANCH_CAP,
-) -> Exploration:
+def explore(ps: PSystem, depth: int, capped: bool = True) -> Exploration:
     """Build the layered configuration DAG of every computation of at most
     ``depth`` steps.
 
     Each distinct configuration is expanded with :func:`step_choices` once.
-    Raises :class:`ExplosionBoundExceeded` past ``assignment_cap``
-    assignments at one configuration, or, unless ``branch_cap`` is None, as
-    soon as the computations reaching the layer being built number more
-    than ``branch_cap``.
+    Raises :class:`ExplosionBoundExceeded` past ``ASSIGNMENT_CAP``
+    assignments at one configuration, or, when ``capped``, as soon as the
+    computations reaching the layer being built number more than
+    ``BRANCH_CAP``.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    branch_cap = BRANCH_CAP if capped else None
     interned: Dict[PConfiguration, PConfiguration] = {ps.initial: ps.initial}
     steps: Dict[PConfiguration, Tuple[TraceStep, ...]] = {}
     layers = [{ps.initial: 1}]
@@ -565,7 +562,7 @@ def explore(
             if out is None:
                 out = steps[cfg] = tuple(
                     TraceStep(a, interned.setdefault(successor, successor))
-                    for a, successor in step_choices(ps, cfg, assignment_cap)
+                    for a, successor in step_choices(ps, cfg)
                 )
             branches += paths * len(out)
             if branch_cap is not None and branches > branch_cap:
@@ -579,12 +576,7 @@ def explore(
 
 
 def psystem_run(
-    ps: PSystem,
-    depth: int,
-    mode: str = "all",
-    seed: int = 0,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
-    branch_cap: int = DEFAULT_BRANCH_CAP,
+    ps: PSystem, depth: int, mode: str = "all", seed: int = 0
 ) -> list[ComputationTrace]:
     """Explore computations from the initial configuration.
 
@@ -598,9 +590,9 @@ def psystem_run(
     if mode not in ("all", "seeded"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "all":
-        return explore(ps, depth, assignment_cap, branch_cap).traces()
+        return explore(ps, depth).traces()
 
-    return [seeded_trace(ps, ps.initial, seeded_chooser(seed), depth, assignment_cap)]
+    return [seeded_trace(ps, ps.initial, seeded_chooser(seed), depth)]
 
 
 @dataclass(frozen=True)
@@ -671,12 +663,7 @@ def _witnesses(
     return witnesses
 
 
-def rule_coverage(
-    ps: PSystem,
-    depth: int,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
-    branch_cap: int = DEFAULT_BRANCH_CAP,
-) -> CoverageReport:
+def rule_coverage(ps: PSystem, depth: int) -> CoverageReport:
     """Mark each rule covered when some computation of at most ``depth``
     steps fires it.
 
@@ -685,15 +672,12 @@ def rule_coverage(
     configuration is its final one.  Works on the configuration DAG of
     :func:`explore` and materialises only the witnesses.
     """
-    dag = explore(ps, depth, assignment_cap, branch_cap)
+    dag = explore(ps, depth)
     return _coverage_report(ps, _witnesses(dag, dag.fired_by_layer(), list(dag.trace_ends())))
 
 
 def generate_coverage_test_set(
-    ps: PSystem,
-    depth: int,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
-    branch_cap: int = DEFAULT_BRANCH_CAP,
+    ps: PSystem, depth: int
 ) -> Tuple[list[PConfiguration], CoverageReport]:
     """Greedy minimal set of final configurations covering every rule
     reachable within ``depth`` steps.
@@ -707,7 +691,7 @@ def generate_coverage_test_set(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    dag = explore(ps, depth, assignment_cap, branch_cap)
+    dag = explore(ps, depth)
     fired = dag.fired_by_layer()
 
     # final configuration's canonical form -> rules fired on a computation ending there

@@ -24,14 +24,15 @@ from typing import (
     TypeVar,
 )
 
-from .errors import (
-    DEFAULT_BRANCH_BOUND, BranchBoundExceeded, MissingSampleError, TermError, Violation,
-)
+from .errors import BranchBoundExceeded, MissingSampleError, TermError, Violation
 from .terms import Pattern, Expr, parse_expr, parse_pattern
 from .values import RESERVED_ATOMS, Value, is_value, render, sort_key
 
 S = TypeVar("S")
 T = TypeVar("T")
+
+# The simultaneous-branch bound of every machine run, read where it is checked.
+BRANCH_BOUND = 256
 
 
 class ProcessingFunction:
@@ -488,19 +489,18 @@ def _layer(model: Sxm, frontier, symbol: str, fired: Optional[set]):
 
 
 def _replay_frontiers(
-    model: Sxm, sequences: Iterable[Sequence[str]], branch_bound: int, reach: bool = False
+    model: Sxm, sequences: Iterable[Sequence[str]], reach: bool = False
 ) -> Iterator:
     """The final frontier of each input sequence, in order.
 
     A frontier holds every configuration reached after a prefix, with no
     remaining input; each layer is one :func:`_layer` step.  A layer
-    wider than ``branch_bound`` raises :class:`BranchBoundExceeded` carrying
+    wider than ``BRANCH_BOUND`` raises :class:`BranchBoundExceeded` carrying
     that layer's frontier, completed with the rest of the sequence being
     run.  With ``reach``, each frontier is paired with the frozenset of
     arcs and cases fired on the way to it (see :func:`_layer`).
     """
-    if branch_bound < 1:
-        raise ValueError("branch_bound must be >= 1")
+    branch_bound = BRANCH_BOUND
 
     def bounded(frontier):
         if len(frontier) > branch_bound:
@@ -549,48 +549,40 @@ def _final_outputs(model: Sxm, frontier) -> Tuple[Tuple[str, ...], ...]:
 
 
 def replay_outputs(
-    model: Sxm,
-    sequences: Iterable[Sequence[str]],
-    branch_bound: int = DEFAULT_BRANCH_BOUND,
+    model: Sxm, sequences: Iterable[Sequence[str]]
 ) -> Iterator[Tuple[Tuple[str, ...], ...]]:
     """Yield :func:`run_outputs` of each input sequence, in order, sharing
     the work of common prefixes between consecutive sequences."""
-    for frontier in _replay_frontiers(model, sequences, branch_bound):
+    for frontier in _replay_frontiers(model, sequences):
         yield _final_outputs(model, frontier)
 
 
 def replay_reached(
-    model: Sxm,
-    sequences: Iterable[Sequence[str]],
-    branch_bound: int = DEFAULT_BRANCH_BOUND,
+    model: Sxm, sequences: Iterable[Sequence[str]]
 ) -> Iterator[Tuple[Tuple[Tuple[str, ...], ...], FrozenSet[tuple]]]:
     """Yield, for each input sequence in order, its :func:`run_outputs`
     and what its run fired on any branch: ``("arc", state, function)``
     for every arc applied and ``("case", function, case index)`` for every
     case of a case table applied."""
-    for frontier, fired in _replay_frontiers(model, sequences, branch_bound, reach=True):
+    for frontier, fired in _replay_frontiers(model, sequences, reach=True):
         yield _final_outputs(model, frontier), fired
 
 
-def sxm_run(
-    model: Sxm,
-    input_seq: Sequence[str],
-    branch_bound: int = DEFAULT_BRANCH_BOUND,
-) -> set:
+def sxm_run(model: Sxm, input_seq: Sequence[str]) -> set:
     """The computed relation restricted to one input sequence.
 
     Returns every (output sequence, final configuration) pair reachable by
     consuming the whole input and ending in a terminal state.  At most
-    ``branch_bound`` simultaneous branches are explored; exceeding the bound
+    ``BRANCH_BOUND`` simultaneous branches are explored; exceeding the bound
     raises :class:`BranchBoundExceeded` carrying the partial frontier.
     """
-    (frontier,) = _replay_frontiers(model, [input_seq], branch_bound)
+    (frontier,) = _replay_frontiers(model, [input_seq])
     return {(cfg.output_so_far, cfg) for cfg in frontier if cfg.state in model.terminal_states}
 
 
-def run_outputs(model: Sxm, input_seq: Sequence[str], branch_bound: int = DEFAULT_BRANCH_BOUND):
+def run_outputs(model: Sxm, input_seq: Sequence[str]):
     """Sorted tuple of the distinct output sequences the relation admits."""
-    (outputs,) = replay_outputs(model, [input_seq], branch_bound)
+    (outputs,) = replay_outputs(model, [input_seq])
     return outputs
 
 

@@ -344,6 +344,20 @@ def test_env_seed_is_the_mutate_seed(models_dir, tmp_path, capsys, monkeypatch):
     assert unset == "555381f23429275d0b2fbd9f1bb9040523feaba09746059d6be456b3de943823"
 
 
+def test_non_integer_env_seed_is_a_usage_error(models_dir, tmp_path, capsys, monkeypatch):
+    # read as seed 0, exit 0, before
+    monkeypatch.setenv("HETEROTEST_SEED", "abc")
+    out_file = tmp_path / "mutants.json"
+    args = ["mutate", str(models_dir / "ps2.json"), "--count", "2", "-o", str(out_file)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: HETEROTEST_SEED must be an integer, got 'abc'\n"
+    assert not out_file.exists()
+    # a --seed flag leaves the variable unread
+    assert main(args + ["--seed", "3"]) == 0
+    capsys.readouterr()
+
+
 def _reject_before_generating(commands, violation, tmp_path, capsys):
     out_file = tmp_path / "artifact.json"
     for args in commands:

@@ -201,8 +201,9 @@ class TestExtension:
 
     def test_collision_rejected(self):
         sys_ = two_component_toy()
-        with pytest.raises(AlphabetCollision):
-            extend_for_testing(sys_, comm_symbol="x")
+        left = replace(sys_.components[0], inputs=sys_.components[0].inputs | {"a"})
+        with pytest.raises(AlphabetCollision, match="communication symbol 'a' already in left"):
+            extend_for_testing(replace(sys_, components=(left, sys_.components[1])))
 
     def test_partitions_preserved(self):
         ext = extend_for_testing(two_component_toy())

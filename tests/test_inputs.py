@@ -74,11 +74,22 @@ def test_machine_of_wrong_shape_exits_three(work, capsys, change, message):
     (lambda d: d.update(initial={"1": "s", "02": "t"}), "initial: unknown keys ['02']"),
     (lambda d: d.update(initial={"1": "s", "2": "t", "3": "u"}), "initial: unknown keys ['3']"),
     (lambda d: d.update(initial={"0": "s", "2": "t"}), "initial: unknown keys ['0']"),
+    # read as compartments 1 and 2, and valid, before
+    (lambda d: d["rules"].update({"01": d["rules"].pop("1")}),
+     "psystem: rules key '01' is not a compartment id"),
+    (lambda d: d["rules"].update({"٢": d["rules"].pop("2")}),
+     "psystem: rules key '٢' is not a compartment id"),
 ])
 def test_psystem_of_wrong_shape_exits_three(work, capsys, change, message):
     model = _edit(work / "ps2.json", change)
     for args in (["validate", model], ["simulate", model, "--depth", "2"]):
         _exits(3, args, message, work, capsys)
+
+
+@pytest.mark.parametrize("key", ["0", "5"])
+def test_rules_of_an_unknown_compartment_fail_validation(work, capsys, key):
+    model = _edit(work / "ps2.json", lambda d: d["rules"].update({key: d["rules"].pop("2")}))
+    _exits(1, ["validate", model], f"rules[r21]: unknown compartment {key}", work, capsys)
 
 
 def _score_sxm(work, suite="suite.json", mutants="sxm_mutants.json"):
@@ -239,6 +250,24 @@ def test_heterotic_rejects_control_emitting_a_non_configuration(work, capsys):
     _edit(work / "ps2_control.json", lambda d: d.update(out_port_domain=[0]))
     _exits(2, ["validate", str(work / "ps2_heterotic.json")],
            "re-initialisation 0 is not a configuration of ps2", work, capsys)
+
+
+@pytest.mark.parametrize("reply, defect", [
+    ("[1 2]", " is not a configuration"),
+    ("[{s}]", " has 1 compartment(s), ps2 has 2"),
+    ("[{s} {t} {t}]", " has 3 compartment(s), ps2 has 2"),
+    ("[{z} {t}]", "[\"1\"]: symbol 'z' is not in the alphabet of ps2"),
+])
+def test_control_reply_is_checked_at_the_port(work, capsys, reply, defect):
+    # validate does not evaluate Control's out-port expression; the driver
+    # recorded the reply and exited 0, or 1 on an AttributeError traceback
+    # for the integers, before
+    _edit(work / "ps2_control.json",
+          lambda d: d["functions"][0]["cases"][0].update(out_port=reply))
+    heterotic = str(work / "ps2_heterotic.json")
+    _exits(0, ["validate", heterotic], "heterotic: valid", work, capsys)
+    _exits(2, ["simulate", heterotic, "--rounds", "2"], "ps2_control's reply" + defect,
+           work, capsys)
 
 
 @pytest.mark.parametrize("change, message", [

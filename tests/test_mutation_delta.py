@@ -18,6 +18,7 @@ from dataclasses import replace
 import pytest
 
 from gen_models import random_dft_sxm, random_messy_sxm
+from heterotest import sxm
 from heterotest.errors import BranchBoundExceeded, TermError
 from heterotest.model_io import psystem_from_dict, psystem_to_dict, sxm_from_dict, sxm_to_dict
 from heterotest.multiset import Multiset
@@ -47,31 +48,38 @@ def reference_model_key(model):
 
 
 def reference_score_sxm_suite(spec, mutants, suite, branch_bound=256):
-    """Every mutant replays every case until the first that fails."""
+    """Every mutant replays every case until the first that fails, with
+    ``sxm.BRANCH_BOUND`` at ``branch_bound`` meanwhile."""
 
     def kill_witness(model):
-        observed = replay_outputs(model, suite.inputs(), branch_bound)
+        observed = replay_outputs(model, suite.inputs())
         for case, outputs in zip(suite.cases, observed):
             if outputs != case.expected_outputs:
                 return " ".join(case.input) if case.input else "<empty input>"
         return None
 
-    return _score(spec, mutants, kill_witness)
-
-
-def outcome(score, spec, mutants, suite, branch_bound):
+    saved, sxm.BRANCH_BOUND = sxm.BRANCH_BOUND, branch_bound
     try:
-        return score_to_dict(score(spec, mutants, suite, branch_bound))
+        return _score(spec, mutants, kill_witness)
+    finally:
+        sxm.BRANCH_BOUND = saved
+
+
+def outcome(score, *args):
+    try:
+        return score_to_dict(score(*args))
     except (BranchBoundExceeded, TermError) as exc:
         return type(exc).__name__, str(exc), getattr(exc, "frontier", None)
 
 
-def assert_same_scores(spec, mutants, suite, branch_bound=256):
+def assert_same_scores(monkeypatch, spec, mutants, suite, branch_bound=256):
     """The same report or error for the batch and for each mutant alone,
-    so that one mutant's error cannot hide another's verdict."""
+    so that one mutant's error cannot hide another's verdict, with
+    ``sxm.BRANCH_BOUND`` and the reference's bound at ``branch_bound``."""
+    monkeypatch.setattr(sxm, "BRANCH_BOUND", branch_bound)
     mutants = list(mutants)
     for batch in [mutants] + [[m] for m in mutants]:
-        delta = outcome(score_sxm_suite, spec, batch, suite, branch_bound)
+        delta = outcome(score_sxm_suite, spec, batch, suite)
         full = outcome(reference_score_sxm_suite, spec, batch, suite, branch_bound)
         assert delta == full, [m.mutant_id for m in batch]
 
@@ -156,12 +164,12 @@ def test_delta_scores_equal_full_replay_on_edited_suites(criterion_5):
         assert delta == score_to_dict(reference_score_sxm_suite(model, batch, suite)), model.name
 
 
-def test_non_local_changes_replay_every_case(criterion_5):
+def test_non_local_changes_replay_every_case(monkeypatch, criterion_5):
     for seed, (model, suite, _) in enumerate(criterion_5[:30]):
         hand_made = non_local_mutants(model)
         assert all(_changed_elements(model, m.model) is None for m in hand_made)
-        assert_same_scores(model, hand_made, suite)
-        assert_same_scores(model, hand_made, edited(suite, seed, every=3))
+        assert_same_scores(monkeypatch, model, hand_made, suite)
+        assert_same_scores(monkeypatch, model, hand_made, edited(suite, seed, every=3))
 
 
 def test_changed_elements_name_the_arc_or_case(counter_testable):
@@ -182,14 +190,16 @@ def test_changed_elements_name_the_arc_or_case(counter_testable):
 # --- shipped models, nondeterministic machines, runs that stop ------------------
 
 
-def test_delta_scores_equal_full_replay_on_shipped_machines(counter_testable, counter):
+def test_delta_scores_equal_full_replay_on_shipped_machines(
+    monkeypatch, counter_testable, counter
+):
     for model in (counter_testable, counter):
         batch = enumerate_mutants(model)
         hand_made = non_local_mutants(model)
         for k in (0, 1, 2):
             suite = build_w_suite(model, k)
             for variant in (suite, edited(suite, k, every=2)):
-                assert_same_scores(model, list(batch) + hand_made, variant)
+                assert_same_scores(monkeypatch, model, list(batch) + hand_made, variant)
 
 
 def branching_machine(seed):
@@ -226,24 +236,25 @@ def branching_machine(seed):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_delta_scores_equal_full_replay_on_nondeterministic_machines(seed):
+def test_delta_scores_equal_full_replay_on_nondeterministic_machines(monkeypatch, seed):
     model = branching_machine(seed)
     batch = list(enumerate_mutants(model)) + non_local_mutants(model)
     suite = words_suite(model, 4)
     for variant in (suite, edited(suite, seed, every=4)):
-        assert_same_scores(model, batch, variant)
+        assert_same_scores(monkeypatch, model, batch, variant)
         # a bound the spec's own run exceeds on some cases
-        assert_same_scores(model, batch, variant, branch_bound=2)
+        assert_same_scores(monkeypatch, model, batch, variant, branch_bound=2)
 
 
-def test_delta_scores_equal_full_replay_on_messy_machines():
+def test_delta_scores_equal_full_replay_on_messy_machines(monkeypatch):
     checked = 0
     for seed in range(60):
         model = random_messy_sxm(seed)
         if validate_sxm(model) or not enumerate_mutants(model).mutants:
             continue
         suite = words_suite(model, 3)
-        assert_same_scores(model, enumerate_mutants(model), edited(suite, seed, every=3))
+        variant = edited(suite, seed, every=3)
+        assert_same_scores(monkeypatch, model, enumerate_mutants(model), variant)
         checked += 1
     assert checked >= 10
 
@@ -273,7 +284,7 @@ def term_error_machine():
     return model
 
 
-def test_a_spec_run_that_raises_is_replayed_for_every_mutant():
+def test_a_spec_run_that_raises_is_replayed_for_every_mutant(monkeypatch):
     model = term_error_machine()
     cases = [SuiteCase(w, o) for w, o in zip(
         [(), ("i",), ("i", "d"), ("v",)], replay_outputs(model, [(), ("i",), ("i", "d"), ("v",)]))]
@@ -282,8 +293,8 @@ def test_a_spec_run_that_raises_is_replayed_for_every_mutant():
     with pytest.raises(TermError):
         list(replay_outputs(model, suite.inputs()))
     batch = list(enumerate_mutants(model)) + non_local_mutants(model)
-    assert_same_scores(model, batch, suite)
-    assert_same_scores(model, batch, edited(suite, 0, every=2))
+    assert_same_scores(monkeypatch, model, batch, suite)
+    assert_same_scores(monkeypatch, model, batch, edited(suite, 0, every=2))
 
 
 # --- structural keys ----------------------------------------------------------

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import pytest
 
+from heterotest import psystem
 from heterotest.errors import ExplosionBoundExceeded
 from heterotest.multiset import Multiset
 from heterotest.psystem import (
+    HERE,
     ComputationTrace,
     PRule,
     PSystem,
@@ -85,7 +89,7 @@ class TestMaximalAssignments:
         result = apply_assignment(ps2, cfg("abe", "b"), ((("r13", 1), ("r15", 1)), ()))
         assert config_canonical(result) == ("bcf", "ab")
 
-    def test_explosion_bound(self):
+    def test_explosion_bound(self, monkeypatch):
         rules = tuple(
             PRule(f"r{i}", 1, M("a"), ((sym, "here"),))
             for i, sym in enumerate(["b", "c", "d"])
@@ -97,8 +101,27 @@ class TestMaximalAssignments:
             initial=(M("a" * 12),),
             rules=rules,
         )
+        monkeypatch.setattr(psystem, "ASSIGNMENT_CAP", 20)
         with pytest.raises(ExplosionBoundExceeded):
-            maximal_rule_multisets(ps, ps.initial, cap=20)
+            maximal_rule_multisets(ps, ps.initial)
+
+    def test_combined_cap_trips_before_the_product_is_built(self):
+        # One a, b and c in each compartment and ten rules competing for
+        # each: 1,000 maximal choices per compartment, a million combined.
+        # The million combinations once took tens of megabytes before the
+        # cap was compared with their number.
+        rules = tuple(PRule(f"r{comp}{sym}{i}", comp, M(sym), (("x", HERE),))
+                      for comp in (1, 2) for sym in "abc" for i in range(10))
+        ps = PSystem("cross", frozenset("abcx"), {1: None, 2: 1}, cfg("abc", "abc"), rules)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExplosionBoundExceeded,
+                               match="^more than 10000 combined rule assignments$"):
+                maximal_rule_multisets(ps, ps.initial)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestRun:
@@ -145,7 +168,7 @@ class TestRun:
         c = cfg("abe", "b")
         assert seeded_chooser(5)(c, 2) == seeded_chooser(5)(c, 2)
 
-    def test_branch_cap(self):
+    def test_branch_cap(self, monkeypatch):
         rules = (
             PRule("r1", 1, M("a"), (("b", "here"),)),
             PRule("r2", 1, M("a"), (("c", "here"),)),
@@ -153,8 +176,9 @@ class TestRun:
             PRule("r4", 1, M("c"), (("a", "here"),)),
         )
         ps = PSystem("wide", frozenset("abc"), {1: None}, (M("aaaaaa"),), rules)
+        monkeypatch.setattr(psystem, "BRANCH_CAP", 10)
         with pytest.raises(ExplosionBoundExceeded):
-            psystem_run(ps, 4, "all", branch_cap=10)
+            psystem_run(ps, 4, "all")
 
 
 class TestCoverage:

@@ -8,7 +8,9 @@ of them with ``reference_replay``), and reachability is a breadth-first
 search.  On seeded random P systems and on the benchmark's two-compartment
 skeleton, ``psystem_run(mode="all")``, ``rule_coverage(ps, depth)``,
 ``generate_coverage_test_set`` and ``mutation._reachable_within`` must give
-identical traces, reports, test sets, reachable sets and cap errors.
+identical traces, reports, test sets, reachable sets and cap errors.  The
+caps are module constants of ``psystem``; a check sets them with
+``monkeypatch`` and passes the same values to the reference.
 
 ``reference_apply_assignment`` is the step that sums multisets, kept as the
 reference for ``apply_assignment``, which sums one count dict per
@@ -21,6 +23,7 @@ import runpy
 
 import pytest
 
+from heterotest import psystem
 from heterotest.errors import ExplosionBoundExceeded
 from heterotest.model_io import psystem_from_dict
 from heterotest.multiset import Multiset
@@ -57,6 +60,16 @@ class TraceReplayMismatch(Exception):
     """A computation trace does not replay against its P system."""
 
 
+def capped_step_choices(ps, cfg, assignment_cap):
+    """``step_choices`` with ``psystem.ASSIGNMENT_CAP`` at
+    ``assignment_cap`` for the call."""
+    saved, psystem.ASSIGNMENT_CAP = psystem.ASSIGNMENT_CAP, assignment_cap
+    try:
+        return step_choices(ps, cfg)
+    finally:
+        psystem.ASSIGNMENT_CAP = saved
+
+
 def reference_run(ps, depth, assignment_cap=10_000, branch_cap=10_000):
     done = []
     active = [(ps.initial, ())]
@@ -65,7 +78,7 @@ def reference_run(ps, depth, assignment_cap=10_000, branch_cap=10_000):
             break
         next_active = []
         for cfg, steps in active:
-            choices = step_choices(ps, cfg, assignment_cap)
+            choices = capped_step_choices(ps, cfg, assignment_cap)
             if not choices:
                 done.append(ComputationTrace(ps.initial, steps, halted=True))
                 continue
@@ -277,14 +290,22 @@ def _outcome(fn, *args, **kwargs):
         return ("raised", type(exc).__name__, str(exc))
 
 
-def _same_everywhere(ps, depths, **caps):
+def set_caps(monkeypatch, assignment_cap=10_000, branch_cap=10_000):
+    """Set the caps of ``psystem``; return them as the references take them."""
+    monkeypatch.setattr(psystem, "ASSIGNMENT_CAP", assignment_cap)
+    monkeypatch.setattr(psystem, "BRANCH_CAP", branch_cap)
+    return {"assignment_cap": assignment_cap, "branch_cap": branch_cap}
+
+
+def _same_everywhere(monkeypatch, ps, depths, **caps):
+    caps = set_caps(monkeypatch, **caps)
     for depth in depths:
-        assert (_outcome(psystem_run, ps, depth, "all", **caps)
+        assert (_outcome(psystem_run, ps, depth, "all")
                 == _outcome(reference_run, ps, depth, **caps)), (ps.name, depth)
-        assert (_outcome(rule_coverage, ps, depth, **caps)
+        assert (_outcome(rule_coverage, ps, depth)
                 == _outcome(reference_coverage, ps, depth, **caps)), (ps.name, depth)
         if depth >= 1:
-            assert (_outcome(generate_coverage_test_set, ps, depth, **caps)
+            assert (_outcome(generate_coverage_test_set, ps, depth)
                     == _outcome(reference_coverage_test_set, ps, depth, **caps)), (ps.name, depth)
 
 
@@ -292,9 +313,9 @@ def _same_everywhere(ps, depths, **caps):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_random_systems_match_the_reference(seed):
+def test_random_systems_match_the_reference(monkeypatch, seed):
     ps = random_psystem(seed)
-    _same_everywhere(ps, range(5), branch_cap=2_000)
+    _same_everywhere(monkeypatch, ps, range(5), branch_cap=2_000)
     for depth in range(5):
         assert _outcome(_reachable_within, ps, depth) == _outcome(reference_reachable, ps, depth)
 
@@ -335,9 +356,9 @@ def test_apply_assignment_matches_the_reference_on_the_skeleton(initial):
 
 
 @pytest.mark.parametrize("initial", SKELETON_INITIALS)
-def test_benchmark_skeleton_matches_the_reference(initial):
+def test_benchmark_skeleton_matches_the_reference(monkeypatch, initial):
     ps = skeleton(initial)
-    _same_everywhere(ps, (1, 3, 4))
+    _same_everywhere(monkeypatch, ps, (1, 3, 4))
     assert _reachable_within(ps, 4) == reference_reachable(ps, 4)
 
 
@@ -349,9 +370,9 @@ def test_depth_zero_is_the_initial_configuration(ps2):
     assert _reachable_within(ps2, 0) == {("s", "t")}
 
 
-def test_early_halting_stops_the_layers(ps2):
+def test_early_halting_stops_the_layers(monkeypatch, ps2):
     # every computation of ps2 halts within three steps
-    _same_everywhere(ps2, (3, 4, 6))
+    _same_everywhere(monkeypatch, ps2, (3, 4, 6))
     assert all(len(t.steps) <= 3 and t.halted for t in psystem_run(ps2, 6))
     assert _reachable_within(ps2, 6) == reference_reachable(ps2, 6)
 
@@ -364,16 +385,16 @@ def _twin_rules(*extra):
     return PSystem("twins", frozenset("abc"), {1: None}, (M("a"),), rules)
 
 
-def test_two_assignments_to_one_successor_order_by_fired():
+def test_two_assignments_to_one_successor_order_by_fired(monkeypatch):
     ps = _twin_rules(PRule("r3", 1, M("b"), (("c", HERE),)))
     traces = psystem_run(ps, 3)
     assert [[name for step in t.steps for comp in step.fired for name, _ in comp]
             for t in traces] == [["r1", "r3"], ["r2", "r3"]]
     assert traces == reference_run(ps, 3)
-    _same_everywhere(ps, (1, 2, 3))
+    _same_everywhere(monkeypatch, ps, (1, 2, 3))
 
 
-def test_witness_decided_by_the_fired_tuple_alone():
+def test_witness_decided_by_the_fired_tuple_alone(monkeypatch):
     # a -> b -> a by r1|r2 then r3|r4: four computations over one
     # configuration sequence; r4's witness is the least fired tuple
     # that fires it, ((r1), (r4)), not the first computation overall
@@ -385,22 +406,22 @@ def test_witness_decided_by_the_fired_tuple_alone():
     assert [step.fired for step in report.entry("r2").witness.steps] == [
         ((("r2", 1),),), ((("r3", 1),),)]
     assert (members, report) == reference_coverage_test_set(ps, 2)
-    _same_everywhere(ps, (1, 2, 3, 4))
+    _same_everywhere(monkeypatch, ps, (1, 2, 3, 4))
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 3))
-def test_branch_cap_trips_at_the_same_layer(seed):
+def test_branch_cap_trips_at_the_same_layer(monkeypatch, seed):
     ps = random_psystem(seed)
     for cap in (1, 2, 3, 5, 8, 13, 21, 34):
         # the first depth that raises is the layer the cap trips at
-        _same_everywhere(ps, range(5), branch_cap=cap)
+        _same_everywhere(monkeypatch, ps, range(5), branch_cap=cap)
 
 
 @pytest.mark.parametrize("initial", SKELETON_INITIALS[2:5])
-def test_branch_cap_on_the_skeleton(initial):
+def test_branch_cap_on_the_skeleton(monkeypatch, initial):
     ps = skeleton(initial)
     for cap in (10, 40, 100, 300, 700):
-        _same_everywhere(ps, (2, 3, 4), branch_cap=cap)
+        _same_everywhere(monkeypatch, ps, (2, 3, 4), branch_cap=cap)
 
 
 def test_past_cap_message_unchanged():
@@ -411,16 +432,18 @@ def test_past_cap_message_unchanged():
         generate_coverage_test_set(ps, 4)
     with pytest.raises(ExplosionBoundExceeded, match="^more than 10000 simultaneous branches$"):
         rule_coverage(ps, 4)
+    # the reachability check of mutant scoring walks without the branch cap
+    assert _reachable_within(ps, 4) == reference_reachable(ps, 4)
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 2))
-def test_assignment_cap_matches_the_reference(seed):
+def test_assignment_cap_matches_the_reference(monkeypatch, seed):
     ps = random_psystem(seed)
     for cap in (1, 2, 4):
-        _same_everywhere(ps, range(4), assignment_cap=cap)
+        _same_everywhere(monkeypatch, ps, range(4), assignment_cap=cap)
 
 
-def test_assignment_cap_messages():
+def test_assignment_cap_messages(monkeypatch):
     rules = tuple(PRule(f"r{i}", 1, M("a"), ((s, HERE),)) for i, s in enumerate("bcd"))
     one = PSystem("wide", frozenset("abcd"), {1: None}, (M("aaaa"),), rules)
     two = PSystem("pair", frozenset("abcd"), {1: None, 2: 1}, (M("aa"), M("aa")),
@@ -428,9 +451,12 @@ def test_assignment_cap_messages():
                                 for i, s in enumerate("bcd")))
     for ps, cap, message in ((one, 10, "more than 10 rule assignments in one compartment"),
                              (two, 10, "more than 10 combined rule assignments")):
-        for fn in (psystem_run, rule_coverage, generate_coverage_test_set, reference_run):
+        caps = set_caps(monkeypatch, assignment_cap=cap)
+        for fn in (psystem_run, rule_coverage, generate_coverage_test_set):
             with pytest.raises(ExplosionBoundExceeded, match=f"^{message}$"):
-                fn(ps, 2, assignment_cap=cap)
+                fn(ps, 2)
+        with pytest.raises(ExplosionBoundExceeded, match=f"^{message}$"):
+            reference_run(ps, 2, **caps)
 
 
 def test_traces_share_their_prefix_steps():
@@ -440,7 +466,7 @@ def test_traces_share_their_prefix_steps():
     assert len(steps) < sum(len(t.steps) for t in traces) / 4
 
 
-def test_configurations_sharing_a_canonical_form():
+def test_configurations_sharing_a_canonical_form(monkeypatch):
     # {a, b} and {ab} both print as "ab": two nodes of one layer share a
     # canonical form, and only later configurations order their paths
     rules = (PRule("r1", 1, M("s"), (("a", HERE), ("b", HERE))),
@@ -451,14 +477,14 @@ def test_configurations_sharing_a_canonical_form():
     ps = PSystem("shared", frozenset({"s", "a", "b", "ab"}), {1: None}, (M("s"),), rules)
     traces = psystem_run(ps, 2)
     assert [t.steps[0].fired for t in traces] == [((("r2", 1),),), ((("r1", 1),),)]
-    _same_everywhere(ps, (1, 2, 3, 4))
+    _same_everywhere(monkeypatch, ps, (1, 2, 3, 4))
     # The reference search skips {ab} once it has seen "ab" for {a, b}, so
     # it misses (a) and (b), which only {ab} leads to; the DAG keys its
     # nodes by configuration and keeps them.
     assert _reachable_within(ps, 4) == reference_reachable(ps, 4) | {("a",), ("b",)}
 
 
-def test_branch_cap_trips_before_a_later_assignment_cap():
+def test_branch_cap_trips_before_a_later_assignment_cap(monkeypatch):
     # Layer 1 holds (x) and then (yyyy).  (x) brings the layer to four
     # branches, past a cap of three, so the DAG stops before enumerating the
     # fifteen assignments of (yyyy); the reference enumerates every
@@ -468,8 +494,8 @@ def test_branch_cap_trips_before_a_later_assignment_cap():
              + tuple(PRule(f"q{i}", 1, M("x"), (("c", HERE),)) for i in range(4))
              + tuple(PRule(f"s{i}", 1, M("y"), (("c", HERE),)) for i in range(3)))
     ps = PSystem("late", frozenset("acxy"), {1: None}, (M("a"),), rules)
-    caps = {"assignment_cap": 4, "branch_cap": 3}
-    assert _outcome(psystem_run, ps, 2, **caps) == (
+    caps = set_caps(monkeypatch, assignment_cap=4, branch_cap=3)
+    assert _outcome(psystem_run, ps, 2) == (
         "raised", "ExplosionBoundExceeded", "more than 3 simultaneous branches")
     assert _outcome(reference_run, ps, 2, **caps) == (
         "raised", "ExplosionBoundExceeded", "more than 4 rule assignments in one compartment")

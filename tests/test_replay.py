@@ -13,6 +13,7 @@ import random
 import pytest
 
 from gen_models import random_csxm_system, random_dft_sxm, random_messy_sxm
+from heterotest import sxm
 from heterotest.csxms import build_product_sxm, extend_for_testing
 from heterotest.errors import BranchBoundExceeded
 from heterotest.model_io import suite_from_dict, suite_to_dict
@@ -193,20 +194,22 @@ def first_error(outputs):
         [("y", "x", "x", "x", "y")],
     ],
 )
-def test_branch_bound_raised_at_same_sequence_with_same_frontier(sequences):
+def test_branch_bound_raised_at_same_sequence_with_same_frontier(monkeypatch, sequences):
     model = doubling_machine()
+    monkeypatch.setattr(sxm, "BRANCH_BOUND", 4)
     reference = first_error(reference_run_outputs(model, seq, 4) for seq in sequences)
-    engine = first_error(replay_outputs(model, sequences, 4))
+    engine = first_error(replay_outputs(model, sequences))
     assert engine[0] == reference[0]
     assert str(engine[1]) == str(reference[1])
     assert engine[1].frontier == reference[1].frontier
 
 
-def test_branch_bound_on_initial_layer_needs_a_sequence():
+def test_branch_bound_on_initial_layer_needs_a_sequence(monkeypatch):
     model = doubling_machine(initial_states=("q0", "q1"))
-    assert list(replay_outputs(model, [], 1)) == []
+    monkeypatch.setattr(sxm, "BRANCH_BOUND", 1)
+    assert list(replay_outputs(model, [])) == []
     reference = first_error(reference_run_outputs(model, seq, 1) for seq in [("y",)])
-    engine = first_error(replay_outputs(model, [("y",)], 1))
+    engine = first_error(replay_outputs(model, [("y",)]))
     assert engine[0] == reference[0] == []
     assert engine[1].frontier == reference[1].frontier
 

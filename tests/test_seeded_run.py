@@ -19,9 +19,11 @@ from dataclasses import replace
 import pytest
 
 from gen_models import random_csxm_system
-from test_psystem_dag import random_psystem
+from test_psystem_dag import capped_step_choices, random_psystem
 
+from heterotest import psystem
 from heterotest.csxms import (
+    COMM_SYMBOL,
     CsxmCase,
     CsxmCaseFunction,
     CsxmResult,
@@ -61,7 +63,7 @@ def reference_seeded_run(ps, depth, seed=0, assignment_cap=10_000, branch_cap=10
             break
         next_active = []
         for cfg, steps in active:
-            choices = step_choices(ps, cfg, assignment_cap)
+            choices = capped_step_choices(ps, cfg, assignment_cap)
             if not choices:
                 done.append(ComputationTrace(ps.initial, steps, halted=True))
                 continue
@@ -168,7 +170,7 @@ def _systems():
 
 
 @pytest.mark.parametrize("ps", _systems(), ids=lambda ps: ps.name)
-def test_seeded_run_equals_the_reference(ps):
+def test_seeded_run_equals_the_reference(monkeypatch, ps):
     for seed in CHOOSERS:
         for depth in DEPTHS:
             got = _outcome(psystem_run, ps, depth, "seeded", seed)
@@ -178,7 +180,9 @@ def test_seeded_run_equals_the_reference(ps):
             assert got == want, (seed, depth)
         # the assignment cap trips in the same step, with the same message
         for cap in (0, 1):
-            got = _outcome(psystem_run, ps, 6, "seeded", seed, assignment_cap=cap)
+            with monkeypatch.context() as patch:
+                patch.setattr(psystem, "ASSIGNMENT_CAP", cap)
+                got = _outcome(psystem_run, ps, 6, "seeded", seed)
             want = _outcome(reference_seeded_run, ps, 6, seed, assignment_cap=cap)
             if isinstance(want, list):
                 got, want = _traces(got), _traces(want)
@@ -253,7 +257,7 @@ def _check_function(fn, points):
         got = _outcome(fn.evaluate, symbol, port, memory)
         if isinstance(fn, ExtendedCommFunction):
             want = None
-            if symbol == fn.comm_symbol:
+            if symbol == COMM_SYMBOL:
                 want = _outcome(reference_csxm_evaluate, inner.cases, NULL, port, memory)
                 if isinstance(want, CsxmResult):
                     want = replace(want, output=fn.output_symbol)

@@ -4,6 +4,7 @@ import pytest
 
 from gen_models import random_dft_sxm, random_messy_sxm
 
+from heterotest import sxm
 from heterotest.errors import BranchBoundExceeded, MissingSampleError
 from heterotest.model_io import canonical_json, sxm_from_dict, sxm_to_dict
 from heterotest.sxm import (
@@ -131,7 +132,7 @@ class TestRun:
         results = sxm_run(model, ["x"])
         assert {out for out, _ in results} == {("b",)}
 
-    def test_branch_bound_exceeded_reports_frontier(self):
+    def test_branch_bound_exceeded_reports_frontier(self, monkeypatch):
         functions = {
             "f1": CaseFunction("f1", [Case.build("?m", "x", "a", "?m")]),
             "f2": CaseFunction("f2", [Case.build("?m", "x", "b", "?m")]),
@@ -141,8 +142,9 @@ class TestRun:
             functions=functions,
             next_state={("q0", "f1"): ("q0",), ("q0", "f2"): ("q0",)},
         )
+        monkeypatch.setattr(sxm, "BRANCH_BOUND", 4)
         with pytest.raises(BranchBoundExceeded) as err:
-            sxm_run(model, ["x"] * 8, branch_bound=4)
+            sxm_run(model, ["x"] * 8)
         assert err.value.frontier
 
     def test_run_equals_iterated_step_fixpoint(self):
