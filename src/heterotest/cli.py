@@ -83,15 +83,13 @@ def _violations(kind: str, model) -> list:
         from .psystem import validate_psystem
 
         return validate_psystem(model)
-    from .csxms import send_target_violations, validate_csxm, validate_system
+    if kind == "heterotic":
+        return []  # build_heterotic_system checked it while loading
+    from .csxms import validate_csxm, validate_system
 
     if kind == "csxm":
         return validate_csxm(model)
-    if kind == "system":
-        return validate_system(model)
-    # loading a heterotic file validated the P system, the control machine
-    # and the port wiring; the wrapped Base and the send targets remain
-    return validate_csxm(model.base) + send_target_violations(model.as_system)
+    return validate_system(model)
 
 
 def _require_valid(kind: str, model, label: str) -> None:
@@ -129,8 +127,8 @@ def _cmd_validate(args) -> int:
     try:
         kind, model = _load(args.model, gate=False)
     except InvalidModel as exc:
-        # ungated, only a heterotic file whose parts have violations stops
-        # while loading; they make its report like any other kind's
+        # ungated, only a heterotic file with violations stops while
+        # loading; they make its report like any other kind's
         kind, model, violations = "heterotic", None, list(exc.violations)
     else:
         violations = _violations(kind, model)
@@ -207,18 +205,15 @@ def _simulate_heterotic(args, system) -> int:
     from .heterotic import run_heterotic, subprocess_oracle
     from .psystem import render_config
 
+    # an oracle flag left out takes subprocess_oracle's default
+    given = {flag: getattr(args, "oracle_" + flag) for flag in ("timeout_ms", "retries")
+             if getattr(args, "oracle_" + flag) is not None}
     oracle = None
-    if args.oracle_cmd is None:
-        for flag in ("oracle_timeout_ms", "oracle_retries"):
-            if getattr(args, flag) is not None:
-                raise UsageError(f"simulate --{flag.replace('_', '-')} needs --oracle-cmd")
-    else:
-        oracle = subprocess_oracle(
-            args.oracle_cmd,
-            system.psystem,
-            timeout_ms=args.oracle_timeout_ms or 10_000,
-            retries=args.oracle_retries or 0,
-        )
+    if args.oracle_cmd is not None:
+        oracle = subprocess_oracle(args.oracle_cmd, system.psystem, **given)
+    elif given:
+        flag = next(iter(given)).replace("_", "-")
+        raise UsageError(f"simulate --oracle-{flag} needs --oracle-cmd")
     trace = run_heterotic(system, rounds=args.rounds or 1, oracle=oracle)
     payload = model_io.htrace_to_dict(trace)
     lines = []
@@ -240,12 +235,12 @@ _GEN_TESTS_KINDS = {
 def _cmd_gen_tests(args) -> int:
     _, model = _load(args.model, (args.target,), _GEN_TESTS_KINDS[args.target])
     if args.target == "psystem":
-        from .psystem import generate_coverage_test_set
+        from .psystem import generate_coverage_test_set, render_config
 
         members, report = generate_coverage_test_set(model, args.depth)
         payload = model_io.testset_to_dict(members, report, args.depth)
         lines = [f"{len(members)} member(s), depth {args.depth}"]
-        lines += ["member: (" + ",".join(m.canonical() for m in cfg) + ")" for cfg in members]
+        lines += [f"member: {render_config(cfg)}" for cfg in members]
         for entry in report.entries:
             status = "covered" if entry.covered else "UNCOVERED"
             lines.append(f"rule {entry.rule}: {status}")

@@ -6,12 +6,13 @@ ordinary function advances it by one maximally parallel step (seeded, so
 the machine stays deterministic), a second moves the halted configuration
 to the out-port, a communicating function ships it to Control, and a final
 ordinary function accepts Control's re-initialisation from the in-port.
+:func:`build_heterotic_system` alone assembles and checks the pair.
 
-Every Base phase of the round driver runs through one oracle contract:
-initial configuration in, halting configuration and step count out.  The
-in-process run is the built-in seeded simulator behind that contract, and
-an external executor can stand in for it; identical answers record
-identical traces.
+Every Base phase of the round driver runs through one oracle contract: an
+oracle is any function from an initial configuration to the halting
+configuration and step count.  The in-process run is the built-in seeded
+simulator behind that contract, and an external executor can stand in for
+it; identical answers record identical traces.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .csxms import (
 from .errors import (
     DeadlockError,
     DepthCapExceeded,
+    InvalidModel,
     OracleInvalidResult,
     OracleTimeout,
     PortIncompatibility,
@@ -213,33 +215,29 @@ class HeteroticSystem:
 
 
 def build_heterotic_system(
-    base: Csxm,
-    control: Csxm,
-    ps: PSystem,
-    seed: int = 0,
-    depth_cap: int = 32,
-    name: str = "heterotic",
+    ps: PSystem, control: Csxm, seed: int, depth_cap: int, name: str
 ) -> HeteroticSystem:
-    """Pair a wrapped Base with a Control component and validate the port
-    wiring: whatever Base emits must be readable by Control, and whatever
-    Control emits must be a valid Base configuration it can accept."""
+    """Validate ``ps`` and ``control``, wrap ``ps`` as the Base with ``seed``
+    and ``depth_cap``, check that Control reads whatever the Base emits, and
+    validate the Base and the pair's send targets, in that order."""
+    # looked up when called, as ``cli`` looks up the validators it runs
+    from .csxms import send_target_violations, validate_csxm
+    from .psystem import validate_psystem
+
+    violations = validate_psystem(ps) + validate_csxm(control)
+    if violations:
+        raise InvalidModel("heterotic", violations)
+    base = wrap_psystem_as_csxm(ps, depth_cap, seed=seed,
+                                initial_configs=control.out_port_domain)
     control_in = set(map(sort_key, control.in_port_domain))
-    for v in base.out_port_domain:
-        if sort_key(v) not in control_in:
-            raise PortIncompatibility(
-                f"base emits a configuration outside {control.name}'s in-port domain"
-            )
-    base_in = set(map(sort_key, base.in_port_domain))
-    for v in control.out_port_domain:
-        if not is_config_for(ps, v):
-            raise PortIncompatibility(
-                f"{control.name} emits a value that is not a configuration of {ps.name}"
-            )
-        if sort_key(v) not in base_in:
-            raise PortIncompatibility(
-                f"{control.name} emits a configuration outside {base.name}'s in-port domain"
-            )
+    if any(sort_key(v) not in control_in for v in base.out_port_domain):
+        raise PortIncompatibility(
+            f"base emits a configuration outside {control.name}'s in-port domain"
+        )
     system = CsxmSystem(name=name, components=(base, control))
+    violations = validate_csxm(base) + send_target_violations(system)
+    if violations:
+        raise InvalidModel("heterotic", violations)
     return HeteroticSystem(base, control, ps, seed, depth_cap, system)
 
 
@@ -266,12 +264,9 @@ class HeteroticTrace:
         return sum(1 for e in self.exchanges if e.direction == "base_to_control")
 
 
-@dataclass(frozen=True)
-class OracleBinding:
-    """The Base-phase contract: initial configuration in, final
-    configuration (plus optional step count) out."""
-
-    run: Callable[[PConfiguration], Tuple[PConfiguration, Optional[int]]]
+# The Base-phase contract: initial configuration in, final configuration
+# (plus optional step count) out.
+OracleBinding = Callable[[PConfiguration], Tuple[PConfiguration, Optional[int]]]
 
 
 def simulator_oracle(ps: PSystem, seed: int, depth_cap: int) -> OracleBinding:
@@ -281,7 +276,7 @@ def simulator_oracle(ps: PSystem, seed: int, depth_cap: int) -> OracleBinding:
         final, steps, _ = simulate_to_halt(ps, initial, seed, depth_cap)
         return final, steps
 
-    return OracleBinding(run=run)
+    return run
 
 
 def subprocess_oracle(
@@ -322,11 +317,11 @@ def subprocess_oracle(
             return final, steps
         raise OracleTimeout(f"oracle timed out after {attempts} attempt(s)") from last_error
 
-    return OracleBinding(run=run)
+    return run
 
 
 def _invoke_oracle(h: HeteroticSystem, oracle: OracleBinding, cfg: PConfiguration):
-    final, steps = oracle.run(cfg)
+    final, steps = oracle(cfg)
     final = tuple(final)
     if not is_config_for(h.psystem, final):
         raise OracleInvalidResult(

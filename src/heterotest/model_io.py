@@ -12,7 +12,7 @@ from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, NamedTuple, Optional
 
-from .errors import InvalidModel, SchemaError, TermError
+from .errors import SchemaError, TermError
 from .multiset import Multiset
 from .values import render, value_from_json, value_to_json
 
@@ -82,7 +82,8 @@ def load_json(path) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers undecodable text and integers too long to parse
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -641,14 +642,9 @@ _LOADERS = {
 
 
 def load_heterotic_file(path) -> HeteroticSystem:
-    """Load a heterotic file and the P system and control machine it names.
-
-    Both parts are validated before the P system is simulated to wrap it
-    as the Base component.
-    """
-    from .csxms import validate_csxm
-    from .heterotic import build_heterotic_system, wrap_psystem_as_csxm
-    from .psystem import validate_psystem
+    """Load a heterotic file and the P system and control machine it names,
+    and assemble them with :func:`heterotic.build_heterotic_system`."""
+    from .heterotic import build_heterotic_system
 
     d = check_fields(load_json(path), _HETEROTIC, "heterotic")
     base_dir = Path(path).parent
@@ -656,18 +652,8 @@ def load_heterotic_file(path) -> HeteroticSystem:
                            default_name=Path(d["psystem"]).stem)
     control = csxm_from_dict(load_json(base_dir / d["control"]),
                              default_name=Path(d["control"]).stem)
-    violations = validate_psystem(ps) + validate_csxm(control)
-    if violations:
-        raise InvalidModel("heterotic", violations)
-    seed, depth_cap = d["seed"], d["depth_cap"]
-    base = wrap_psystem_as_csxm(
-        ps, depth_cap, seed=seed,
-        initial_configs=control.out_port_domain,
-    )
-    return build_heterotic_system(
-        base, control, ps, seed=seed, depth_cap=depth_cap,
-        name=d.get("name", Path(path).stem),
-    )
+    return build_heterotic_system(ps, control, d["seed"], d["depth_cap"],
+                                  d.get("name", Path(path).stem))
 
 
 def load_model_file(path):

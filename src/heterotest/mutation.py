@@ -533,15 +533,15 @@ def score_psystem_testset(
 ) -> ScoreReport:
     """A mutant is killed when some test-set configuration is unreachable in
     it within the generation depth."""
-    from .psystem import config_canonical
+    from .psystem import config_canonical, render_config
 
     member_keys = [config_canonical(tuple(m)) for m in members]
 
     def kill_witness(model: PSystem) -> Optional[str]:
         reachable = _reachable_within(model, depth)
-        for key in member_keys:
+        for member, key in zip(members, member_keys):
             if key not in reachable:
-                return "(" + ",".join(key) + ")"
+                return render_config(member)
         return None
 
     return _score(spec, mutants, kill_witness)

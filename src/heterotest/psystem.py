@@ -266,6 +266,13 @@ def _compartment_maximal_multisets(
     """All maximal rule-instance multisets for one compartment."""
     results: list[Tuple[Tuple[str, int], ...]] = []
     cap = ASSIGNMENT_CAP
+    # a rule whose lhs symbols no later rule consumes still applies to the
+    # leftover of any smaller count, so only its largest can be maximal
+    only_largest, later = [False] * len(rules), set()
+    for idx in range(len(rules) - 1, -1, -1):
+        symbols = rules[idx].lhs.symbols()
+        only_largest[idx] = later.isdisjoint(symbols)
+        later.update(symbols)
 
     def applicable(leftover: Multiset) -> bool:
         return any(r.lhs <= leftover for r in rules)
@@ -278,6 +285,12 @@ def _compartment_maximal_multisets(
                 results.append(tuple((n, c) for n, c in chosen if c > 0))
             return
         rule = rules[idx]
+        if only_largest[idx]:
+            count = min(leftover.count(sym) // n for sym, n in rule.lhs.items())
+            chosen.append((rule.name, count))
+            dfs(idx + 1, leftover - rule.lhs.scaled(count) if count else leftover, chosen)
+            chosen.pop()
+            return
         # each count's leftover is the previous count's minus one lhs
         count, remaining = 0, leftover
         while True:

@@ -20,7 +20,6 @@ from heterotest.errors import (
     PortIncompatibility,
 )
 from heterotest.heterotic import (
-    OracleBinding,
     build_heterotic_system,
     generate_integration_tests,
     run_heterotic,
@@ -91,18 +90,20 @@ class TestBuild:
 
         control = ps2_heterotic.control
         alien = (M("zzz"),)
-        bad_control = replace(control, out_port_domain=(alien,))
-        base = wrap_psystem_as_csxm(ps2, 10, seed=0, initial_configs=[tuple(ps2.initial)])
-        with pytest.raises(PortIncompatibility):
-            build_heterotic_system(base, bad_control, ps2)
+        # declared in Control's memory, so Control alone is valid and the
+        # wiring is what rejects it
+        memory = replace(control.memory_domain,
+                         values=control.memory_domain.values + (alien,))
+        bad_control = replace(control, memory_domain=memory, out_port_domain=(alien,))
+        with pytest.raises(PortIncompatibility, match="is not a configuration of ps2"):
+            build_heterotic_system(ps2, bad_control, seed=0, depth_cap=10, name="heterotic")
 
     def test_base_output_must_be_readable(self, ps2, ps2_heterotic):
         from dataclasses import replace
 
         control = replace(ps2_heterotic.control, in_port_domain=())
-        base = wrap_psystem_as_csxm(ps2, 10, seed=0, initial_configs=[tuple(ps2.initial)])
         with pytest.raises(PortIncompatibility):
-            build_heterotic_system(base, control, ps2)
+            build_heterotic_system(ps2, control, seed=0, depth_cap=10, name="heterotic")
 
 
 class TestRun:
@@ -127,14 +128,12 @@ class TestRun:
         assert canonical_json(htrace_to_dict(plain)) == canonical_json(htrace_to_dict(withoracle))
 
     def test_oracle_invalid_alphabet_rejected(self, ps2_heterotic):
-        bad = OracleBinding(run=lambda cfg: ((M("zz"), M("q")), 1))
         with pytest.raises(OracleInvalidResult):
-            run_heterotic(ps2_heterotic, rounds=1, oracle=bad)
+            run_heterotic(ps2_heterotic, rounds=1, oracle=lambda cfg: ((M("zz"), M("q")), 1))
 
     def test_oracle_nonhalting_result_rejected(self, ps2_heterotic):
-        bad = OracleBinding(run=lambda cfg: ((M("s"), M("t")), 0))
         with pytest.raises(OracleInvalidResult):
-            run_heterotic(ps2_heterotic, rounds=1, oracle=bad)
+            run_heterotic(ps2_heterotic, rounds=1, oracle=lambda cfg: ((M("s"), M("t")), 0))
 
     def test_subprocess_oracle_round_trip(self, ps2_heterotic):
         script = (
@@ -217,8 +216,7 @@ class TestIntegrationSuite:
             next_state=ns,
             ordinary_functions=control.ordinary_functions | {"clash"},
         )
-        base = wrap_psystem_as_csxm(ps2, 10, seed=0, initial_configs=[tuple(ps2.initial)])
-        h = build_heterotic_system(base, bad, ps2, seed=0, depth_cap=10)
+        h = build_heterotic_system(ps2, bad, seed=0, depth_cap=10, name="heterotic")
         with pytest.raises(DftFailure):
             generate_integration_tests(h, 0)
 
@@ -313,9 +311,7 @@ def _exchanges(trace):
 
 
 def _reseeded(h, seed):
-    base = wrap_psystem_as_csxm(h.psystem, h.depth_cap, seed=seed,
-                                initial_configs=h.control.out_port_domain)
-    return build_heterotic_system(base, h.control, h.psystem, seed=seed,
+    return build_heterotic_system(h.psystem, h.control, seed=seed,
                                   depth_cap=h.depth_cap, name=h.as_system.name)
 
 

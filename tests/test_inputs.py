@@ -236,6 +236,19 @@ def test_validate_checks_each_heterotic_machine_once(work, capsys, monkeypatch):
     assert sorted(checked) == ["base", "ps2_control"]
 
 
+@pytest.mark.parametrize("target, message", [
+    (2, "ps2_control.functions[send_back]: component cannot send to itself"),
+    (3, "ps2_control.functions[send_back]: send target 3 outside 1..2"),
+])
+def test_heterotic_send_targets_are_checked_on_the_pair(work, capsys, target, message):
+    # Control alone is valid: a send target is checked on the assembled pair
+    _edit(work / "ps2_control.json",
+          lambda d: d["functions"][2]["cases"][0].update(send_to=target))
+    model = str(work / "ps2_heterotic.json")
+    for args in (["validate", model], ["gen-tests", "heterotic", model], ["simulate", model]):
+        _exits(1, args, message, work, capsys)
+
+
 @pytest.mark.parametrize("member, message", [
     ({"1": "s"}, "test set: members[0] has 1 compartment(s), ps2 has 2"),
     ({"1": "zz", "2": "t"},
@@ -426,3 +439,15 @@ def test_fuzzed_files_end_in_an_exit_code(work, capsys):
                 assert main(args) in (0, 1, 2, 3), (name, path, value, args)
                 capsys.readouterr()
         (work / name).write_text(original, encoding="utf-8")
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"schema": ' + b"9" * 5000 + b"}", "Exceeds the limit"),
+    (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+    ('{"name": "café"}'.encode("latin-1"), "'utf-8' codec can't decode byte 0xe9"),
+], ids=["long-integer", "deep-nesting", "not-utf-8"])
+def test_undecodable_json_exits_three(tmp_path, capsys, content, message):
+    # a ValueError or RecursionError traceback, exit 1, before
+    model = tmp_path / "model.json"
+    model.write_bytes(content)
+    _exits(3, ["validate", str(model)], f"{model} is not valid JSON: {message}", tmp_path, capsys)
