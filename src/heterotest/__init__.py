@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # ``__main__`` and which must therefore not be in ``sys.modules`` already.
 _SUBMODULES = (
     "csxms", "dft", "errors", "heterotic", "model_io", "multiset", "mutation",
-    "psystem", "sxm", "terms", "testgen", "values",
+    "psystem", "records", "sxm", "terms", "testgen", "values",
 )
 
 # The public names and the submodule that defines each.

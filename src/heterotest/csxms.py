@@ -20,10 +20,8 @@ alphabets already hold it cannot be extended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
-from .dft import DftReport, decide_conditions
 from .errors import (
     AlphabetCollision,
     DftFailure,
@@ -31,6 +29,7 @@ from .errors import (
     UnextendedSystem,
     Violation,
 )
+from .records import aside, record, replace
 from .sxm import (
     MemoryDomain,
     ProcessingFunction,
@@ -40,8 +39,12 @@ from .sxm import (
     table_for,
 )
 from .terms import Expr, Pattern, parse_expr, parse_pattern
-from .testgen import TestSuite, build_w_suite
 from .values import BOTTOM_M, NULL, Value, render, sort_key
+
+# Only the design-for-test check and suite generation run these modules.
+if TYPE_CHECKING:
+    from .dft import DftReport
+    from .testgen import TestSuite
 
 COMM_SYMBOL = "a"
 
@@ -49,7 +52,7 @@ ORDINARY = "ordinary"
 COMMUNICATING = "communicating"
 
 
-@dataclass(frozen=True)
+@record
 class CsxmResult:
     """Outcome of applying a communicating-machine function."""
 
@@ -71,7 +74,7 @@ class CsxmFunction:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@record
 class CsxmCase:
     mem_pattern: str
     port_pattern: str
@@ -80,21 +83,17 @@ class CsxmCase:
     mem_next: str
     out_port: Optional[str] = None  # expression; None leaves the port alone
     send_to: Optional[int] = None
-    pattern: Pattern = field(compare=False, repr=False, default=None)
-    port_pat: Pattern = field(compare=False, repr=False, default=None)
-    update: Expr = field(compare=False, repr=False, default=None)
-    out_expr: Optional[Expr] = field(compare=False, repr=False, default=None)
+    pattern: Pattern = aside()
+    port_pat: Pattern = aside()
+    update: Expr = aside()
+    out_expr: Optional[Expr] = aside()
 
     @classmethod
     def build(cls, mem_pattern, port_pattern, input, output, mem_next,
               out_port=None, send_to=None) -> "CsxmCase":
-        return cls(
-            mem_pattern, port_pattern, input, output, mem_next, out_port, send_to,
-            pattern=parse_pattern(mem_pattern),
-            port_pat=parse_pattern(port_pattern),
-            update=parse_expr(mem_next),
-            out_expr=parse_expr(out_port) if out_port is not None else None,
-        )
+        return cls(mem_pattern, port_pattern, input, output, mem_next, out_port, send_to,
+                   parse_pattern(mem_pattern), parse_pattern(port_pattern), parse_expr(mem_next),
+                   parse_expr(out_port) if out_port is not None else None)
 
     def bind(self, memory: Value, input_symbol: str, in_port: Value):
         env = self.pattern.match(memory)
@@ -155,7 +154,7 @@ class ExtendedCommFunction(CsxmFunction):
         return f"ExtendedCommFunction({self.name!r} -> {self.output_symbol!r})"
 
 
-@dataclass(frozen=True)
+@record
 class Csxm:
     """One communicating component.  Port domains are finite value sets;
     the undefined port value is implicitly part of both."""
@@ -178,14 +177,14 @@ class Csxm:
     communicating_functions: FrozenSet[str]
 
 
-@dataclass(frozen=True)
+@record
 class CsxmSystem:
     name: str
     components: Tuple[Csxm, ...]
     extended: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class ComponentConfiguration:
     memory: Value
     state: str
@@ -690,6 +689,8 @@ def check_csxm_dft(comp: Csxm) -> DftReport:
     reports them as product nondeterminism; here only the initial-state
     count is structural.  Witnesses stay in enumeration order.
     """
+    from .dft import decide_conditions
+
     ports = [BOTTOM_M] + [v for v in comp.in_port_domain if v != BOTTOM_M]
     inputs = sorted(comp.inputs)
     return decide_conditions(
@@ -711,6 +712,8 @@ def generate_csxms_test_suite(sys: CsxmSystem, k: int) -> TestSuite:
     port states the communication protocol never reaches, so component-level
     checks are the meaningful ones.
     """
+    from .testgen import build_w_suite
+
     extended = extend_for_testing(sys)
     for comp in extended.components:
         report = check_csxm_dft(comp)

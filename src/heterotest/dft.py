@@ -8,10 +8,10 @@ never a proof; the report's ``exhaustive`` flag records which it was.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from .records import record, replace
 from .sxm import Sxm, associated_automaton
 from .values import Value, render, sort_key
 
@@ -19,7 +19,7 @@ from .values import Value, render, sort_key
 WITNESS_LIMIT = 16
 
 
-@dataclass(frozen=True)
+@record
 class DeterminismWitness:
     state: str
     fn1: str
@@ -34,7 +34,7 @@ class DeterminismWitness:
         )
 
 
-@dataclass(frozen=True)
+@record
 class CompletenessWitness:
     fn: str
     memory: Value
@@ -43,7 +43,7 @@ class CompletenessWitness:
         return f"{self.fn} is undefined at memory {render(self.memory)} for every input"
 
 
-@dataclass(frozen=True)
+@record
 class DistinguishabilityWitness:
     fn1: str
     fn2: str
@@ -61,7 +61,7 @@ class DistinguishabilityWitness:
         )
 
 
-@dataclass
+@record
 class DftReport:
     deterministic: bool
     determinism_witnesses: Tuple[DeterminismWitness, ...]
@@ -212,18 +212,14 @@ def check_dft(model: Sxm) -> DftReport:
     report = decide_conditions(
         model, sorted(model.inputs), _machine_step, lambda m, symbol: (m, symbol), arc_issues
     )
-    report.determinism_witnesses = tuple(sorted(
-        report.determinism_witnesses,
-        key=lambda w: (w.state, w.fn1, w.fn2, sort_key(w.memory), w.input),
-    ))
-    report.completeness_witnesses = tuple(sorted(
-        report.completeness_witnesses, key=lambda w: (w.fn, sort_key(w.memory))
-    ))
-    report.distinguishability_witnesses = tuple(sorted(
-        report.distinguishability_witnesses,
-        key=lambda w: (w.fn1, w.fn2, sort_key(w.memory), w.input, w.output),
-    ))
-    return report
+    order = {
+        "determinism_witnesses": lambda w: (w.state, w.fn1, w.fn2, sort_key(w.memory), w.input),
+        "completeness_witnesses": lambda w: (w.fn, sort_key(w.memory)),
+        "distinguishability_witnesses":
+            lambda w: (w.fn1, w.fn2, sort_key(w.memory), w.input, w.output),
+    }
+    return replace(report, **{name: tuple(sorted(getattr(report, name), key=key))
+                              for name, key in order.items()})
 
 
 def replay_determinism_witness(model: Sxm, w: DeterminismWitness) -> bool:

@@ -4,10 +4,10 @@ Validation *violations* are ordinary data (see ``validate_*`` functions);
 exceptions are reserved for conditions that make an operation impossible.
 """
 
-from dataclasses import dataclass
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """A single well-formedness violation, located for the report."""
 

@@ -18,8 +18,7 @@ it; identical answers record identical traces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from .csxms import (
     COMMUNICATING,
@@ -52,9 +51,12 @@ from .psystem import (
     seeded_chooser,
     seeded_trace,
 )
+from .records import record, replace
 from .sxm import MemoryDomain
-from .testgen import TestSuite
 from .values import BOTTOM_M, NULL, render, sort_key
+
+if TYPE_CHECKING:
+    from .testgen import TestSuite
 
 BASE_INPUTS = ("emit", "load", "step")
 ADVANCE, EMIT, LOAD, SEND = "advance", "emit_result", "load_config", "send_result"
@@ -80,7 +82,8 @@ def simulate_to_halt(
 
 class AdvanceFunction(CsxmFunction):
     """One seeded maximally parallel step; stutters at halting configurations
-    so the function stays total over the sampled memory."""
+    so the function stays total over the sampled memory.  Each result is
+    kept, as the seeded step is a pure function of the configuration."""
 
     kind = ORDINARY
 
@@ -88,14 +91,17 @@ class AdvanceFunction(CsxmFunction):
         self.name = ADVANCE
         self.ps = ps
         self.choose = seeded_chooser(seed)
+        self.results: Dict[PConfiguration, CsxmResult] = {}
 
     def evaluate(self, input_symbol, in_port, memory):
         if input_symbol != "step" or in_port != BOTTOM_M:
             return None
-        if not is_config_for(self.ps, memory):
-            return None
-        successor = seeded_trace(self.ps, tuple(memory), self.choose, 1).final
-        return CsxmResult(memory=successor, output="ran")
+        if memory not in self.results:
+            if not is_config_for(self.ps, memory):
+                return None
+            successor = seeded_trace(self.ps, tuple(memory), self.choose, 1).final
+            self.results[memory] = CsxmResult(memory=successor, output="ran")
+        return self.results[memory]
 
 
 class EmitFunction(CsxmFunction):
@@ -204,7 +210,7 @@ def wrap_psystem_as_csxm(
     )
 
 
-@dataclass(frozen=True)
+@record
 class HeteroticSystem:
     base: Csxm
     control: Csxm
@@ -244,7 +250,7 @@ def build_heterotic_system(
 # --- the round driver --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Exchange:
     round: int
     direction: str  # "base_to_control" | "control_to_base"
@@ -252,7 +258,7 @@ class Exchange:
     steps: Optional[int] = None  # base-phase step count, base_to_control only
 
 
-@dataclass(frozen=True)
+@record
 class HeteroticTrace:
     system: str
     seed: int
@@ -310,7 +316,8 @@ def subprocess_oracle(
                 reply = json.loads(proc.stdout.strip().splitlines()[-1])
                 final = config_from_json(reply["final"], ps.n_compartments, "final")
                 steps = reply.get("steps")
-            except (KeyError, IndexError, TypeError, ValueError, SchemaError) as exc:
+            except (KeyError, IndexError, TypeError, ValueError, RecursionError,
+                    SchemaError) as exc:
                 raise OracleInvalidResult(f"malformed oracle reply: {exc}") from exc
             if steps is not None and (not isinstance(steps, int) or isinstance(steps, bool)):
                 raise OracleInvalidResult(f"oracle reply steps must be an integer, got {steps!r}")
@@ -423,8 +430,6 @@ def run_heterotic(
 def generate_integration_tests(h: HeteroticSystem, k: int) -> TestSuite:
     """W-method integration suite for the Base/Control pair."""
     suite = generate_csxms_test_suite(h.as_system, k)
-    metadata = dict(suite.metadata)
-    metadata["roles"] = {"base": h.base.name, "control": h.control.name}
-    metadata["seed"] = h.seed
-    metadata["depth_cap"] = h.depth_cap
-    return TestSuite(suite.cases, metadata)
+    roles = {"base": h.base.name, "control": h.control.name}
+    return replace(suite, metadata={**suite.metadata, "roles": roles, "seed": h.seed,
+                                    "depth_cap": h.depth_cap})

@@ -10,7 +10,6 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import BranchBoundExceeded, EmptyMutantSet, NoValidMutants, TermError
@@ -24,6 +23,7 @@ from .model_io import (
     sxm_to_dict,
 )
 from .multiset import Multiset
+from .records import record, replace
 
 # The machine and the P-system code each import their own model module
 # when they run, so mutating or scoring one kind never executes the other.
@@ -48,7 +48,7 @@ PSYSTEM_OPERATORS = (
 Model = Union["Sxm", "PSystem"]
 
 
-@dataclass(frozen=True)
+@record
 class Mutant:
     base: str
     operator: str
@@ -60,7 +60,7 @@ class Mutant:
         return f"{self.operator}:{self.location}"
 
 
-@dataclass(frozen=True)
+@record
 class MutantBatch:
     mutants: Tuple[Mutant, ...]
     invalid: int
@@ -328,7 +328,7 @@ def mutate_model(
 # --- scoring --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class MutantVerdict:
     mutant_id: str
     operator: str
@@ -336,7 +336,7 @@ class MutantVerdict:
     witness: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record
 class ScoreReport:
     total: int
     killed: int

@@ -24,11 +24,12 @@ being built.  Past either, :class:`ExplosionBoundExceeded` is raised.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import ExplosionBoundExceeded, Violation
 from .multiset import Multiset
+from .records import record
 from .values import RESERVED_ATOMS
 
 # A configuration is one multiset per compartment, index i-1 <-> compartment i.
@@ -43,7 +44,7 @@ BRANCH_CAP = 10_000
 HERE = "here"
 
 
-@dataclass(frozen=True)
+@record
 class PRule:
     """A rewrite rule: lhs consumed in its compartment, rhs symbols deposited
     locally ("here") or into the parent/a child compartment."""
@@ -54,7 +55,7 @@ class PRule:
     rhs: Tuple[Tuple[str, object], ...]  # (symbol, HERE | compartment id)
 
 
-@dataclass(frozen=True)
+@record
 class PSystem:
     kind = "psystem"  # the model-file kind; a class attribute, not a field
 
@@ -63,24 +64,20 @@ class PSystem:
     parent: Mapping[int, Optional[int]]  # compartment id -> parent id (root: None)
     initial: PConfiguration
     rules: Tuple[PRule, ...]
+
     # Lookups derived from ``rules``: the first rule of each name, and each
     # compartment's rules sorted by name.
-    _by_name: Mapping[str, PRule] = field(init=False, repr=False, compare=False)
-    _by_compartment: Mapping[int, Tuple[PRule, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    @cached_property
+    def _by_name(self) -> Mapping[str, PRule]:
+        return {r.name: r for r in reversed(self.rules)}
 
-    def __post_init__(self):
-        by_name: Dict[str, PRule] = {}
+    @cached_property
+    def _by_compartment(self) -> Mapping[int, Tuple[PRule, ...]]:
         by_compartment: Dict[int, list] = {}
         for r in self.rules:
-            by_name.setdefault(r.name, r)
             by_compartment.setdefault(r.compartment, []).append(r)
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_by_compartment", {
-            comp: tuple(sorted(rules, key=lambda r: r.name))
-            for comp, rules in by_compartment.items()
-        })
+        return {comp: tuple(sorted(rules, key=lambda r: r.name))
+                for comp, rules in by_compartment.items()}
 
     @property
     def n_compartments(self) -> int:
@@ -133,7 +130,7 @@ def is_config_for(ps: PSystem, value) -> bool:
     return config_defect(ps, value) is None
 
 
-@dataclass(frozen=True)
+@record
 class TraceStep:
     fired: Assignment
     result: PConfiguration
@@ -143,7 +140,7 @@ def _fired_names(fired: Assignment) -> Iterator[str]:
     return (name for comp_fired in fired for name, _ in comp_fired)
 
 
-@dataclass(frozen=True)
+@record
 class ComputationTrace:
     """A computation: initial configuration plus the fired-rule record and
     result of every step.  ``halted`` marks traces that ended because no
@@ -433,7 +430,7 @@ def seeded_trace(
     return ComputationTrace(start, tuple(steps), halted=is_halting(ps, cfg))
 
 
-@dataclass(frozen=True)
+@record
 class Exploration:
     """Every computation of at most ``depth`` steps, as a layered DAG.
 
@@ -608,7 +605,7 @@ def psystem_run(
     return [seeded_trace(ps, ps.initial, seeded_chooser(seed), depth)]
 
 
-@dataclass(frozen=True)
+@record
 class RuleCoverage:
     rule: str
     compartment: int
@@ -617,7 +614,7 @@ class RuleCoverage:
     witness: Optional[ComputationTrace]
 
 
-@dataclass(frozen=True)
+@record
 class CoverageReport:
     entries: Tuple[RuleCoverage, ...]
 

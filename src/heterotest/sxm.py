@@ -10,7 +10,6 @@ construction; every operation here is a pure function of its inputs.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import (
     Callable,
@@ -25,6 +24,7 @@ from typing import (
 )
 
 from .errors import BranchBoundExceeded, MissingSampleError, TermError, Violation
+from .records import aside, record
 from .terms import Pattern, Expr, parse_expr, parse_pattern
 from .values import RESERVED_ATOMS, Value, is_value, render, sort_key
 
@@ -44,7 +44,7 @@ class ProcessingFunction:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@record
 class Case:
     """One row of a case table: pattern + input -> output + update."""
 
@@ -52,19 +52,13 @@ class Case:
     input: str
     output: str
     mem_next: str
-    pattern: Pattern = field(compare=False, repr=False, default=None)
-    update: Expr = field(compare=False, repr=False, default=None)
+    pattern: Pattern = aside()
+    update: Expr = aside()
 
     @classmethod
     def build(cls, mem_pattern: str, input: str, output: str, mem_next: str) -> "Case":
-        return cls(
-            mem_pattern,
-            input,
-            output,
-            mem_next,
-            pattern=parse_pattern(mem_pattern),
-            update=parse_expr(mem_next),
-        )
+        return cls(mem_pattern, input, output, mem_next, parse_pattern(mem_pattern),
+                   parse_expr(mem_next))
 
     def bind(self, memory: Value, input_symbol: str):
         return self.pattern.match(memory)
@@ -176,7 +170,7 @@ class CaseFunction(ProcessingFunction):
         return f"CaseFunction({self.name!r}, {len(self.cases)} cases)"
 
 
-@dataclass(frozen=True)
+@record
 class MemoryDomain:
     """Declared memory domain: finite set, integer range, or open + sample.
 
@@ -211,7 +205,7 @@ class MemoryDomain:
         return None
 
 
-@dataclass(frozen=True)
+@record
 class Sxm:
     """A stream X-machine.
 
@@ -246,7 +240,7 @@ class Sxm:
         return {q: tuple(out) for q, out in arcs.items()}
 
 
-@dataclass(frozen=True)
+@record
 class SxmConfiguration:
     """Machine snapshot: memory, control state, remaining input, output."""
 
@@ -259,7 +253,7 @@ class SxmConfiguration:
         return (sort_key(self.memory), self.state, self.remaining_input, self.output_so_far)
 
 
-@dataclass(frozen=True)
+@record
 class Automaton:
     """The finite automaton left after forgetting memory: arcs carry
     processing-function names."""

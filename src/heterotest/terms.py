@@ -22,12 +22,12 @@ negative elements in parentheses (``[?x (-1)]``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .errors import TermError
 from .multiset import Multiset
+from .records import record
 from .values import Value, sort_key
 
 _TWO_CHAR = ("<=", ">=", "==", "!=")
@@ -75,7 +75,7 @@ class Expr:
         return frozenset()
 
 
-@dataclass(frozen=True)
+@record
 class EInt(Expr):
     value: int
 
@@ -83,7 +83,7 @@ class EInt(Expr):
         return self.value
 
 
-@dataclass(frozen=True)
+@record
 class EAtom(Expr):
     name: str
 
@@ -91,7 +91,7 @@ class EAtom(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
+@record
 class EVar(Expr):
     name: str
 
@@ -104,7 +104,7 @@ class EVar(Expr):
         return frozenset({self.name})
 
 
-@dataclass(frozen=True)
+@record
 class ESeq(Expr):
     items: Tuple[Expr, ...]
 
@@ -115,7 +115,7 @@ class ESeq(Expr):
         return frozenset().union(*(i.variables() for i in self.items)) if self.items else frozenset()
 
 
-@dataclass(frozen=True)
+@record
 class EMset(Expr):
     mset: Multiset
 
@@ -123,7 +123,7 @@ class EMset(Expr):
         return self.mset
 
 
-@dataclass(frozen=True)
+@record
 class ENeg(Expr):
     inner: Expr
 
@@ -137,7 +137,7 @@ class ENeg(Expr):
         return self.inner.variables()
 
 
-@dataclass(frozen=True)
+@record
 class EBin(Expr):
     op: str
     left: Expr
@@ -175,7 +175,7 @@ class PatternNode:
         return frozenset()
 
 
-@dataclass(frozen=True)
+@record
 class PInt(PatternNode):
     value: int
 
@@ -183,7 +183,7 @@ class PInt(PatternNode):
         return isinstance(value, int) and not isinstance(value, bool) and value == self.value
 
 
-@dataclass(frozen=True)
+@record
 class PAtom(PatternNode):
     name: str
 
@@ -191,13 +191,13 @@ class PAtom(PatternNode):
         return isinstance(value, str) and value == self.name
 
 
-@dataclass(frozen=True)
+@record
 class PWild(PatternNode):
     def match(self, value, env):
         return True
 
 
-@dataclass(frozen=True)
+@record
 class PVar(PatternNode):
     name: str
 
@@ -211,7 +211,7 @@ class PVar(PatternNode):
         return frozenset({self.name})
 
 
-@dataclass(frozen=True)
+@record
 class PSeq(PatternNode):
     items: Tuple[PatternNode, ...]
 
@@ -224,7 +224,7 @@ class PSeq(PatternNode):
         return frozenset().union(*(i.variables() for i in self.items)) if self.items else frozenset()
 
 
-@dataclass(frozen=True)
+@record
 class PMset(PatternNode):
     mset: Multiset
 
@@ -232,7 +232,7 @@ class PMset(PatternNode):
         return isinstance(value, Multiset) and value == self.mset
 
 
-@dataclass(frozen=True)
+@record
 class Guard:
     left: Expr
     op: str
@@ -260,7 +260,7 @@ class Guard:
         return self.left.variables() | self.right.variables()
 
 
-@dataclass(frozen=True)
+@record
 class Pattern:
     """A term pattern plus its guards, compiled from source text."""
 

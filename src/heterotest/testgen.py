@@ -10,7 +10,6 @@ suites are reproducible byte for byte.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from .dft import check_dft
@@ -20,21 +19,22 @@ from .errors import (
     NotMinimalError,
     UnreachableStateError,
 )
+from .records import aside, record
 from .sxm import Automaton, Sxm, associated_automaton, replay_outputs, replay_sequences
 
 PhiSequence = Tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class TestCase:
     input: Tuple[str, ...]
     expected_outputs: Tuple[Tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class TestSuite:
     cases: Tuple[TestCase, ...]
-    metadata: Dict[str, object] = field(compare=False, default_factory=dict)
+    metadata: Dict[str, object] = aside(dict, shown=True)
 
     def inputs(self) -> Tuple[Tuple[str, ...], ...]:
         return tuple(case.input for case in self.cases)

@@ -1,6 +1,5 @@
 import sys
 from collections import deque
-from dataclasses import replace
 
 import pytest
 
@@ -34,6 +33,7 @@ from heterotest.errors import (
     NondeterministicProduct,
     UnextendedSystem,
 )
+from heterotest.records import replace
 from heterotest.sxm import MemoryDomain, sxm_run
 from heterotest.values import BOTTOM_M, NULL
 

@@ -119,7 +119,7 @@ def test_every_witness_replays_on_seeded_models():
 def test_sample_growth_never_turns_fail_into_pass():
     # Verdicts are per-memory-value universal/existential; a larger sample
     # can only add violations.
-    from dataclasses import replace
+    from heterotest.records import replace
 
     for seed in range(20):
         model = random_messy_sxm(seed)

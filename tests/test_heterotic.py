@@ -86,7 +86,7 @@ class TestBuild:
         assert validate_system(ps2_heterotic.as_system) == []
 
     def test_port_incompatibility_disjoint_domains(self, ps2, ps2_heterotic):
-        from dataclasses import replace
+        from heterotest.records import replace
 
         control = ps2_heterotic.control
         alien = (M("zzz"),)
@@ -99,7 +99,7 @@ class TestBuild:
             build_heterotic_system(ps2, bad_control, seed=0, depth_cap=10, name="heterotic")
 
     def test_base_output_must_be_readable(self, ps2, ps2_heterotic):
-        from dataclasses import replace
+        from heterotest.records import replace
 
         control = replace(ps2_heterotic.control, in_port_domain=())
         with pytest.raises(PortIncompatibility):
@@ -197,7 +197,7 @@ class TestIntegrationSuite:
         assert checked
 
     def test_dft_failing_control_gates(self, ps2, ps2_heterotic):
-        from dataclasses import replace
+        from heterotest.records import replace
 
         from heterotest.csxms import CsxmCase, CsxmCaseFunction
 

@@ -451,3 +451,12 @@ def test_undecodable_json_exits_three(tmp_path, capsys, content, message):
     model = tmp_path / "model.json"
     model.write_bytes(content)
     _exits(3, ["validate", str(model)], f"{model} is not valid JSON: {message}", tmp_path, capsys)
+
+
+def test_oracle_reply_nested_too_deep_exits_two(models_dir, tmp_path, capsys):
+    # a RecursionError traceback, exit 1, before
+    script = tmp_path / "oracle.py"
+    script.write_text("import sys\nsys.stdin.readline()\nprint('[' * 200_000 + ']' * 200_000)\n")
+    args = ["simulate", str(models_dir / "ps2_heterotic.json"), "--rounds", "1",
+            "--oracle-cmd", f"{sys.executable} {script}"]
+    _exits(2, args, "malformed oracle reply: maximum recursion depth exceeded", tmp_path, capsys)

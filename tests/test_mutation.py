@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from gen_models import random_dft_sxm
@@ -20,6 +18,7 @@ from heterotest.mutation import (
     _reachable_within,
 )
 from heterotest.psystem import PSystem, generate_coverage_test_set
+from heterotest.records import replace
 from heterotest.sxm import run_outputs
 from heterotest.testgen import generate_sxm_test_suite
 

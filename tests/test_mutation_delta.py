@@ -13,7 +13,6 @@ exactly when the JSON keys are.
 import itertools
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -36,6 +35,7 @@ from heterotest.mutation import (
     score_to_dict,
 )
 from heterotest.psystem import PRule, PSystem, validate_psystem
+from heterotest.records import replace
 from heterotest.sxm import Case, CaseFunction, MemoryDomain, Sxm, replay_outputs, validate_sxm
 from heterotest.testgen import TestCase as SuiteCase
 from heterotest.testgen import TestSuite as Suite

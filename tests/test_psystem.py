@@ -36,7 +36,7 @@ class TestValidate:
         assert validate_psystem(ps2) == []
 
     def test_illegal_target(self, ps2):
-        from dataclasses import replace
+        from heterotest.records import replace
 
         bad_rule = PRule("rx", 2, M("b"), (("b", 3),))
         bad = replace(ps2, rules=ps2.rules + (bad_rule,))
@@ -44,7 +44,7 @@ class TestValidate:
         assert any("neither the parent nor a child" in v.message for v in report)
 
     def test_unknown_symbol(self, ps2):
-        from dataclasses import replace
+        from heterotest.records import replace
 
         bad_rule = PRule("rx", 1, M("z"), (("z", "here"),))
         bad = replace(ps2, alphabet=ps2.alphabet, rules=ps2.rules + (bad_rule,))
@@ -52,7 +52,7 @@ class TestValidate:
         assert any("not in alphabet" in v.message for v in report)
 
     def test_empty_lhs_rejected(self, ps2):
-        from dataclasses import replace
+        from heterotest.records import replace
 
         bad = replace(ps2, rules=ps2.rules + (PRule("rx", 1, Multiset(), (("a", "here"),)),))
         assert any("empty" in v.message for v in validate_psystem(bad))

@@ -14,8 +14,6 @@ shared with ordinary machines' case tables, and must give the same result,
 or raise the same error, at every (memory, in-port, input) point.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from gen_models import random_csxm_system
@@ -46,6 +44,7 @@ from heterotest.psystem import (
     seeded_chooser,
     step_choices,
 )
+from heterotest.records import replace
 from heterotest.values import BOTTOM_M, NULL
 
 M = Multiset.from_string
@@ -219,6 +218,30 @@ def test_advance_equals_the_reference_along_every_trajectory(ps):
                 assert got == reference_advance(ps, seed, symbol, port, memory), (seed, cfg)
             checked += 1
     assert checked >= len(CHOOSERS)
+
+
+def test_advance_keeps_results_but_no_cap_error(monkeypatch):
+    # A repeated call answers from the kept result.  A step that trips the
+    # assignment cap keeps nothing: it raises on every call, and once the
+    # cap is back the same memory gives the reference result.
+    trips = 0
+    for ps in _systems():
+        for seed in CHOOSERS:
+            advance = AdvanceFunction(ps, seed)
+            (trace,) = psystem_run(ps, 6, "seeded", seed)
+            for memory in trace.configurations():
+                want = reference_advance(ps, seed, "step", BOTTOM_M, memory)
+                with monkeypatch.context() as patch:
+                    patch.setattr(psystem, "ASSIGNMENT_CAP", 0)
+                    tripped = [_outcome(advance.evaluate, "step", BOTTOM_M, memory)
+                               for _ in range(2)]
+                assert tripped[0] == tripped[1], (seed, memory)
+                if tripped[0] != want:
+                    assert tripped[0][0] == "ExplosionBoundExceeded"
+                    trips += 1
+                got = [advance.evaluate("step", BOTTOM_M, memory) for _ in range(2)]
+                assert got == [want, want], (seed, memory)
+    assert trips > 100
 
 
 def test_advance_stutters_on_every_halted_trajectory_end():

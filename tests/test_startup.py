@@ -1,4 +1,5 @@
-"""Start-up: each command executes only the modules its kind of model needs.
+"""Start-up: each command executes only the modules its kind of model needs,
+and none imports ``dataclasses``.
 
 ``import heterotest`` registers every submodule but ``cli`` as a lazy
 module that executes on first attribute access.  The commands below run in
@@ -6,6 +7,7 @@ fresh processes under an audit hook that records each module body the
 interpreter executes, so the check never touches a module's attributes.
 """
 
+import copy
 import importlib
 import json
 import os
@@ -42,25 +44,30 @@ try:
     runpy.run_module("heterotest.cli", run_name="__main__", alter_sys=True)
 except SystemExit:
     pass
-imported = sorted(set(sys.modules) - preloaded & {"hashlib", "random", "subprocess"})
+imported = sorted(set(sys.modules) - preloaded
+                  & {"dataclasses", "hashlib", "random", "subprocess"})
 pathlib.Path(out).write_text(json.dumps([sorted(ran), imported]))
 """
 
 MACHINE_ONLY = {"csxms", "heterotic", "testgen", "dft", "sxm", "terms"}
 PSYSTEM_ONLY = {"psystem"}
 SYSTEM_ONLY = {"csxms", "heterotic"}
+# The design-for-test, test-generation and mutation modules.
+GENERATION_ONLY = {"dft", "testgen", "mutation"}
 
 
 def executed(args, cwd):
     """The heterotest modules the command executed; checks that it imports
     ``hashlib`` only to pick a seeded branch, ``random`` only to sample
-    mutants and ``subprocess`` never."""
+    mutants, and ``subprocess`` and ``dataclasses`` never."""
     out = cwd / "executed.json"
     proc = subprocess.run([sys.executable, "-c", PROBE, str(out), *args],
                           cwd=str(cwd), env=ENV, capture_output=True, text=True)
     assert "Traceback" not in proc.stderr, proc.stderr
     ran, imported = json.loads(out.read_text())
-    allowed = {"hashlib"} if "--seed" in args else {"random"} if args[0] == "mutate" else set()
+    # a heterotic file's Base runs seeded
+    seeded = "--seed" in args or any(arg.endswith("heterotic.json") for arg in args)
+    allowed = {"hashlib"} if seeded else {"random"} if args[0] == "mutate" else set()
     assert set(imported) <= allowed, imported
     return set(ran)
 
@@ -78,6 +85,15 @@ def work(tmp_path_factory, models_dir):
          "-o", str(work / "counter_mutants.json")],
     ):
         assert main(args) == 0
+    # a system of two copies of the Control machine, the first sending to the second
+    control = json.loads((models_dir / "ps2_control.json").read_text())
+    first = copy.deepcopy(control)
+    for fn in first["functions"]:
+        for case in fn["cases"]:
+            if "send_to" in case:
+                case["send_to"] = 2
+    (work / "system.json").write_text(
+        json.dumps({"schema": 1, "name": "pair", "components": [first, control]}))
     return work
 
 
@@ -102,6 +118,17 @@ MACHINE_COMMANDS = [
 ]
 
 
+# (command, the modules of GENERATION_ONLY it executes)
+SYSTEM_COMMANDS = [
+    (["validate", "ps2_heterotic.json"], set()),
+    (["validate", "--dft", "ps2_heterotic.json"], {"dft"}),
+    (["simulate", "ps2_heterotic.json", "--rounds", "2"], set()),
+    (["gen-tests", "heterotic", "ps2_heterotic.json"], {"dft", "testgen"}),
+    (["validate", "{work}/system.json"], set()),
+    (["product", "{work}/system.json"], set()),
+]
+
+
 def _resolve(command, models_dir, work):
     return [str(models_dir / arg) if arg.endswith(".json") and "/" not in arg
             else arg.format(work=work) for arg in command]
@@ -121,6 +148,34 @@ def test_machine_commands_execute_no_psystem_or_system_module(command, models_di
     assert not ran & (PSYSTEM_ONLY | SYSTEM_ONLY), sorted(ran & (PSYSTEM_ONLY | SYSTEM_ONLY))
 
 
+@pytest.mark.parametrize("command, generating", SYSTEM_COMMANDS,
+                         ids=[" ".join(command) for command, _ in SYSTEM_COMMANDS])
+def test_system_commands_execute_generation_modules_only_to_generate(
+        command, generating, models_dir, work):
+    ran = executed(_resolve(command, models_dir, work), work)
+    assert "csxms" in ran
+    assert ran & GENERATION_ONLY == generating
+
+
+def test_importing_heterotic_executes_no_generation_module(tmp_path):
+    # what perfbench/oracle.py imports for its simulator
+    code = (
+        "import json, pathlib, sys\n"
+        "ran = set()\n"
+        "def hook(event, args):\n"
+        "    if event == 'exec' and getattr(args[0], 'co_name', '') == '<module>':\n"
+        "        ran.add(pathlib.Path(args[0].co_filename).stem)\n"
+        "sys.addaudithook(hook)\n"
+        "from heterotest.heterotic import simulate_to_halt\n"
+        "print(json.dumps(sorted(ran)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=str(tmp_path), env=ENV, check=True)
+    ran = set(json.loads(proc.stdout))
+    assert {"heterotic", "csxms"} <= ran
+    assert not ran & GENERATION_ONLY, sorted(ran & GENERATION_ONLY)
+
+
 def test_importing_cli_registers_every_module_and_executes_none(tmp_path):
     # perfbench/tracer.py looks its modules up in sys.modules right after
     # ``from heterotest import cli``
@@ -136,7 +191,8 @@ def test_importing_cli_registers_every_module_and_executes_none(tmp_path):
     loaded = json.loads(proc.stdout)
     stems = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
     assert set(loaded) == {f"heterotest.{stem}" for stem in stems}
-    assert sorted(n for n, ran in loaded.items() if ran) == ["heterotest.cli", "heterotest.errors"]
+    assert sorted(n for n, ran in loaded.items() if ran) == [
+        "heterotest.cli", "heterotest.errors", "heterotest.records"]
 
 
 def test_running_cli_as_a_module_warns_nothing(models_dir):

@@ -425,7 +425,7 @@ class TestAgainstReferences:
     def test_arc_issues_match_reference(self):
         from gen_models import random_messy_sxm
 
-        from dataclasses import replace
+        from heterotest.records import replace
 
         from heterotest.dft import check_dft
 
