@@ -81,19 +81,19 @@ class CsxmCase:
     input: str
     output: str
     mem_next: str
-    out_port: Optional[str] = None  # expression; None leaves the port alone
-    send_to: Optional[int] = None
     pattern: Pattern = aside()
     port_pat: Pattern = aside()
     update: Expr = aside()
     out_expr: Optional[Expr] = aside()
+    out_port: Optional[str] = None  # expression; None leaves the port alone
+    send_to: Optional[int] = None
 
     @classmethod
     def build(cls, mem_pattern, port_pattern, input, output, mem_next,
               out_port=None, send_to=None) -> "CsxmCase":
-        return cls(mem_pattern, port_pattern, input, output, mem_next, out_port, send_to,
+        return cls(mem_pattern, port_pattern, input, output, mem_next,
                    parse_pattern(mem_pattern), parse_pattern(port_pattern), parse_expr(mem_next),
-                   parse_expr(out_port) if out_port is not None else None)
+                   parse_expr(out_port) if out_port is not None else None, out_port, send_to)
 
     def bind(self, memory: Value, input_symbol: str, in_port: Value):
         env = self.pattern.match(memory)

@@ -96,12 +96,13 @@ class AdvanceFunction(CsxmFunction):
     def evaluate(self, input_symbol, in_port, memory):
         if input_symbol != "step" or in_port != BOTTOM_M:
             return None
-        if memory not in self.results:
+        result = self.results.get(memory)
+        if result is None:
             if not is_config_for(self.ps, memory):
                 return None
             successor = seeded_trace(self.ps, tuple(memory), self.choose, 1).final
-            self.results[memory] = CsxmResult(memory=successor, output="ran")
-        return self.results[memory]
+            result = self.results[memory] = CsxmResult(memory=successor, output="ran")
+        return result
 
 
 class EmitFunction(CsxmFunction):

@@ -1,7 +1,9 @@
 """Frozen record classes.
 
 ``@record`` turns each annotated name of a class body, in order, into a
-field, with the class attribute of that name as its default.  It adds
+field, with the class attribute of that name as its default.  It reads
+the names through ``cls.__annotations__``, which holds them whether the
+module defers annotations or not.  It adds
 ``__init__`` (positional or keyword), ``__repr__`` (``Name(f=v, ...)``),
 ``__eq__`` over the compared fields of two records of the same class,
 ``__hash__`` of the same tuple, and a ``__setattr__``/``__delattr__`` that
@@ -16,13 +18,8 @@ _MISSING = object()
 
 
 class aside:
-    """The default of a field that ``==`` and ``hash`` skip, and ``repr``
-    too unless ``shown``; a record built without the field gets
-    ``factory()``."""
-
-    def __init__(self, factory=lambda: None, shown=False):
-        self.factory = factory
-        self.shown = shown
+    """Marks a field, ``name: T = aside()``, that a record requires but
+    that ``==``, ``hash`` and ``repr`` skip."""
 
 
 def _values(names):
@@ -43,20 +40,16 @@ def _refuse_delete(self, name):
 
 def record(cls):
     """Make ``cls`` a frozen record of its annotated fields."""
-    names = tuple(cls.__dict__.get("__annotations__", {}))
-    defaults, compared, shown = {}, [], []  # defaults: name -> factory
+    names = tuple(cls.__annotations__)
+    defaults, compared = {}, []
     for name in names:
         default = cls.__dict__.get(name, _MISSING)
         if isinstance(default, aside):
             delattr(cls, name)
-            defaults[name] = default.factory
-            if default.shown:
-                shown.append(name)
             continue
         if default is not _MISSING:
-            defaults[name] = lambda default=default: default
+            defaults[name] = default
         compared.append(name)
-        shown.append(name)
     qualname = cls.__qualname__
 
     def bind(args, kwargs):
@@ -72,7 +65,7 @@ def record(cls):
         missing = [name for name in names if name not in values and name not in defaults]
         if missing:
             raise TypeError(f"{qualname}() missing argument(s): {', '.join(missing)}")
-        return [values[name] if name in values else defaults[name]() for name in names]
+        return [values[name] if name in values else defaults[name] for name in names]
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):
@@ -80,7 +73,7 @@ def record(cls):
         self.__dict__.update(zip(names, args))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in compared)
         return f"{self.__class__.__qualname__}({fields})"
 
     key = _values(compared)

@@ -34,7 +34,7 @@ class TestCase:
 @record
 class TestSuite:
     cases: Tuple[TestCase, ...]
-    metadata: Dict[str, object] = aside(dict, shown=True)
+    metadata: Dict[str, object] = aside()
 
     def inputs(self) -> Tuple[Tuple[str, ...], ...]:
         return tuple(case.input for case in self.cases)

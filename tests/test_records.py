@@ -2,8 +2,8 @@
 
 Every ``@record`` class of the package is rebuilt here as a frozen
 ``dataclasses`` class from the annotations and field markers of its own
-source: a default stays a default, and ``aside(factory, shown)`` becomes
-``field(compare=False, repr=shown, default_factory=factory)``.  The records
+source: a default stays a default, and ``aside()`` becomes
+``field(compare=False, repr=False)``, a required field.  The records
 reached by running the pipeline on the shipped models and on
 benchmark-style inputs (perfbench/gen.py at seed 5, the pinned
 ``branch2_1`` P system) must agree with their twins on ``repr``, ``==``
@@ -63,8 +63,7 @@ def twin_class(cls):
             continue
         default = eval(compile(ast.Expression(stmt.value), "<default>", "eval"), namespace)
         if isinstance(default, aside):
-            spec = dataclasses.field(compare=False, repr=default.shown,
-                                     default_factory=default.factory)
+            spec = dataclasses.field(compare=False, repr=False)
         else:
             spec = dataclasses.field(default=default)
         fields.append((stmt.target.id, object, spec))
@@ -206,9 +205,9 @@ class Outer:
         """A nested record, so that its repr must name ``Outer.Inner``."""
 
         x: int
-        y: str = "y"
-        extra: dict = aside(dict, shown=True)
+        extra: dict = aside()
         cache: object = aside()
+        y: str = "y"
 
 
 class Sub(Outer.Inner):
@@ -229,9 +228,9 @@ PER_CLASS_PAIRED = 4
 @pytest.fixture(scope="module")
 def instances(tmp_path_factory, models_dir):
     found = walk(pipeline_roots(tmp_path_factory.mktemp("records"), models_dir))
-    found[Outer.Inner] = [Outer.Inner(1), Outer.Inner(2, "z", {"k": 1}, cache=object()),
-                          Outer.Inner(x=1, y="y", extra={"k": 2})]
-    found[Sub] = [Sub(1), Sub(2, "z")]
+    found[Outer.Inner] = [Outer.Inner(1, {}, None), Outer.Inner(2, {"k": 1}, object(), "z"),
+                          Outer.Inner(x=1, y="y", extra={"k": 2}, cache=None)]
+    found[Sub] = [Sub(1, {}, None), Sub(2, {}, None, "z")]
     found[Empty] = [Empty(), Empty()]
     return found
 
@@ -277,15 +276,14 @@ def check_record(rec, peers, twins):
         assert all(getattr(built, name) is value for name, value in zip(names, values))
         assert built == rec and repr(built) == repr(rec)
 
-    # defaults, and a fresh value from each factory
-    required = [f.name for f in fields
-                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
-    bare = [cls(*[getattr(rec, name) for name in required]) for _ in range(2)]
-    twin_bare = [twin_cls(*[getattr(tw, name) for name in required]) for _ in range(2)]
-    assert repr(bare[0]) == repr(twin_bare[0]) and _same_fields(bare[0], twin_bare[0], twins)
-    for name in names:
-        fresh = getattr(bare[0], name) is not getattr(bare[1], name)
-        assert fresh == (getattr(twin_bare[0], name) is not getattr(twin_bare[1], name)), name
+    # defaults
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    bare = cls(*[getattr(rec, name) for name in required])
+    twin_bare = twin_cls(*[getattr(tw, name) for name in required])
+    assert repr(bare) == repr(twin_bare) and _same_fields(bare, twin_bare, twins)
+    if required:
+        with pytest.raises(TypeError):
+            cls(*[getattr(rec, name) for name in required[:-1]])
 
     # frozen, for fields and, on a decorated class, other names too (a
     # dataclass lets a subclass set names that are not fields; a record
@@ -340,3 +338,26 @@ def test_equality_and_hash_match_the_twins_across_classes(instances, twins):
             assert (a == b) == (twin_a == twin_b), (a, b)
             if a == b:
                 assert _hashed(a) == _hashed(b)
+
+
+def test_fields_come_from_the_class_annotations():
+    from heterotest import errors
+
+    assert errors.Violation._fields == ("where", "message")
+
+    class LazyAnnotations(type):
+        """Computes a class's annotations on access and keeps none in its
+        ``__dict__``, as classes of a module without ``from __future__
+        import annotations`` do from Python 3.14 on."""
+
+        @property
+        def __annotations__(cls):
+            return {"x": int, "y": str}
+
+    class Lazy(metaclass=LazyAnnotations):
+        y = "y"
+
+    assert "__annotations__" not in vars(Lazy)
+    lazy = record(Lazy)
+    assert lazy._fields == ("x", "y")
+    assert repr(lazy(1)) == "test_fields_come_from_the_class_annotations.<locals>.Lazy(x=1, y='y')"
