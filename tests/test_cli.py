@@ -174,6 +174,17 @@ def test_product_summary(models_dir, tmp_path, capsys):
     assert payload["memory_size"] >= 1
 
 
+def test_product_summary_pinned(models_dir, tmp_path, capsys):
+    # sha256 of the ``-o`` summary, measured before the product machine
+    # stepped through the system's communicating-change rule
+    sys_file = _control_pair(models_dir, tmp_path, first_sends_to=2)
+    out_file = tmp_path / "product.json"
+    assert main(["product", str(sys_file), "-o", str(out_file)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+        "7a2d5744cffeb48e4969a8538672dd9a6290816bb24bad5d4baf3a7867db56ee")
+
+
 def test_product_rejects_component_sending_to_itself(models_dir, tmp_path, capsys):
     sys_file = _control_pair(models_dir, tmp_path, first_sends_to=1)
     _reject_before_generating(
@@ -448,6 +459,23 @@ def test_gen_tests_heterotic_k3_pinned(models_dir, tmp_path, capsys):
     digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
     assert digest == "3aa7403adc8e9cad116df2eda783cf5cd5bfeb53743d14e62f0c63edeeb5d83c"
     assert json.loads(out_file.read_text())["metadata"]["phi_sequences"] == 146_060
+
+
+# sha256 of the ``-o`` artifact and the phi-sequence count of the ps2
+# heterotic suite at each k below the pin above, measured before the
+# product machine stepped through the system's communicating-change rule.
+@pytest.mark.parametrize("k, digest, phi", [
+    (0, "bd53c4a19ef07022dedfdf478b9071153889e5e734eed3b690bc9a28ac1b666e", 425),
+    (1, "9e1d0eb42a5d70cdcf37f5c5528b22a65f3de005572defd1c0a9241bad865640", 2_980),
+    (2, "e25e1d06837387dd7eae3ac9f22fdbaddbc4fcb0e2190b40ed786bd8d810225b", 20_865),
+])
+def test_gen_tests_heterotic_pinned(models_dir, tmp_path, capsys, k, digest, phi):
+    out_file = tmp_path / "suite.json"
+    assert main(["gen-tests", "heterotic", str(models_dir / "ps2_heterotic.json"),
+                 "--extra-states", str(k), "-o", str(out_file)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+    assert json.loads(out_file.read_text())["metadata"]["phi_sequences"] == phi
 
 
 # A two-compartment P system from the benchmark's skeleton: 3,115 traces

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from collections import deque
 
@@ -33,6 +34,7 @@ from heterotest.errors import (
     NondeterministicProduct,
     UnextendedSystem,
 )
+from heterotest.model_io import canonical_json, suite_to_dict
 from heterotest.records import replace
 from heterotest.sxm import MemoryDomain, sxm_run
 from heterotest.values import BOTTOM_M, NULL
@@ -429,6 +431,23 @@ class TestSuiteGeneration:
             r2 = fns[w.fn2].evaluate(w.input, port, m)
             assert r1.output == r2.output == w.output
             assert (r1.memory, r2.memory) == (w.memory1, w.memory2)
+
+
+# sha256 of the canonical suite of random systems that pass the
+# design-for-test checks, measured before the product machine stepped
+# through the system's communicating-change rule.
+@pytest.mark.parametrize("seed, k, digest", [
+    (0, 0, "8163f8d13d4c599cd816b10b7d26c404fc7a18fc05290710a7036da1afbdeef2"),
+    (0, 1, "763e95623ed6038d4401a017a1387e7f2881dfe0c4cd652c8b68d286b4df61f6"),
+    (2, 0, "a11d1aa0105b6146c02dc4947e44e88fa9a9c329f87c4e061764aa427a3dc9a2"),
+    (2, 1, "8ba94f6ef98b5fc27b96f32c4ef44e8286ecc266eb6fc0174263f1a80c425672"),
+    (4, 0, "29f7a2abc165696f9f3c6f194cb1f7754833fe8b44f0aa7262f5bda07f4be2f7"),
+    (4, 1, "9e1a4c574e8549de58ab35d49122740d3b55bfcfff0a3e936778ddecbf42af48"),
+])
+def test_random_system_suites_pinned(seed, k, digest):
+    suite = generate_csxms_test_suite(random_csxm_system(seed), k)
+    text = canonical_json(suite_to_dict(suite))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestTupleAtoms:
