@@ -165,21 +165,31 @@ def _cmd_validate(args) -> int:
     return 1 if (violations or dft_failed) else 0
 
 
-# The ``simulate`` flags a kind of model file rejects: those of the other kind.
-_FOREIGN_SIMULATE_FLAGS = {
-    "psystem": ("heterotic systems", ("rounds", "oracle_cmd", "oracle_timeout_ms",
-                                      "oracle_retries")),
-    "heterotic": ("P systems", ("depth", "seed", "all_branches")),
+# The flags a command rejects on a kind of model file: those of the other kind.
+_FOREIGN_FLAGS = {
+    "simulate": {
+        "psystem": ("heterotic systems", ("rounds", "oracle_cmd", "oracle_timeout_ms",
+                                          "oracle_retries")),
+        "heterotic": ("P systems", ("depth", "seed", "all_branches")),
+    },
+    "score": {
+        "sxm": ("P systems", ("test_set", "depth")),
+        "psystem": ("machine specs", ("suite",)),
+    },
 }
+
+
+def _reject_foreign_flags(args, kind: str) -> None:
+    owner, flags = _FOREIGN_FLAGS[args.command][kind]
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise UsageError(f"{args.command} --{flag.replace('_', '-')} applies to {owner} only")
 
 
 def _cmd_simulate(args) -> int:
     kind, model = _load(args.model, ("psystem", "heterotic"),
                         "simulate expects a P-system or heterotic model file")
-    owner, flags = _FOREIGN_SIMULATE_FLAGS[kind]
-    for flag in flags:
-        if getattr(args, flag) is not None:
-            raise UsageError(f"simulate --{flag.replace('_', '-')} applies to {owner} only")
+    _reject_foreign_flags(args, kind)
     if kind == "heterotic":
         return _simulate_heterotic(args, model)
     if args.depth is None:
@@ -314,6 +324,7 @@ def _cmd_score(args) -> int:
     mutants_kind, batch = mutation.mutants_from_dict(model_io.load_json(args.mutants))
     if mutants_kind != kind:
         raise SchemaError(f"mutants are for a {mutants_kind} model, spec is {kind}")
+    _reject_foreign_flags(args, kind)
     for mutant in batch:
         _require_valid(kind, mutant.model, f"mutant {mutant.mutant_id}")
     if kind == "sxm":

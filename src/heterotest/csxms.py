@@ -34,6 +34,7 @@ from .sxm import (
     MemoryDomain,
     ProcessingFunction,
     Sxm,
+    TestSuite,
     associated_automaton,
     structure_violations,
     table_for,
@@ -41,10 +42,9 @@ from .sxm import (
 from .terms import Expr, Pattern, parse_expr, parse_pattern
 from .values import BOTTOM_M, NULL, Value, render, sort_key
 
-# Only the design-for-test check and suite generation run these modules.
+# Only the design-for-test check runs this module.
 if TYPE_CHECKING:
     from .dft import DftReport
-    from .testgen import TestSuite
 
 COMM_SYMBOL = "a"
 
@@ -343,49 +343,52 @@ def send_target_violations(sys: CsxmSystem) -> list[Violation]:
     return out
 
 
-def _ordinary_modes(in_port: Value):
-    """(port value passed to the function, resulting in-port) per Def.-3
-    mode: consume the in-port value, or proceed ignoring it."""
-    modes = []
-    if in_port != BOTTOM_M:
-        modes.append((in_port, BOTTOM_M))
-    modes.append((BOTTOM_M, in_port))
-    return modes
+def _enabled_changes(fn: CsxmFunction, ordinary: bool, i: int, symbol: str, memory: Value,
+                     in_ports: Sequence[Value], out_port: Value):
+    """The communicating-change rule: the changes of component ``i``
+    (0-based) applying ``fn`` to ``symbol``, where ``in_ports`` holds every
+    component's in-port.  The consuming mode (pass the loaded in-port and
+    empty it) comes before the ignoring mode (pass the empty value).  A
+    change is enabled when ``fn`` is defined and, for a send, the out-port
+    is loaded and the target is another component with an empty in-port.
+    Yields ``(result, new in-port, new out-port, 0-based target or None)``.
+    """
+    if not ordinary and out_port == BOTTOM_M:
+        return
+    in_port = in_ports[i]
+    modes = ((in_port, BOTTOM_M),) if in_port != BOTTOM_M else ()
+    for port_arg, new_in in modes + ((BOTTOM_M, in_port),):
+        result = fn.evaluate(symbol, port_arg, memory)
+        if result is None:
+            continue
+        if ordinary:
+            yield result, new_in, result.out_port if result.set_out_port else out_port, None
+            continue
+        k = result.send_to
+        if k is not None and k - 1 != i and 1 <= k <= len(in_ports) and in_ports[k - 1] == BOTTOM_M:
+            yield result, new_in, BOTTOM_M, k - 1
 
 
 def _core_changes(sys: CsxmSystem, core: SystemCore, offered):
-    """Every ordinary or communicating change of a system core.
+    """Every change :func:`_enabled_changes` enables in a system core.
 
     ``offered(i, ordinary)`` lists the symbols an ordinary or communicating
     function of component ``i`` (0-based) may consume.  Yields ``(i, fname,
     symbol, output, successor core)``.  A communicating change moves the
-    sender's out-port value into another component's empty in-port and
-    lands in an ordinary state.
+    sender's out-port value into the target's in-port and lands in an
+    ordinary state.
     """
+    in_ports = [c[2] for c in core]
     for i, comp in enumerate(sys.components):
-        memory, state, in_port, out_port = core[i]
+        memory, state, _, out_port = core[i]
         for (q, fname), targets in sorted(comp.next_state.items()):
             if q != state:
                 continue
             fn = comp.functions[fname]
             ordinary = fname in comp.ordinary_functions
-            if not ordinary and out_port == BOTTOM_M:
-                continue
             for symbol in offered(i, ordinary):
-                for port_arg, new_in in _ordinary_modes(in_port):
-                    result = fn.evaluate(symbol, port_arg, memory)
-                    if result is None:
-                        continue
-                    k = None
-                    if ordinary:
-                        new_out = result.out_port if result.set_out_port else out_port
-                    else:
-                        k = result.send_to
-                        if k is None or k - 1 == i or not 1 <= k <= len(sys.components):
-                            continue
-                        if core[k - 1][2] != BOTTOM_M:
-                            continue
-                        new_out = BOTTOM_M
+                for result, new_in, new_out, k in _enabled_changes(
+                        fn, ordinary, i, symbol, memory, in_ports, out_port):
                     for target in targets:
                         assert ordinary or target in comp.ordinary_states, (
                             "communicating change must land in an ordinary state"
@@ -393,8 +396,8 @@ def _core_changes(sys: CsxmSystem, core: SystemCore, offered):
                         succ = list(core)
                         succ[i] = (result.memory, target, new_in, new_out)
                         if k is not None:
-                            km, kq, _, ko = core[k - 1]
-                            succ[k - 1] = (km, kq, out_port, ko)
+                            km, kq, _, ko = core[k]
+                            succ[k] = (km, kq, out_port, ko)
                         yield i, fname, symbol, result.output, tuple(succ)
 
 
@@ -523,40 +526,20 @@ class ProductFunction(ProcessingFunction):
             return None
         if not isinstance(memory, tuple) or len(memory) != self.n:
             return None
-        in_port, local_memory, out_port = memory[self.index]
-
-        # Consume the in-port value when the function accepts it, otherwise
-        # fall back to the ignoring mode.  Functions defined on both modes are
-        # under-approximated here (the ignoring move is dropped); keeping
-        # port-reading and port-ignoring cases disjoint avoids that.
-        result = None
-        new_in = in_port
-        if in_port != BOTTOM_M:
-            result = self.inner.evaluate(symbol, in_port, local_memory)
-            if result is not None:
-                new_in = BOTTOM_M
-        if result is None:
-            result = self.inner.evaluate(symbol, BOTTOM_M, local_memory)
-            new_in = in_port
-        if result is None:
+        _, local_memory, out_port = memory[self.index]
+        # A function of memory and input takes the first enabled change, so
+        # where both port modes are defined the ignoring move is dropped.
+        changes = _enabled_changes(self.inner, self.inner.kind == ORDINARY, self.index, symbol,
+                                   local_memory, [t[0] for t in memory], out_port)
+        change = next(changes, None)
+        if change is None:
             return None
-
+        result, new_in, new_out, k = change
         triples = list(memory)
-        if self.inner.kind == ORDINARY:
-            new_out = result.out_port if result.set_out_port else out_port
-            triples[self.index] = (new_in, result.memory, new_out)
-        else:
-            if out_port == BOTTOM_M:
-                return None
-            k = result.send_to
-            if k is None or k - 1 == self.index or not 1 <= k <= self.n:
-                return None
-            if memory[k - 1][0] != BOTTOM_M:
-                return None
-            triples[self.index] = (new_in, result.memory, BOTTOM_M)
-            _, target_mem, target_out = memory[k - 1]
-            triples[k - 1] = (out_port, target_mem, target_out)
-
+        triples[self.index] = (new_in, result.memory, new_out)
+        if k is not None:
+            _, target_mem, target_out = memory[k]
+            triples[k] = (out_port, target_mem, target_out)
         output_parts = [NULL] * self.n
         output_parts[self.index] = result.output
         return encode_tuple_atom(output_parts), tuple(triples)
@@ -767,43 +750,3 @@ def system_core_successors(sys: CsxmSystem, core: SystemCore):
         for i, fname, symbol, _, succ in _core_changes(sys, core, offered)
     }
 
-
-ProductCore = Tuple[Value, str]  # (product memory, product state atom)
-
-
-def core_to_product(core: SystemCore) -> ProductCore:
-    memory = tuple((in_port, m, out_port) for (m, _, in_port, out_port) in core)
-    state = encode_tuple_atom(tuple(q for (_, q, _, _) in core))
-    return memory, state
-
-
-def product_core_successors(product: Sxm, core: ProductCore):
-    """Edges ((component, function, symbol), core') of the product machine,
-    enumerating only the single-active-component input tuples."""
-    memory, state = core
-    n = len(memory)
-    per_slot_symbols: list[set] = [set() for _ in range(n)]
-    for atom in product.inputs:
-        parts = decode_tuple_atom(atom, n)
-        if parts is None:
-            continue
-        active = [(j, p) for j, p in enumerate(parts) if p != NULL]
-        if len(active) == 1:
-            per_slot_symbols[active[0][0]].add(active[0][1])
-    edges = set()
-    for (q, pf_name), targets in sorted(product.next_state.items()):
-        if q != state:
-            continue
-        pf = product.functions[pf_name]
-        assert isinstance(pf, ProductFunction)
-        i = pf.index
-        for symbol in sorted(per_slot_symbols[i]):
-            parts = [NULL] * n
-            parts[i] = symbol
-            result = pf.evaluate(memory, encode_tuple_atom(parts))
-            if result is None:
-                continue
-            _, new_memory = result
-            for target in targets:
-                edges.add(((i + 1, pf.inner.name, symbol), (new_memory, target)))
-    return edges

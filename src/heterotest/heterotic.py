@@ -18,7 +18,7 @@ it; identical answers record identical traces.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .csxms import (
     COMMUNICATING,
@@ -52,11 +52,8 @@ from .psystem import (
     seeded_trace,
 )
 from .records import record, replace
-from .sxm import MemoryDomain
+from .sxm import MemoryDomain, TestSuite
 from .values import BOTTOM_M, NULL, render, sort_key
-
-if TYPE_CHECKING:
-    from .testgen import TestSuite
 
 BASE_INPUTS = ("emit", "load", "step")
 ADVANCE, EMIT, LOAD, SEND = "advance", "emit_result", "load_config", "send_result"

@@ -23,8 +23,7 @@ if TYPE_CHECKING:
     from .dft import DftReport
     from .heterotic import HeteroticSystem, HeteroticTrace
     from .psystem import ComputationTrace, CoverageReport, PConfiguration, PSystem
-    from .sxm import MemoryDomain, Sxm
-    from .testgen import TestSuite
+    from .sxm import MemoryDomain, Sxm, TestSuite
 
 SCHEMA_VERSION = 1
 
@@ -533,7 +532,7 @@ def suite_to_dict(suite: TestSuite) -> Dict[str, Any]:
 def suite_from_dict(d: Mapping, model: Optional[Sxm] = None) -> TestSuite:
     """The suite ``d`` holds; with ``model``, every case input must lie in
     the model's input alphabet."""
-    from .testgen import TestCase, TestSuite
+    from .sxm import TestCase, TestSuite
 
     check_fields(d, _SUITE, "suite")
     entries = [check_fields(c, _SUITE_CASE, f"suite.cases[{i}]") for i, c in enumerate(d["cases"])]

@@ -29,8 +29,7 @@ from .records import record, replace
 # when they run, so mutating or scoring one kind never executes the other.
 if TYPE_CHECKING:
     from .psystem import PConfiguration, PRule, PSystem
-    from .sxm import Case, CaseFunction, Sxm
-    from .testgen import TestSuite
+    from .sxm import Case, CaseFunction, Sxm, TestSuite
 
 SXM_OPERATORS = (
     "transition-retarget",

@@ -13,6 +13,7 @@ import weakref
 from functools import cached_property, lru_cache
 from typing import (
     Callable,
+    Dict,
     FrozenSet,
     Iterable,
     Iterator,
@@ -251,6 +252,24 @@ class SxmConfiguration:
 
     def key(self):
         return (sort_key(self.memory), self.state, self.remaining_input, self.output_so_far)
+
+
+@record
+class TestCase:
+    input: Tuple[str, ...]
+    expected_outputs: Tuple[Tuple[str, ...], ...]
+
+
+@record
+class TestSuite:
+    """Input sequences with the outputs the machine may answer each with;
+    ``testgen`` builds suites and ``model_io`` reads them back."""
+
+    cases: Tuple[TestCase, ...]
+    metadata: Dict[str, object] = aside()
+
+    def inputs(self) -> Tuple[Tuple[str, ...], ...]:
+        return tuple(case.input for case in self.cases)
 
 
 @record

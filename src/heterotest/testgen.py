@@ -19,25 +19,10 @@ from .errors import (
     NotMinimalError,
     UnreachableStateError,
 )
-from .records import aside, record
 from .sxm import Automaton, Sxm, associated_automaton, replay_outputs, replay_sequences
+from .sxm import TestCase, TestSuite  # the package exports them from here
 
 PhiSequence = Tuple[str, ...]
-
-
-@record
-class TestCase:
-    input: Tuple[str, ...]
-    expected_outputs: Tuple[Tuple[str, ...], ...]
-
-
-@record
-class TestSuite:
-    cases: Tuple[TestCase, ...]
-    metadata: Dict[str, object] = aside()
-
-    def inputs(self) -> Tuple[Tuple[str, ...], ...]:
-        return tuple(case.input for case in self.cases)
 
 
 def _require_deterministic(a: Automaton) -> None:

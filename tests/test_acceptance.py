@@ -10,16 +10,15 @@ from collections import deque
 
 import pytest
 from gen_models import random_csxm_system, random_dft_sxm, random_messy_sxm
+from product_walk import core_to_product, product_core_successors
 
 from heterotest.cli import main
 from heterotest.csxms import (
     Csxm,
     CsxmSystem,
     build_product_sxm,
-    core_to_product,
     extend_for_testing,
     initial_system_core,
-    product_core_successors,
     system_core_successors,
 )
 from heterotest.dft import (

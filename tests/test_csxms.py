@@ -7,22 +7,22 @@ import pytest
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 
 from gen_models import random_csxm_system
+from product_walk import core_to_product, product_core_successors
 
 from heterotest.csxms import (
+    ORDINARY,
     Csxm,
     CsxmCase,
     CsxmCaseFunction,
     CsxmSystem,
     build_product_sxm,
     check_csxm_dft,
-    core_to_product,
     decode_tuple_atom,
     encode_tuple_atom,
     extend_for_testing,
     generate_csxms_test_suite,
     initial_system_configuration,
     initial_system_core,
-    product_core_successors,
     system_core_successors,
     system_step,
     validate_csxm,
@@ -316,6 +316,206 @@ def _explore(start, succ):
                 nodes.add(nxt)
                 queue.append(nxt)
     return nodes, edges
+
+
+def reference_product_evaluate(pf, memory, input_symbol):
+    """``ProductFunction.evaluate`` as written before the product stepped
+    through the system's change rule: the consuming mode whenever the
+    function accepts the loaded in-port, else the ignoring mode, and the
+    send checks only after the mode is chosen."""
+    parts = decode_tuple_atom(input_symbol, pf.n)
+    if parts is None:
+        return None
+    if any(part != NULL for j, part in enumerate(parts) if j != pf.index):
+        return None
+    symbol = parts[pf.index]
+    if symbol == NULL:
+        return None
+    if not isinstance(memory, tuple) or len(memory) != pf.n:
+        return None
+    in_port, local_memory, out_port = memory[pf.index]
+
+    result = None
+    new_in = in_port
+    if in_port != BOT:
+        result = pf.inner.evaluate(symbol, in_port, local_memory)
+        if result is not None:
+            new_in = BOT
+    if result is None:
+        result = pf.inner.evaluate(symbol, BOT, local_memory)
+        new_in = in_port
+    if result is None:
+        return None
+
+    triples = list(memory)
+    if pf.inner.kind == ORDINARY:
+        new_out = result.out_port if result.set_out_port else out_port
+        triples[pf.index] = (new_in, result.memory, new_out)
+    else:
+        if out_port == BOT:
+            return None
+        k = result.send_to
+        if k is None or k - 1 == pf.index or not 1 <= k <= pf.n:
+            return None
+        if memory[k - 1][0] != BOT:
+            return None
+        triples[pf.index] = (new_in, result.memory, BOT)
+        _, target_mem, target_out = memory[k - 1]
+        triples[k - 1] = (out_port, target_mem, target_out)
+
+    output_parts = [NULL] * pf.n
+    output_parts[pf.index] = result.output
+    return encode_tuple_atom(output_parts), tuple(triples)
+
+
+def ignoring_send(pf, memory, input_symbol):
+    """The product step of the send that ``pf`` makes in the ignoring mode
+    at a point the reference rejects, or None where the system's rule
+    enables no such send."""
+    if pf.inner.kind == ORDINARY:
+        return None
+    symbol = decode_tuple_atom(input_symbol, pf.n)[pf.index]
+    in_port, local_memory, out_port = memory[pf.index]
+    result = pf.inner.evaluate(symbol, BOT, local_memory)
+    if result is None or out_port == BOT:
+        return None
+    k = result.send_to - 1
+    if k == pf.index or memory[k][0] != BOT:
+        return None
+    triples = list(memory)
+    triples[pf.index] = (in_port, result.memory, BOT)
+    triples[k] = (out_port,) + memory[k][1:]
+    output_parts = [NULL] * pf.n
+    output_parts[pf.index] = result.output
+    return encode_tuple_atom(output_parts), tuple(triples)
+
+
+def compare_with_reference(product):
+    """Checks ``ProductFunction.evaluate`` against the reference at every
+    memory x input point of ``product``; returns the number of points where
+    only the new rule's ignoring-mode send is enabled."""
+    memories, exhaustive = product.memory_values()
+    assert exhaustive
+    inputs = sorted(product.inputs)
+    rescued = 0
+    for pf in product.functions.values():
+        for memory in memories:
+            for atom in inputs:
+                got = pf.evaluate(memory, atom)
+                expected = reference_product_evaluate(pf, memory, atom)
+                if got != expected:
+                    assert expected is None, (pf.name, memory, atom)
+                    assert got == ignoring_send(pf, memory, atom), (pf.name, memory, atom)
+                    rescued += 1
+    return rescued
+
+
+def three_component_corner(ignoring_target=2):
+    """Component 1 sends in its communicating state ``c``: to component 3
+    when it consumes a loaded in-port, to ``ignoring_target`` when it
+    ignores it.  Components 2 and 3 read their in-ports."""
+
+    def reader(name, symbol):
+        return Csxm(
+            name=name,
+            inputs=frozenset({symbol}),
+            outputs=frozenset({"w" + symbol}),
+            states=frozenset({"r"}),
+            initial_states=frozenset({"r"}),
+            terminal_states=frozenset({"r"}),
+            memory_domain=MemoryDomain(kind="range", low=0, high=1),
+            initial_memory=0,
+            functions={
+                "take": CsxmCaseFunction("take", "ordinary", [
+                    CsxmCase.build("?m", "?p where ?p != ⊥_M", symbol, "w" + symbol, "?p"),
+                ]),
+            },
+            next_state={("r", "take"): ("r",)},
+            in_port_domain=(1,),
+            out_port_domain=(),
+            ordinary_states=frozenset({"r"}),
+            communicating_states=frozenset(),
+            ordinary_functions=frozenset({"take"}),
+            communicating_functions=frozenset(),
+        )
+
+    sender = Csxm(
+        name="sender",
+        inputs=frozenset({"x"}),
+        outputs=frozenset({"u"}),
+        states=frozenset({"p", "c"}),
+        initial_states=frozenset({"p"}),
+        terminal_states=frozenset({"p", "c"}),
+        memory_domain=MemoryDomain(kind="range", low=0, high=1),
+        initial_memory=0,
+        functions={
+            "load": CsxmCaseFunction("load", "ordinary", [
+                CsxmCase.build("?m", BOT, "x", "u", "?m", out_port="1"),
+            ]),
+            "ship": CsxmCaseFunction("ship", "communicating", [
+                CsxmCase.build("?m", "?p where ?p != ⊥_M", NULL, NULL, "?m", send_to=3),
+                CsxmCase.build("?m", BOT, NULL, NULL, "?m", send_to=ignoring_target),
+            ]),
+        },
+        next_state={("p", "load"): ("c",), ("c", "ship"): ("p",)},
+        in_port_domain=(1,),
+        out_port_domain=(1,),
+        ordinary_states=frozenset({"p"}),
+        communicating_states=frozenset({"c"}),
+        ordinary_functions=frozenset({"load"}),
+        communicating_functions=frozenset({"ship"}),
+    )
+    return CsxmSystem("corner", (sender, reader("second", "y"), reader("third", "z")))
+
+
+# Component 1 holds both ports loaded in its communicating state; the
+# in-port of component 3 is occupied, that of component 2 empty.
+CORNER = ((0, "c", 1, 1), (0, "r", BOT, BOT), (0, "r", 1, BOT))
+
+
+class TestProductRule:
+    def test_product_evaluate_matches_the_reference_on_random_systems(self):
+        for seed in range(50):
+            product = build_product_sxm(extend_for_testing(random_csxm_system(seed)))
+            # two components have one send target each, so a send the
+            # consuming mode loses is lost in the ignoring mode too
+            assert compare_with_reference(product) == 0
+
+    def test_product_evaluate_sends_in_the_ignoring_mode_where_the_reference_gives_up(self):
+        ext = extend_for_testing(three_component_corner())
+        assert validate_system(ext) == []
+        assert compare_with_reference(build_product_sxm(ext)) > 0
+
+    def test_corner_edges_agree(self):
+        ext = extend_for_testing(three_component_corner())
+        product = build_product_sxm(ext)
+        edges = system_core_successors(ext, CORNER)
+        shipped = ((0, "p", 1, BOT), (0, "r", 1, BOT), (0, "r", 1, BOT))
+        assert ((1, "ship", "a"), shipped) in edges
+        assert {(label, core_to_product(succ)) for label, succ in edges} == (
+            product_core_successors(product, core_to_product(CORNER)))
+
+    def test_product_drops_the_ignoring_send_where_both_modes_send(self):
+        ext = extend_for_testing(three_component_corner())
+        product = build_product_sxm(ext)
+        both = ((0, "c", 1, 1), (0, "r", BOT, BOT), (0, "r", BOT, BOT))
+        consumed = ((0, "p", BOT, BOT), (0, "r", BOT, BOT), (0, "r", 1, BOT))
+        ignored = ((0, "p", 1, BOT), (0, "r", 1, BOT), (0, "r", BOT, BOT))
+        label = (1, "ship", "a")
+        assert system_core_successors(ext, both) == {(label, consumed), (label, ignored)}
+        assert product_core_successors(product, core_to_product(both)) == {
+            (label, core_to_product(consumed))}
+
+    def test_no_send_to_the_sender(self):
+        # with its in-port empty, the sender ignores it and targets itself
+        ext = extend_for_testing(three_component_corner(ignoring_target=1))
+        product = build_product_sxm(ext)
+        core = ((0, "c", BOT, 1),) + CORNER[1:]
+        edges = system_core_successors(ext, core)
+        pedges = product_core_successors(product, core_to_product(core))
+        # only component 3 moves: it reads its in-port
+        assert {label for label, _ in edges} == {label for label, _ in pedges} == {
+            (3, "take", "z")}
 
 
 class TestSuiteGeneration:

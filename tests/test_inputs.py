@@ -187,6 +187,17 @@ def test_simulate_flag_of_the_other_kind_is_a_usage_error(work, capsys, args, fl
     _exits(2, args, f"simulate {flag} applies to", work, capsys)
 
 
+@pytest.mark.parametrize("score, extra, message", [
+    (_score_sxm, ["--test-set", "testset.json"], "score --test-set applies to P systems only"),
+    (_score_sxm, ["--depth", "2"], "score --depth applies to P systems only"),
+    (_score_psystem, ["--suite", "suite.json"], "score --suite applies to machine specs only"),
+], ids=["machine --test-set", "machine --depth", "psystem --suite"])
+def test_score_flag_of_the_other_kind_is_a_usage_error(work, capsys, score, extra, message):
+    # exited 0 before, the flag unread
+    args = score(work) + [str(work / a) if a.endswith(".json") else a for a in extra]
+    _exits(2, args, message, work, capsys)
+
+
 def test_communicating_open_domain_needs_a_sample(work, capsys):
     # validate exited 0, validate --dft and gen-tests heterotic exited 2 on
     # the missing sample, and simulate exited 0 before

@@ -108,17 +108,16 @@ PSYSTEM_COMMANDS = [
     ["score", "ps2.json", "--mutants", "{work}/ps2_mutants.json",
      "--test-set", "{work}/testset.json"],
 ]
-MACHINE_COMMANDS = [
-    ["validate", "counter_testable.json"],
-    ["validate", "--dft", "counter.json"],
-    ["gen-tests", "sxm", "counter_testable.json", "--extra-states", "1"],
-    ["mutate", "counter_testable.json"],
-    ["score", "counter_testable.json", "--mutants", "{work}/counter_mutants.json",
-     "--suite", "{work}/suite.json"],
-]
-
-
 # (command, the modules of GENERATION_ONLY it executes)
+MACHINE_COMMANDS = [
+    (["validate", "counter_testable.json"], set()),
+    (["validate", "--dft", "counter.json"], {"dft"}),
+    (["gen-tests", "sxm", "counter_testable.json", "--extra-states", "1"], {"dft", "testgen"}),
+    (["mutate", "counter_testable.json"], {"mutation"}),
+    # a suite's records live in ``sxm``, so scoring reads them without ``testgen``
+    (["score", "counter_testable.json", "--mutants", "{work}/counter_mutants.json",
+      "--suite", "{work}/suite.json"], {"mutation"}),
+]
 SYSTEM_COMMANDS = [
     (["validate", "ps2_heterotic.json"], set()),
     (["validate", "--dft", "ps2_heterotic.json"], {"dft"}),
@@ -141,11 +140,14 @@ def test_psystem_commands_execute_no_machine_module(command, models_dir, work):
     assert not ran & MACHINE_ONLY, sorted(ran & MACHINE_ONLY)
 
 
-@pytest.mark.parametrize("command", MACHINE_COMMANDS, ids=" ".join)
-def test_machine_commands_execute_no_psystem_or_system_module(command, models_dir, work):
+@pytest.mark.parametrize("command, generating", MACHINE_COMMANDS,
+                         ids=[" ".join(command) for command, _ in MACHINE_COMMANDS])
+def test_machine_commands_execute_no_psystem_or_system_module(
+        command, generating, models_dir, work):
     ran = executed(_resolve(command, models_dir, work), work)
     assert "sxm" in ran
     assert not ran & (PSYSTEM_ONLY | SYSTEM_ONLY), sorted(ran & (PSYSTEM_ONLY | SYSTEM_ONLY))
+    assert ran & GENERATION_ONLY == generating
 
 
 @pytest.mark.parametrize("command, generating", SYSTEM_COMMANDS,
@@ -252,5 +254,7 @@ def test_old_exports_resolve_to_their_defining_object(module_name):
 def test_package_attributes():
     assert heterotest.__version__ == "0.1.0"
     assert heterotest.sxm.Violation is heterotest.errors.Violation
+    assert heterotest.testgen.TestSuite is heterotest.sxm.TestSuite
+    assert heterotest.testgen.TestCase is heterotest.sxm.TestCase
     with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
         heterotest.nothing  # noqa: B018
