@@ -36,6 +36,7 @@ from .sxm import (
     Sxm,
     TestSuite,
     associated_automaton,
+    point_violations,
     structure_violations,
     table_for,
 )
@@ -230,6 +231,12 @@ def initial_system_configuration(
     )
 
 
+def port_values(domain: Sequence[Value]) -> Tuple[Value, ...]:
+    """The values a port with this declared domain holds: the undefined
+    value first, then the others in declared order."""
+    return (BOTTOM_M,) + tuple(v for v in domain if v != BOTTOM_M)
+
+
 def validate_csxm(comp: Csxm) -> list[Violation]:
     name = comp.name
     out = structure_violations(comp, f"{name}.")
@@ -291,8 +298,11 @@ def validate_csxm(comp: Csxm) -> list[Violation]:
                     if case.out_port is not None:
                         out.append(Violation(where, "communicating cases cannot set the out-port"))
 
-    if comp.memory_domain.kind == "open" and not comp.memory_domain.sample:
-        out.append(Violation(f"{name}.memory_domain", "open domain declares no test sample"))
+    tables = [(fname, fn.cases) for fname, fn in sorted(comp.functions.items())
+              if isinstance(fn, CsxmCaseFunction)]
+    tails = tuple((sym, port) for sym in sorted(comp.inputs | {NULL})
+                  for port in port_values(comp.in_port_domain))
+    out += point_violations(comp, f"{name}.", tables, tails, port_values(comp.out_port_domain))
 
     for port_name, domain in (("in_port_domain", comp.in_port_domain),
                               ("out_port_domain", comp.out_port_domain)):
@@ -597,8 +607,7 @@ def build_product_sxm(sys: CsxmSystem) -> Sxm:
     for comp in sys.components:
         mem_values, comp_exhaustive = comp.memory_domain.enumerate()
         exhaustive = exhaustive and comp_exhaustive
-        ports_in = [BOTTOM_M] + [v for v in comp.in_port_domain if v != BOTTOM_M]
-        ports_out = [BOTTOM_M] + [v for v in comp.out_port_domain if v != BOTTOM_M]
+        ports_in, ports_out = port_values(comp.in_port_domain), port_values(comp.out_port_domain)
         triples = [
             (pi, m, po) for pi in ports_in for m in mem_values for po in ports_out
         ]
@@ -674,11 +683,10 @@ def check_csxm_dft(comp: Csxm) -> DftReport:
     """
     from .dft import decide_conditions
 
-    ports = [BOTTOM_M] + [v for v in comp.in_port_domain if v != BOTTOM_M]
     inputs = sorted(comp.inputs)
     return decide_conditions(
         comp,
-        [(port, symbol) for port in ports for symbol in inputs],
+        [(port, symbol) for port in port_values(comp.in_port_domain) for symbol in inputs],
         _component_step,
         lambda m, point: ((m, point[0]), point[1]),
     )

@@ -157,9 +157,6 @@ class ComputationTrace:
     def configurations(self) -> Tuple[PConfiguration, ...]:
         return (self.initial,) + tuple(s.result for s in self.steps)
 
-    def fired_rules(self) -> FrozenSet[str]:
-        return frozenset(name for step in self.steps for name in _fired_names(step.fired))
-
     def key(self):
         return (
             len(self.steps),
@@ -369,17 +366,6 @@ def is_halting(ps: PSystem, cfg: PConfiguration) -> bool:
     for comp in ps.compartments():
         held = cfg[comp - 1]
         if any(r.lhs <= held for r in ps.rules_in(comp)):
-            return False
-    return True
-
-
-def is_maximal(ps: PSystem, cfg: PConfiguration, assignment: Assignment) -> bool:
-    """No rule instance can be added in any compartment."""
-    for comp in ps.compartments():
-        leftover = cfg[comp - 1]
-        for name, count in assignment[comp - 1]:
-            leftover = leftover - ps.rule(name).lhs.scaled(count)
-        if any(r.lhs <= leftover for r in ps.rules_in(comp)):
             return False
     return True
 
@@ -620,12 +606,6 @@ class CoverageReport:
 
     def all_covered(self) -> bool:
         return all(e.covered for e in self.entries)
-
-    def covered_rules(self) -> Tuple[str, ...]:
-        return tuple(e.rule for e in self.entries if e.covered)
-
-    def uncovered_rules(self) -> Tuple[str, ...]:
-        return tuple(e.rule for e in self.entries if not e.covered)
 
     def entry(self, rule: str) -> RuleCoverage:
         for e in self.entries:

@@ -155,12 +155,6 @@ class CaseFunction(ProcessingFunction):
     def evaluate(self, memory, input_symbol):
         return self._table.evaluate(memory, input_symbol)
 
-    def matching_cases(self, memory: Value, input_symbol: str) -> list[int]:
-        hits, error, _, _ = self._table.entry(memory, input_symbol)
-        if error is not None:
-            raise error.with_traceback(None)
-        return list(hits)
-
     def fired_case(self, memory: Value, input_symbol: str) -> Optional[int]:
         """The index of the case ``evaluate`` applies, or None where the
         function is undefined."""
@@ -352,7 +346,6 @@ def structure_violations(model, prefix: str = "") -> list[Violation]:
 def validate_sxm(model: Sxm) -> list[Violation]:
     """Check every structural invariant; an empty report means valid."""
     out = structure_violations(model)
-    domain = model.memory_domain
     tables = [(name, fn.cases) for name, fn in sorted(model.functions.items())
               if isinstance(fn, CaseFunction)]
     for name, cases in tables:
@@ -362,66 +355,70 @@ def validate_sxm(model: Sxm) -> list[Violation]:
                 out.append(Violation(where, f"input {case.input!r} not in the input alphabet"))
             if case.output not in model.outputs:
                 out.append(Violation(where, f"output {case.output!r} not in the output alphabet"))
+    tails = tuple((sym,) for sym in sorted(model.inputs))
+    return out + point_violations(model, "", tables, tails, None)
 
-    # Checks that quantify over memory use the declared domain or sample.
+
+def point_violations(model, prefix: str, tables, tails, out_ports) -> list[Violation]:
+    """The checks that quantify over memory, for both machine kinds.
+
+    A point is a memory value of the declared domain or sample followed by
+    a tail of ``tails``: (input,) for a machine, (input, in-port) for a
+    communicating machine.  At every point the case tables of ``tables``,
+    (function name, cases) pairs, must not overlap or fail to match; on a
+    declared domain, the first match must also update within the domain
+    and, unless ``out_ports`` is None (a machine, whose results are
+    (output, memory) pairs), set the out-port only to a value of
+    ``out_ports``.  ``prefix`` starts every ``where``.
+    """
     try:
-        values, _ = domain.enumerate()
+        values, _ = model.memory_domain.enumerate()
     except MissingSampleError:
-        out.append(Violation("memory_domain", "open domain declares no test sample"))
-        return out
-
+        return [Violation(f"{prefix}memory_domain", "open domain declares no test sample")]
     for v in values:
         if not is_value(v):
-            out.append(Violation("memory_domain", f"not a value: {v!r}"))
-            return out
+            return [Violation(f"{prefix}memory_domain", f"not a value: {v!r}")]
+    return [v for name, cases in tables
+            for v in _domain_violations(f"{prefix}functions[{name}]", cases,
+                                        model.memory_domain, tails, out_ports)]
 
-    for name, cases in tables:
-        out.extend(_domain_violations(name, cases, domain, model.inputs))
-    return out
+
+def _point(m: Value, tail) -> str:
+    text = f"memory {render(m)}, input {tail[0]!r}"
+    return text if len(tail) == 1 else f"{text}, in-port {render(tail[1])}"
 
 
 # The checks over the memory domain depend on nothing but these arguments,
 # and a mutant shares all but at most one function with its specification.
+# The case table they fill is the one every function with these cases reads.
 @lru_cache(maxsize=4096)
-def _domain_violations(name, cases, domain, inputs) -> Tuple[Violation, ...]:
-    fn = CaseFunction(name, cases)
+def _domain_violations(where, cases, domain, tails, out_ports) -> Tuple[Violation, ...]:
+    table = table_for(cases)
     values, _ = domain.enumerate()
     out = []
     overlap_reported = set()
     for m in values:
-        for sym in sorted(inputs):
-            try:
-                hits = fn.matching_cases(m, sym)
-            except TermError as exc:
-                out.append(Violation(f"functions[{name}]", f"pattern error: {exc}"))
-                hits = []
-            if len(hits) > 1:
-                pair = (hits[0], hits[1])
-                if pair not in overlap_reported:
-                    overlap_reported.add(pair)
-                    out.append(
-                        Violation(
-                            f"functions[{name}]",
-                            f"cases {pair[0]} and {pair[1]} overlap at "
-                            f"memory {render(m)}, input {sym!r}",
-                        )
-                    )
-            if hits and domain.kind != "open":
-                try:
-                    result = fn.evaluate(m, sym)
-                except TermError as exc:
-                    out.append(
-                        Violation(f"functions[{name}]", f"update error at {render(m)}: {exc}")
-                    )
-                    continue
-                if result is not None and domain.contains(result[1]) is False:
-                    out.append(
-                        Violation(
-                            f"functions[{name}]",
-                            f"update at memory {render(m)}, input {sym!r} leaves the "
-                            f"declared domain ({render(result[1])})",
-                        )
-                    )
+        for tail in tails:
+            hits, error, result, failure = table.entry(m, *tail)
+            if error is not None:
+                out.append(Violation(where, f"pattern error: {error}"))
+                continue
+            if len(hits) > 1 and hits[:2] not in overlap_reported:
+                overlap_reported.add(hits[:2])
+                out.append(Violation(where, f"cases {hits[0]} and {hits[1]} overlap at "
+                                            f"{_point(m, tail)}"))
+            if not hits or domain.kind == "open":
+                continue
+            if failure is not None:
+                out.append(Violation(where, f"update error at {render(m)}: {failure}"))
+                continue
+            memory = result[1] if out_ports is None else result.memory
+            if domain.contains(memory) is False:
+                out.append(Violation(where, f"update at {_point(m, tail)} leaves the "
+                                            f"declared domain ({render(memory)})"))
+            if out_ports is not None and result.set_out_port and result.out_port not in out_ports:
+                out.append(Violation(where, f"out-port at {_point(m, tail)} leaves the "
+                                            f"out-port domain ({render(result.out_port)})"))
     return tuple(out)
 
 

@@ -82,9 +82,9 @@ def suite_case_coverage(model: Sxm, suite: TestSuite, nonfinal: bool = False) ->
             move = None
             for fn_name, targets in sorted(arcs.get(state, [])):
                 fn = model.functions[fn_name]
-                hits = fn.matching_cases(memory, symbol)
-                if hits:
-                    move = (fn_name, hits[0], targets[0])
+                hit = fn.fired_case(memory, symbol)
+                if hit is not None:
+                    move = (fn_name, hit, targets[0])
                     break
             if move is None:
                 break

@@ -94,7 +94,8 @@ class TestBuild:
         # wiring is what rejects it
         memory = replace(control.memory_domain,
                          values=control.memory_domain.values + (alien,))
-        bad_control = replace(control, memory_domain=memory, out_port_domain=(alien,))
+        bad_control = replace(control, memory_domain=memory,
+                              out_port_domain=control.out_port_domain + (alien,))
         with pytest.raises(PortIncompatibility, match="is not a configuration of ps2"):
             build_heterotic_system(ps2, bad_control, seed=0, depth_cap=10, name="heterotic")
 
@@ -331,10 +332,12 @@ def test_driver_equals_the_stepping_reference(ps2_heterotic):
 def undeclared_reply(models_dir, tmp_path):
     """A heterotic file: ps2 behind a Control whose reply is a configuration
     it does not declare, on which ps2 does not halt within the file's depth
-    cap of 3."""
+    cap of 3.  Control's memory domain is open, so validate leaves the reply
+    to the port."""
     shutil.copy(models_dir / "ps2.json", tmp_path / "ps2.json")
     control = json.loads((models_dir / "ps2_control.json").read_text(encoding="utf-8"))
     control["functions"][0]["cases"][0]["out_port"] = "[{b b b b b b b b c} {t}]"
+    control["memory_domain"] = {"open": {"sample": control["memory_domain"]["set"]}}
     (tmp_path / "ps2_control.json").write_text(json.dumps(control), encoding="utf-8")
     path = tmp_path / "undeclared.json"
     path.write_text(json.dumps({"schema": 1, "psystem": "ps2.json", "control": "ps2_control.json",

@@ -271,7 +271,8 @@ def test_score_rejects_test_set_members_outside_the_model(work, capsys, member, 
 
 
 def test_heterotic_rejects_control_emitting_a_non_configuration(work, capsys):
-    _edit(work / "ps2_control.json", lambda d: d.update(out_port_domain=[0]))
+    # the reply [{s} {t}] stays declared, so Control alone is valid
+    _edit(work / "ps2_control.json", lambda d: d["out_port_domain"].append(0))
     _exits(2, ["validate", str(work / "ps2_heterotic.json")],
            "re-initialisation 0 is not a configuration of ps2", work, capsys)
 
@@ -283,15 +284,51 @@ def test_heterotic_rejects_control_emitting_a_non_configuration(work, capsys):
     ("[{z} {t}]", "[\"1\"]: symbol 'z' is not in the alphabet of ps2"),
 ])
 def test_control_reply_is_checked_at_the_port(work, capsys, reply, defect):
-    # validate does not evaluate Control's out-port expression; the driver
-    # recorded the reply and exited 0, or 1 on an AttributeError traceback
-    # for the integers, before
-    _edit(work / "ps2_control.json",
-          lambda d: d["functions"][0]["cases"][0].update(out_port=reply))
+    # validate checks the out-port values a Control sets only over a declared
+    # memory domain; over an open one the driver checks each reply at the
+    # port.  It recorded the reply and exited 0, or 1 on an AttributeError
+    # traceback for the integers, before
+    def change(d):
+        d["functions"][0]["cases"][0].update(out_port=reply)
+        d.update(memory_domain={"open": {"sample": d["memory_domain"]["set"]}})
+
+    _edit(work / "ps2_control.json", change)
     heterotic = str(work / "ps2_heterotic.json")
     _exits(0, ["validate", heterotic], "heterotic: valid", work, capsys)
     _exits(2, ["simulate", heterotic, "--rounds", "2"], "ps2_control's reply" + defect,
            work, capsys)
+
+
+@pytest.mark.parametrize("reply", ["[1 2]", "[{s}]", "[{s} {t} {t}]", "[{z} {t}]"])
+def test_control_reply_outside_its_out_port_domain_is_invalid(work, capsys, reply):
+    # the same replies over Control's declared memory domain
+    _edit(work / "ps2_control.json",
+          lambda d: d["functions"][0]["cases"][0].update(out_port=reply))
+    _exits(1, ["validate", str(work / "ps2_heterotic.json")],
+           "ps2_control.functions[check]: out-port at memory 0, input 'go', in-port (bdf, b) "
+           "leaves the out-port domain", work, capsys)
+
+
+def _duplicate_finish_case(d):
+    d["functions"][1]["cases"].append(dict(d["functions"][1]["cases"][0], mem_next="99"))
+
+
+@pytest.mark.parametrize("change, message", [
+    (_duplicate_finish_case,
+     "ps2_control.functions[finish]: cases 0 and 1 overlap at memory 0, input 'end', "
+     "in-port (bdf, b)"),
+    (lambda d: d["functions"][0]["cases"][0].update(out_port="[1 2]"),
+     "ps2_control.functions[check]: out-port at memory 0, input 'go', in-port (bdf, b) "
+     "leaves the out-port domain ((1, 2))"),
+])
+def test_control_point_violations_stop_every_command(work, capsys, change, message):
+    # each passed validate and generated a 42-case suite before; simulate
+    # exited 0 on the overlap and 2 on the reply
+    control = _edit(work / "ps2_control.json", change)
+    heterotic = str(work / "ps2_heterotic.json")
+    for args in (["validate", control], ["validate", "--dft", heterotic],
+                 ["gen-tests", "heterotic", heterotic], ["simulate", heterotic, "--rounds", "2"]):
+        _exits(1, args, message, work, capsys)
 
 
 @pytest.mark.parametrize("change, message", [
