@@ -20,6 +20,7 @@ alphabets already hold it cannot be extended.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -40,7 +41,7 @@ from .sxm import (
     structure_violations,
     table_for,
 )
-from .terms import Expr, Pattern, parse_expr, parse_pattern
+from .terms import Pattern, Term, parse_expr, parse_pattern
 from .values import BOTTOM_M, NULL, Value, render, sort_key
 
 # Only the design-for-test check runs this module.
@@ -84,8 +85,8 @@ class CsxmCase:
     mem_next: str
     pattern: Pattern = aside()
     port_pat: Pattern = aside()
-    update: Expr = aside()
-    out_expr: Optional[Expr] = aside()
+    update: Term = aside()
+    out_expr: Optional[Term] = aside()
     out_port: Optional[str] = None  # expression; None leaves the port alone
     send_to: Optional[int] = None
 
@@ -555,13 +556,6 @@ class ProductFunction(ProcessingFunction):
         return encode_tuple_atom(output_parts), tuple(triples)
 
 
-def _product_values(per_component: Sequence[Sequence[Value]]) -> list[Tuple[Value, ...]]:
-    combos: list[tuple] = [()]
-    for values in per_component:
-        combos = [prefix + (v,) for prefix in combos for v in values]
-    return combos
-
-
 def build_product_sxm(sys: CsxmSystem) -> Sxm:
     """Fold an extended system into a single stream X-machine.
 
@@ -582,24 +576,24 @@ def build_product_sxm(sys: CsxmSystem) -> Sxm:
         output_parts.append(sorted(comp.outputs | {NULL}))
     inputs = {
         encode_tuple_atom(parts)
-        for parts in _product_values(input_parts)
+        for parts in product(*input_parts)
         if any(p != NULL for p in parts)
     }
     outputs = {
         encode_tuple_atom(parts)
-        for parts in _product_values(output_parts)
+        for parts in product(*output_parts)
         if any(p != NULL for p in parts)
     }
 
     state_parts = [sorted(comp.states) for comp in sys.components]
-    states = {encode_tuple_atom(parts) for parts in _product_values(state_parts)}
+    states = {encode_tuple_atom(parts) for parts in product(*state_parts)}
     initial = {
         encode_tuple_atom(parts)
-        for parts in _product_values([sorted(c.initial_states) for c in sys.components])
+        for parts in product(*[sorted(c.initial_states) for c in sys.components])
     }
     terminal = {
         encode_tuple_atom(parts)
-        for parts in _product_values([sorted(c.terminal_states) for c in sys.components])
+        for parts in product(*[sorted(c.terminal_states) for c in sys.components])
     }
 
     memory_parts = []
@@ -612,7 +606,7 @@ def build_product_sxm(sys: CsxmSystem) -> Sxm:
             (pi, m, po) for pi in ports_in for m in mem_values for po in ports_out
         ]
         memory_parts.append(triples)
-    memory_values = tuple(tuple(t) for t in _product_values(memory_parts))
+    memory_values = tuple(product(*memory_parts))
     domain = MemoryDomain(
         kind="set" if exhaustive else "open",
         values=memory_values if exhaustive else (),
@@ -633,7 +627,7 @@ def build_product_sxm(sys: CsxmSystem) -> Sxm:
         for (q, fname), targets in sorted(comp.next_state.items()):
             pf = ProductFunction(i, comp.functions[fname], n)
             functions.setdefault(pf.name, pf)
-            for combo in _product_values(other_states):
+            for combo in product(*other_states):
                 src_parts = [q if j == i else combo[j] for j in range(n)]
                 src = encode_tuple_atom(src_parts)
                 dsts = []

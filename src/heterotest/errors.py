@@ -73,10 +73,6 @@ class UnreachableStateError(HeterotestError):
 class NotMinimalError(HeterotestError):
     """Two states of the automaton cannot be separated."""
 
-    def __init__(self, message, pair=None):
-        super().__init__(message)
-        self.pair = pair
-
 
 class DftFailure(HeterotestError):
     """A design-for-test precondition failed; carries the full report."""

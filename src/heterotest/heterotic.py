@@ -3,9 +3,14 @@ an ordinary machine as Control, exchanging configurations through ports.
 
 The Base wrapper holds a whole P-system configuration in memory: one
 ordinary function advances it by one maximally parallel step (seeded, so
-the machine stays deterministic), a second moves the halted configuration
-to the out-port, a communicating function ships it to Control, and a final
+the machine stays deterministic), a second puts the held configuration on
+the out-port, a communicating function ships it to Control, and a final
 ordinary function accepts Control's re-initialisation from the in-port.
+The out-port function accepts any configuration, halted or not; only the
+round driver of :func:`run_heterotic` emits halted configurations alone,
+so a generated suite also ships unhalted ones, outside the Base's declared
+out-port domain.  Restricting it would change the pinned integration
+suites.
 :func:`build_heterotic_system` alone assembles and checks the pair.
 
 Every Base phase of the round driver runs through one oracle contract: an

@@ -607,12 +607,6 @@ class CoverageReport:
     def all_covered(self) -> bool:
         return all(e.covered for e in self.entries)
 
-    def entry(self, rule: str) -> RuleCoverage:
-        for e in self.entries:
-            if e.rule == rule:
-                return e
-        raise KeyError(rule)
-
 
 def _coverage_report(ps: PSystem, witnesses: Mapping[str, ComputationTrace]) -> CoverageReport:
     """One entry per rule, in (compartment, name) order, covered by its

@@ -26,7 +26,7 @@ from typing import (
 
 from .errors import BranchBoundExceeded, MissingSampleError, TermError, Violation
 from .records import aside, record
-from .terms import Pattern, Expr, parse_expr, parse_pattern
+from .terms import Pattern, Term, parse_expr, parse_pattern
 from .values import RESERVED_ATOMS, Value, is_value, render, sort_key
 
 S = TypeVar("S")
@@ -54,7 +54,7 @@ class Case:
     output: str
     mem_next: str
     pattern: Pattern = aside()
-    update: Expr = aside()
+    update: Term = aside()
 
     @classmethod
     def build(cls, mem_pattern: str, input: str, output: str, mem_next: str) -> "Case":

@@ -1,29 +1,30 @@
 """A small term language for processing-function case tables.
 
 Patterns match memory/port values and bind variables; update expressions
-rebuild values from the bindings with integer arithmetic.  Keeping the
-language closed (no user code) is what makes the design-for-test checks
-decidable over declared finite domains.
+rebuild values from the bindings with integer arithmetic.  Both are trees
+of the same nodes: each term form is one class that both matches and
+evaluates.  Keeping the language closed (no user code) is what makes the
+design-for-test checks decidable over declared finite domains.
 
-Pattern syntax::
+Term forms, shared by patterns and expressions::
 
     7                integer literal
     idle             atom literal
-    ?m               variable (binds the matched subterm)
-    _                wildcard
-    [?x ?y]          sequence of sub-patterns
+    ?m               variable (a pattern binds the matched subterm)
+    [?x ?y]          sequence of terms
     {a a b}          multiset literal, one token per occurrence
-    ?m where ?m < 3  pattern with guards (comma-separated comparisons)
 
-Expression syntax adds ``+ - * %`` on integers, parentheses, and the same
-sequence/multiset constructors.  Sequence elements parse greedily; wrap
-negative elements in parentheses (``[?x (-1)]``).
+Patterns add negative literals (``-2``), the wildcard ``_`` and guards
+(``?m where ?m < 3``, comma-separated comparisons).  Expressions add
+``+ - * %`` on integers, unary minus and parentheses; there ``_`` is an
+atom.  Sequence elements parse greedily; wrap negative expression elements
+in parentheses (``[?x (-1)]``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .errors import TermError
 from .multiset import Multiset
@@ -64,10 +65,15 @@ def _is_int(tok: str) -> bool:
     return tok.isascii() and tok.isdigit()
 
 
-# --- expression nodes -------------------------------------------------------
+# --- term nodes -------------------------------------------------------------
+# Patterns call ``match`` and expressions ``evaluate``.  Only patterns hold
+# a Wild, and only expressions a Neg or a Bin.
 
 
-class Expr:
+class Term:
+    def match(self, value: Value, env: Dict[str, Value]) -> bool:
+        raise NotImplementedError
+
     def evaluate(self, env: Dict[str, Value]) -> Value:
         raise NotImplementedError
 
@@ -76,24 +82,36 @@ class Expr:
 
 
 @record
-class EInt(Expr):
+class Int(Term):
     value: int
+
+    def match(self, value, env):
+        return isinstance(value, int) and not isinstance(value, bool) and value == self.value
 
     def evaluate(self, env):
         return self.value
 
 
 @record
-class EAtom(Expr):
+class Atom(Term):
     name: str
+
+    def match(self, value, env):
+        return isinstance(value, str) and value == self.name
 
     def evaluate(self, env):
         return self.name
 
 
 @record
-class EVar(Expr):
+class Var(Term):
     name: str
+
+    def match(self, value, env):
+        if self.name in env:
+            return env[self.name] == value
+        env[self.name] = value
+        return True
 
     def evaluate(self, env):
         if self.name not in env:
@@ -105,27 +123,41 @@ class EVar(Expr):
 
 
 @record
-class ESeq(Expr):
-    items: Tuple[Expr, ...]
+class Seq(Term):
+    items: Tuple[Term, ...]
+
+    def match(self, value, env):
+        if not isinstance(value, tuple) or len(value) != len(self.items):
+            return False
+        return all(p.match(v, env) for p, v in zip(self.items, value))
 
     def evaluate(self, env):
         return tuple(item.evaluate(env) for item in self.items)
 
     def variables(self):
-        return frozenset().union(*(i.variables() for i in self.items)) if self.items else frozenset()
+        return frozenset().union(*(item.variables() for item in self.items))
 
 
 @record
-class EMset(Expr):
+class Mset(Term):
     mset: Multiset
+
+    def match(self, value, env):
+        return isinstance(value, Multiset) and value == self.mset
 
     def evaluate(self, env):
         return self.mset
 
 
 @record
-class ENeg(Expr):
-    inner: Expr
+class Wild(Term):
+    def match(self, value, env):
+        return True
+
+
+@record
+class Neg(Term):
+    inner: Term
 
     def evaluate(self, env):
         v = self.inner.evaluate(env)
@@ -138,10 +170,10 @@ class ENeg(Expr):
 
 
 @record
-class EBin(Expr):
+class Bin(Term):
     op: str
-    left: Expr
-    right: Expr
+    left: Term
+    right: Term
 
     def evaluate(self, env):
         a = self.left.evaluate(env)
@@ -164,79 +196,11 @@ class EBin(Expr):
         return self.left.variables() | self.right.variables()
 
 
-# --- pattern nodes ----------------------------------------------------------
-
-
-class PatternNode:
-    def match(self, value: Value, env: Dict[str, Value]) -> bool:
-        raise NotImplementedError
-
-    def variables(self) -> frozenset:
-        return frozenset()
-
-
-@record
-class PInt(PatternNode):
-    value: int
-
-    def match(self, value, env):
-        return isinstance(value, int) and not isinstance(value, bool) and value == self.value
-
-
-@record
-class PAtom(PatternNode):
-    name: str
-
-    def match(self, value, env):
-        return isinstance(value, str) and value == self.name
-
-
-@record
-class PWild(PatternNode):
-    def match(self, value, env):
-        return True
-
-
-@record
-class PVar(PatternNode):
-    name: str
-
-    def match(self, value, env):
-        if self.name in env:
-            return env[self.name] == value
-        env[self.name] = value
-        return True
-
-    def variables(self):
-        return frozenset({self.name})
-
-
-@record
-class PSeq(PatternNode):
-    items: Tuple[PatternNode, ...]
-
-    def match(self, value, env):
-        if not isinstance(value, tuple) or len(value) != len(self.items):
-            return False
-        return all(p.match(v, env) for p, v in zip(self.items, value))
-
-    def variables(self):
-        return frozenset().union(*(i.variables() for i in self.items)) if self.items else frozenset()
-
-
-@record
-class PMset(PatternNode):
-    mset: Multiset
-
-    def match(self, value, env):
-        return isinstance(value, Multiset) and value == self.mset
-
-
 @record
 class Guard:
-    left: Expr
+    left: Term
     op: str
-    right: Expr
+    right: Term
 
     def holds(self, env: Dict[str, Value]) -> bool:
         a = self.left.evaluate(env)
@@ -264,7 +228,7 @@ class Guard:
 class Pattern:
     """A term pattern plus its guards, compiled from source text."""
 
-    node: PatternNode
+    node: Term
     guards: Tuple[Guard, ...]
     source: str
 
@@ -278,9 +242,6 @@ class Pattern:
             if not guard.holds(env):
                 return None
         return env
-
-    def variables(self) -> frozenset:
-        return self.node.variables()
 
 
 # --- parser -----------------------------------------------------------------
@@ -310,86 +271,66 @@ class _Parser:
     def done(self) -> bool:
         return self.pos >= len(self.toks)
 
-    # patterns
+    def _operand(self, tok: str, item: Callable[[], Term], what: str) -> Term:
+        """The shared form that starts with ``tok``; ``item`` parses the
+        elements of a sequence and ``what`` names the caller in errors."""
+        if _is_int(tok):
+            return Int(int(tok))
+        if tok == "?":
+            return Var(self.next())
+        if tok == "[":
+            items = []
+            while self.peek() != "]":
+                items.append(item())
+            self.expect("]")
+            return Seq(tuple(items))
+        if tok == "{":
+            symbols = []
+            while self.peek() != "}":
+                symbol = self.next()
+                if symbol in _SINGLE:
+                    raise TermError(f"bad multiset symbol {symbol!r} in {self.text!r}")
+                symbols.append(symbol)
+            self.expect("}")
+            return Mset(Multiset.from_symbols(symbols))
+        if tok in _SINGLE or tok in _RELOPS or tok == "where":
+            raise TermError(f"unexpected token {tok!r} in {what} {self.text!r}")
+        return Atom(tok)
 
-    def pattern(self) -> PatternNode:
+    def pattern(self) -> Term:
         tok = self.next()
         if tok == "-":
             num = self.next()
             if not _is_int(num):
                 raise TermError(f"expected integer after '-' in {self.text!r}")
-            return PInt(-int(num))
-        if _is_int(tok):
-            return PInt(int(tok))
-        if tok == "?":
-            return PVar(self.next())
+            return Int(-int(num))
         if tok == "_":
-            return PWild()
-        if tok == "[":
-            items = []
-            while self.peek() != "]":
-                items.append(self.pattern())
-            self.expect("]")
-            return PSeq(tuple(items))
-        if tok == "{":
-            return PMset(self._mset_body())
-        if tok in _SINGLE or tok in _RELOPS or tok == "where":
-            raise TermError(f"unexpected token {tok!r} in pattern {self.text!r}")
-        return PAtom(tok)
+            return Wild()
+        return self._operand(tok, self.pattern, "pattern")
 
-    def _mset_body(self) -> Multiset:
-        symbols = []
-        while self.peek() != "}":
-            tok = self.next()
-            if tok in _SINGLE:
-                raise TermError(f"bad multiset symbol {tok!r} in {self.text!r}")
-            symbols.append(tok)
-        self.expect("}")
-        return Multiset.from_symbols(symbols)
-
-    # expressions
-
-    def expr(self) -> Expr:
+    def expr(self) -> Term:
         node = self.term()
         while self.peek() in ("+", "-"):
             op = self.next()
-            node = EBin(op, node, self.term())
+            node = Bin(op, node, self.term())
         return node
 
-    def term(self) -> Expr:
+    def term(self) -> Term:
         node = self.unary()
         while self.peek() in ("*", "%"):
             op = self.next()
-            node = EBin(op, node, self.unary())
+            node = Bin(op, node, self.unary())
         return node
 
-    def unary(self) -> Expr:
-        if self.peek() == "-":
-            self.next()
-            return ENeg(self.unary())
-        return self.primary()
-
-    def primary(self) -> Expr:
+    def unary(self) -> Term:
         tok = self.next()
-        if _is_int(tok):
-            return EInt(int(tok))
-        if tok == "?":
-            return EVar(self.next())
+        if tok == "-":
+            return Neg(self.unary())
         if tok == "(":
             node = self.expr()
             self.expect(")")
             return node
-        if tok == "[":
-            items = []
-            while self.peek() != "]":
-                items.append(self.expr())
-            self.expect("]")
-            return ESeq(tuple(items))
-        if tok == "{":
-            return EMset(self._mset_body())
-        if tok in _SINGLE or tok in _RELOPS or tok == "where":
-            raise TermError(f"unexpected token {tok!r} in expression {self.text!r}")
-        return EAtom(tok)
+        return self._operand(tok, self.expr, "expression")
 
     def guard(self) -> Guard:
         left = self.expr()
@@ -423,7 +364,7 @@ def parse_pattern(text: str) -> Pattern:
 
 
 @lru_cache(maxsize=4096)
-def parse_expr(text: str) -> Expr:
+def parse_expr(text: str) -> Term:
     p = _Parser(text)
     node = p.expr()
     if not p.done():

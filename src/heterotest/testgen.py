@@ -194,7 +194,7 @@ def characterization_set(a: Automaton) -> set:
     for u, v in pairs:
         sep = _shortest_separator(a, labels, u, v)
         if sep is None:
-            raise NotMinimalError(f"states {u} and {v} are not separable", (u, v))
+            raise NotMinimalError(f"states {u} and {v} are not separable")
         shortest[(u, v)] = sep
     w: set = set()
     for u, v in sorted(pairs, key=lambda p: (len(shortest[p]), shortest[p])):

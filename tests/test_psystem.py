@@ -21,7 +21,13 @@ from heterotest.psystem import (
     seeded_chooser,
     validate_psystem,
 )
-from test_psystem_dag import TraceReplayMismatch, covered_rules, fired_rules, reference_replay
+from test_psystem_dag import (
+    TraceReplayMismatch,
+    coverage_entry,
+    covered_rules,
+    fired_rules,
+    reference_replay,
+)
 
 M = Multiset.from_string
 
@@ -212,7 +218,8 @@ class TestCoverage:
         assert set(covered_rules(report)) == {"r11", "r21"}
         step = TraceStep(((("r11", 1),), (("r21", 1),)), cfg("abe", "b"))
         trace = ComputationTrace(cfg("s", "t"), (step,), halted=False)
-        assert report.entry("r11").witness == report.entry("r21").witness == trace
+        r11, r21 = coverage_entry(report, "r11"), coverage_entry(report, "r21")
+        assert r11.witness == r21.witness == trace
 
     def test_replay_mismatch_detected(self, ps2):
         # the replay that checks the witnesses below rejects a wrong result
@@ -239,8 +246,8 @@ class TestCoverageTestSet:
         keys = [config_canonical(m) for m in members]
         assert ("ccf", "c") in keys
         assert report.all_covered()
-        assert report.entry("r12").configuration is not None
-        assert config_canonical(report.entry("r12").configuration) == ("bdf", "b")
+        assert coverage_entry(report, "r12").configuration is not None
+        assert config_canonical(coverage_entry(report, "r12").configuration) == ("bdf", "b")
 
     def test_member_witnesses_end_in_members(self, ps2):
         members, report = generate_coverage_test_set(ps2, 3)

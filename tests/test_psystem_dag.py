@@ -66,6 +66,11 @@ def covered_rules(report):
     return tuple(e.rule for e in report.entries if e.covered)
 
 
+def coverage_entry(report, rule):
+    """The coverage entry of the rule named ``rule``."""
+    return next(e for e in report.entries if e.rule == rule)
+
+
 class TraceReplayMismatch(Exception):
     """A computation trace does not replay against its P system."""
 
@@ -411,9 +416,9 @@ def test_witness_decided_by_the_fired_tuple_alone(monkeypatch):
     ps = _twin_rules(PRule("r3", 1, M("b"), (("a", HERE),)),
                      PRule("r4", 1, M("b"), (("a", HERE),)))
     members, report = generate_coverage_test_set(ps, 2)
-    assert [step.fired for step in report.entry("r4").witness.steps] == [
+    assert [step.fired for step in coverage_entry(report, "r4").witness.steps] == [
         ((("r1", 1),),), ((("r4", 1),),)]
-    assert [step.fired for step in report.entry("r2").witness.steps] == [
+    assert [step.fired for step in coverage_entry(report, "r2").witness.steps] == [
         ((("r2", 1),),), ((("r3", 1),),)]
     assert (members, report) == reference_coverage_test_set(ps, 2)
     _same_everywhere(monkeypatch, ps, (1, 2, 3, 4))

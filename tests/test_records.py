@@ -107,8 +107,8 @@ def _perfbench_gen():
     return module
 
 
-# Terms that hold every node class, and pairs of nodes of different classes
-# over the same values.
+# Terms that hold every node class, and texts that parse to equal nodes as a
+# pattern and as an expression.
 TERMS = ("[?x _ 3 idle {a a b}] where ?x < 2, ?x != 0", "?m where ?m >= 1")
 EXPRESSIONS = ("[?x (-1) {a b} idle] ", "(?m + 2) * 3 % 4 - -?m")
 SAME_VALUES = ("?m", "idle", "7", "{a b}", "[?m 1]")
@@ -324,7 +324,8 @@ def test_equality_and_hash_match_the_twins_across_classes(instances, twins):
     from heterotest.terms import parse_expr, parse_pattern
 
     pool = [rec for cls in RECORDS + LOCAL for rec in instances[cls][:PER_CLASS_PAIRED]]
-    # nodes of different classes over the same values
+    # a pattern's node and an expression over the same text: equal records
+    # that are not the same object
     pool += [parse_pattern(text).node for text in SAME_VALUES]
     pool += [parse_expr(text) for text in SAME_VALUES]
     # equal records that are not the same object
