@@ -220,6 +220,11 @@ class Empty:
 
 
 LOCAL = [Outer.Inner, Sub, Empty]
+# The node classes that patterns and expressions share, checked once more on
+# the nodes parsed in each role: "P" from a pattern's node, "E" from an
+# expression.
+SHARED_NODES = ("Atom", "Int", "Mset", "Seq", "Var")
+ROLES = [(role, name) for role in "EP" for name in SHARED_NODES]
 # Records checked per class, and per class in the pairwise equality check.
 PER_CLASS = 40
 PER_CLASS_PAIRED = 4
@@ -232,6 +237,13 @@ def instances(tmp_path_factory, models_dir):
                           Outer.Inner(x=1, y="y", extra={"k": 2}, cache=None)]
     found[Sub] = [Sub(1, {}, None), Sub(2, {}, None, "z")]
     found[Empty] = [Empty(), Empty()]
+    from heterotest.terms import parse_expr, parse_pattern
+
+    by_role = {"P": walk([parse_pattern(text).node for text in TERMS + SAME_VALUES]),
+               "E": walk([parse_expr(text) for text in EXPRESSIONS + SAME_VALUES])}
+    for role, name in ROLES:
+        found[role, name] = [rec for cls, recs in by_role[role].items()
+                             if cls.__name__ == name for rec in recs]
     return found
 
 
@@ -312,10 +324,17 @@ def test_every_record_class_is_reached(instances):
     assert [cls.__qualname__ for cls in RECORDS if not instances.get(cls)] == []
 
 
-@pytest.mark.parametrize("cls", RECORDS + LOCAL,
-                         ids=lambda cls: f"{cls.__module__.rpartition('.')[2]}.{cls.__qualname__}")
-def test_records_behave_as_their_twins(cls, instances, twins):
-    sample = instances[cls][:PER_CLASS]
+def _case_id(case):
+    if isinstance(case, tuple):
+        role, name = case
+        return f"terms.{role}{name}"
+    return f"{case.__module__.rpartition('.')[2]}.{case.__qualname__}"
+
+
+@pytest.mark.parametrize("case", RECORDS + LOCAL + ROLES, ids=_case_id)
+def test_records_behave_as_their_twins(case, instances, twins):
+    sample = instances[case][:PER_CLASS]
+    assert sample
     for index, rec in enumerate(sample):
         check_record(rec, [rec, sample[(index + 1) % len(sample)]], twins)
 
