@@ -55,7 +55,8 @@ class BranchBoundExceeded(HeterotestError):
 
 
 class ExplosionBoundExceeded(HeterotestError):
-    """Enumeration of rule assignments or branches exceeded its cap."""
+    """An enumeration exceeded its cap: rule assignments, branches, or the
+    cases of a test suite."""
 
 
 class NondeterministicInput(HeterotestError):

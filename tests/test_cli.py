@@ -461,6 +461,20 @@ def test_gen_tests_heterotic_k3_pinned(models_dir, tmp_path, capsys):
     assert json.loads(out_file.read_text())["metadata"]["phi_sequences"] == 146_060
 
 
+def test_gen_tests_heterotic_k4_pinned(models_dir, tmp_path, capsys):
+    # sha256 measured when the suite listed every phi-sequence
+    out_file = tmp_path / "suite.json"
+    assert main(["gen-tests", "heterotic", str(models_dir / "ps2_heterotic.json"),
+                 "--extra-states", "4", "-o", str(out_file)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == "8471e850cba784b49ed7bf2faa8476037fc772e053303b57ff07cffdf82a51e3"
+    doc = json.loads(out_file.read_text())
+    assert len(doc["cases"]) == 4_559
+    assert doc["metadata"]["phi_sequences"] == 1_022_425
+    assert doc["metadata"]["fallback_sequences"] == 1_019_983
+
+
 # sha256 of the ``-o`` artifact and the phi-sequence count of the ps2
 # heterotic suite at each k below the pin above, measured before the
 # product machine stepped through the system's communicating-change rule.

@@ -1,10 +1,11 @@
-"""The exploration caps, the machine branch bound and the communication
-symbol are module constants, read where they are checked: no entry point
-takes one as a parameter, and a test sets one with ``monkeypatch``."""
+"""The exploration caps, the machine branch bound, the suite case cap and
+the communication symbol are module constants, read where they are
+checked: no entry point takes one as a parameter, and a test sets one with
+``monkeypatch``."""
 
 import inspect
 
-from heterotest import csxms, errors, mutation, psystem, sxm
+from heterotest import csxms, errors, mutation, psystem, sxm, testgen
 
 ENTRY_POINTS = (
     psystem.maximal_rule_multisets,
@@ -23,6 +24,9 @@ ENTRY_POINTS = (
     mutation._SpecRun,
     csxms.extend_for_testing,
     csxms.ExtendedCommFunction,
+    testgen.build_w_suite,
+    testgen.generate_sxm_test_suite,
+    csxms.generate_csxms_test_suite,
 )
 CAP_NAMES = {"cap", "assignment_cap", "branch_cap", "branch_bound", "comm_symbol"}
 
@@ -30,6 +34,7 @@ CAP_NAMES = {"cap", "assignment_cap", "branch_cap", "branch_bound", "comm_symbol
 def test_the_constants():
     assert (psystem.ASSIGNMENT_CAP, psystem.BRANCH_CAP) == (10_000, 10_000)
     assert sxm.BRANCH_BOUND == 256
+    assert testgen.CASE_CAP == 100_000
     assert csxms.COMM_SYMBOL == "a"
     assert not hasattr(errors, "DEFAULT_BRANCH_BOUND")
 

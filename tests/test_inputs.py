@@ -8,12 +8,16 @@ single nodes of every shipped model and generated artifact.
 
 import json
 import random
+import resource
 import shutil
+import subprocess
 import sys
+import time
 
 import pytest
 
 from heterotest.cli import main
+from test_cli import ENV
 
 
 @pytest.fixture()
@@ -363,6 +367,35 @@ def test_csxm_structure_checked_wherever_a_csxm_is_read(work, capsys, change, me
 def test_out_of_range_flags_are_usage_errors(models_dir, tmp_path, capsys, args):
     args = [str(models_dir / a) if a.endswith(".json") else a for a in args]
     _exits(2, args, "must be at least", tmp_path, capsys)
+
+
+def _limit_address_space():
+    limit = 256 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("target, model, k", [
+    ("heterotic", "ps2_heterotic.json", 7),
+    ("sxm", "counter_testable.json", 25),
+    ("heterotic", "ps2_heterotic.json", 1_000_000),
+    ("sxm", "counter_testable.json", 1_000_000),
+])
+def test_suite_past_the_case_cap_exits_two(models_dir, target, model, k):
+    # each listed every phi-sequence until it ran out of memory, a
+    # MemoryError traceback and exit 1, before; the child gets 256 MB of
+    # address space so that a run that builds the suite fails rather than
+    # grows
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "heterotest.cli", "gen-tests", target,
+         str(models_dir / model), "--extra-states", str(k)],
+        capture_output=True, text=True, env=ENV, timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"more than 100000 cases in the W-method suite at k={k} (" in proc.stderr
+    assert time.monotonic() - started < 5
 
 
 def _replies(final):

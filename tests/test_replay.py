@@ -30,12 +30,13 @@ from heterotest.sxm import (
     sxm_step,
 )
 from heterotest.testgen import (
-    _translate,
     build_w_suite,
+    fundamental_test_inputs,
     minimize_automaton,
     prune_unreachable,
     w_method_phi_sequences,
 )
+from test_testgen import reference_translate
 
 
 def reference_run_outputs(model, input_seq, branch_bound=256):
@@ -138,16 +139,21 @@ def test_replay_matches_reference_on_extended_products(seed, ks):
 
 
 def test_translation_matches_reference_on_ps2_heterotic_product(ps2_heterotic):
+    # the prefix-sharing translation of the former suite build, which is
+    # the reference of the suite walk in tests/test_testgen.py
     product = build_product_sxm(extend_for_testing(ps2_heterotic.as_system))
     minimal = minimize_automaton(prune_unreachable(associated_automaton(product)))
     for k in (0, 1, 2):
         sequences = sorted(w_method_phi_sequences(minimal, k))
         reference = [reference_translation(product, seq) for seq in sequences]
-        assert list(_translate(product, sequences)) == reference
+        assert list(reference_translate(product, sequences)) == reference
         if k < 2:
             by_seq = dict(zip(sequences, reference))
             for order in orders(sequences, k)[1:]:
-                assert list(_translate(product, order)) == [by_seq[seq] for seq in order]
+                assert list(reference_translate(product, order)) == [by_seq[seq] for seq in order]
+            assert [fundamental_test_inputs(product, seq) for seq in sequences] == [
+                inputs for inputs, _ in reference
+            ]
 
 
 def doubling_machine(initial_states=("q0",)):

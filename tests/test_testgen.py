@@ -4,10 +4,17 @@ import pytest
 
 from gen_models import random_dft_sxm
 
-from heterotest.errors import DftFailure, NondeterministicInput, NotMinimalError, UnreachableStateError
+from heterotest.errors import (
+    DftFailure,
+    HeterotestError,
+    NondeterministicInput,
+    NotMinimalError,
+    UnreachableStateError,
+)
 from heterotest.model_io import canonical_json, suite_to_dict
 from heterotest.sxm import Automaton, run_outputs
 from heterotest.testgen import (
+    build_w_suite,
     characterization_set,
     fundamental_test_inputs,
     generate_sxm_test_suite,
@@ -444,3 +451,225 @@ class TestAgainstReferences:
                 assert [i for i in issues if "arcs from state" in i] == expected, seed
                 several += len(expected) > len(set(expected))
         assert several > 10  # one state and label with three or more targets
+
+
+# --- the W-method suite walk ----------------------------------------------------
+#
+# ``build_w_suite`` once listed every word of C . (labels^{<=k+1} u {eps}) . W,
+# translated each one from the initial memory by the prefix-sharing replay,
+# and closed the translations under prefixes.  The copies below are that
+# build verbatim; the walk must give equal cases and metadata.
+
+
+def reference_w_method_sequences(a: Automaton, k: int, cover: set, w: set) -> set:
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    labels = a.labels()
+    middle: set = {()}
+    layer: set = {()}
+    for _ in range(k + 1):
+        layer = {seq + (label,) for seq in layer for label in labels}
+        middle |= layer
+    return {c + m + suffix for c in cover for m in middle for suffix in w}
+
+
+def reference_translate(model, sequences):
+    """(inputs, fell back) for each function sequence, in order."""
+    from heterotest.sxm import replay_sequences
+
+    inputs = sorted(model.inputs)
+
+    def advance(state, fn_name):
+        memory, fallback, chosen = state
+        if not fallback:
+            fn = model.functions[fn_name]
+            for sym in inputs:
+                result = fn.evaluate(memory, sym)
+                if result is not None:
+                    return result[1], False, chosen + (sym,)
+        return memory, True, chosen + (inputs[0],)
+
+    for _, fallback, chosen in replay_sequences(
+        sequences, (model.initial_memory, False, ()), advance
+    ):
+        yield chosen, fallback
+
+
+def reference_build_w_suite(model, k: int, metadata=None):
+    from heterotest.sxm import TestCase, TestSuite, associated_automaton, replay_outputs
+    from heterotest.testgen import prune_unreachable
+
+    minimal = minimize_automaton(prune_unreachable(associated_automaton(model)))
+    cover = state_cover(minimal)
+    w = characterization_set(minimal)
+    sequences = sorted(reference_w_method_sequences(minimal, k, cover, w))
+    inputs: set = set()
+    fallback_count = 0
+    for input_seq, fell_back in reference_translate(model, sequences):
+        if fell_back:
+            fallback_count += 1
+        for cut in range(len(input_seq) + 1):
+            inputs.add(input_seq[:cut])
+    ordered = sorted(inputs)
+    cases = [
+        TestCase(input_seq, outputs)
+        for input_seq, outputs in zip(ordered, replay_outputs(model, ordered))
+    ]
+    meta = {
+        "method": "W",
+        "k": k,
+        "state_cover_size": len(cover),
+        "characterization_size": len(w),
+        "phi_sequences": len(sequences),
+        "fallback_sequences": fallback_count,
+        "prefix_closed": True,
+    }
+    if metadata:
+        meta.update(metadata)
+    return TestSuite(tuple(cases), meta)
+
+
+def suite_outcome(build, model, k):
+    """A suite's cases and metadata, or the type and message of its error."""
+    try:
+        suite = build(model, k)
+    except HeterotestError as exc:
+        return (type(exc).__name__, str(exc))
+    return suite.cases, suite.metadata
+
+
+def assert_builds_agree(model, k):
+    walked = suite_outcome(build_w_suite, model, k)
+    assert walked == suite_outcome(reference_build_w_suite, model, k)
+    return walked
+
+
+def _products():
+    """The extended products of the systems criterion 4 scans, each of whose
+    components passes the design-for-test checks."""
+    from gen_models import random_csxm_system
+
+    from heterotest.csxms import build_product_sxm, check_csxm_dft, extend_for_testing
+
+    for seed in range(55):
+        system = extend_for_testing(random_csxm_system(seed))
+        if all(check_csxm_dft(comp).all_pass() for comp in system.components):
+            yield build_product_sxm(system)
+
+
+class TestWalkAgainstReference:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_dft_machines(self, k):
+        for seed in range(50):
+            assert_builds_agree(random_dft_sxm(seed), k)
+
+    def test_messy_machines(self):
+        from gen_models import random_messy_sxm
+
+        generated = 0
+        for seed in range(80):
+            for k in (0, 1):
+                generated += not isinstance(assert_builds_agree(random_messy_sxm(seed), k)[0], str)
+        assert generated > 100
+
+    def test_criterion_4_products(self):
+        fell_back = 0
+        for product in _products():
+            for k in (0, 1):
+                _, metadata = assert_builds_agree(product, k)
+                fell_back += metadata["fallback_sequences"] > 0
+        assert fell_back > 10
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_counter_testable(self, counter_testable, k):
+        assert_builds_agree(counter_testable, k)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_ps2_heterotic_product(self, ps2_heterotic, k):
+        from heterotest.csxms import build_product_sxm, extend_for_testing
+
+        product = build_product_sxm(extend_for_testing(ps2_heterotic.as_system))
+        _, metadata = assert_builds_agree(product, k)
+        assert metadata["fallback_sequences"] > 0.95 * metadata["phi_sequences"]
+
+    def test_metadata_is_merged_last(self, counter_testable):
+        extra = {"k": "caller's", "system": "s"}
+        walked = build_w_suite(counter_testable, 1, metadata=extra)
+        assert walked == reference_build_w_suite(counter_testable, 1, metadata=extra)
+
+
+def _w_set_states(a: Automaton, k: int):
+    """Every state of the W-set automaton reachable from its start, with
+    its successors."""
+    from heterotest.testgen import _w_set_automaton
+
+    start, step, accepting = _w_set_automaton(a, k, state_cover(a), characterization_set(a))
+    successors = {}
+    queue = [start]
+    while queue:
+        state = queue.pop()
+        if state in successors:
+            continue
+        successors[state] = [nxt for label in a.labels() if (nxt := step(state, label))]
+        queue += successors[state]
+    return successors, accepting
+
+
+def test_every_reachable_w_set_state_reaches_an_accepted_word():
+    # the walk counts every node it meets as a case, which is right only
+    # when each node is the prefix of an accepted word
+    checked = 0
+    for a in (minimize_automaton(random_automaton(seed)) for seed in range(200)):
+        for k in (0, 1, 2):
+            successors, accepting = _w_set_states(a, k)
+            live = {state for state in successors if accepting(state)}
+            grew = True
+            while grew:
+                grew = False
+                for state, nexts in successors.items():
+                    if state not in live and any(n in live for n in nexts):
+                        live.add(state)
+                        grew = True
+            assert live == successors.keys()
+            checked += len(successors)
+    assert checked > 5000
+
+
+def test_walk_words_are_the_w_method_set():
+    # the accepted words of the walked automaton, listed, are the set
+    from heterotest.testgen import _w_set_automaton
+
+    for seed in range(300):
+        a = minimize_automaton(random_automaton(seed))
+        for k in (0, 1):
+            start, step, accepting = _w_set_automaton(
+                a, k, state_cover(a), characterization_set(a)
+            )
+            words = set()
+            stack = [((), start)]
+            while stack:
+                word, state = stack.pop()
+                if accepting(state):
+                    words.add(word)
+                for label in a.labels():
+                    nxt = step(state, label)
+                    if nxt is not None:
+                        stack.append((word + (label,), nxt))
+            assert words == w_method_phi_sequences(a, k), seed
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_case_cap_admits_a_suite_of_exactly_its_size(monkeypatch, counter_testable, k):
+    from heterotest import testgen
+    from heterotest.errors import ExplosionBoundExceeded
+
+    cases = len(build_w_suite(counter_testable, k).cases)
+    monkeypatch.setattr(testgen, "CASE_CAP", cases)
+    assert len(build_w_suite(counter_testable, k).cases) == cases
+    monkeypatch.setattr(testgen, "CASE_CAP", cases - 1)
+    with pytest.raises(ExplosionBoundExceeded) as err:
+        build_w_suite(counter_testable, k)
+    assert str(err.value) == (
+        f"more than {cases - 1} cases in the W-method suite at k={k} "
+        f"({cases} counted before stopping)"
+    )
