@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from typing import Any, Callable, Iterable, Optional
 
 from . import model_io
 from .errors import (
@@ -58,16 +58,38 @@ def _command(text: str) -> list[str]:
     return words
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
     rendered = model_io.canonical_json(payload)
+    _write(args, lambda: (rendered,), text_lines)
+
+
+def _write(args, pieces: Callable[[], Iterable[str]], text_lines: Iterable[str]) -> None:
+    """Write the artifact whose text is the join of ``pieces()`` to ``-o``
+    in full, and then to stdout, or in text format ``text_lines``."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+            for piece in pieces():
+                handle.write(piece)
     if args.format == "json":
-        sys.stdout.write(rendered)
+        for piece in pieces():
+            sys.stdout.write(piece)
     else:
         for line in text_lines:
             print(line)
+
+
+def _by_identity(make: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """``make`` made once per argument object.  The memo holds each
+    argument, so no other object takes its id while the memo lives."""
+    memo: dict = {}
+
+    def made(obj):
+        hit = memo.get(id(obj))
+        if hit is None:
+            hit = memo[id(obj)] = (obj, make(obj))
+        return hit[1]
+
+    return made
 
 
 _KINDS = ("sxm", "csxm", "system", "psystem", "heterotic")
@@ -194,20 +216,19 @@ def _cmd_simulate(args) -> int:
         return _simulate_heterotic(args, model)
     if args.depth is None:
         raise UsageError("simulate on a P system needs --depth")
-    from .psystem import psystem_run, render_ptrace
+    from .psystem import psystem_run, render_ptrace, render_step
 
     mode = "seeded" if args.seed is not None else "all"
     traces = psystem_run(model, args.depth, mode=mode, seed=args.seed)
-    payload = {
-        "schema": 1,
-        "system": model.name,
-        "depth": args.depth,
-        "mode": mode,
-        "seed": args.seed,
-        "traces": [model_io.ptrace_to_dict(t) for t in traces],
-    }
-    lines = [render_ptrace(t) for t in traces]
-    _emit(args, payload, lines)
+    head = {"schema": 1, "system": model.name, "depth": args.depth, "mode": mode, "seed": args.seed}
+    # Computations share the steps of the configuration DAG: each step is
+    # laid out once, and each computation's text is made as it is written.
+    step_json = _by_identity(lambda step: model_io.LaidOut(model_io.step_to_dict(step)))
+    step_text = _by_identity(render_step)
+    _write(args,
+           lambda: model_io.canonical_pieces(
+               head, "traces", (model_io.ptrace_to_dict(t, step_json) for t in traces)),
+           (render_ptrace(t, step_text) for t in traces))
     return 0
 
 

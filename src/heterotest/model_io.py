@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, NamedTuple, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, Mapping, NamedTuple,
+                    Optional)
 
 from .errors import SchemaError, TermError
 from .multiset import Multiset
@@ -22,7 +23,7 @@ if TYPE_CHECKING:
     from .csxms import Csxm, CsxmSystem
     from .dft import DftReport
     from .heterotic import HeteroticSystem, HeteroticTrace
-    from .psystem import ComputationTrace, CoverageReport, PConfiguration, PSystem
+    from .psystem import ComputationTrace, CoverageReport, PConfiguration, PSystem, TraceStep
     from .sxm import MemoryDomain, Sxm, TestSuite
 
 SCHEMA_VERSION = 1
@@ -42,6 +43,41 @@ def canonical_json(obj: Any) -> str:
     except (TypeError, ValueError, RecursionError):
         text = json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)
     return text + "\n"
+
+
+class LaidOut:
+    """A value that recurs at one depth of a document, such as a step that
+    many computations share: ``_indented`` lays it out where it is first
+    written, keeps only that text, and writes it again wherever it
+    recurs."""
+
+    __slots__ = ("value", "text")
+
+    def __init__(self, value: Any):
+        self.value, self.text = value, None
+
+
+# Written as a NUL character, which quoting never leaves unescaped.
+_SPLIT = LaidOut(None)
+_SPLIT.text = "\0"
+
+
+def canonical_pieces(obj: Dict[str, Any], key: str, items: Iterable[Any]) -> Iterator[str]:
+    """``canonical_json({**obj, key: list(items)})`` in pieces: the text up
+    to the list's first item, each item with the separator before it, and
+    the rest.  Each item is taken and laid out when its piece is asked for,
+    so neither the list nor the text is ever held whole.  ``obj`` holds only
+    values this writer writes itself.
+
+    The pieces around the items are cut from ``canonical_json`` of ``obj``
+    with a two-item list under ``key``."""
+    head, between, tail = canonical_json({**obj, key: [_SPLIT, _SPLIT]}).split(_SPLIT.text)
+    indent = between[1:]  # the separator is a comma and the items' line break
+    lead = head
+    for item in items:
+        yield lead + _indented(item, indent)
+        lead = between
+    yield canonical_json({**obj, key: []}) if lead is head else tail
 
 
 def _indented(o: Any, indent: str) -> str:
@@ -72,6 +108,10 @@ def _indented(o: Any, indent: str) -> str:
         return int.__repr__(o)
     if t is float and o - o == 0:
         return float.__repr__(o)
+    if t is LaidOut:
+        if o.text is None:
+            o.text, o.value = _indented(o.value, indent), None
+        return o.text
     raise TypeError(f"{t.__name__} is left to json.dumps")
 
 
@@ -462,13 +502,18 @@ def _fired_to_json(fired) -> Dict[str, Dict[str, int]]:
     }
 
 
-def ptrace_to_dict(trace: ComputationTrace) -> Dict[str, Any]:
+def step_to_dict(step: TraceStep) -> Dict[str, Any]:
+    return {"fired": _fired_to_json(step.fired), "result": config_to_json(step.result)}
+
+
+def ptrace_to_dict(trace: ComputationTrace,
+                   step_to_json: Callable[[TraceStep], Any]) -> Dict[str, Any]:
+    """A computation's JSON value; ``step_to_json`` gives each step's:
+    :func:`step_to_dict`, or one :class:`LaidOut` of it shared by every
+    computation through the step."""
     return {
         "initial": config_to_json(trace.initial),
-        "steps": [
-            {"fired": _fired_to_json(step.fired), "result": config_to_json(step.result)}
-            for step in trace.steps
-        ],
+        "steps": [step_to_json(step) for step in trace.steps],
         "halted": trace.halted,
     }
 
@@ -483,7 +528,7 @@ def coverage_report_to_dict(report: CoverageReport) -> Dict[str, Any]:
         }
         if entry.covered:
             body["configuration"] = config_to_json(entry.configuration)
-            body["witness"] = ptrace_to_dict(entry.witness)
+            body["witness"] = ptrace_to_dict(entry.witness, step_to_dict)
         rules.append(body)
     return {"schema": SCHEMA_VERSION, "rules": rules, "all_covered": report.all_covered()}
 

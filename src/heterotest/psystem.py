@@ -157,10 +157,12 @@ class ComputationTrace:
     def configurations(self) -> Tuple[PConfiguration, ...]:
         return (self.initial,) + tuple(s.result for s in self.steps)
 
-    def key(self):
+    def key(self, canonical: Callable[[PConfiguration], Tuple[str, ...]] = config_canonical):
+        """The canonical order of computations; ``canonical`` gives each
+        configuration's :func:`config_canonical` form."""
         return (
             len(self.steps),
-            tuple(config_canonical(c) for c in self.configurations()),
+            tuple(map(canonical, self.configurations())),
             tuple(s.fired for s in self.steps),
         )
 
@@ -177,12 +179,14 @@ def render_fired(fired: Assignment) -> str:
     return "(" + ",".join(parts) + ")"
 
 
-def render_ptrace(trace: ComputationTrace) -> str:
-    bits = [render_config(trace.initial)]
-    for step in trace.steps:
-        bits.append(f"⟹{render_fired(step.fired)}")
-        bits.append(render_config(step.result))
-    text = " ".join(bits)
+def render_step(step: TraceStep) -> str:
+    return f"⟹{render_fired(step.fired)} {render_config(step.result)}"
+
+
+def render_ptrace(trace: ComputationTrace, step_text: Callable[[TraceStep], str]) -> str:
+    """A computation on one line; ``step_text`` gives each step's text as
+    :func:`render_step` does, memoised or not."""
+    text = " ".join([render_config(trace.initial), *map(step_text, trace.steps)])
     if trace.halted:
         text += "  [halted]"
     return text
@@ -459,7 +463,9 @@ class Exploration:
                 done.append(ComputationTrace(self.ps.initial, path, halted[cfg]))
             else:
                 stack.extend((step.result, path + (step,)) for step in self.steps[cfg])
-        return sorted(done, key=ComputationTrace.key)
+        # every configuration of a computation lies on a layer
+        forms = {cfg: config_canonical(cfg) for cfg in set().union(*self.layers)}
+        return sorted(done, key=lambda trace: trace.key(forms.__getitem__))
 
     def fired_by_layer(self) -> list[Dict[PConfiguration, FrozenSet[str]]]:
         """Per layer: each node's rules fired on some computation reaching it."""

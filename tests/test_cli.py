@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -534,11 +535,74 @@ def test_all_branches_past_the_branch_cap_exit_two(tmp_path, capsys):
     model = tmp_path / "pastcap_1.json"
     model.write_text(json.dumps(PAST_CAP))
     out_file = tmp_path / "traces.json"
-    code = main(["simulate", str(model), "--depth", "4", "--all-branches", "-o", str(out_file)])
-    assert code == 2
+    args = ["simulate", str(model), "--depth", "4", "--all-branches", "-o", str(out_file)]
+    assert main(args) == 2
     err = capsys.readouterr().err
     assert err == "error: more than 10000 simultaneous branches\n"
     assert not out_file.exists()
+    # the exploration fails before -o is opened, so a file already there
+    # keeps its bytes
+    out_file.write_bytes(b"an earlier artifact\n")
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: more than 10000 simultaneous branches\n"
+    assert captured.out == ""
+    assert out_file.read_bytes() == b"an earlier artifact\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("flags", [["--all-branches"], ["--seed", "3"]])
+def test_simulate_unwritable_output_exit_three(tmp_path, capsys, fmt, flags):
+    model = tmp_path / "branch2_1.json"
+    model.write_text(json.dumps(BRANCHING))
+    out_file = tmp_path / "missing" / "traces.json"
+    code = main(["--format", fmt, "simulate", str(model), "--depth", "4", *flags,
+                 "-o", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(out_file)!r}\n"
+
+
+class BreakingStdout:
+    """A stdout whose reader has gone: every write after the first
+    ``accepted`` raises BrokenPipeError."""
+
+    def __init__(self, accepted):
+        self.accepted, self.written = accepted, []
+
+    def write(self, text):
+        if len(self.written) >= self.accepted:
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        self.written.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# Text goes to stdout a line at a time, and the stdout breaks after the
+# first write; a JSON document may go in one write, so there it breaks at
+# the first.  Either way the -o file was finished before stdout was written.
+@pytest.mark.parametrize("fmt, accepted", [("text", 1), ("json", 0)])
+@pytest.mark.parametrize("flags", [["--all-branches"], ["--seed", "3"]])
+def test_simulate_broken_stdout_leaves_a_complete_artifact(tmp_path, capsys, monkeypatch,
+                                                           fmt, accepted, flags):
+    model = tmp_path / "branch2_1.json"
+    model.write_text(json.dumps(BRANCHING))
+    args = ["--format", fmt, "simulate", str(model), "--depth", "4", *flags, "-o"]
+    whole = tmp_path / "whole.json"
+    assert main(args + [str(whole)]) == 0
+    capsys.readouterr()
+    out_file = tmp_path / "traces.json"
+    stdout = BreakingStdout(accepted)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(args + [str(out_file)])
+    monkeypatch.undo()
+    assert code == 3
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    assert len(stdout.written) == accepted
+    assert out_file.read_bytes() == whole.read_bytes()
 
 
 # sha256 of the ``coverage`` artifact of ps2 at each depth, measured while

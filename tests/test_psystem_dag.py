@@ -38,6 +38,7 @@ from heterotest.psystem import (
     TraceStep,
     apply_assignment,
     config_canonical,
+    explore,
     generate_coverage_test_set,
     is_halting,
     maximal_rule_multisets,
@@ -514,3 +515,29 @@ def test_branch_cap_trips_before_a_later_assignment_cap(monkeypatch):
         "raised", "ExplosionBoundExceeded", "more than 3 simultaneous branches")
     assert _outcome(reference_run, ps, 2, **caps) == (
         "raised", "ExplosionBoundExceeded", "more than 4 rule assignments in one compartment")
+
+
+def _sort_key_systems():
+    """BRANCHING and branch0 to branch2 of the benchmark's ladder at seeds
+    0 to 3, each with its depth."""
+    from test_cli import BRANCHING
+
+    gen = runpy.run_path(str(GEN))
+    systems = [(psystem_from_dict(BRANCHING), 4)]
+    for seed in range(4):
+        systems += [(psystem_from_dict(doc), gen["PS_DEPTH"])
+                    for name, doc, _ in gen["psystem_ladder"](seed) if name != "pastcap"]
+    return systems
+
+
+def test_traces_read_each_canonical_form_once_in_trace_key_order(monkeypatch):
+    for ps, depth in _sort_key_systems():
+        dag = explore(ps, depth)
+        forms = []
+        monkeypatch.setattr(psystem, "config_canonical",
+                            lambda cfg: forms.append(cfg) or config_canonical(cfg))
+        traces = dag.traces()
+        monkeypatch.undo()
+        distinct = {cfg for layer in dag.layers for cfg in layer}
+        assert len(forms) == len(distinct) < len(traces)
+        assert traces == sorted(traces, key=ComputationTrace.key)

@@ -15,7 +15,7 @@ import random
 import pytest
 from test_cli import BRANCHING
 
-from heterotest import model_io
+from heterotest import cli, model_io
 from heterotest.cli import main
 from heterotest.model_io import _indented, canonical_json
 
@@ -40,16 +40,39 @@ def _outcome(fn, obj):
         return ("raised", type(exc).__name__, str(exc))
 
 
+def _resolved(value):
+    """``value`` with each ``LaidOut`` replaced by the value it lays out."""
+    if isinstance(value, model_io.LaidOut):
+        return _resolved(value.value)
+    if isinstance(value, dict):
+        return {k: _resolved(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_resolved(v) for v in value]
+    return value
+
+
 @pytest.fixture()
 def recorded(monkeypatch):
-    """The payloads the CLI hands to the writer."""
+    """(document, streamed text) for each document the CLI hands to the
+    writer: a payload it emits (no streamed text), or a document it streams
+    with ``canonical_pieces``, whole, with the items as the stream takes
+    them, and the text of the pieces."""
     payloads = []
+    emit, pieces = cli._emit, model_io.canonical_pieces
 
-    def recording(obj):
-        payloads.append(obj)
-        return canonical_json(obj)
+    def recording_emit(args, payload, text_lines):
+        payloads.append((payload, None))
+        emit(args, payload, text_lines)
 
-    monkeypatch.setattr(model_io, "canonical_json", recording)
+    def recording_pieces(obj, key, items):
+        items = list(items)
+        document = {**obj, key: _resolved(items)}  # before the writer lays the items out
+        written = list(pieces(obj, key, items))
+        payloads.append((document, "".join(written)))
+        return iter(written)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    monkeypatch.setattr(model_io, "canonical_pieces", recording_pieces)
     return payloads
 
 
@@ -61,7 +84,7 @@ def _commands(models, work):
     out = lambda name: ["-o", str(work / name)]  # noqa: E731
     return [
         # the pinned artifacts
-        ["simulate", str(branching), "--depth", "4", "--all-branches"],
+        ["simulate", str(branching), "--depth", "4", "--all-branches", *out("traces.json")],
         ["coverage", str(branching), "--depth", "4"],
         ["gen-tests", "psystem", str(branching), "--depth", "4"],
         ["gen-tests", "heterotic", heterotic, "--extra-states", "3"],
@@ -69,8 +92,8 @@ def _commands(models, work):
         *(["validate", "--dft", str(models / name)] for name in (
             "counter.json", "counter_testable.json", "ps2.json", "ps2_control.json",
             "ps2_heterotic.json")),
-        ["simulate", ps2, "--depth", "3", "--all-branches"],
-        ["simulate", ps2, "--depth", "3", "--seed", "4"],
+        ["simulate", ps2, "--depth", "3", "--all-branches", *out("ps2_traces.json")],
+        ["simulate", ps2, "--depth", "3", "--seed", "4", *out("ps2_seeded.json")],
         ["simulate", heterotic, "--rounds", "2"],
         ["coverage", ps2, "--depth", "3"],
         ["gen-tests", "psystem", ps2, *out("testset.json")],
@@ -90,11 +113,13 @@ def test_artifacts_match_json_dumps(models_dir, tmp_path, capsys, recorded):
         assert main(command) in (0, 1), command
         capsys.readouterr()
     assert len(recorded) == len(commands)
-    for payload in recorded:
+    for payload, streamed in recorded:
         expected = reference(payload)
         assert _difference(canonical_json(payload), expected) is None
         # written by the writer itself, not handed to json.dumps
         assert _difference(_indented(payload, "\n") + "\n", expected) is None
+        if streamed is not None:
+            assert _difference(streamed, expected) is None
 
 
 TEXT = "aZ09 \"\\/\x00\x01\x1f\x7f\n\t\réü∅⟹→λ⊥  ﻿😀"
@@ -181,3 +206,20 @@ def test_cycles_raise_as_json_dumps():
     for value in (loop, deep):
         assert _outcome(canonical_json, value) == _outcome(reference, value)
         assert _outcome(canonical_json, value)[1] == "ValueError"
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+def test_pieces_join_to_the_canonical_text(count):
+    """``canonical_pieces`` of a document and a list of items, against
+    ``canonical_json`` of the document with the list under its key; the
+    key sorts anywhere among the document's keys, and the items may hold
+    NUL characters, which the writer cuts its pieces at."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        obj = {_text(rng): _value(rng, 2, ("str",)) for _ in range(rng.randrange(4))}
+        key = _text(rng)
+        items = [_value(rng, 1, ("str",)) for _ in range(count)]
+        pieces = list(model_io.canonical_pieces(obj, key, iter(items)))
+        assert "".join(pieces) == canonical_json({**obj, key: items}) == reference(
+            {**obj, key: items}), seed
+        assert len(pieces) == count + 1
