@@ -507,33 +507,29 @@ def encode_tuple_atom(parts: Sequence[str]) -> str:
     return "(" + TUPLE_SEPARATOR.join(parts) + ")"
 
 
-def decode_tuple_atom(atom: str, n: int) -> Optional[Tuple[str, ...]]:
-    if not (atom.startswith("(") and atom.endswith(")")):
-        return None
-    parts = tuple(atom[1:-1].split(TUPLE_SEPARATOR))
-    return parts if len(parts) == n else None
-
-
 class ProductFunction(ProcessingFunction):
     """One component's function lifted to the product machine; all other
-    components run the identity and consume the do-nothing symbol."""
+    components run the identity and consume the do-nothing symbol.
 
-    def __init__(self, index: int, inner: CsxmFunction, n: int):
+    ``accepted`` maps each product input whose only active part is the
+    component's, in sorted order, to that part's symbol: these are the
+    function's ``candidate_inputs``, and it is undefined on every other
+    input.
+    """
+
+    def __init__(self, index: int, inner: CsxmFunction, n: int, accepted: Mapping[str, str]):
         self.index = index  # 0-based component slot
         self.inner = inner
         self.n = n
         parts = ["id"] * n
         parts[index] = inner.name
         self.name = encode_tuple_atom(parts)
+        self._accepted = accepted
+        self.candidate_inputs = tuple(accepted)
 
     def evaluate(self, memory, input_symbol):
-        parts = decode_tuple_atom(input_symbol, self.n)
-        if parts is None:
-            return None
-        if any(part != NULL for j, part in enumerate(parts) if j != self.index):
-            return None
-        symbol = parts[self.index]
-        if symbol == NULL:
+        symbol = self._accepted.get(input_symbol)
+        if symbol is None:
             return None
         if not isinstance(memory, tuple) or len(memory) != self.n:
             return None
@@ -561,9 +557,10 @@ def build_product_sxm(sys: CsxmSystem) -> Sxm:
 
     Input symbols are tuples over each component's alphabet plus the
     communication and do-nothing symbols (never all do-nothing); memory
-    collects every component's (in-port, memory, out-port) triple.  Only
-    function tuples with exactly one active component are realisable, so
-    only those appear.
+    collects every component's (in-port, memory, out-port) triple, as the
+    product of the port and memory domains, whose values are built only
+    where they are enumerated.  Only function tuples with exactly one
+    active component are realisable, so only those appear.
     """
     if not sys.extended:
         raise UnextendedSystem("run extend_for_testing before building the product")
@@ -584,6 +581,15 @@ def build_product_sxm(sys: CsxmSystem) -> Sxm:
         for parts in product(*output_parts)
         if any(p != NULL for p in parts)
     }
+    accepted = []
+    for i, symbols in enumerate(input_parts):
+        atoms = {}
+        for symbol in symbols:
+            if symbol != NULL:
+                parts = [NULL] * n
+                parts[i] = symbol
+                atoms[encode_tuple_atom(parts)] = symbol
+        accepted.append(dict(sorted(atoms.items())))
 
     state_parts = [sorted(comp.states) for comp in sys.components]
     states = {encode_tuple_atom(parts) for parts in product(*state_parts)}
@@ -596,22 +602,14 @@ def build_product_sxm(sys: CsxmSystem) -> Sxm:
         for parts in product(*[sorted(c.terminal_states) for c in sys.components])
     }
 
-    memory_parts = []
-    exhaustive = True
-    for comp in sys.components:
-        mem_values, comp_exhaustive = comp.memory_domain.enumerate()
-        exhaustive = exhaustive and comp_exhaustive
-        ports_in, ports_out = port_values(comp.in_port_domain), port_values(comp.out_port_domain)
-        triples = [
-            (pi, m, po) for pi in ports_in for m in mem_values for po in ports_out
-        ]
-        memory_parts.append(triples)
-    memory_values = tuple(product(*memory_parts))
-    domain = MemoryDomain(
-        kind="set" if exhaustive else "open",
-        values=memory_values if exhaustive else (),
-        sample=() if exhaustive else memory_values,
-    )
+    domain = MemoryDomain(kind="product", parts=tuple(
+        MemoryDomain(kind="product", parts=(
+            MemoryDomain(kind="set", values=port_values(comp.in_port_domain)),
+            comp.memory_domain,
+            MemoryDomain(kind="set", values=port_values(comp.out_port_domain)),
+        ))
+        for comp in sys.components
+    ))
 
     initial_memory = tuple(
         (BOTTOM_M, comp.initial_memory, BOTTOM_M) for comp in sys.components
@@ -625,7 +623,7 @@ def build_product_sxm(sys: CsxmSystem) -> Sxm:
             for j, c in enumerate(sys.components)
         ]
         for (q, fname), targets in sorted(comp.next_state.items()):
-            pf = ProductFunction(i, comp.functions[fname], n)
+            pf = ProductFunction(i, comp.functions[fname], n, accepted[i])
             functions.setdefault(pf.name, pf)
             for combo in product(*other_states):
                 src_parts = [q if j == i else combo[j] for j in range(n)]

@@ -118,7 +118,7 @@ def decide_conditions(
     order up to ``WITNESS_LIMIT`` per condition; ``structural`` issues
     follow the initial-state check and also fail determinism.
     """
-    values, exhaustive = model.memory_domain.enumerate()
+    values, exhaustive = model.memory_domain.enumerate(model.name)
     functions = model.functions
     issues = []
     if len(model.initial_states) != 1:

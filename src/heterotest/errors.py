@@ -55,8 +55,8 @@ class BranchBoundExceeded(HeterotestError):
 
 
 class ExplosionBoundExceeded(HeterotestError):
-    """An enumeration exceeded its cap: rule assignments, branches, or the
-    cases of a test suite."""
+    """An enumeration exceeded its cap: rule assignments, branches, the
+    values of a memory domain, or the cases of a test suite."""
 
 
 class NondeterministicInput(HeterotestError):

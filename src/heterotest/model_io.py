@@ -648,13 +648,13 @@ def htrace_to_dict(trace: HeteroticTrace) -> Dict[str, Any]:
 
 def product_summary_to_dict(model: Sxm) -> Dict[str, Any]:
     """Product machines hold built-in functions, so they are summarised
-    (alphabets, states, arcs, domain size) rather than re-loadable."""
-    values, exhaustive = model.memory_values()
+    (alphabets, states, arcs, domain size) rather than re-loadable.  The
+    domain's size is read from its declaration; no value is built."""
     return dict(
         _machine_header(model),
         functions=sorted(model.functions),
-        memory_size=len(values),
-        memory_exhaustive=exhaustive,
+        memory_size=model.memory_domain.size,
+        memory_exhaustive=model.memory_domain.exhaustive,
     )
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import weakref
 from functools import cached_property, lru_cache
+from itertools import product
+from math import prod
 from typing import (
     Callable,
     Dict,
@@ -24,7 +26,13 @@ from typing import (
     TypeVar,
 )
 
-from .errors import BranchBoundExceeded, MissingSampleError, TermError, Violation
+from .errors import (
+    BranchBoundExceeded,
+    ExplosionBoundExceeded,
+    MissingSampleError,
+    TermError,
+    Violation,
+)
 from .records import aside, record
 from .terms import Pattern, Term, parse_expr, parse_pattern
 from .values import RESERVED_ATOMS, Value, is_value, render, sort_key
@@ -34,12 +42,24 @@ T = TypeVar("T")
 
 # The simultaneous-branch bound of every machine run, read where it is checked.
 BRANCH_BOUND = 256
+# The most values a memory domain may enumerate, checked from its declared
+# size before any value is built.  The largest domain among the shipped
+# models, the test models and the perfbench/gen.py inputs at seeds 0-31 is
+# the memory of a three-component heterotic_suite system's product, 110,592
+# values; no machine or component declares more than 8.  A machine of two
+# inputs at the cap validates in about 2 s and 230 MB.
+DOMAIN_CAP = 200_000
 
 
 class ProcessingFunction:
-    """A named partial function memory x input -> output x memory."""
+    """A named partial function memory x input -> output x memory.
+
+    ``candidate_inputs``, where not None, holds in sorted order every input
+    on which the function may be defined.
+    """
 
     name: str
+    candidate_inputs: Optional[Tuple[str, ...]] = None
 
     def evaluate(self, memory: Value, input_symbol: str) -> Optional[Tuple[str, Value]]:
         raise NotImplementedError
@@ -167,29 +187,65 @@ class CaseFunction(ProcessingFunction):
 
 @record
 class MemoryDomain:
-    """Declared memory domain: finite set, integer range, or open + sample.
+    """Declared memory domain: finite set, integer range, open + sample, or
+    the product of other domains (a product machine's memory).
 
     Open domains must carry a finite test sample; checks that quantify over
-    memory then report "sampled, not exhaustive".
+    memory then report "sampled, not exhaustive".  A product is open when
+    any of its parts is.
     """
 
-    kind: str  # "set" | "range" | "open"
+    kind: str  # "set" | "range" | "open" | "product"
     values: Tuple[Value, ...] = ()
     low: int = 0
     high: int = -1
     sample: Tuple[Value, ...] = ()
+    parts: Tuple["MemoryDomain", ...] = ()
 
-    def enumerate(self) -> Tuple[Tuple[Value, ...], bool]:
-        """Return (values, exhaustive)."""
+    @property
+    def size(self) -> int:
+        """The number of values :meth:`enumerate` returns, read from the
+        declaration alone."""
         if self.kind == "set":
-            return self.values, True
+            return len(self.values)
         if self.kind == "range":
-            return tuple(range(self.low, self.high + 1)), True
+            return max(0, self.high - self.low + 1)
+        if self.kind == "open":
+            return len(self.sample)
+        if self.kind == "product":
+            return prod(part.size for part in self.parts)
+        raise ValueError(f"unknown domain kind {self.kind!r}")
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.kind != "open" and all(part.exhaustive for part in self.parts)
+
+    def enumerate(self, owner: str) -> Tuple[Tuple[Value, ...], bool]:
+        """Return (values, exhaustive): a declared domain's values in
+        declared order, a product's tuples in the order of
+        :func:`itertools.product` over its parts, or an open domain's sample.
+
+        A domain of more than ``DOMAIN_CAP`` values raises
+        :class:`ExplosionBoundExceeded` naming ``owner``, the model that
+        declares it, before any value is built.
+        """
+        size, cap = self.size, DOMAIN_CAP
+        if size > cap:
+            raise ExplosionBoundExceeded(
+                f"memory domain of {owner} has {size} values, more than the cap of {cap}"
+            )
+        return self._values(), self.exhaustive
+
+    def _values(self) -> Tuple[Value, ...]:
+        if self.kind == "set":
+            return self.values
+        if self.kind == "range":
+            return tuple(range(self.low, self.high + 1))
         if self.kind == "open":
             if not self.sample:
                 raise MissingSampleError("open memory domain declares no test sample")
-            return self.sample, False
-        raise ValueError(f"unknown domain kind {self.kind!r}")
+            return self.sample
+        return tuple(product(*(part._values() for part in self.parts)))
 
     def contains(self, v: Value) -> Optional[bool]:
         """True/False for declared domains, None (unknown) for open ones."""
@@ -197,6 +253,9 @@ class MemoryDomain:
             return v in self.values
         if self.kind == "range":
             return isinstance(v, int) and not isinstance(v, bool) and self.low <= v <= self.high
+        if self.kind == "product" and self.exhaustive:
+            return (isinstance(v, tuple) and len(v) == len(self.parts)
+                    and all(map(MemoryDomain.contains, self.parts, v)))
         return None
 
 
@@ -223,7 +282,7 @@ class Sxm:
     next_state: Mapping[Tuple[str, str], Tuple[str, ...]]
 
     def memory_values(self) -> Tuple[Tuple[Value, ...], bool]:
-        return self.memory_domain.enumerate()
+        return self.memory_domain.enumerate(self.name)
 
     @cached_property
     def arcs_by_state(self) -> Mapping[str, Tuple[Tuple[str, Tuple[str, ...]], ...]]:
@@ -372,7 +431,7 @@ def point_violations(model, prefix: str, tables, tails, out_ports) -> list[Viola
     ``out_ports``.  ``prefix`` starts every ``where``.
     """
     try:
-        values, _ = model.memory_domain.enumerate()
+        values, _ = model.memory_domain.enumerate(model.name)
     except MissingSampleError:
         return [Violation(f"{prefix}memory_domain", "open domain declares no test sample")]
     for v in values:
@@ -394,7 +453,7 @@ def _point(m: Value, tail) -> str:
 @lru_cache(maxsize=4096)
 def _domain_violations(where, cases, domain, tails, out_ports) -> Tuple[Violation, ...]:
     table = table_for(cases)
-    values, _ = domain.enumerate()
+    values, _ = domain.enumerate(where)
     out = []
     overlap_reported = set()
     for m in values:

@@ -234,11 +234,13 @@ def _choose_input(model: Sxm, inputs, memory, fell_back: bool, fn_name: str):
     Returns (input, memory after it, fell back): the smallest input on
     which the function is defined at ``memory``; where it is defined on
     none, and at every step after that, ``inputs[0]``, with the translation
-    fallen back and the memory dropped.
+    fallen back and the memory dropped.  A function's ``candidate_inputs``,
+    where it has them, are the only inputs tried.
     """
     if not fell_back:
         fn = model.functions[fn_name]
-        for sym in inputs:
+        candidates = fn.candidate_inputs
+        for sym in inputs if candidates is None else candidates:
             result = fn.evaluate(memory, sym)
             if result is not None:
                 return sym, result[1], False

@@ -5,18 +5,26 @@ so the step graphs of a system and of its product machine compare edge by
 edge.
 """
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 from heterotest.csxms import (
+    TUPLE_SEPARATOR,
     ProductFunction,
     SystemCore,
-    decode_tuple_atom,
     encode_tuple_atom,
 )
 from heterotest.sxm import Sxm
 from heterotest.values import NULL, Value
 
 ProductCore = Tuple[Value, str]  # (product memory, product state atom)
+
+
+def decode_tuple_atom(atom: str, n: int) -> Optional[Tuple[str, ...]]:
+    """The ``n`` parts of a product symbol, or None for any other atom."""
+    if not (atom.startswith("(") and atom.endswith(")")):
+        return None
+    parts = tuple(atom[1:-1].split(TUPLE_SEPARATOR))
+    return parts if len(parts) == n else None
 
 
 def core_to_product(core: SystemCore) -> ProductCore:

@@ -1,7 +1,7 @@
-"""The exploration caps, the machine branch bound, the suite case cap and
-the communication symbol are module constants, read where they are
-checked: no entry point takes one as a parameter, and a test sets one with
-``monkeypatch``."""
+"""The exploration caps, the machine branch bound, the memory-domain and
+suite case caps and the communication symbol are module constants, read
+where they are checked: no entry point takes one as a parameter, and a
+test sets one with ``monkeypatch``."""
 
 import inspect
 
@@ -34,6 +34,7 @@ CAP_NAMES = {"cap", "assignment_cap", "branch_cap", "branch_bound", "comm_symbol
 def test_the_constants():
     assert (psystem.ASSIGNMENT_CAP, psystem.BRANCH_CAP) == (10_000, 10_000)
     assert sxm.BRANCH_BOUND == 256
+    assert sxm.DOMAIN_CAP == 200_000
     assert testgen.CASE_CAP == 100_000
     assert csxms.COMM_SYMBOL == "a"
     assert not hasattr(errors, "DEFAULT_BRANCH_BOUND")

@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 
 from gen_models import random_csxm_system
-from product_walk import core_to_product, product_core_successors
+from product_walk import core_to_product, decode_tuple_atom, product_core_successors
 
 from heterotest.csxms import (
     ORDINARY,
@@ -17,7 +17,6 @@ from heterotest.csxms import (
     CsxmSystem,
     build_product_sxm,
     check_csxm_dft,
-    decode_tuple_atom,
     encode_tuple_atom,
     extend_for_testing,
     generate_csxms_test_suite,

@@ -123,7 +123,7 @@ def test_sample_growth_never_turns_fail_into_pass():
 
     for seed in range(20):
         model = random_messy_sxm(seed)
-        values, _ = model.memory_domain.enumerate()
+        values, _ = model.memory_domain.enumerate(model.name)
         small = replace(model, memory_domain=MemoryDomain(kind="set", values=values[:1]))
         big = replace(model, memory_domain=MemoryDomain(kind="set", values=values))
         small_report = check_dft(small)
@@ -135,7 +135,7 @@ def test_sample_growth_never_turns_fail_into_pass():
 
 def _brute_force_conditions(model):
     """Independent re-implementation for cross-checking exhaustive passes."""
-    values, _ = model.memory_domain.enumerate()
+    values, _ = model.memory_domain.enumerate(model.name)
     inputs = sorted(model.inputs)
     fns = sorted(model.functions)
     attached = {}

@@ -48,7 +48,7 @@ class TestWrap:
 
     def test_memory_sample_holds_trajectory(self, ps2):
         base = wrap_psystem_as_csxm(ps2, 10, seed=0)
-        values, exhaustive = base.memory_domain.enumerate()
+        values, exhaustive = base.memory_domain.enumerate(base.name)
         assert not exhaustive
         keys = {config_canonical(tuple(v)) for v in values}
         assert ("s", "t") in keys and ("abe", "b") in keys
@@ -171,7 +171,9 @@ class TestIntegrationSuite:
         assert any(case.expected_outputs for case in suite.cases)
 
     def test_nonempty_cases_replay_on_system_step(self, ps2_heterotic):
-        from heterotest.csxms import decode_tuple_atom, extend_for_testing
+        from product_walk import decode_tuple_atom
+
+        from heterotest.csxms import extend_for_testing
 
         ext = extend_for_testing(ps2_heterotic.as_system)
         suite = generate_integration_tests(ps2_heterotic, 0)

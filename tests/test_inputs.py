@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from heterotest import sxm
 from heterotest.cli import main
 from test_cli import ENV
 
@@ -396,6 +397,51 @@ def test_suite_past_the_case_cap_exits_two(models_dir, target, model, k):
     assert "Traceback" not in proc.stderr
     assert f"more than 100000 cases in the W-method suite at k={k} (" in proc.stderr
     assert time.monotonic() - started < 5
+
+
+def _wide_system(path, high):
+    """A system file whose first component declares the range [0, high]."""
+    from test_csxms import two_component_toy
+
+    from heterotest.model_io import csxm_to_dict
+
+    components = [csxm_to_dict(comp) for comp in two_component_toy().components]
+    components[0]["memory_domain"] = {"range": [0, high]}
+    path.write_text(json.dumps({"schema": 1, "name": "wide", "components": components}),
+                    encoding="utf-8")
+    return str(path)
+
+
+def _child_cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+@pytest.mark.parametrize("high", [3_000_000, 1_000_000_000])
+def test_memory_domain_past_the_cap_exits_two(models_dir, tmp_path, high):
+    # before, under a 1.5 GB address-space limit, each command ran 17-26 s
+    # over [0, 3000000] to 1.2-1.3 GB and a MemoryError traceback, exit 1,
+    # and raised it at once over [0, 1000000000]; the domain's size is read
+    # from its declaration, so each command stops before a value is built
+    shutil.copy(models_dir / "counter.json", tmp_path / "counter.json")
+    machine = _edit(tmp_path / "counter.json",
+                    lambda d: d.update(memory_domain={"range": [0, high]}))
+    system = _wide_system(tmp_path / "wide.json", high)
+    rows = [(args + [machine], "counter")
+            for args in (["validate"], ["validate", "--dft"], ["gen-tests", "sxm"], ["mutate"])]
+    rows += [(["validate", system], "left"), (["product", system], "left")]
+    for args, owner in rows:
+        before = _child_cpu_s()
+        proc = subprocess.run(
+            [sys.executable, "-m", "heterotest.cli"] + args,
+            capture_output=True, text=True, env=ENV, timeout=60,
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: memory domain of {owner} has {high + 1} values, "
+                               f"more than the cap of {sxm.DOMAIN_CAP}\n"), args
+        assert _child_cpu_s() - before < 1, args
 
 
 def _replies(final):

@@ -55,7 +55,7 @@ def reference_validate_sxm(model):
                 out.append(Violation(where, f"output {case.output!r} not in the output alphabet"))
 
     try:
-        values, _ = domain.enumerate()
+        values, _ = domain.enumerate(model.name)
     except MissingSampleError:
         out.append(Violation("memory_domain", "open domain declares no test sample"))
         return out
@@ -72,7 +72,7 @@ def reference_validate_sxm(model):
 
 def reference_domain_violations(name, cases, domain, inputs):
     fn = CaseFunction(name, cases)
-    values, _ = domain.enumerate()
+    values, _ = domain.enumerate(name)
     out = []
     overlap_reported = set()
     for m in values:
@@ -273,7 +273,7 @@ def test_generation_reuses_the_entries_validation_filled():
         for comp in system.components:
             for name, fn in comp.functions.items():
                 table = table_for(fn.cases)
-                points = {(m, sym, port) for m in comp.memory_domain.enumerate()[0]
+                points = {(m, sym, port) for m in comp.memory_domain.enumerate(comp.name)[0]
                           for sym in comp.inputs | {NULL}
                           for port in [BOTTOM_M] + list(comp.in_port_domain)}
                 assert points <= set(table.entries), (seed, comp.name, name)

@@ -263,7 +263,7 @@ def test_advance_stutters_on_every_halted_trajectory_end():
 def _points(comp):
     """Every memory value and port value the component declares, each also
     tried as the other, plus the undefined port value."""
-    memories, _ = comp.memory_domain.enumerate()
+    memories, _ = comp.memory_domain.enumerate(comp.name)
     values = list(memories) + list(comp.in_port_domain) + list(comp.out_port_domain)
     ports = [BOTTOM_M] + values
     inputs = sorted(comp.inputs | {NULL, "a"})

@@ -209,7 +209,7 @@ class TestSerialization:
             assert sxm_to_dict(again) == sxm_to_dict(model)
 
     def test_domain_enumeration(self):
-        assert MemoryDomain(kind="range", low=0, high=3).enumerate() == ((0, 1, 2, 3), True)
-        assert MemoryDomain(kind="open", sample=(1,)).enumerate() == ((1,), False)
+        assert MemoryDomain(kind="range", low=0, high=3).enumerate("m") == ((0, 1, 2, 3), True)
+        assert MemoryDomain(kind="open", sample=(1,)).enumerate("m") == ((1,), False)
         with pytest.raises(MissingSampleError):
-            MemoryDomain(kind="open").enumerate()
+            MemoryDomain(kind="open").enumerate("m")
