@@ -459,37 +459,48 @@ def _compartment_id(key: str) -> Optional[int]:
 
 
 def psystem_from_dict(d: Mapping, default_name: str = "psystem") -> PSystem:
+    return psystem_reader()(d, default_name)
+
+
+def psystem_reader() -> Callable[[Mapping, str], PSystem]:
+    """:func:`psystem_from_dict` for files that share rules, as the mutants
+    of one system do: ``read(d, default_name)`` checks and builds each
+    distinct rule entry of a compartment once, keyed by its canonical JSON
+    text, and every system holding it shares the one :class:`PRule`."""
     from .psystem import PRule, PSystem
 
-    check_fields(d, _PSYSTEM, "psystem")
-    parent: Dict[int, Optional[int]] = {}
-    _structure_from_json(d["structure"], None, parent, "structure")
-    n = len(parent)
-    # a compartment the file leaves out starts empty
-    initial = config_from_json({**dict.fromkeys(map(str, range(1, n + 1)), ""), **d["initial"]},
-                               n, "initial")
-    rules = []
-    for comp_str, bodies in sorted(d["rules"].items()):
-        comp = _compartment_id(comp_str)
-        if comp is None:
-            raise SchemaError(f"psystem: rules key {comp_str!r} is not a compartment id")
-        for entry in bodies:
-            check_fields(entry, _RULE, f"rules[{comp_str}][]")
-            rules.append(
-                PRule(
-                    name=entry["name"],
-                    compartment=comp,
-                    lhs=Multiset.from_string(entry["lhs"]),
-                    rhs=tuple(map(tuple, entry["rhs"])),
-                )
-            )
-    return PSystem(
-        name=d.get("name", default_name),
-        alphabet=frozenset(d["alphabet"]),
-        parent=parent,
-        initial=initial,
-        rules=tuple(rules),
-    )
+    known: Dict[tuple, PRule] = {}
+
+    def read(d: Mapping, default_name: str) -> PSystem:
+        check_fields(d, _PSYSTEM, "psystem")
+        parent: Dict[int, Optional[int]] = {}
+        _structure_from_json(d["structure"], None, parent, "structure")
+        n = len(parent)
+        # a compartment the file leaves out starts empty
+        initial = config_from_json({**dict.fromkeys(map(str, range(1, n + 1)), ""),
+                                    **d["initial"]}, n, "initial")
+        rules = []
+        for comp_str, bodies in sorted(d["rules"].items()):
+            comp = _compartment_id(comp_str)
+            if comp is None:
+                raise SchemaError(f"psystem: rules key {comp_str!r} is not a compartment id")
+            for entry in bodies:
+                try:
+                    key = (comp, json.dumps(entry, sort_keys=True))
+                except (TypeError, ValueError):  # not JSON; check_fields says why
+                    key = None
+                rule = known.get(key)
+                if rule is None:
+                    check_fields(entry, _RULE, f"rules[{comp_str}][]")
+                    rule = PRule(entry["name"], comp, Multiset.from_string(entry["lhs"]),
+                                 tuple(map(tuple, entry["rhs"])))
+                    if key is not None:
+                        known[key] = rule
+                rules.append(rule)
+        return PSystem(d.get("name", default_name), frozenset(d["alphabet"]), parent, initial,
+                       tuple(rules))
+
+    return read
 
 
 # --- traces, reports, suites ---------------------------------------------------

@@ -17,7 +17,7 @@ from .model_io import (
     MUTANT,
     MUTANTS,
     check_fields,
-    psystem_from_dict,
+    psystem_reader,
     psystem_to_dict,
     sxm_from_dict,
     sxm_to_dict,
@@ -28,7 +28,7 @@ from .records import record, replace
 # The machine and the P-system code each import their own model module
 # when they run, so mutating or scoring one kind never executes the other.
 if TYPE_CHECKING:
-    from .psystem import PConfiguration, PRule, PSystem
+    from .psystem import PConfiguration, PRule, PSystem, StepEngine
     from .sxm import Case, CaseFunction, Sxm, TestSuite
 
 SXM_OPERATORS = (
@@ -350,13 +350,24 @@ class ScoreReport:
         return self.killed / self.total if self.total else 0.0
 
 
-def _reachable_within(ps: PSystem, depth: int) -> set:
-    """Canonical forms of every configuration on any branch within depth:
-    the nodes of the configuration DAG, without a branch cap."""
-    from .psystem import config_canonical, explore
+def _reachable_within(ps: PSystem, depth: int, engine: Optional[StepEngine] = None) -> set:
+    """Canonical forms of every configuration on any branch within depth,
+    without a branch cap: the nodes of :func:`psystem.explore`'s DAG,
+    found by a breadth-first walk on ``engine`` (a fresh one when None)
+    that expands each configuration once, in the order ``explore`` does."""
+    from .psystem import StepEngine, config_canonical
 
-    dag = explore(ps, depth, capped=False)
-    return {config_canonical(cfg) for layer in dag.layers for cfg in layer}
+    step = (engine or StepEngine()).stepper(ps)
+    seen, frontier = {ps.initial}, [ps.initial]
+    for _ in range(depth):
+        fresh = []
+        for cfg in frontier:
+            for _, successor in step(cfg):
+                if successor not in seen:
+                    seen.add(successor)
+                    fresh.append(successor)
+        frontier = fresh
+    return {config_canonical(cfg) for cfg in seen}
 
 
 def _score(
@@ -531,13 +542,16 @@ def score_psystem_testset(
     depth: int,
 ) -> ScoreReport:
     """A mutant is killed when some test-set configuration is unreachable in
-    it within the generation depth."""
-    from .psystem import config_canonical, render_config
+    it within the generation depth.  Every mutant is walked on one
+    :class:`psystem.StepEngine`, so a compartment that several mutants
+    share is enumerated once."""
+    from .psystem import StepEngine, config_canonical, render_config
 
     member_keys = [config_canonical(tuple(m)) for m in members]
+    engine = StepEngine()
 
     def kill_witness(model: PSystem) -> Optional[str]:
-        reachable = _reachable_within(model, depth)
+        reachable = _reachable_within(model, depth, engine)
         for member, key in zip(members, member_keys):
             if key not in reachable:
                 return render_config(member)
@@ -591,9 +605,11 @@ def mutants_to_dict(kind: str, batch: MutantBatch) -> Dict[str, object]:
 def mutants_from_dict(d) -> Tuple[str, MutantBatch]:
     check_fields(d, MUTANTS, "mutants")
     kind = d["kind"]
-    build = sxm_from_dict if kind == "sxm" else psystem_from_dict
+    # the mutants of one system share its rules: each is parsed once
+    build = sxm_from_dict if kind == "sxm" else psystem_reader()
     entries = [check_fields(e, MUTANT, f"mutants[{i}]") for i, e in enumerate(d["mutants"])]
+    # each kind's default model name is the kind
     mutants = tuple(
-        Mutant(e["base"], e["operator"], e["location"], build(e["model"])) for e in entries
+        Mutant(e["base"], e["operator"], e["location"], build(e["model"], kind)) for e in entries
     )
     return kind, MutantBatch(mutants, d.get("invalid", 0), d.get("duplicates", 0))

@@ -7,13 +7,17 @@ of rule instances per compartment such that no further instance of any rule
 is applicable to the leftover symbols.  Configurations compare by the
 canonical multiset string of each compartment.
 
-Every all-branch consumer (``psystem_run(mode="all")``, rule coverage, the
-coverage test set and mutant reachability) works on one layered
-configuration DAG built by :func:`explore`, which enumerates the steps of
-each distinct configuration once instead of once per computation reaching
-it.  Rule coverage and the coverage test set pick each rule's witness on
-the DAG (:func:`_witnesses`) and build no computation but the witnesses;
-only ``psystem_run``, which serves ``simulate``, lists every computation.
+Every step, all-branch or seeded, comes from one :class:`StepEngine`, which
+enumerates each compartment's maximal choices once per (rules, multiset)
+for as long as one call lasts.  Every all-branch consumer
+(``psystem_run(mode="all")``, rule coverage and the coverage test set)
+works on one layered configuration DAG built by :func:`explore`, which
+expands each distinct configuration once instead of once per computation
+reaching it; mutant reachability walks the same configurations without
+building the DAG.  Rule coverage and the coverage test set pick each
+rule's witness on the DAG (:func:`_witnesses`) and build no computation
+but the witnesses; only ``psystem_run``, which serves ``simulate``, lists
+every computation.
 
 Two module constants bound every exploration, and each is read where it is
 checked: ``ASSIGNMENT_CAP`` rule assignments at one configuration, in one
@@ -25,6 +29,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from itertools import product
+from operator import ge, sub
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import ExplosionBoundExceeded, Violation
@@ -261,108 +267,97 @@ def validate_psystem(ps: PSystem) -> list[Violation]:
 def _compartment_maximal_multisets(
     rules: Sequence[PRule], available: Multiset
 ) -> list[Tuple[Tuple[str, int], ...]]:
-    """All maximal rule-instance multisets for one compartment."""
+    """All maximal rule-instance multisets for one compartment.
+
+    Multisets are counted as tuples over the symbols some left-hand side
+    names, the only ones that decide applicability."""
     results: list[Tuple[Tuple[str, int], ...]] = []
     cap = ASSIGNMENT_CAP
+    symbols = sorted({sym for r in rules for sym in r.lhs.symbols()})
+    needs = [tuple(map(r.lhs.count, symbols)) for r in rules]
     # a rule whose lhs symbols no later rule consumes still applies to the
     # leftover of any smaller count, so only its largest can be maximal
     only_largest, later = [False] * len(rules), set()
     for idx in range(len(rules) - 1, -1, -1):
-        symbols = rules[idx].lhs.symbols()
-        only_largest[idx] = later.isdisjoint(symbols)
-        later.update(symbols)
+        used = rules[idx].lhs.symbols()
+        only_largest[idx] = later.isdisjoint(used)
+        later.update(used)
 
-    def applicable(leftover: Multiset) -> bool:
-        return any(r.lhs <= leftover for r in rules)
-
-    def dfs(idx: int, leftover: Multiset, chosen: list[Tuple[str, int]]):
+    def dfs(idx: int, leftover: Tuple[int, ...], chosen: list[Tuple[str, int]]):
         if len(results) > cap:
             raise ExplosionBoundExceeded(f"more than {cap} rule assignments in one compartment")
         if idx == len(rules):
-            if not applicable(leftover):
+            if not any(all(map(ge, leftover, need)) for need in needs):
                 results.append(tuple((n, c) for n, c in chosen if c > 0))
             return
-        rule = rules[idx]
+        name, need = rules[idx].name, needs[idx]
         if only_largest[idx]:
-            count = min(leftover.count(sym) // n for sym, n in rule.lhs.items())
-            chosen.append((rule.name, count))
-            dfs(idx + 1, leftover - rule.lhs.scaled(count) if count else leftover, chosen)
+            count = min(have // n for have, n in zip(leftover, need) if n)
+            chosen.append((name, count))
+            dfs(idx + 1, tuple(have - n * count for have, n in zip(leftover, need)), chosen)
             chosen.pop()
             return
         # each count's leftover is the previous count's minus one lhs
         count, remaining = 0, leftover
         while True:
-            chosen.append((rule.name, count))
+            chosen.append((name, count))
             dfs(idx + 1, remaining, chosen)
             chosen.pop()
-            if not rule.lhs <= remaining:
+            if not all(map(ge, remaining, need)):
                 break
-            count, remaining = count + 1, remaining - rule.lhs
+            count, remaining = count + 1, tuple(map(sub, remaining, need))
 
-    dfs(0, available, [])
+    dfs(0, tuple(map(available.count, symbols)), [])
     return sorted(set(results))
 
 
-def maximal_rule_multisets(ps: PSystem, cfg: PConfiguration) -> list[Assignment]:
-    """Every maximally parallel assignment at ``cfg``.
+def _fire(rule_of: Callable[[str], PRule], comp: int, fired: Tuple[Tuple[str, int], ...]):
+    """What the rule instances ``fired`` in compartment ``comp`` take from
+    it, symbol -> count, and give, compartment index -> symbol -> count;
+    ``rule_of`` looks a rule up by name."""
+    taken: Dict[str, int] = {}
+    given: Dict[int, Dict[str, int]] = {}
+    for name, count in fired:
+        rule = rule_of(name)
+        if rule.compartment != comp:
+            raise ValueError(f"rule {name} fired in wrong compartment {comp}")
+        if count < 0:
+            raise ValueError(f"negative count for rule {name}")
+        for sym, n in rule.lhs.items():
+            taken[sym] = taken.get(sym, 0) + n * count
+        for sym, target in rule.rhs:
+            into = given.setdefault(comp - 1 if target == HERE else target - 1, {})
+            into[sym] = into.get(sym, 0) + count
+    return taken, given
 
-    Applicability depends only on each compartment's own multiset, so
-    per-compartment maximal choices combine as a Cartesian product.  The
-    output ordering is canonical.  Raises
-    :class:`ExplosionBoundExceeded` past ``ASSIGNMENT_CAP`` enumerated
-    assignments, before building a product that would pass it.
-    """
-    per_comp: list[list] = []
-    for comp in ps.compartments():
-        per_comp.append(_compartment_maximal_multisets(ps.rules_in(comp), cfg[comp - 1]))
-    cap = ASSIGNMENT_CAP
-    combos: list[Assignment] = [()]
-    for choices in per_comp:
-        if len(combos) * len(choices) > cap:
-            raise ExplosionBoundExceeded(f"more than {cap} combined rule assignments")
-        combos = [prefix + (choice,) for prefix in combos for choice in choices]
-    return sorted(combos)
+
+def _moved(source: Multiset, taken: Mapping[str, int], given: Mapping[str, int],
+           comp: int) -> Multiset:
+    """Compartment ``comp``'s ``source`` less ``taken`` plus ``given``; a
+    compartment that neither loses nor gains keeps its multiset."""
+    if not taken and not given:
+        return source
+    counts = dict(source.items())
+    for sym, n in taken.items():
+        left = counts.get(sym, 0) - n
+        if left < 0:
+            raise ValueError(f"assignment consumes more than compartment {comp} holds")
+        counts[sym] = left
+    for sym, n in given.items():
+        counts[sym] = counts.get(sym, 0) + n
+    return Multiset(counts)
 
 
 def apply_assignment(ps: PSystem, cfg: PConfiguration, assignment: Assignment) -> PConfiguration:
     """Fire one assignment: per compartment,
-    result = source - consumed lhs + deposited rhs (here + incoming).
-
-    Each compartment's change is summed in one symbol -> count dict; a
-    compartment the assignment leaves untouched keeps its multiset."""
-    consumed: list[Dict[str, int]] = [{} for _ in cfg]
-    deposited: list[Dict[str, int]] = [{} for _ in cfg]
-    for comp_idx, comp_fired in enumerate(assignment):
-        comp = comp_idx + 1
-        taken = consumed[comp_idx]
-        for name, count in comp_fired:
-            rule = ps.rule(name)
-            if rule.compartment != comp:
-                raise ValueError(f"rule {name} fired in wrong compartment {comp}")
-            if count < 0:
-                raise ValueError(f"negative count for rule {name}")
-            for sym, n in rule.lhs.items():
-                taken[sym] = taken.get(sym, 0) + n * count
-            for sym, target in rule.rhs:
-                given = deposited[comp_idx if target == HERE else target - 1]
-                given[sym] = given.get(sym, 0) + count
-    result = []
-    for idx, source in enumerate(cfg):
-        taken, given = consumed[idx], deposited[idx]
-        if not taken and not given:
-            result.append(source)
-            continue
-        counts = dict(source.items())
-        for sym, n in taken.items():
-            left = counts.get(sym, 0) - n
-            if left < 0:
-                raise ValueError(
-                    f"assignment consumes more than compartment {idx + 1} holds"
-                )
-            counts[sym] = left
-        for sym, n in given.items():
-            counts[sym] = counts.get(sym, 0) + n
-        result.append(Multiset(counts))
+    result = source - consumed lhs + deposited rhs (here + incoming)."""
+    fired = [_fire(ps.rule, comp, comp_fired) for comp, comp_fired in enumerate(assignment, 1)]
+    result = list(cfg)
+    for idx, (taken, given) in enumerate(fired):
+        result[idx] = _moved(cfg[idx], taken, given.pop(idx, {}), idx + 1)
+    for _, given in fired:
+        for target, counts in given.items():
+            result[target] = _moved(result[target], {}, counts, target + 1)
     return tuple(result)
 
 
@@ -374,11 +369,105 @@ def is_halting(ps: PSystem, cfg: PConfiguration) -> bool:
     return True
 
 
+class StepEngine:
+    """Maximally parallel steps of P systems, each compartment's work done
+    once for as long as the engine lives: one exploration, one seeded run
+    or one scoring call.
+
+    Applicability depends only on a compartment's own multiset, so its
+    maximal choices are kept by (the compartment's rules, its multiset),
+    whatever system or configuration they are met in, and with each
+    choice, once fired, its compartment's own result and what it deposits
+    in other compartments.  A compartment's result with one such deposit
+    added is interned by (result, deposit).  A multiset whose enumeration
+    passed ``ASSIGNMENT_CAP`` keeps the message, raised wherever it is met.
+    """
+
+    def __init__(self):
+        # rules -> multiset -> [choices, moves once fired] or a cap message
+        self._tables: Dict[Tuple[PRule, ...], Dict[Multiset, object]] = {}
+        self._received: Dict[Tuple[Multiset, tuple], Multiset] = {}
+
+    def stepper(self, ps: PSystem) -> Callable[[PConfiguration], list]:
+        """``step(cfg)``: the :func:`step_choices` of ``cfg`` in ``ps``.
+        Every compartment is enumerated, in order, before the combined
+        count is checked; each one's choices are sorted, so their product
+        is too."""
+        parts = [(self._tables.setdefault(ps.rules_in(comp), {}), ps.rules_in(comp), comp)
+                 for comp in ps.compartments()]
+        received = self._received
+
+        def entry(table, rules, comp, held):
+            found = table.get(held)
+            if found is None:
+                try:
+                    # where no rule applies, only the empty choice is maximal
+                    found = [tuple(_compartment_maximal_multisets(rules, held))
+                             if any(r.lhs <= held for r in rules) else ((),), None]
+                except ExplosionBoundExceeded as exc:
+                    found = str(exc)
+                table[held] = found
+            if found.__class__ is str:
+                raise ExplosionBoundExceeded(found)
+            return found
+
+        def moves(rules, comp, held, choices):
+            # the first rule of a name, as PSystem.rule finds it
+            rule_of = {r.name: r for r in reversed(rules)}.__getitem__
+            out = []
+            for choice in choices:
+                taken, given = _fire(rule_of, comp, choice)
+                own = _moved(held, taken, given.pop(comp - 1, {}), comp)
+                out.append((choice, own, tuple((idx, tuple(counts.items()))
+                                               for idx, counts in sorted(given.items()))))
+            return out
+
+        def receive(owns, sent):
+            result = list(owns)
+            for deposits in sent:
+                for idx, counts in deposits:
+                    key = (result[idx], counts)
+                    got = received.get(key)
+                    if got is None:
+                        got = received[key] = _moved(result[idx], {}, dict(counts), idx + 1)
+                    result[idx] = got
+            return tuple(result)
+
+        def step(cfg: PConfiguration) -> list:
+            found = [entry(table, rules, comp, held)
+                     for (table, rules, comp), held in zip(parts, cfg)]
+            if not any(e[0][0] for e in found):  # no rule applies anywhere
+                return []
+            combined = 1
+            for e in found:
+                combined *= len(e[0])
+            cap = ASSIGNMENT_CAP
+            if combined > cap:
+                raise ExplosionBoundExceeded(f"more than {cap} combined rule assignments")
+            for e, (_, rules, comp), held in zip(found, parts, cfg):
+                if e[1] is None:
+                    e[1] = moves(rules, comp, held, e[0])
+            out = []
+            for combo in product(*(e[1] for e in found)):
+                fired, owns, sent = zip(*combo)
+                out.append((fired, receive(owns, sent) if any(sent) else owns))
+            return out
+
+        return step
+
+
+def maximal_rule_multisets(ps: PSystem, cfg: PConfiguration) -> list[Assignment]:
+    """Every maximally parallel assignment at ``cfg``, in canonical order;
+    at a halting configuration, the one that fires nothing.  Raises
+    :class:`ExplosionBoundExceeded` past ``ASSIGNMENT_CAP`` enumerated
+    assignments, before building a product that would pass it."""
+    choices = step_choices(ps, cfg)
+    return [a for a, _ in choices] if choices else [((),) * ps.n_compartments]
+
+
 def step_choices(ps: PSystem, cfg: PConfiguration) -> list[Tuple[Assignment, PConfiguration]]:
     """(assignment, successor) pairs; empty exactly at halting configurations."""
-    if is_halting(ps, cfg):
-        return []
-    return [(a, apply_assignment(ps, cfg, a)) for a in maximal_rule_multisets(ps, cfg)]
+    return StepEngine().stepper(ps)(cfg)
 
 
 def seeded_chooser(seed: int) -> Callable[[PConfiguration, int], int]:
@@ -410,14 +499,15 @@ def seeded_trace(
     The configuration reached at ``depth`` is not expanded: only whether it
     halts is checked.
     """
+    step = StepEngine().stepper(ps)
     cfg, steps = start, []
     for _ in range(depth):
-        choices = step_choices(ps, cfg)
+        choices = step(cfg)
         if not choices:
-            return ComputationTrace(start, tuple(steps), halted=True)
+            return ComputationTrace(start, tuple(steps), True)
         assignment, cfg = choices[choose(cfg, len(choices))]
         steps.append(TraceStep(assignment, cfg))
-    return ComputationTrace(start, tuple(steps), halted=is_halting(ps, cfg))
+    return ComputationTrace(start, tuple(steps), is_halting(ps, cfg))
 
 
 @record
@@ -428,8 +518,8 @@ class Exploration:
     steps.  ``layers[i]`` maps each such configuration, in order of first
     appearance on the list of computations, to the number of computations
     that reach it; a layer follows only a layer with a non-halting
-    configuration.  ``steps[cfg]`` holds the :func:`step_choices` of each
-    configuration expanded, once per distinct configuration and as
+    configuration.  ``steps[cfg]`` holds the steps of each configuration
+    expanded, once per distinct configuration and as
     :class:`TraceStep` objects shared by every computation through them.
     A node ends a computation when it halts or lies at ``depth``.
     """
@@ -544,8 +634,8 @@ def explore(ps: PSystem, depth: int, capped: bool = True) -> Exploration:
     """Build the layered configuration DAG of every computation of at most
     ``depth`` steps.
 
-    Each distinct configuration is expanded with :func:`step_choices` once.
-    Raises :class:`ExplosionBoundExceeded` past ``ASSIGNMENT_CAP``
+    Each distinct configuration is expanded once, on one
+    :class:`StepEngine`.  Raises :class:`ExplosionBoundExceeded` past ``ASSIGNMENT_CAP``
     assignments at one configuration, or, when ``capped``, as soon as the
     computations reaching the layer being built number more than
     ``BRANCH_CAP``.
@@ -553,6 +643,7 @@ def explore(ps: PSystem, depth: int, capped: bool = True) -> Exploration:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     branch_cap = BRANCH_CAP if capped else None
+    choices_at = StepEngine().stepper(ps)
     interned: Dict[PConfiguration, PConfiguration] = {ps.initial: ps.initial}
     steps: Dict[PConfiguration, Tuple[TraceStep, ...]] = {}
     layers = [{ps.initial: 1}]
@@ -564,7 +655,7 @@ def explore(ps: PSystem, depth: int, capped: bool = True) -> Exploration:
             if out is None:
                 out = steps[cfg] = tuple(
                     TraceStep(a, interned.setdefault(successor, successor))
-                    for a, successor in step_choices(ps, cfg)
+                    for a, successor in choices_at(cfg)
                 )
             branches += paths * len(out)
             if branch_cap is not None and branches > branch_cap:

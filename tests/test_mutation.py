@@ -1,9 +1,11 @@
+import json
+
 import pytest
 
 from gen_models import random_dft_sxm
 
-from heterotest.errors import EmptyMutantSet, NoValidMutants
-from heterotest.model_io import canonical_json
+from heterotest.errors import EmptyMutantSet, NoValidMutants, SchemaError
+from heterotest.model_io import canonical_json, psystem_from_dict
 from heterotest.multiset import Multiset
 from heterotest.mutation import (
     Mutant,
@@ -193,3 +195,122 @@ class TestScoring:
         one = score_to_dict(score_psystem_testset(ps2, batch, members, 3))
         two = score_to_dict(score_psystem_testset(ps2, batch, members, 3))
         assert canonical_json(one) == canonical_json(two)
+
+
+# --- the mutants parse: the parser that built every rule afresh is the reference ---
+
+
+def reference_psystem_from_dict(d, default_name="psystem"):
+    from heterotest.model_io import (
+        _PSYSTEM, _RULE, _compartment_id, _structure_from_json, check_fields, config_from_json)
+    from heterotest.psystem import PRule
+
+    check_fields(d, _PSYSTEM, "psystem")
+    parent = {}
+    _structure_from_json(d["structure"], None, parent, "structure")
+    n = len(parent)
+    initial = config_from_json({**dict.fromkeys(map(str, range(1, n + 1)), ""), **d["initial"]},
+                               n, "initial")
+    rules = []
+    for comp_str, bodies in sorted(d["rules"].items()):
+        comp = _compartment_id(comp_str)
+        if comp is None:
+            raise SchemaError(f"psystem: rules key {comp_str!r} is not a compartment id")
+        for entry in bodies:
+            check_fields(entry, _RULE, f"rules[{comp_str}][]")
+            rules.append(PRule(name=entry["name"], compartment=comp,
+                               lhs=Multiset.from_string(entry["lhs"]),
+                               rhs=tuple(map(tuple, entry["rhs"]))))
+    return PSystem(name=d.get("name", default_name), alphabet=frozenset(d["alphabet"]),
+                   parent=parent, initial=initial, rules=tuple(rules))
+
+
+def reference_mutants_from_dict(d):
+    from heterotest.model_io import MUTANT, MUTANTS, check_fields, sxm_from_dict
+
+    check_fields(d, MUTANTS, "mutants")
+    kind = d["kind"]
+    build = sxm_from_dict if kind == "sxm" else reference_psystem_from_dict
+    entries = [check_fields(e, MUTANT, f"mutants[{i}]") for i, e in enumerate(d["mutants"])]
+    mutants = tuple(
+        Mutant(e["base"], e["operator"], e["location"], build(e["model"])) for e in entries
+    )
+    return kind, MutantBatch(mutants, d.get("invalid", 0), d.get("duplicates", 0))
+
+
+def _parsed(parse, doc):
+    try:
+        return parse(doc)
+    except SchemaError as exc:
+        return ("raised", str(exc))
+
+
+def _mutants_doc(name, ps2):
+    """The JSON file of every mutant of ``ps2``, ``branch0`` (the
+    benchmark's ladder at seed 0) or ``BRANCHING``, as ``mutate`` writes it."""
+    from test_cli import BRANCHING
+    from test_psystem_dag import _ladder
+
+    if name == "ps2":
+        spec = ps2
+    elif name == "branch0":
+        spec = _ladder(0)[0][0]
+    else:
+        spec = psystem_from_dict(BRANCHING)
+    return json.loads(canonical_json(mutants_to_dict("psystem", enumerate_mutants(spec))))
+
+
+@pytest.mark.parametrize("name", ["ps2", "branch0", "BRANCHING"])
+def test_mutants_parse_as_the_reference_and_share_rules(name, ps2):
+    doc = _mutants_doc(name, ps2)
+    kind, batch = mutants_from_dict(doc)
+    assert (kind, batch) == reference_mutants_from_dict(doc)
+    rules = [r for m in batch for r in m.model.rules]
+    # each distinct rule is one object, shared by every mutant that holds it
+    assert len({id(r) for r in rules}) == len(set(rules)) < len(rules) / 4
+
+
+# Each edit breaks the file at one place; the error must be the reference's.
+_BREAKS = {
+    "no lhs": (lambda d: d["mutants"][3]["model"]["rules"]["1"][0].pop("lhs"),
+               "rules[1][]: missing keys ['lhs']"),
+    "unknown key": (lambda d: d["mutants"][7]["model"]["rules"]["2"][0].update(note="x"),
+                    "rules[2][]: unknown keys ['note']"),
+    "lhs not a string": (lambda d: d["mutants"][9]["model"]["rules"]["1"][1].update(lhs=3),
+                         "rules[1][]: lhs must be a string"),
+    "name not a string": (lambda d: d["mutants"][-1]["model"]["rules"]["1"][0].update(name=5),
+                          "rules[1][]: name must be a string"),
+    "bad target": (lambda d: d["mutants"][5]["model"]["rules"]["2"][0].update(
+        rhs=[["c", "there"]]),
+        'rules[2][]: rhs must be a list of [symbol, target] pairs, target "here" or an id'),
+    "rules key": (lambda d: d["mutants"][4]["model"]["rules"].update(
+        {"01": d["mutants"][4]["model"]["rules"]["1"]}),
+        "psystem: rules key '01' is not a compartment id"),
+    "no alphabet": (lambda d: d["mutants"][2]["model"].pop("alphabet"),
+                    "psystem: missing keys ['alphabet']"),
+    "rule not an object": (lambda d: d["mutants"][6]["model"]["rules"]["1"].append("r"),
+                           "psystem: rules must be an object of lists of objects keyed by "
+                           "compartment id"),
+    "no model": (lambda d: d["mutants"][8].pop("model"), "mutants[8]: missing keys ['model']"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BREAKS))
+def test_a_broken_mutants_file_fails_as_the_reference(name, ps2):
+    # every mutant before the broken one parses and shares its rules first
+    doc = _mutants_doc("ps2", ps2)
+    edit, message = _BREAKS[name]
+    edit(doc)
+    assert _parsed(mutants_from_dict, doc) == _parsed(reference_mutants_from_dict, doc) == (
+        "raised", message)
+
+
+def test_a_rule_entry_is_shared_only_within_its_compartment(ps2):
+    # r11's entry moved to compartment 2 builds a rule of compartment 2
+    doc = _mutants_doc("ps2", ps2)
+    model = doc["mutants"][1]["model"]
+    model["rules"]["2"].append(model["rules"]["1"][0])
+    _, batch = mutants_from_dict(doc)
+    assert batch == reference_mutants_from_dict(doc)[1]
+    moved = [r for r in batch.mutants[1].model.rules if r.name == "r11"]
+    assert [r.compartment for r in moved] == [1, 2]

@@ -1,22 +1,35 @@
-"""Differential checks of the layered configuration DAG.
+"""Differential checks of the layered configuration DAG and of the step
+engine under it.
 
 The path-copying explorations the DAG replaced are kept here as the
 reference: ``reference_run`` copies one path per branch and calls
-``step_choices`` once per path, the coverage set and rule coverage are
-computed from its materialised traces (rule coverage after replaying each
-of them with ``reference_replay``), and reachability is a breadth-first
-search.  On seeded random P systems and on the benchmark's two-compartment
-skeleton, ``psystem_run(mode="all")``, ``rule_coverage(ps, depth)``,
-``generate_coverage_test_set`` and ``mutation._reachable_within`` must give
-identical traces, reports, test sets, reachable sets and cap errors.  The
-caps are module constants of ``psystem``; a check sets them with
-``monkeypatch`` and passes the same values to the reference.
+``reference_step_choices`` once per path, the coverage set and rule
+coverage are computed from its materialised traces (rule coverage after
+replaying each of them with ``reference_replay``), and reachability is a
+breadth-first search.  On seeded random P systems and on the benchmark's
+two-compartment skeleton, ``psystem_run(mode="all")``, ``rule_coverage(ps,
+depth)``, ``generate_coverage_test_set`` and ``mutation._reachable_within``
+must give identical traces, reports, test sets, reachable sets and cap
+errors.  The caps are module constants of ``psystem``; a check sets them
+with ``monkeypatch`` and passes the same values to the reference.
 
 ``reference_apply_assignment`` is the step that sums multisets, kept as the
 reference for ``apply_assignment``, which sums one count dict per
 compartment: both must give equal successors and equal errors.
+
+The step that enumerated and applied every assignment afresh at each call
+is kept as the reference for ``psystem.StepEngine``, which keeps each
+compartment's choices for one call: ``reference_maximal_rule_multisets``,
+``counted_apply_assignment``, ``reference_step_choices``, the DAG built on
+them (``reference_explore``), the reachability read off that DAG
+(``reference_reachable_within``) and the scoring built on it.  DAG layers,
+step order, traces, witnesses, reachable sets, score reports and cap errors
+must agree on random systems, on the benchmark's ladder and on every
+mutant of ``ps2``, ``branch0`` and ``BRANCHING``.
 """
 
+import functools
+import json
 import pathlib
 import random
 import runpy
@@ -27,15 +40,18 @@ from heterotest import psystem
 from heterotest.errors import ExplosionBoundExceeded
 from heterotest.model_io import psystem_from_dict
 from heterotest.multiset import Multiset
-from heterotest.mutation import _reachable_within
+from heterotest.mutation import _reachable_within, _score, enumerate_mutants, score_psystem_testset
 from heterotest.psystem import (
     HERE,
     ComputationTrace,
     CoverageReport,
+    Exploration,
     PRule,
     PSystem,
     RuleCoverage,
+    StepEngine,
     TraceStep,
+    _compartment_maximal_multisets,
     apply_assignment,
     config_canonical,
     explore,
@@ -76,12 +92,122 @@ class TraceReplayMismatch(Exception):
     """A computation trace does not replay against its P system."""
 
 
+# --- the references: a step computed afresh at every call ------------------------
+
+
+def reference_maximal_rule_multisets(ps, cfg):
+    """Every compartment enumerated, the product of their choices checked
+    against the cap and built, then sorted."""
+    per_comp = [_compartment_maximal_multisets(ps.rules_in(comp), cfg[comp - 1])
+                for comp in ps.compartments()]
+    cap = psystem.ASSIGNMENT_CAP
+    combos = [()]
+    for choices in per_comp:
+        if len(combos) * len(choices) > cap:
+            raise ExplosionBoundExceeded(f"more than {cap} combined rule assignments")
+        combos = [prefix + (choice,) for prefix in combos for choice in choices]
+    return sorted(combos)
+
+
+def counted_apply_assignment(ps, cfg, assignment):
+    """One assignment fired by summing one count dict per compartment."""
+    consumed = [{} for _ in cfg]
+    deposited = [{} for _ in cfg]
+    for comp_idx, comp_fired in enumerate(assignment):
+        comp = comp_idx + 1
+        taken = consumed[comp_idx]
+        for name, count in comp_fired:
+            rule = ps.rule(name)
+            if rule.compartment != comp:
+                raise ValueError(f"rule {name} fired in wrong compartment {comp}")
+            if count < 0:
+                raise ValueError(f"negative count for rule {name}")
+            for sym, n in rule.lhs.items():
+                taken[sym] = taken.get(sym, 0) + n * count
+            for sym, target in rule.rhs:
+                given = deposited[comp_idx if target == HERE else target - 1]
+                given[sym] = given.get(sym, 0) + count
+    result = []
+    for idx, source in enumerate(cfg):
+        taken, given = consumed[idx], deposited[idx]
+        if not taken and not given:
+            result.append(source)
+            continue
+        counts = dict(source.items())
+        for sym, n in taken.items():
+            left = counts.get(sym, 0) - n
+            if left < 0:
+                raise ValueError(f"assignment consumes more than compartment {idx + 1} holds")
+            counts[sym] = left
+        for sym, n in given.items():
+            counts[sym] = counts.get(sym, 0) + n
+        result.append(Multiset(counts))
+    return tuple(result)
+
+
+def reference_step_choices(ps, cfg):
+    """(assignment, successor) pairs; empty exactly at halting configurations."""
+    if is_halting(ps, cfg):
+        return []
+    return [(a, counted_apply_assignment(ps, cfg, a))
+            for a in reference_maximal_rule_multisets(ps, cfg)]
+
+
+def reference_explore(ps, depth, capped=True):
+    """The configuration DAG, each configuration expanded once with
+    ``reference_step_choices``."""
+    branch_cap = psystem.BRANCH_CAP if capped else None
+    interned = {ps.initial: ps.initial}
+    steps = {}
+    layers = [{ps.initial: 1}]
+    for _ in range(depth):
+        layer = {}
+        branches = 0
+        for cfg, paths in layers[-1].items():
+            out = steps.get(cfg)
+            if out is None:
+                out = steps[cfg] = tuple(
+                    TraceStep(a, interned.setdefault(successor, successor))
+                    for a, successor in reference_step_choices(ps, cfg))
+            branches += paths * len(out)
+            if branch_cap is not None and branches > branch_cap:
+                raise ExplosionBoundExceeded(f"more than {branch_cap} simultaneous branches")
+            for step in out:
+                layer[step.result] = layer.get(step.result, 0) + paths
+        if not layer:
+            break
+        layers.append(layer)
+    return Exploration(ps, depth, tuple(layers), steps)
+
+
+def reference_reachable_within(ps, depth):
+    """The canonical forms of the nodes of the uncapped reference DAG."""
+    dag = reference_explore(ps, depth, capped=False)
+    return {config_canonical(cfg) for layer in dag.layers for cfg in layer}
+
+
+def reference_score_psystem_testset(spec, mutants, members, depth,
+                                    reachable_within=reference_reachable_within):
+    """Scoring with every mutant walked on its own DAG; ``reachable_within``
+    may answer from reachable sets already computed."""
+    member_keys = [config_canonical(tuple(m)) for m in members]
+
+    def kill_witness(model):
+        reachable = reachable_within(model, depth)
+        for member, key in zip(members, member_keys):
+            if key not in reachable:
+                return render_config(member)
+        return None
+
+    return _score(spec, mutants, kill_witness)
+
+
 def capped_step_choices(ps, cfg, assignment_cap):
-    """``step_choices`` with ``psystem.ASSIGNMENT_CAP`` at
+    """``reference_step_choices`` with ``psystem.ASSIGNMENT_CAP`` at
     ``assignment_cap`` for the call."""
     saved, psystem.ASSIGNMENT_CAP = psystem.ASSIGNMENT_CAP, assignment_cap
     try:
-        return step_choices(ps, cfg)
+        return reference_step_choices(ps, cfg)
     finally:
         psystem.ASSIGNMENT_CAP = saved
 
@@ -204,7 +330,7 @@ def reference_reachable(ps, depth):
         for cfg in frontier:
             if is_halting(ps, cfg):
                 continue
-            for _, successor in step_choices(ps, cfg):
+            for _, successor in reference_step_choices(ps, cfg):
                 key = config_canonical(successor)
                 if key not in seen:
                     seen.add(key)
@@ -281,7 +407,7 @@ def reference_steps(ps, depth):
         for cfg in frontier:
             if is_halting(ps, cfg):
                 continue
-            for assignment in maximal_rule_multisets(ps, cfg):
+            for assignment in reference_maximal_rule_multisets(ps, cfg):
                 pairs.append((cfg, assignment))
                 successor = reference_apply_assignment(ps, cfg, assignment)
                 if successor not in seen:
@@ -522,11 +648,10 @@ def _sort_key_systems():
     0 to 3, each with its depth."""
     from test_cli import BRANCHING
 
-    gen = runpy.run_path(str(GEN))
     systems = [(psystem_from_dict(BRANCHING), 4)]
     for seed in range(4):
-        systems += [(psystem_from_dict(doc), gen["PS_DEPTH"])
-                    for name, doc, _ in gen["psystem_ladder"](seed) if name != "pastcap"]
+        systems += [(ps, depth) for ps, depth in _ladder(seed)
+                    if not ps.name.startswith("pastcap")]
     return systems
 
 
@@ -541,3 +666,238 @@ def test_traces_read_each_canonical_form_once_in_trace_key_order(monkeypatch):
         distinct = {cfg for layer in dag.layers for cfg in layer}
         assert len(forms) == len(distinct) < len(traces)
         assert traces == sorted(traces, key=ComputationTrace.key)
+
+
+# --- the step engine against the step computed afresh ---------------------------
+
+
+def _dag(build, ps, depth, capped=True):
+    """A DAG's layers and steps, each in order, or the cap error raised."""
+    try:
+        dag = build(ps, depth, capped)
+    except ExplosionBoundExceeded as exc:
+        return ("raised", str(exc))
+    return [list(layer.items()) for layer in dag.layers], list(dag.steps.items())
+
+
+def _on_the_reference_dag(monkeypatch, fn, *args):
+    """What ``fn`` gives when every exploration is ``reference_explore``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(psystem, "explore", reference_explore)
+        return _outcome(fn, *args)
+
+
+def _same_as_the_fresh_step(monkeypatch, ps, depths, reads=True):
+    """DAG layers and step order, capped and not; with ``reads``, the
+    traces, rule coverage and coverage test set read off the DAG; the
+    reachable set; and the steps of every configuration met."""
+    for depth in depths:
+        for capped in (True, False):
+            assert (_dag(explore, ps, depth, capped)
+                    == _dag(reference_explore, ps, depth, capped)), (ps.name, depth, capped)
+        reading = (psystem_run, rule_coverage, generate_coverage_test_set)[:3 if depth else 2]
+        for fn in reading if reads else ():
+            assert (_outcome(fn, ps, depth)
+                    == _on_the_reference_dag(monkeypatch, fn, ps, depth)), (ps.name, depth, fn)
+        assert (_outcome(_reachable_within, ps, depth)
+                == _outcome(reference_reachable_within, ps, depth)), (ps.name, depth)
+    dag = explore(ps, max(depths), capped=False)
+    for cfg in dag.steps:
+        assert step_choices(ps, cfg) == reference_step_choices(ps, cfg)
+        assert maximal_rule_multisets(ps, cfg) == reference_maximal_rule_multisets(ps, cfg)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_engine_matches_the_fresh_step_on_random_systems(monkeypatch, seed):
+    _same_as_the_fresh_step(monkeypatch, random_psystem(seed), range(5))
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder(seed):
+    """The benchmark's ladder at ``seed``, each system with its depth."""
+    gen = runpy.run_path(str(GEN))
+    return tuple((psystem_from_dict(doc), gen["PS_DEPTH"])
+                 for _, doc, _ in gen["psystem_ladder"](seed))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_engine_matches_the_fresh_step_on_the_ladder(monkeypatch, seed):
+    # equal DAGs give equal reads, which the random systems check
+    for ps, depth in _ladder(seed):
+        _same_as_the_fresh_step(monkeypatch, ps, (depth,), reads=False)
+
+
+def _spec(name, ps2):
+    """``ps2`` at depth 3, the ladder's ``branch0`` at seed 0 or
+    ``BRANCHING`` at depth 4."""
+    from test_cli import BRANCHING
+
+    if name == "ps2":
+        return ps2, 3
+    if name == "branch0":
+        return _ladder(0)[0]
+    return psystem_from_dict(BRANCHING), 4
+
+
+@pytest.mark.parametrize("name", ["ps2", "branch0", "BRANCHING"])
+def test_every_mutant_walks_as_the_fresh_step(name, ps2):
+    # one engine walks every mutant, as scoring does: a compartment a
+    # mutant changes must never answer from another's tables
+    spec, depth = _spec(name, ps2)
+    batch = enumerate_mutants(spec)
+    assert len(batch) > 50
+    members, _ = generate_coverage_test_set(spec, depth)
+    engine = StepEngine()
+    reachable = {}
+    for mutant in batch:
+        reachable[mutant.mutant_id] = reference_reachable_within(mutant.model, depth)
+        assert _reachable_within(mutant.model, depth, engine) == reachable[mutant.mutant_id], \
+            mutant.mutant_id
+        if name != "BRANCHING":
+            assert (_dag(explore, mutant.model, depth)
+                    == _dag(reference_explore, mutant.model, depth)), mutant.mutant_id
+    got = score_psystem_testset(spec, batch, members, depth)
+    assert got == reference_score_psystem_testset(
+        spec, batch, members, depth, lambda model, _: reachable[
+            next(m.mutant_id for m in batch if m.model is model)])
+    assert got.killed and got.survived
+
+
+def _cap_pair():
+    """``wide`` passes an assignment cap of 10 in its one compartment,
+    ``pair`` only with its two compartments combined; ``wide`` is one
+    compartment of ``pair``."""
+    rules = tuple(PRule(f"r{i}", 1, M("a"), ((s, HERE),)) for i, s in enumerate("bcd"))
+    wide = PSystem("wide", frozenset("abcd"), {1: None}, (M("aaaa"),), rules)
+    pair = PSystem("pair", frozenset("abcd"), {1: None, 2: 1}, (M("aa"), M("aa")),
+                   rules + tuple(PRule(f"q{i}", 2, M("a"), ((s, HERE),))
+                                 for i, s in enumerate("bcd")))
+    return ((wide, "more than 10 rule assignments in one compartment"),
+            (pair, "more than 10 combined rule assignments"))
+
+
+def _counted_enumerations(monkeypatch):
+    """The (rules, multiset) keys ``psystem`` enumerates, in order."""
+    keys = []
+    enumerate_ = psystem._compartment_maximal_multisets
+
+    def counted(rules, held):
+        keys.append((rules, held))
+        return enumerate_(rules, held)
+
+    monkeypatch.setattr(psystem, "_compartment_maximal_multisets", counted)
+    return keys
+
+
+def test_a_cap_error_is_raised_again_on_a_cache_hit(monkeypatch):
+    keys = _counted_enumerations(monkeypatch)
+    for ps, message in _cap_pair():
+        set_caps(monkeypatch, assignment_cap=10)
+        engine = StepEngine()
+        del keys[:]
+        again = PSystem("again", ps.alphabet, ps.parent, ps.initial, ps.rules)
+        for step in (engine.stepper(ps), engine.stepper(ps), engine.stepper(again)):
+            for _ in range(2):
+                with pytest.raises(ExplosionBoundExceeded, match=f"^{message}$"):
+                    step(ps.initial)
+        # the first call enumerated every compartment it met; the rest hit
+        assert len(keys) == len(set(keys)) == ps.n_compartments
+        assert _outcome(reference_step_choices, ps, ps.initial) == (
+            "raised", "ExplosionBoundExceeded", message)
+
+
+def test_a_cap_never_leaks_into_a_later_call(monkeypatch, ps2):
+    for ps, message in _cap_pair():
+        want = reference_run(ps, 2)
+        for fn in (psystem_run, rule_coverage, generate_coverage_test_set, _reachable_within):
+            before = _outcome(fn, ps, 2)
+            set_caps(monkeypatch, assignment_cap=10)
+            assert _outcome(fn, ps, 2) == ("raised", "ExplosionBoundExceeded", message), fn
+            monkeypatch.undo()
+            assert _outcome(fn, ps, 2) == before, fn
+        assert psystem_run(ps, 2) == want
+    # a branch cap, and a score: a mutant of ps2 walked under a cap of one
+    # assignment raises, and the next score under the default caps does not
+    batch = enumerate_mutants(ps2)
+    members, _ = generate_coverage_test_set(ps2, 3)
+    want = reference_score_psystem_testset(ps2, batch, members, 3)
+    set_caps(monkeypatch, branch_cap=1)
+    assert _outcome(psystem_run, ps2, 3)[0] == "raised"
+    set_caps(monkeypatch, assignment_cap=1)
+    assert _outcome(score_psystem_testset, ps2, batch, members, 3) == (
+        "raised", "ExplosionBoundExceeded", "more than 1 combined rule assignments")
+    monkeypatch.undo()
+    assert score_psystem_testset(ps2, batch, members, 3) == want
+    assert len(psystem_run(ps2, 3)) == len(reference_run(ps2, 3))
+
+
+def _two_trips(first):
+    """Layer 1 holds (xxxx) and (yy,zz), in the order of their rules' names:
+    ``first`` names the rule to (xxxx).  (xxxx) passes a cap of four
+    assignments in its compartment (fifteen), (yy,zz) only combined (three
+    times three)."""
+    second = "r2" if first == "r1" else "r1"
+    rules = ((PRule(first, 1, M("a"), (("x", HERE),) * 4),
+              PRule(second, 1, M("a"), (("y", HERE), ("y", HERE), ("z", 2), ("z", 2))))
+             + tuple(PRule(f"q{i}", 1, M("x"), (("c", HERE),)) for i in range(3))
+             + tuple(PRule(f"s{i}", 1, M("y"), (("c", HERE),)) for i in range(2))
+             + tuple(PRule(f"t{i}", 2, M("z"), (("c", HERE),)) for i in range(2)))
+    return PSystem("trips", frozenset("acxyz"), {1: None, 2: 1}, (M("a"), M("")), rules)
+
+
+@pytest.mark.parametrize("first, message", [
+    ("r1", "more than 4 rule assignments in one compartment"),
+    ("r2", "more than 4 combined rule assignments"),
+])
+def test_the_first_configuration_to_trip_raises(monkeypatch, first, message):
+    # Both configurations of layer 1 would trip; the one the sorted
+    # assignments reach first raises, in the DAG and in the walk.
+    ps = _two_trips(first)
+    set_caps(monkeypatch, assignment_cap=4)
+    for build in (explore, reference_explore):
+        for capped in (True, False):
+            assert _dag(build, ps, 2, capped) == ("raised", message)
+    assert _outcome(_reachable_within, ps, 2) == ("raised", "ExplosionBoundExceeded", message)
+    assert _outcome(reference_reachable_within, ps, 2) == (
+        "raised", "ExplosionBoundExceeded", message)
+    monkeypatch.undo()
+    _same_as_the_fresh_step(monkeypatch, ps, (1, 2))
+
+
+def test_the_branch_cap_trips_before_the_assignment_cap_in_both_dags(monkeypatch):
+    # the system of test_branch_cap_trips_before_a_later_assignment_cap
+    rules = ((PRule("r1", 1, M("a"), (("x", HERE),)),
+              PRule("r2", 1, M("a"), (("y", HERE),) * 4))
+             + tuple(PRule(f"q{i}", 1, M("x"), (("c", HERE),)) for i in range(4))
+             + tuple(PRule(f"s{i}", 1, M("y"), (("c", HERE),)) for i in range(3)))
+    ps = PSystem("late", frozenset("acxy"), {1: None}, (M("a"),), rules)
+    set_caps(monkeypatch, assignment_cap=4, branch_cap=3)
+    assert _dag(explore, ps, 2) == _dag(reference_explore, ps, 2) == (
+        "raised", "more than 3 simultaneous branches")
+    assert _dag(explore, ps, 2, False) == _dag(reference_explore, ps, 2, False) == (
+        "raised", "more than 4 rule assignments in one compartment")
+
+
+def test_scoring_enumerates_each_compartment_once(monkeypatch, tmp_path, capsys):
+    # score on BRANCHING with all 72 mutants: every (rules, multiset) key
+    # is enumerated once, and the mutants share what they have in common
+    from test_cli import BRANCHING
+
+    from heterotest import cli
+
+    model, mutants, testset = (tmp_path / name for name in ("m.json", "mu.json", "ts.json"))
+    model.write_text(json.dumps(BRANCHING))
+    assert cli.main(["mutate", str(model), "--count", "1000000", "-o", str(mutants)]) == 0
+    assert cli.main(["gen-tests", "psystem", str(model), "--depth", "4", "-o", str(testset)]) == 0
+    keys = _counted_enumerations(monkeypatch)
+    assert cli.main(["score", str(model), "--mutants", str(mutants), "--test-set", str(testset),
+                     "-o", str(tmp_path / "score.json")]) == 0
+    capsys.readouterr()
+    assert len(json.loads(mutants.read_text())["mutants"]) == 72
+    assert len(keys) == len(set(keys))
+    alone = 0
+    for mutant in enumerate_mutants(psystem_from_dict(BRANCHING)):
+        del keys[:]
+        _reachable_within(mutant.model, 4)
+        alone += len(keys)
+    assert len(set(keys)) < alone / 2
