@@ -25,7 +25,7 @@ _EXPORTS = {
     "csxms": (
         "Csxm", "CsxmCase", "CsxmCaseFunction", "CsxmSystem", "build_product_sxm",
         "check_csxm_dft", "extend_for_testing", "generate_csxms_test_suite",
-        "initial_system_configuration", "system_step", "validate_csxm", "validate_system",
+        "validate_csxm", "validate_system",
     ),
     "dft": ("DftReport", "check_dft"),
     "heterotic": (
@@ -44,12 +44,11 @@ _EXPORTS = {
     ),
     "sxm": (
         "Automaton", "Case", "CaseFunction", "MemoryDomain", "Sxm", "SxmConfiguration",
-        "associated_automaton", "sxm_run", "sxm_step", "validate_sxm",
+        "associated_automaton", "validate_sxm",
     ),
     "testgen": (
-        "TestCase", "TestSuite", "characterization_set", "fundamental_test_inputs",
-        "generate_sxm_test_suite", "minimize_automaton", "state_cover",
-        "w_method_phi_sequences",
+        "TestCase", "TestSuite", "characterization_set", "generate_sxm_test_suite",
+        "minimize_automaton", "state_cover", "w_method_phi_sequences",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

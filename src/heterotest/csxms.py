@@ -42,7 +42,7 @@ from .sxm import (
     table_for,
 )
 from .terms import Pattern, Term, parse_expr, parse_pattern
-from .values import BOTTOM_M, NULL, Value, render, sort_key
+from .values import BOTTOM_M, NULL, Value, render
 
 # Only the design-for-test check runs this module.
 if TYPE_CHECKING:
@@ -184,52 +184,6 @@ class CsxmSystem:
     name: str
     components: Tuple[Csxm, ...]
     extended: bool = False
-
-
-@record
-class ComponentConfiguration:
-    memory: Value
-    state: str
-    remaining_input: Tuple[str, ...]
-    output_so_far: Tuple[str, ...]
-    in_port: Value
-    out_port: Value
-
-    def core(self):
-        return (self.memory, self.state, self.in_port, self.out_port)
-
-    def key(self):
-        return (
-            sort_key(self.memory),
-            self.state,
-            self.remaining_input,
-            self.output_so_far,
-            sort_key(self.in_port),
-            sort_key(self.out_port),
-        )
-
-
-SystemConfiguration = Tuple[ComponentConfiguration, ...]
-
-
-def initial_system_configuration(
-    sys: CsxmSystem, streams: Sequence[Sequence[str]] | None = None
-) -> SystemConfiguration:
-    """Initial configuration: both ports undefined everywhere, so the first
-    move of every component must be ordinary."""
-    if streams is None:
-        streams = [() for _ in sys.components]
-    return tuple(
-        ComponentConfiguration(
-            memory=comp.initial_memory,
-            state=sorted(comp.initial_states)[0],
-            remaining_input=tuple(stream),
-            output_so_far=(),
-            in_port=BOTTOM_M,
-            out_port=BOTTOM_M,
-        )
-        for comp, stream in zip(sys.components, streams)
-    )
 
 
 def port_values(domain: Sequence[Value]) -> Tuple[Value, ...]:
@@ -378,68 +332,6 @@ def _enabled_changes(fn: CsxmFunction, ordinary: bool, i: int, symbol: str, memo
         k = result.send_to
         if k is not None and k - 1 != i and 1 <= k <= len(in_ports) and in_ports[k - 1] == BOTTOM_M:
             yield result, new_in, BOTTOM_M, k - 1
-
-
-def _core_changes(sys: CsxmSystem, core: SystemCore, offered):
-    """Every change :func:`_enabled_changes` enables in a system core.
-
-    ``offered(i, ordinary)`` lists the symbols an ordinary or communicating
-    function of component ``i`` (0-based) may consume.  Yields ``(i, fname,
-    symbol, output, successor core)``.  A communicating change moves the
-    sender's out-port value into the target's in-port and lands in an
-    ordinary state.
-    """
-    in_ports = [c[2] for c in core]
-    for i, comp in enumerate(sys.components):
-        memory, state, _, out_port = core[i]
-        for (q, fname), targets in sorted(comp.next_state.items()):
-            if q != state:
-                continue
-            fn = comp.functions[fname]
-            ordinary = fname in comp.ordinary_functions
-            for symbol in offered(i, ordinary):
-                for result, new_in, new_out, k in _enabled_changes(
-                        fn, ordinary, i, symbol, memory, in_ports, out_port):
-                    for target in targets:
-                        assert ordinary or target in comp.ordinary_states, (
-                            "communicating change must land in an ordinary state"
-                        )
-                        succ = list(core)
-                        succ[i] = (result.memory, target, new_in, new_out)
-                        if k is not None:
-                            km, kq, _, ko = core[k]
-                            succ[k] = (km, kq, out_port, ko)
-                        yield i, fname, symbol, result.output, tuple(succ)
-
-
-def system_step(sys: CsxmSystem, cfg: SystemConfiguration) -> list[SystemConfiguration]:
-    """All configurations reachable in one ordinary or communicating change.
-
-    Ordinary functions and extended communicating functions consume the
-    stream head and emit their output; an unextended communicating change
-    reads the empty symbol and leaves stream and output alone.  Empty
-    exactly when the system is deadlocked.  Results are sorted for a
-    deterministic merge order.
-    """
-
-    def offered(i, ordinary):
-        if ordinary or sys.extended:
-            return cfg[i].remaining_input[:1]
-        return (NULL,)
-
-    successors = set()
-    for i, fname, _, output, succ in _core_changes(sys, system_core(cfg), offered):
-        consumed = sys.extended or fname in sys.components[i].ordinary_functions
-        moved = []
-        for j, (memory, state, in_port, out_port) in enumerate(succ):
-            remaining, outputs = cfg[j].remaining_input, cfg[j].output_so_far
-            if j == i and consumed:
-                remaining, outputs = remaining[1:], outputs + (output,)
-            moved.append(
-                ComponentConfiguration(memory, state, remaining, outputs, in_port, out_port)
-            )
-        successors.add(tuple(moved))
-    return sorted(successors, key=lambda s: tuple(c.key() for c in s))
 
 
 def comm_output_symbol(component_index: int, function_position: int) -> str:
@@ -722,31 +614,50 @@ def generate_csxms_test_suite(sys: CsxmSystem, k: int) -> TestSuite:
     return build_w_suite(product, k, metadata=metadata)
 
 
-# --- step-graph faithfulness helpers ----------------------------------------
+# --- the step graph of system cores -----------------------------------------
 
 SystemCore = Tuple[Tuple[Value, str, Value, Value], ...]
 
 
-def system_core(cfg: SystemConfiguration) -> SystemCore:
-    return tuple(cc.core() for cc in cfg)
-
-
 def initial_system_core(sys: CsxmSystem) -> SystemCore:
-    return system_core(initial_system_configuration(sys))
+    """Every component in its first initial state with its initial memory
+    and both ports undefined, so its first move must be ordinary."""
+    return tuple((comp.initial_memory, sorted(comp.initial_states)[0], BOTTOM_M, BOTTOM_M)
+                 for comp in sys.components)
 
 
 def system_core_successors(sys: CsxmSystem, core: SystemCore):
     """Single-step core transitions with the input streams abstracted away:
     each labelled edge ((component, function, symbol), successor core)
-    assumes the driver supplies the symbol the move needs."""
+    assumes the driver supplies the symbol the move needs.
 
-    def offered(i, ordinary):
-        if ordinary:
-            return sorted(sys.components[i].inputs)
-        return (COMM_SYMBOL if sys.extended else NULL,)
-
-    return {
-        ((i + 1, fname, symbol), succ)
-        for i, fname, symbol, _, succ in _core_changes(sys, core, offered)
-    }
-
+    Every change :func:`_enabled_changes` enables is taken.  An ordinary
+    function is offered each input of its component, and a communicating
+    one the communication symbol once the system is extended, the empty
+    symbol before.  A communicating change moves the sender's out-port
+    value into the target's in-port and lands in an ordinary state.
+    """
+    comm_symbols = (COMM_SYMBOL if sys.extended else NULL,)
+    in_ports = [c[2] for c in core]
+    edges = set()
+    for i, comp in enumerate(sys.components):
+        memory, state, _, out_port = core[i]
+        for (q, fname), targets in comp.next_state.items():
+            if q != state:
+                continue
+            fn = comp.functions[fname]
+            ordinary = fname in comp.ordinary_functions
+            for symbol in sorted(comp.inputs) if ordinary else comm_symbols:
+                for result, new_in, new_out, k in _enabled_changes(
+                        fn, ordinary, i, symbol, memory, in_ports, out_port):
+                    for target in targets:
+                        assert ordinary or target in comp.ordinary_states, (
+                            "communicating change must land in an ordinary state"
+                        )
+                        succ = list(core)
+                        succ[i] = (result.memory, target, new_in, new_out)
+                        if k is not None:
+                            km, kq, _, ko = core[k]
+                            succ[k] = (km, kq, out_port, ko)
+                        edges.add(((i + 1, fname, symbol), tuple(succ)))
+    return edges

@@ -74,9 +74,6 @@ class Multiset:
             object.__setattr__(self, "_canonical", text)
         return self._canonical
 
-    def scaled(self, k: int) -> "Multiset":
-        return Multiset({s: n * k for s, n in self._items})
-
     def __add__(self, other: "Multiset") -> "Multiset":
         counts = dict(self._counts)
         for s, n in other._items:

@@ -630,19 +630,17 @@ class Exploration:
         return ComputationTrace(self.ps.initial, tuple(path), self.halted(cfg))
 
 
-def explore(ps: PSystem, depth: int, capped: bool = True) -> Exploration:
+def explore(ps: PSystem, depth: int) -> Exploration:
     """Build the layered configuration DAG of every computation of at most
     ``depth`` steps.
 
     Each distinct configuration is expanded once, on one
     :class:`StepEngine`.  Raises :class:`ExplosionBoundExceeded` past ``ASSIGNMENT_CAP``
-    assignments at one configuration, or, when ``capped``, as soon as the
-    computations reaching the layer being built number more than
-    ``BRANCH_CAP``.
+    assignments at one configuration, or as soon as the computations
+    reaching the layer being built number more than ``BRANCH_CAP``.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    branch_cap = BRANCH_CAP if capped else None
     choices_at = StepEngine().stepper(ps)
     interned: Dict[PConfiguration, PConfiguration] = {ps.initial: ps.initial}
     steps: Dict[PConfiguration, Tuple[TraceStep, ...]] = {}
@@ -658,8 +656,8 @@ def explore(ps: PSystem, depth: int, capped: bool = True) -> Exploration:
                     for a, successor in choices_at(cfg)
                 )
             branches += paths * len(out)
-            if branch_cap is not None and branches > branch_cap:
-                raise ExplosionBoundExceeded(f"more than {branch_cap} simultaneous branches")
+            if branches > BRANCH_CAP:
+                raise ExplosionBoundExceeded(f"more than {BRANCH_CAP} simultaneous branches")
             for step in out:
                 layer[step.result] = layer.get(step.result, 0) + paths
         if not layer:

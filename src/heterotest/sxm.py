@@ -281,9 +281,6 @@ class Sxm:
     functions: Mapping[str, ProcessingFunction]
     next_state: Mapping[Tuple[str, str], Tuple[str, ...]]
 
-    def memory_values(self) -> Tuple[Tuple[Value, ...], bool]:
-        return self.memory_domain.enumerate(self.name)
-
     @cached_property
     def arcs_by_state(self) -> Mapping[str, Tuple[Tuple[str, Tuple[str, ...]], ...]]:
         """The (function name, targets) of each source state's arcs, in
@@ -481,21 +478,6 @@ def _domain_violations(where, cases, domain, tails, out_ports) -> Tuple[Violatio
     return tuple(out)
 
 
-def sxm_step(model: Sxm, cfg: SxmConfiguration) -> list[SxmConfiguration]:
-    """All configurations reachable in one configuration change.
-
-    Empty when no transition is enabled, including when the remaining
-    input is empty.  The result is sorted for determinism.
-    """
-    if not cfg.remaining_input:
-        return []
-    head, rest = cfg.remaining_input[0], cfg.remaining_input[1:]
-    return [
-        SxmConfiguration(succ.memory, succ.state, rest, succ.output_so_far)
-        for succ in _layer(model, (cfg,), head, None)
-    ]
-
-
 def replay_sequences(
     sequences: Iterable[Sequence[T]],
     start: S,
@@ -635,18 +617,6 @@ def replay_reached(
     case of a case table applied."""
     for frontier, fired in _replay_frontiers(model, sequences, reach=True):
         yield _final_outputs(model, frontier), fired
-
-
-def sxm_run(model: Sxm, input_seq: Sequence[str]) -> set:
-    """The computed relation restricted to one input sequence.
-
-    Returns every (output sequence, final configuration) pair reachable by
-    consuming the whole input and ending in a terminal state.  At most
-    ``BRANCH_BOUND`` simultaneous branches are explored; exceeding the bound
-    raises :class:`BranchBoundExceeded` carrying the partial frontier.
-    """
-    (frontier,) = _replay_frontiers(model, [input_seq])
-    return {(cfg.output_so_far, cfg) for cfg in frontier if cfg.state in model.terminal_states}
 
 
 def run_outputs(model: Sxm, input_seq: Sequence[str]):

@@ -247,24 +247,6 @@ def _choose_input(model: Sxm, inputs, memory, fell_back: bool, fn_name: str):
     return inputs[0], None, True
 
 
-def fundamental_test_inputs(model: Sxm, seq: PhiSequence) -> Tuple[str, ...]:
-    """Translate a function sequence into a concrete input sequence.
-
-    Walks the sequence tracking actual memory from the initial memory; each
-    step takes the lexicographically smallest input on which the function is
-    defined.  From the first step where the function is infeasible for every
-    input, the walk degrades to picking the smallest input outright for the
-    remainder of the sequence.
-    """
-    inputs = sorted(model.inputs)
-    memory, fell_back = model.initial_memory, False
-    chosen = []
-    for fn_name in seq:
-        sym, memory, fell_back = _choose_input(model, inputs, memory, fell_back, fn_name)
-        chosen.append(sym)
-    return tuple(chosen)
-
-
 def _w_set_automaton(a: Automaton, k: int, cover: set, w: set):
     """The automaton of C . (labels^{<=k+1} u {eps}) . W, determinised as
     it is walked.

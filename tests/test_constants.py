@@ -18,7 +18,6 @@ ENTRY_POINTS = (
     sxm._replay_frontiers,
     sxm.replay_outputs,
     sxm.replay_reached,
-    sxm.sxm_run,
     sxm.run_outputs,
     mutation.score_sxm_suite,
     mutation._SpecRun,
@@ -44,5 +43,5 @@ def test_no_entry_point_takes_a_cap_or_the_communication_symbol():
     for fn in ENTRY_POINTS:
         assert not CAP_NAMES & set(inspect.signature(fn).parameters), fn.__qualname__
     assert "comm_symbol" not in csxms.CsxmSystem._fields
-    # one switch between the capped walk and the uncapped one
-    assert list(inspect.signature(psystem.explore).parameters) == ["ps", "depth", "capped"]
+    # the DAG is always capped: the uncapped reachability walk is mutation's
+    assert list(inspect.signature(psystem.explore).parameters) == ["ps", "depth"]

@@ -7,7 +7,14 @@ import pytest
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 
 from gen_models import random_csxm_system
-from product_walk import core_to_product, decode_tuple_atom, product_core_successors
+from machine_walk import sxm_run
+from product_walk import (
+    core_to_product,
+    decode_tuple_atom,
+    initial_system_configuration,
+    product_core_successors,
+    system_step,
+)
 
 from heterotest.csxms import (
     ORDINARY,
@@ -20,10 +27,8 @@ from heterotest.csxms import (
     encode_tuple_atom,
     extend_for_testing,
     generate_csxms_test_suite,
-    initial_system_configuration,
     initial_system_core,
     system_core_successors,
-    system_step,
     validate_csxm,
     validate_system,
 )
@@ -35,7 +40,7 @@ from heterotest.errors import (
 )
 from heterotest.model_io import canonical_json, suite_to_dict
 from heterotest.records import replace
-from heterotest.sxm import MemoryDomain, sxm_run
+from heterotest.sxm import MemoryDomain
 from heterotest.values import BOTTOM_M, NULL
 
 BOT = BOTTOM_M
@@ -393,7 +398,7 @@ def compare_with_reference(product):
     """Checks ``ProductFunction.evaluate`` against the reference at every
     memory x input point of ``product``; returns the number of points where
     only the new rule's ignoring-mode send is enabled."""
-    memories, exhaustive = product.memory_values()
+    memories, exhaustive = product.memory_domain.enumerate(product.name)
     assert exhaustive
     inputs = sorted(product.inputs)
     rescued = 0

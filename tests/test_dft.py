@@ -195,7 +195,9 @@ def test_determinism_check_implies_unique_steps():
     # has at most one successor per consumed symbol.
     import random as _random
 
-    from heterotest.sxm import SxmConfiguration, sxm_step
+    from machine_walk import sxm_step
+
+    from heterotest.sxm import SxmConfiguration
 
     for seed in range(5):
         model = random_dft_sxm(seed)

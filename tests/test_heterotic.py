@@ -4,12 +4,9 @@ import sys
 
 import pytest
 
-from heterotest.csxms import (
-    initial_system_configuration,
-    initial_system_core,
-    system_core_successors,
-    system_step,
-)
+from product_walk import initial_system_configuration, system_step
+
+from heterotest.csxms import initial_system_core, system_core_successors
 from heterotest.cli import main
 from heterotest.errors import (
     DeadlockError,

@@ -33,9 +33,8 @@ def test_add_sub_submultiset():
         b - a
 
 
-def test_scaled_and_counts():
+def test_counts():
     m = Multiset({"a": 2})
-    assert m.scaled(3).count("a") == 6
     assert m.count("zzz") == 0
     assert m.size() == 2
     assert not m.is_empty()

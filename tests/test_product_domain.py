@@ -145,7 +145,7 @@ def reference_build_product_sxm(sys):
 
 
 def reference_product_summary_to_dict(model):
-    values, exhaustive = model.memory_values()
+    values, exhaustive = model.memory_domain.enumerate(model.name)
     return dict(model_io._machine_header(model), functions=sorted(model.functions),
                 memory_size=len(values), memory_exhaustive=exhaustive)
 
@@ -211,7 +211,8 @@ def assert_products_agree(got, want):
             assert mine.contains(got.initial_memory) == theirs.contains(want.initial_memory)
         else:
             assert mine == theirs, field
-    assert got.memory_values() == want.memory_values()
+    assert (got.memory_domain.enumerate(got.name)
+            == want.memory_domain.enumerate(want.name))
     summary = model_io.product_summary_to_dict(got)
     assert summary == reference_product_summary_to_dict(want)
     return summary
@@ -263,7 +264,7 @@ def test_candidate_inputs_choose_as_every_input_did(ps2_heterotic):
     choices = 0
     for product_sxm in products:
         inputs = sorted(product_sxm.inputs)
-        memories, _ = product_sxm.memory_values()
+        memories, _ = product_sxm.memory_domain.enumerate(product_sxm.name)
         for name, pf in product_sxm.functions.items():
             assert pf.candidate_inputs == _static_candidates(product_sxm, pf.index)
             former = ReferenceProductFunction(pf.index, pf.inner, pf.n)

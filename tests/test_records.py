@@ -1,9 +1,10 @@
 """Record classes against their ``dataclasses`` twins.
 
-Every ``@record`` class of the package is rebuilt here as a frozen
-``dataclasses`` class from the annotations and field markers of its own
-source: a default stays a default, and ``aside()`` becomes
-``field(compare=False, repr=False)``, a required field.  The records
+Every ``@record`` class of the package, and the component configuration
+of the stream-level system step in ``tests/product_walk.py``, is rebuilt
+here as a frozen ``dataclasses`` class from the annotations and field
+markers of its own source: a default stays a default, and ``aside()``
+becomes ``field(compare=False, repr=False)``, a required field.  The records
 reached by running the pipeline on the shipped models and on
 benchmark-style inputs (perfbench/gen.py at seed 5, the pinned
 ``branch2_1`` P system) must agree with their twins on ``repr``, ``==``
@@ -25,6 +26,8 @@ from collections import defaultdict
 import pytest
 
 from gen_models import random_csxm_system, random_messy_sxm
+from machine_walk import sxm_run, sxm_step
+from product_walk import ComponentConfiguration, initial_system_configuration, system_step
 from test_cli import BRANCHING
 
 import heterotest
@@ -46,7 +49,7 @@ def _record_classes():
     return found
 
 
-RECORDS = _record_classes()
+RECORDS = _record_classes() + [ComponentConfiguration]
 
 
 def twin_class(cls):
@@ -135,8 +138,8 @@ def pipeline_roots(tmp_path, models_dir):
         if kind == "sxm":
             start = next(iter(sorted(model.initial_states)))
             roots += [sxm.validate_sxm(model), dft.check_dft(model), sxm.associated_automaton(model),
-                      sxm.sxm_run(model, sorted(model.inputs)[:2]),
-                      sxm.sxm_step(model, sxm.SxmConfiguration(
+                      sxm_run(model, sorted(model.inputs)[:2]),
+                      sxm_step(model, sxm.SxmConfiguration(
                           model.initial_memory, start, tuple(sorted(model.inputs)), ()))]
             if model.name != "counter":
                 suite = testgen.generate_sxm_test_suite(model, 1)
@@ -151,11 +154,11 @@ def pipeline_roots(tmp_path, models_dir):
                       mutation.score_psystem_testset(model, batch, members, 3)]
         elif kind == "heterotic":
             system = model.as_system
-            start = csxms.initial_system_configuration(system)
+            start = initial_system_configuration(system)
             roots += [heterotic.run_heterotic(model, 2),
                       heterotic.generate_integration_tests(model, 0),
                       csxms.check_csxm_dft(model.control), start,
-                      csxms.system_step(system, start)]
+                      system_step(system, start)]
         elif kind == "system":
             roots.append(csxms.validate_system(model))
     # failing checks: violations and every kind of DFT witness

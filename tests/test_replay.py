@@ -13,6 +13,7 @@ import random
 import pytest
 
 from gen_models import random_csxm_system, random_dft_sxm, random_messy_sxm
+from machine_walk import fundamental_test_inputs, sxm_step
 from heterotest import sxm
 from heterotest.csxms import build_product_sxm, extend_for_testing
 from heterotest.errors import BranchBoundExceeded
@@ -27,11 +28,9 @@ from heterotest.sxm import (
     associated_automaton,
     replay_outputs,
     replay_sequences,
-    sxm_step,
 )
 from heterotest.testgen import (
     build_w_suite,
-    fundamental_test_inputs,
     minimize_automaton,
     prune_unreachable,
     w_method_phi_sequences,

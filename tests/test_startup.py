@@ -206,12 +206,14 @@ def test_running_cli_as_a_module_warns_nothing(models_dir):
 
 
 # Every name ``heterotest/__init__.py`` exported when it imported every
-# submodule, by defining module.
+# submodule, by defining module, less the steps, the run and the
+# translation that only tests take, kept in tests/product_walk.py and
+# tests/machine_walk.py.
 EXPORTS = {
     "csxms": (
         "Csxm", "CsxmCase", "CsxmCaseFunction", "CsxmSystem", "build_product_sxm",
         "check_csxm_dft", "extend_for_testing", "generate_csxms_test_suite",
-        "initial_system_configuration", "system_step", "validate_csxm", "validate_system",
+        "validate_csxm", "validate_system",
     ),
     "dft": ("DftReport", "check_dft"),
     "heterotic": (
@@ -230,12 +232,11 @@ EXPORTS = {
     ),
     "sxm": (
         "Automaton", "Case", "CaseFunction", "MemoryDomain", "Sxm", "SxmConfiguration",
-        "associated_automaton", "sxm_run", "sxm_step", "validate_sxm",
+        "associated_automaton", "validate_sxm",
     ),
     "testgen": (
-        "TestCase", "TestSuite", "characterization_set", "fundamental_test_inputs",
-        "generate_sxm_test_suite", "minimize_automaton", "state_cover",
-        "w_method_phi_sequences",
+        "TestCase", "TestSuite", "characterization_set", "generate_sxm_test_suite",
+        "minimize_automaton", "state_cover", "w_method_phi_sequences",
     ),
 }
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from gen_models import random_dft_sxm, random_messy_sxm
+from machine_walk import sxm_run, sxm_step
 
 from heterotest import sxm
 from heterotest.errors import BranchBoundExceeded, MissingSampleError
@@ -14,8 +15,6 @@ from heterotest.sxm import (
     Sxm,
     SxmConfiguration,
     associated_automaton,
-    sxm_run,
-    sxm_step,
     validate_sxm,
 )
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from gen_models import random_dft_sxm
+from machine_walk import fundamental_test_inputs
 
 from heterotest.errors import (
     DftFailure,
@@ -16,7 +17,6 @@ from heterotest.sxm import Automaton, run_outputs
 from heterotest.testgen import (
     build_w_suite,
     characterization_set,
-    fundamental_test_inputs,
     generate_sxm_test_suite,
     minimize_automaton,
     separates,
