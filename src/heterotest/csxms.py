@@ -293,7 +293,7 @@ def send_target_violations(sys: CsxmSystem) -> list[Violation]:
     n = len(sys.components)
     for idx, comp in enumerate(sys.components, start=1):
         for fname in sorted(comp.communicating_functions):
-            fn = comp.functions[fname]
+            fn = comp.functions.get(fname)
             targets = set()
             if isinstance(fn, CsxmCaseFunction):
                 targets = {case.send_to for case in fn.cases if case.send_to is not None}
@@ -600,9 +600,7 @@ def generate_csxms_test_suite(sys: CsxmSystem, k: int) -> TestSuite:
     witness = automaton.nondeterministic_witness()
     if witness is not None:
         raise NondeterministicProduct(
-            f"product automaton nondeterministic at state {witness[0]}, label {witness[1]}",
-            state=witness[0],
-            label=witness[1],
+            f"product automaton nondeterministic at state {witness[0]}, label {witness[1]}"
         )
     metadata = {
         "system": sys.name,

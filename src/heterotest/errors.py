@@ -49,10 +49,6 @@ class MissingSampleError(HeterotestError):
 class BranchBoundExceeded(HeterotestError):
     """Run exploration hit the simultaneous-branch bound."""
 
-    def __init__(self, message, frontier=()):
-        super().__init__(message)
-        self.frontier = tuple(frontier)
-
 
 class ExplosionBoundExceeded(HeterotestError):
     """An enumeration exceeded its cap: rule assignments, branches, the
@@ -65,10 +61,6 @@ class NondeterministicInput(HeterotestError):
 
 class UnreachableStateError(HeterotestError):
     """An automaton operation requires every state to be reachable."""
-
-    def __init__(self, message, states=()):
-        super().__init__(message)
-        self.states = tuple(states)
 
 
 class NotMinimalError(HeterotestError):
@@ -85,11 +77,6 @@ class DftFailure(HeterotestError):
 
 class NondeterministicProduct(HeterotestError):
     """The product machine's associated automaton is nondeterministic."""
-
-    def __init__(self, message, state=None, label=None):
-        super().__init__(message)
-        self.state = state
-        self.label = label
 
 
 class AlphabetCollision(HeterotestError):

@@ -293,15 +293,15 @@ class Sxm:
 
 @record
 class SxmConfiguration:
-    """Machine snapshot: memory, control state, remaining input, output."""
+    """Machine snapshot after a consumed prefix: memory, control state and
+    the outputs emitted so far."""
 
     memory: Value
     state: str
-    remaining_input: Tuple[str, ...]
     output_so_far: Tuple[str, ...]
 
     def key(self):
-        return (sort_key(self.memory), self.state, self.remaining_input, self.output_so_far)
+        return (sort_key(self.memory), self.state, self.output_so_far)
 
 
 @record
@@ -507,19 +507,11 @@ def replay_sequences(
         yield state
 
 
-class _Overflow(Exception):
-    """A frontier layer exceeded the branch bound (internal to runs)."""
-
-    def __init__(self, frontier):
-        super().__init__()
-        self.frontier = frontier
-
-
 def _layer(model: Sxm, frontier, symbol: str, fired: Optional[set]):
-    """Every configuration one step from ``frontier`` on ``symbol``, with
-    no remaining input, deduplicated and sorted.  With ``fired``, adds
-    ``("arc", state, function)`` for each arc applied and ``("case",
-    function, case index)`` for each case of a case table applied."""
+    """Every configuration one step from ``frontier`` on ``symbol``,
+    deduplicated and sorted.  With ``fired``, adds ``("arc", state,
+    function)`` for each arc applied and ``("case", function, case
+    index)`` for each case of a case table applied."""
     functions, arcs = model.functions, model.arcs_by_state
     successors = set()
     for cfg in frontier:
@@ -535,7 +527,7 @@ def _layer(model: Sxm, frontier, symbol: str, fired: Optional[set]):
             output, memory = result
             produced = cfg.output_so_far + (output,)
             for target in targets:
-                successors.add(SxmConfiguration(memory, target, (), produced))
+                successors.add(SxmConfiguration(memory, target, produced))
     return tuple(sorted(successors, key=SxmConfiguration.key))
 
 
@@ -544,22 +536,21 @@ def _replay_frontiers(
 ) -> Iterator:
     """The final frontier of each input sequence, in order.
 
-    A frontier holds every configuration reached after a prefix, with no
-    remaining input; each layer is one :func:`_layer` step.  A layer
-    wider than ``BRANCH_BOUND`` raises :class:`BranchBoundExceeded` carrying
-    that layer's frontier, completed with the rest of the sequence being
-    run.  With ``reach``, each frontier is paired with the frozenset of
-    arcs and cases fired on the way to it (see :func:`_layer`).
+    A frontier holds every configuration reached after a prefix; each layer
+    is one :func:`_layer` step.  A layer wider than ``BRANCH_BOUND`` raises
+    :class:`BranchBoundExceeded`.  With ``reach``, each frontier is paired
+    with the frozenset of arcs and cases fired on the way to it (see
+    :func:`_layer`).
     """
     branch_bound = BRANCH_BOUND
 
     def bounded(frontier):
         if len(frontier) > branch_bound:
-            raise _Overflow(frontier)
+            raise BranchBoundExceeded(f"more than {branch_bound} simultaneous branches")
         return frontier
 
     start = tuple(
-        SxmConfiguration(model.initial_memory, q, (), ()) for q in sorted(model.initial_states)
+        SxmConfiguration(model.initial_memory, q, ()) for q in sorted(model.initial_states)
     )
     if reach:
         def advance(node, symbol):
@@ -572,25 +563,10 @@ def _replay_frontiers(
             return bounded(_layer(model, frontier, symbol, None))
 
         root = start
-    sequences = [tuple(seq) for seq in sequences]
-    done = 0
-    try:
-        if sequences:
-            bounded(start)
-        for node in replay_sequences(sequences, root, advance):
-            yield node
-            done += 1
-    except _Overflow as overflow:
-        stream = sequences[done]
-        raise BranchBoundExceeded(
-            f"more than {branch_bound} simultaneous branches",
-            [
-                SxmConfiguration(
-                    cfg.memory, cfg.state, stream[len(cfg.output_so_far) :], cfg.output_so_far
-                )
-                for cfg in overflow.frontier
-            ],
-        ) from None
+    sequences = list(sequences)
+    if sequences:
+        bounded(start)
+    yield from replay_sequences(sequences, root, advance)
 
 
 def _final_outputs(model: Sxm, frontier) -> Tuple[Tuple[str, ...], ...]:

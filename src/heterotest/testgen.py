@@ -119,7 +119,7 @@ def state_cover(a: Automaton) -> set:
     cover = _cover_map(a)
     missing = sorted(a.states - cover.keys())
     if missing:
-        raise UnreachableStateError(f"unreachable states: {missing}", missing)
+        raise UnreachableStateError(f"unreachable states: {missing}")
     return set(cover.values())
 
 

@@ -2,18 +2,34 @@
 
 ``sxm_step`` and ``sxm_run`` step and run one machine on one input
 sequence, on the layer and the replay that the commands' replays use;
-``fundamental_test_inputs`` translates one function sequence into inputs,
-one ``testgen._choose_input`` step at a time, and is the reference of the
-suite walk's translation.
+``sxm_step`` moves a ``StreamConfiguration``, which carries the input
+still to be consumed.  ``fundamental_test_inputs`` translates one function
+sequence into inputs, one ``testgen._choose_input`` step at a time, and is
+the reference of the suite walk's translation.
 """
 
 from typing import Sequence, Tuple
 
-from heterotest.sxm import Sxm, SxmConfiguration, _layer, _replay_frontiers
+from heterotest.records import record
+from heterotest.sxm import Sxm, _layer, _replay_frontiers
 from heterotest.testgen import PhiSequence, _choose_input
+from heterotest.values import Value, sort_key
 
 
-def sxm_step(model: Sxm, cfg: SxmConfiguration) -> list[SxmConfiguration]:
+@record
+class StreamConfiguration:
+    """Machine snapshot: memory, control state, remaining input, output."""
+
+    memory: Value
+    state: str
+    remaining_input: Tuple[str, ...]
+    output_so_far: Tuple[str, ...]
+
+    def key(self):
+        return (sort_key(self.memory), self.state, self.remaining_input, self.output_so_far)
+
+
+def sxm_step(model: Sxm, cfg: StreamConfiguration) -> list[StreamConfiguration]:
     """All configurations reachable in one configuration change.
 
     Empty when no transition is enabled, including when the remaining
@@ -23,7 +39,7 @@ def sxm_step(model: Sxm, cfg: SxmConfiguration) -> list[SxmConfiguration]:
         return []
     head, rest = cfg.remaining_input[0], cfg.remaining_input[1:]
     return [
-        SxmConfiguration(succ.memory, succ.state, rest, succ.output_so_far)
+        StreamConfiguration(succ.memory, succ.state, rest, succ.output_so_far)
         for succ in _layer(model, (cfg,), head, None)
     ]
 
@@ -34,7 +50,7 @@ def sxm_run(model: Sxm, input_seq: Sequence[str]) -> set:
     Returns every (output sequence, final configuration) pair reachable by
     consuming the whole input and ending in a terminal state.  At most
     ``BRANCH_BOUND`` simultaneous branches are explored; exceeding the bound
-    raises :class:`BranchBoundExceeded` carrying the partial frontier.
+    raises :class:`BranchBoundExceeded`, whose message names the bound.
     """
     (frontier,) = _replay_frontiers(model, [input_seq])
     return {(cfg.output_so_far, cfg) for cfg in frontier if cfg.state in model.terminal_states}

@@ -195,9 +195,7 @@ def test_determinism_check_implies_unique_steps():
     # has at most one successor per consumed symbol.
     import random as _random
 
-    from machine_walk import sxm_step
-
-    from heterotest.sxm import SxmConfiguration
+    from machine_walk import StreamConfiguration, sxm_step
 
     for seed in range(5):
         model = random_dft_sxm(seed)
@@ -206,7 +204,7 @@ def test_determinism_check_implies_unique_steps():
         inputs = sorted(model.inputs)
         for _ in range(20):
             word = tuple(rng.choice(inputs) for _ in range(5))
-            cfg = SxmConfiguration(
+            cfg = StreamConfiguration(
                 model.initial_memory, sorted(model.initial_states)[0], word, ()
             )
             while True:

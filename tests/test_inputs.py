@@ -64,6 +64,11 @@ def _exits(code, args, message, tmp_path, capsys):
      "range must be a [low, high] pair of integers"),
     (lambda d: d.update(inputs=5), "inputs must be a list of strings"),
     (lambda d: d["functions"][0]["cases"][0].update(mem_pattern=3), "mem_pattern must be a string"),
+    (lambda d: d["memory_domain"].update(set=[0]),
+     "error: sxm: memory_domain must be a single-key object\n"),
+    (lambda d: d["functions"].append(d["functions"][1]), "error: duplicate function 'reset'\n"),
+    (lambda d: d["next_state"].append(d["next_state"][0]),
+     "error: duplicate next_state entry ('q0', 'inc')\n"),
 ])
 def test_machine_of_wrong_shape_exits_three(work, capsys, change, message):
     model = _edit(work / "counter_testable.json", change)
@@ -84,6 +89,8 @@ def test_machine_of_wrong_shape_exits_three(work, capsys, change, message):
      "psystem: rules key '01' is not a compartment id"),
     (lambda d: d["rules"].update({"٢": d["rules"].pop("2")}),
      "psystem: rules key '٢' is not a compartment id"),
+    (lambda d: d["structure"]["children"][0].update(id=1),
+     "error: structure.children[0]: duplicate compartment id 1\n"),
 ])
 def test_psystem_of_wrong_shape_exits_three(work, capsys, change, message):
     model = _edit(work / "ps2.json", change)
@@ -500,6 +507,143 @@ def test_digits_int_rejects_are_atoms(work, capsys, field, text, code, message):
     model = _edit(work / "counter.json",
                   lambda d: d["functions"][0]["cases"][0].update({field: text}))
     _exits(code, ["validate", model], message, work, capsys)
+
+
+# Each row pins the whole report of ``validate`` on a model with one defect.
+@pytest.mark.parametrize("name, change, report", [
+    ("ps2_control.json", lambda d: d["ordinary_states"].append("replying"),
+     "csxm: 1 violation(s)\n  ps2_control.states: states in both partitions: ['replying']\n"),
+    ("ps2_control.json", lambda d: d["ordinary_states"].remove("done"),
+     "csxm: 1 violation(s)\n  ps2_control.states: state partition does not cover the state set\n"),
+    ("ps2_control.json", lambda d: d["ordinary_functions"].append("send_back"),
+     "csxm: 2 violation(s)\n"
+     "  ps2_control.functions: functions in both partitions: ['send_back']\n"
+     "  ps2_control.functions[send_back]: declared ordinary but built communicating\n"),
+    ("ps2_control.json", lambda d: d["ordinary_functions"].remove("finish"),
+     "csxm: 3 violation(s)\n"
+     "  ps2_control.functions: function partition does not cover the function set\n"
+     "  ps2_control.next_state[wait_second,finish]: ordinary states support ordinary "
+     "functions and communicating states communicating functions\n"
+     "  ps2_control.functions[finish]: declared communicating but built ordinary\n"),
+    ("ps2_control.json", lambda d: d.update(initial_states=["replying"]),
+     "csxm: 1 violation(s)\n"
+     "  ps2_control.initial_states: initial state 'replying' is not ordinary\n"),
+    ("ps2_control.json",
+     lambda d: d["next_state"].append({"from": "replying", "fn": "check", "to": ["done"]}),
+     "csxm: 1 violation(s)\n  ps2_control.next_state[replying,check]: ordinary states support "
+     "ordinary functions and communicating states communicating functions\n"),
+    ("ps2_control.json", lambda d: d["functions"][0]["cases"][0].update(send_to=1),
+     "csxm: 1 violation(s)\n"
+     "  ps2_control.functions[check].cases[0]: ordinary functions cannot send\n"),
+    ("ps2_control.json", lambda d: d["functions"][2]["cases"][0].update(input="go"),
+     "csxm: 1 violation(s)\n  ps2_control.functions[send_back].cases[0]: "
+     "communicating cases consume no input symbol\n"),
+    ("ps2_control.json", lambda d: d["functions"][2]["cases"][0].update(output="init"),
+     "csxm: 1 violation(s)\n  ps2_control.functions[send_back].cases[0]: "
+     "communicating cases emit no output symbol\n"),
+    ("ps2_control.json", lambda d: d["functions"][2]["cases"][0].pop("send_to"),
+     "csxm: 1 violation(s)\n  ps2_control.functions[send_back].cases[0]: "
+     "communicating case declares no target\n"),
+    ("ps2_control.json", lambda d: d["functions"][2]["cases"][0].update(out_port="[{s} {t}]"),
+     "csxm: 1 violation(s)\n  ps2_control.functions[send_back].cases[0]: "
+     "communicating cases cannot set the out-port\n"),
+    ("ps2_control.json", lambda d: d["inputs"].append("g|o"),
+     "csxm: 1 violation(s)\n"
+     "  ps2_control: symbol 'g|o' contains the reserved separator '|'\n"),
+    ("counter.json", lambda d: d.update(states=[]),
+     "sxm: 8 violation(s)\n  states: state set is empty\n"
+     "  initial_states: unknown state 'q0'\n  terminal_states: unknown state 'q0'\n"
+     "  terminal_states: unknown state 'q1'\n"
+     "  next_state[q0,inc]: unknown source state 'q0'\n"
+     "  next_state[q0,inc]: unknown target state 'q0'\n"
+     "  next_state[q0,reset]: unknown source state 'q0'\n"
+     "  next_state[q0,reset]: unknown target state 'q1'\n"),
+    ("counter.json", lambda d: d["inputs"].append("λ"),
+     "sxm: 1 violation(s)\n  inputs: reserved atom 'λ' in input alphabet\n"),
+    ("counter.json", lambda d: d["next_state"][0].update(to=[]),
+     "sxm: 1 violation(s)\n  next_state[q0,inc]: entry has no target states\n"),
+    ("ps2.json", lambda d: d["structure"]["children"][0].update(id=3),
+     "psystem: 1 violation(s)\n  structure: compartment ids must be 1..2, got [1, 3]\n"),
+    ("ps2.json", lambda d: d["rules"]["1"][1].update(name="r11"),
+     "psystem: 1 violation(s)\n  rules[r11]: duplicate rule name\n"),
+], ids=["csxm states in both", "csxm states uncovered", "csxm functions in both",
+        "csxm functions uncovered", "csxm initial not ordinary", "csxm arc of the other kind",
+        "csxm ordinary send", "csxm communicating input", "csxm communicating output",
+        "csxm communicating no target", "csxm communicating out-port", "csxm separator",
+        "sxm no states", "sxm reserved atom", "sxm no targets", "psystem ids",
+        "psystem duplicate rule"])
+def test_validate_reports_each_structural_violation(work, capsys, name, change, report):
+    _exits(1, ["validate", _edit(work / name, change)], report, work, capsys)
+
+
+def test_validate_reports_a_system_without_components(tmp_path, capsys):
+    system = tmp_path / "empty.json"
+    system.write_text(json.dumps({"schema": 1, "components": []}), encoding="utf-8")
+    _exits(1, ["validate", str(system)],
+           "system: 1 violation(s)\n  empty: a system needs at least one component\n",
+           tmp_path, capsys)
+
+
+def test_score_rejects_mutants_of_the_other_kind(work, capsys):
+    _exits(3, _score_sxm(work, mutants="ps_mutants.json"),
+           "error: mutants are for a psystem model, spec is sxm\n", work, capsys)
+
+
+def test_generation_on_a_model_failing_dft_prints_its_summary(work, capsys):
+    _exits(1, ["gen-tests", "sxm", str(work / "counter.json")],
+           "error: model 'counter' fails design-for-test checks\n"
+           "  determinism: pass\n  completeness: FAIL\n"
+           "    inc is undefined at memory 3 for every input\n"
+           "  output distinguishability: pass\n  scope: exhaustive\n", work, capsys)
+
+
+def _also_inc2(d):
+    d["functions"].append(dict(d["functions"][0], name="inc2"))
+    d["next_state"].append({"from": "q0", "fn": "inc2", "to": ["q0"]})
+
+
+@pytest.mark.parametrize("name, change, report", [
+    ("ps2_control.json", lambda d: d["inputs"].append("a"),
+     "csxm: 1 violation(s)\n"
+     "  ps2_control: communication symbol 'a' already in ps2_control's alphabets\n"),
+    ("counter_testable.json", _also_inc2,
+     "sxm: valid\ndft [counter_testable]:\n"
+     "  determinism: FAIL\n"
+     "    state q0: inc and inc2 both defined at memory 0, input 'i'\n"
+     "    state q0: inc and inc2 both defined at memory 1, input 'i'\n"
+     "    state q0: inc and inc2 both defined at memory 2, input 'i'\n"
+     "    state q0: inc and inc2 both defined at memory 3, input 'i'\n"
+     "  completeness: pass\n"
+     "  output distinguishability: FAIL\n"
+     "    inc and inc2 both map memory 0, input 'i' to output 'o' (memories 1 / 1)\n"
+     "    inc and inc2 both map memory 1, input 'i' to output 'o' (memories 2 / 2)\n"
+     "    inc and inc2 both map memory 2, input 'i' to output 'o' (memories 3 / 3)\n"
+     "    inc and inc2 both map memory 3, input 'i' to output 'o' (memories 3 / 3)\n"
+     "  scope: exhaustive\n"),
+], ids=["extension symbol declared", "determinism and distinguishability witnesses"])
+def test_validate_dft_report_pinned(work, capsys, name, change, report):
+    _exits(1, ["validate", "--dft", _edit(work / name, change)], report, work, capsys)
+
+
+def test_communicating_function_missing_from_functions_is_a_violation(work, capsys):
+    # a KeyError traceback, exit 1, before
+    renamed = json.loads((work / "ps2_control.json").read_text(encoding="utf-8"))
+    renamed["functions"][2]["name"] = "send_back2"
+    other = json.loads((work / "ps2_control.json").read_text(encoding="utf-8"))
+    system = work / "pair.json"
+    system.write_text(json.dumps({"schema": 1, "components": [renamed, other]}),
+                      encoding="utf-8")
+    violations = (
+        "6 violation(s)\n"
+        "  ps2_control.next_state[replying,send_back]: unknown function 'send_back'\n"
+        "  ps2_control.functions: function partition does not cover the function set\n"
+        "  ps2_control.functions[send_back2]: declared communicating but built ordinary\n"
+        "  ps2_control.functions[send_back2].cases[0]: input 'λ' not in the alphabet\n"
+        "  ps2_control.functions[send_back2].cases[0]: output 'λ' not in the alphabet\n"
+        "  ps2_control.functions[send_back2].cases[0]: ordinary functions cannot send\n"
+    )
+    _exits(1, ["validate", str(system)], "system: " + violations, work, capsys)
+    _exits(1, ["product", str(system)], "error: system model has " + violations, work, capsys)
 
 
 # --- fuzz ---------------------------------------------------------------------

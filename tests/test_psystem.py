@@ -78,6 +78,13 @@ class TestValidate:
         bad = replace(ps2, rules=ps2.rules + (PRule("rx", 1, Multiset(), (("a", "here"),)),))
         assert any("empty" in v.message for v in validate_psystem(bad))
 
+    def test_parent_loop_off_the_root_is_not_connected(self):
+        # each compartment has one parent and the root none, so the walk
+        # from the root meets no compartment twice; a loop is never reached
+        ps = PSystem("loop", frozenset({"a"}), {1: None, 2: 3, 3: 2}, cfg("a", "a", "a"), ())
+        assert [str(v) for v in validate_psystem(ps)] == [
+            "structure: membrane tree is not connected"]
+
 
 class TestMaximalAssignments:
     def test_initial_configuration_single_choice(self, ps2):

@@ -1,7 +1,8 @@
 """Record classes against their ``dataclasses`` twins.
 
-Every ``@record`` class of the package, and the component configuration
-of the stream-level system step in ``tests/product_walk.py``, is rebuilt
+Every ``@record`` class of the package, the component configuration of
+the stream-level system step in ``tests/product_walk.py`` and the stream
+configuration of the machine step in ``tests/machine_walk.py`` is rebuilt
 here as a frozen ``dataclasses`` class from the annotations and field
 markers of its own source: a default stays a default, and ``aside()``
 becomes ``field(compare=False, repr=False)``, a required field.  The records
@@ -26,7 +27,7 @@ from collections import defaultdict
 import pytest
 
 from gen_models import random_csxm_system, random_messy_sxm
-from machine_walk import sxm_run, sxm_step
+from machine_walk import StreamConfiguration, sxm_run, sxm_step
 from product_walk import ComponentConfiguration, initial_system_configuration, system_step
 from test_cli import BRANCHING
 
@@ -49,7 +50,7 @@ def _record_classes():
     return found
 
 
-RECORDS = _record_classes() + [ComponentConfiguration]
+RECORDS = _record_classes() + [ComponentConfiguration, StreamConfiguration]
 
 
 def twin_class(cls):
@@ -139,7 +140,7 @@ def pipeline_roots(tmp_path, models_dir):
             start = next(iter(sorted(model.initial_states)))
             roots += [sxm.validate_sxm(model), dft.check_dft(model), sxm.associated_automaton(model),
                       sxm_run(model, sorted(model.inputs)[:2]),
-                      sxm_step(model, sxm.SxmConfiguration(
+                      sxm_step(model, StreamConfiguration(
                           model.initial_memory, start, tuple(sorted(model.inputs)), ()))]
             if model.name != "counter":
                 suite = testgen.generate_sxm_test_suite(model, 1)

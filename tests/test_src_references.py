@@ -10,6 +10,9 @@ Two kinds of name are exempt: those ``perfbench/tracer.py`` wraps, which
 must keep resolving while the tracer names them, and the
 ``dft.replay_*_witness`` functions, the replayable witnesses README
 documents.
+
+Likewise an error carries only its message, except the two whose payload
+the command line prints.
 """
 
 import ast
@@ -79,3 +82,14 @@ def test_every_entry_point_is_referenced_from_the_package():
     traced = {f"{module}.{qualname}" for module, qualname in tracer["SPANS"] + tracer["COUNTED"]}
     assert [name for name in unreferenced(trees)
             if name not in traced | WITNESS_REPLAYS] == []
+
+
+def test_errors_carry_only_their_message():
+    """An error the command line prints as its message keeps no payload:
+    only the two whose payload ``cli.main`` prints define ``__init__``."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    constructed = [node.name for node in tree.body if isinstance(node, ast.ClassDef)
+                   and any(isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                           for item in node.body)]
+    extra = [name for name in constructed if name not in ("InvalidModel", "DftFailure")]
+    assert not extra, f"errors that define __init__: {extra}"

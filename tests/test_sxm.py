@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from gen_models import random_dft_sxm, random_messy_sxm
-from machine_walk import sxm_run, sxm_step
+from machine_walk import StreamConfiguration, sxm_run, sxm_step
 
 from heterotest import sxm
 from heterotest.errors import BranchBoundExceeded, MissingSampleError
@@ -77,18 +77,18 @@ class TestValidate:
 
 class TestStep:
     def test_counter_consumes_head(self, counter):
-        cfg = SxmConfiguration(0, "q0", ("i", "r"), ())
+        cfg = StreamConfiguration(0, "q0", ("i", "r"), ())
         succ = sxm_step(counter, cfg)
-        assert succ == [SxmConfiguration(1, "q0", ("r",), ("o",))]
+        assert succ == [StreamConfiguration(1, "q0", ("r",), ("o",))]
 
     def test_empty_input_no_step(self, counter):
-        assert sxm_step(counter, SxmConfiguration(0, "q0", (), ())) == []
+        assert sxm_step(counter, StreamConfiguration(0, "q0", (), ())) == []
 
     def test_saturated_counter_blocks(self, counter):
-        assert sxm_step(counter, SxmConfiguration(3, "q0", ("i",), ())) == []
+        assert sxm_step(counter, StreamConfiguration(3, "q0", ("i",), ())) == []
 
     def test_step_soundness_conditions(self, counter):
-        cfg = SxmConfiguration(2, "q0", ("i", "i"), ("o",))
+        cfg = StreamConfiguration(2, "q0", ("i", "i"), ("o",))
         for succ in sxm_step(counter, cfg):
             assert succ.remaining_input == cfg.remaining_input[1:]
             assert len(succ.output_so_far) == len(cfg.output_so_far) + 1
@@ -112,7 +112,7 @@ class TestRun:
 
     def test_empty_input_initial_terminal(self, counter):
         results = sxm_run(counter, [])
-        assert results == {((), SxmConfiguration(0, "q0", (), ()))}
+        assert results == {((), SxmConfiguration(0, "q0", ()))}
 
     def test_nondeterministic_branches_only_terminal_counts(self):
         # Two functions fire on the same (memory, input) from q0; only the
@@ -131,7 +131,7 @@ class TestRun:
         results = sxm_run(model, ["x"])
         assert {out for out, _ in results} == {("b",)}
 
-    def test_branch_bound_exceeded_reports_frontier(self, monkeypatch):
+    def test_branch_bound_exceeded_names_the_bound(self, monkeypatch):
         functions = {
             "f1": CaseFunction("f1", [Case.build("?m", "x", "a", "?m")]),
             "f2": CaseFunction("f2", [Case.build("?m", "x", "b", "?m")]),
@@ -142,9 +142,8 @@ class TestRun:
             next_state={("q0", "f1"): ("q0",), ("q0", "f2"): ("q0",)},
         )
         monkeypatch.setattr(sxm, "BRANCH_BOUND", 4)
-        with pytest.raises(BranchBoundExceeded) as err:
+        with pytest.raises(BranchBoundExceeded, match="^more than 4 simultaneous branches$"):
             sxm_run(model, ["x"] * 8)
-        assert err.value.frontier
 
     def test_run_equals_iterated_step_fixpoint(self):
         # Brute-force oracle: iterate sxm_step by hand and filter on final
@@ -156,7 +155,7 @@ class TestRun:
             for n in range(6):
                 for w in itertools.product(inputs, repeat=n):
                     frontier = [
-                        SxmConfiguration(model.initial_memory, q, w, ())
+                        StreamConfiguration(model.initial_memory, q, w, ())
                         for q in sorted(model.initial_states)
                     ]
                     finals = set()
@@ -165,7 +164,8 @@ class TestRun:
                         for cfg in frontier:
                             if not cfg.remaining_input:
                                 if cfg.state in model.terminal_states:
-                                    finals.add((cfg.output_so_far, cfg))
+                                    finals.add((cfg.output_so_far, SxmConfiguration(
+                                        cfg.memory, cfg.state, cfg.output_so_far)))
                                 continue
                             nxt.extend(sxm_step(model, cfg))
                         frontier = nxt

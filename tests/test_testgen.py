@@ -340,20 +340,18 @@ def reference_state_cover(a: Automaton) -> set:
     _require_deterministic(a)
     missing = a.states - reachable_states(a)
     if missing:
-        raise UnreachableStateError(
-            f"unreachable states: {sorted(missing)}", sorted(missing)
-        )
+        raise UnreachableStateError(f"unreachable states: {sorted(missing)}")
     return set(_cover_map(a).values())
 
 
 def outcome(function, *args):
-    """A function's result, or the type, message and payload of its error."""
+    """A function's result, or the type and message of its error."""
     try:
         return function(*args)
     except NondeterministicInput as exc:
         return ("nondeterministic", str(exc))
     except UnreachableStateError as exc:
-        return ("unreachable", str(exc), list(exc.states))
+        return ("unreachable", str(exc))
 
 
 def random_automaton(seed: int, deterministic: bool = True) -> Automaton:
