@@ -291,9 +291,9 @@ def _cmd_gen_tests(args) -> int:
 
 def _cmd_product(args) -> int:
     _, model = _load(args.model, ("system",), "product expects a system model file")
-    from .csxms import build_product_sxm, extend_for_testing
+    from .csxms import build_product_sxm
 
-    product = build_product_sxm(extend_for_testing(model))
+    product = build_product_sxm(model)
     payload = model_io.product_summary_to_dict(product)
     lines = [
         f"product {product.name}",

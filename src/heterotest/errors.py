@@ -83,10 +83,6 @@ class AlphabetCollision(HeterotestError):
     """A reserved or extension symbol collides with a declared alphabet."""
 
 
-class UnextendedSystem(HeterotestError):
-    """The product construction requires an extended system."""
-
-
 class PortIncompatibility(HeterotestError):
     """Base and control port domains do not fit together."""
 

@@ -369,7 +369,7 @@ def _machine_from_dict(d: Any, default_name: str, communicating: bool):
 
 
 # The model's type decides whether the communicating keys are written.
-sxm_to_dict = csxm_to_dict = _machine_to_dict
+sxm_to_dict = _machine_to_dict
 
 
 def sxm_from_dict(d: Mapping, default_name: str = "sxm") -> Sxm:

@@ -10,7 +10,7 @@ declared alphabet catches misreads.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Tuple
+from typing import Iterable, Mapping, Tuple
 
 
 class Multiset:
@@ -61,9 +61,6 @@ class Multiset:
     def count(self, sym: str) -> int:
         return self._counts.get(sym, 0)
 
-    def size(self) -> int:
-        return sum(n for _, n in self._items)
-
     def is_empty(self) -> bool:
         return not self._items
 
@@ -93,9 +90,6 @@ class Multiset:
         have = other._counts
         return all(have.get(s, 0) >= n for s, n in self._items)
 
-    def __lt__(self, other: "Multiset") -> bool:
-        return self.canonical() < other.canonical()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Multiset) and self._items == other._items
 
@@ -104,17 +98,5 @@ class Multiset:
             object.__setattr__(self, "_hash", hash(self._items))
         return self._hash
 
-    def __iter__(self) -> Iterator[Tuple[str, int]]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
     def __repr__(self) -> str:
         return f"Multiset({dict(self._items)!r})"
-
-    def __str__(self) -> str:
-        return self.canonical()
-
-
-EMPTY_MULTISET = Multiset()

@@ -10,7 +10,7 @@ reproducible.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .errors import BranchBoundExceeded, EmptyMutantSet, NoValidMutants, TermError
 from .model_io import (
@@ -67,9 +67,6 @@ class MutantBatch:
 
     def __iter__(self):
         return iter(self.mutants)
-
-    def __len__(self):
-        return len(self.mutants)
 
 
 def _model_key(model: Model) -> tuple:
@@ -372,13 +369,12 @@ def _reachable_within(ps: PSystem, depth: int, engine: Optional[StepEngine] = No
 
 def _score(
     spec: Model,
-    mutants: Union[MutantBatch, Iterable[Mutant]],
+    batch: MutantBatch,
     kill_witness: Callable[[Model], Optional[str]],
 ) -> ScoreReport:
     """Verdicts in mutant-id order: a mutant structurally identical to the
     spec survives as identical; any other is killed when ``kill_witness``
     names a witness for it, and survives within the bound otherwise."""
-    batch = mutants if isinstance(mutants, MutantBatch) else MutantBatch(tuple(mutants), 0, 0)
     if not batch.mutants:
         raise EmptyMutantSet("no mutants to score")
     spec_key = _model_key(spec)
@@ -499,7 +495,7 @@ class _SpecRun:
 
 def score_sxm_suite(
     spec: Sxm,
-    mutants: Union[MutantBatch, Iterable[Mutant]],
+    mutants: MutantBatch,
     suite: TestSuite,
 ) -> ScoreReport:
     """A mutant is killed when some case's observed outputs differ from the
@@ -537,7 +533,7 @@ def score_sxm_suite(
 
 def score_psystem_testset(
     spec: PSystem,
-    mutants: Union[MutantBatch, Iterable[Mutant]],
+    mutants: MutantBatch,
     members: Sequence[PConfiguration],
     depth: int,
 ) -> ScoreReport:

@@ -71,12 +71,7 @@ class PSystem:
     initial: PConfiguration
     rules: Tuple[PRule, ...]
 
-    # Lookups derived from ``rules``: the first rule of each name, and each
-    # compartment's rules sorted by name.
-    @cached_property
-    def _by_name(self) -> Mapping[str, PRule]:
-        return {r.name: r for r in reversed(self.rules)}
-
+    # Each compartment's rules sorted by name, derived from ``rules``.
     @cached_property
     def _by_compartment(self) -> Mapping[int, Tuple[PRule, ...]]:
         by_compartment: Dict[int, list] = {}
@@ -97,9 +92,6 @@ class PSystem:
 
     def rules_in(self, comp: int) -> Tuple[PRule, ...]:
         return self._by_compartment.get(comp, ())
-
-    def rule(self, name: str) -> PRule:
-        return self._by_name[name]
 
     def legal_targets(self, comp: int) -> Tuple[int, ...]:
         p = self.parent.get(comp)
@@ -348,7 +340,8 @@ def _moved(source: Multiset, taken: Mapping[str, int], given: Mapping[str, int],
 def apply_assignment(ps: PSystem, cfg: PConfiguration, assignment: Assignment) -> PConfiguration:
     """Fire one assignment: per compartment,
     result = source - consumed lhs + deposited rhs (here + incoming)."""
-    fired = [_fire(ps.rule, comp, comp_fired) for comp, comp_fired in enumerate(assignment, 1)]
+    rule_of = {r.name: r for r in reversed(ps.rules)}.__getitem__
+    fired = [_fire(rule_of, comp, comp_fired) for comp, comp_fired in enumerate(assignment, 1)]
     result = list(cfg)
     for idx, (taken, given) in enumerate(fired):
         result[idx] = _moved(cfg[idx], taken, given.pop(idx, {}), idx + 1)

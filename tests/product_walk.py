@@ -17,6 +17,7 @@ from typing import Optional, Sequence, Tuple
 from heterotest.csxms import (
     TUPLE_SEPARATOR,
     CsxmSystem,
+    ExtendedCommFunction,
     ProductFunction,
     SystemCore,
     _enabled_changes,
@@ -131,11 +132,11 @@ def system_core(cfg: SystemConfiguration) -> SystemCore:
 def _core_changes(sys: CsxmSystem, core: SystemCore, offered):
     """Every change :func:`_enabled_changes` enables in a system core.
 
-    ``offered(i, ordinary)`` lists the symbols an ordinary or communicating
-    function of component ``i`` (0-based) may consume.  Yields ``(i, fname,
-    symbol, output, successor core)``.  A communicating change moves the
-    sender's out-port value into the target's in-port and lands in an
-    ordinary state.
+    ``offered(i, fn, ordinary)`` lists the symbols an ordinary or
+    communicating function ``fn`` of component ``i`` (0-based) may consume.
+    Yields ``(i, fname, symbol, output, successor core)``.  A communicating
+    change moves the sender's out-port value into the target's in-port and
+    lands in an ordinary state.
     """
     in_ports = [c[2] for c in core]
     for i, comp in enumerate(sys.components):
@@ -145,7 +146,7 @@ def _core_changes(sys: CsxmSystem, core: SystemCore, offered):
                 continue
             fn = comp.functions[fname]
             ordinary = fname in comp.ordinary_functions
-            for symbol in offered(i, ordinary):
+            for symbol in offered(i, fn, ordinary):
                 for result, new_in, new_out, k in _enabled_changes(
                         fn, ordinary, i, symbol, memory, in_ports, out_port):
                     for target in targets:
@@ -170,14 +171,16 @@ def system_step(sys: CsxmSystem, cfg: SystemConfiguration) -> list[SystemConfigu
     deterministic merge order.
     """
 
-    def offered(i, ordinary):
-        if ordinary or sys.extended:
-            return cfg[i].remaining_input[:1]
-        return (NULL,)
+    def consumes(fn, ordinary):
+        return ordinary or isinstance(fn, ExtendedCommFunction)
+
+    def offered(i, fn, ordinary):
+        return cfg[i].remaining_input[:1] if consumes(fn, ordinary) else (NULL,)
 
     successors = set()
     for i, fname, _, output, succ in _core_changes(sys, system_core(cfg), offered):
-        consumed = sys.extended or fname in sys.components[i].ordinary_functions
+        comp = sys.components[i]
+        consumed = consumes(comp.functions[fname], fname in comp.ordinary_functions)
         moved = []
         for j, (memory, state, in_port, out_port) in enumerate(succ):
             remaining, outputs = cfg[j].remaining_input, cfg[j].output_so_far

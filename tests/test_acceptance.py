@@ -118,7 +118,7 @@ def test_criterion_3_product_alphabet_arithmetic():
 
     for n1, n2 in ((1, 1), (2, 3), (3, 2)):
         system = CsxmSystem("pair", (component(1, n1), component(2, n2)))
-        product = build_product_sxm(extend_for_testing(system))
+        product = build_product_sxm(system)
         assert len(product.inputs) == 3 * 3 - 1 == 8
         assert len(product.states) == n1 * n2
     elapsed = time.monotonic() - started
@@ -147,7 +147,8 @@ def test_criterion_4_product_faithfulness():
     seed = 0
     while checked < 50:
         assert seed < 400, "not enough small systems"
-        system = extend_for_testing(random_csxm_system(seed))
+        loaded = random_csxm_system(seed)
+        system = extend_for_testing(loaded)
         seed += 1
         explored = _explore(
             initial_system_core(system),
@@ -157,7 +158,7 @@ def test_criterion_4_product_faithfulness():
         if explored is None:
             continue
         nodes, edges = explored
-        product = build_product_sxm(system)
+        product = build_product_sxm(loaded)
         pexplored = _explore(
             core_to_product(initial_system_core(system)),
             lambda core: product_core_successors(product, core),
@@ -235,7 +236,7 @@ def test_criterion_5_survivor_check_on_known_mutants(counter_testable):
     equivalent = enumerate_mutants(counter_testable, ["memory-update-perturb"])
     score = score_sxm_suite(counter_testable, equivalent, suite)
     assert score.killed == 0 and score.identical == 0
-    assert _check_survivors(counter_testable, equivalent, score) == len(equivalent) == 3
+    assert _check_survivors(counter_testable, equivalent, score) == len(equivalent.mutants) == 3
     swapped = enumerate_mutants(counter_testable, ["case-output-swap"])
     score = score_sxm_suite(counter_testable, swapped, suite)
     late = "case-output-swap:functions[inc].cases[1].output=z"

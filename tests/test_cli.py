@@ -153,10 +153,10 @@ def test_gen_tests_heterotic(models_dir, tmp_path, capsys):
 def _control_pair(models_dir, tmp_path, first_sends_to):
     # build a system file from the heterotic parts to exercise `product`;
     # the wrapped base holds built-in functions, so use a pure case-table pair
-    from heterotest.model_io import canonical_json, csxm_to_dict, load_model_file
+    from heterotest.model_io import canonical_json, load_model_file, sxm_to_dict
 
     control = load_model_file(models_dir / "ps2_heterotic.json")[1].control
-    first, second = (json.loads(canonical_json(csxm_to_dict(control))) for _ in range(2))
+    first, second = (json.loads(canonical_json(sxm_to_dict(control))) for _ in range(2))
     for fn in first["functions"]:
         for case in fn["cases"]:
             if "send_to" in case:

@@ -36,7 +36,6 @@ from heterotest.errors import (
     AlphabetCollision,
     DftFailure,
     NondeterministicProduct,
-    UnextendedSystem,
 )
 from heterotest.model_io import canonical_json, suite_to_dict
 from heterotest.records import replace
@@ -189,14 +188,12 @@ class TestExtension:
         assert "[1,1]" in left.outputs
         right = ext.components[1]
         assert right.inputs == sys_.components[1].inputs  # no communicating fns
-        assert ext.extended
 
     def test_no_communicating_functions_unchanged(self):
         sys_ = two_component_toy()
         lonely = CsxmSystem(name="solo", components=(sys_.components[1],))
         ext = extend_for_testing(lonely)
         assert ext.components[0] is lonely.components[0]
-        assert ext.extended
 
     def test_two_components_one_function_each(self):
         sys_ = random_csxm_system(3)
@@ -240,18 +237,17 @@ class TestProduct:
                      ordinary_functions=frozenset({"work"}),
                      communicating_functions=frozenset())
         c2 = replace(c2, inputs=frozenset({"y"}))
-        sys_ = CsxmSystem("tiny", (c1, c2), extended=True)
+        sys_ = CsxmSystem("tiny", (c1, c2))
         product = build_product_sxm(sys_)
         assert len(product.inputs) == 8
         assert len(product.states) == len(c1.states) * len(c2.states)
 
-    def test_requires_extension(self):
-        with pytest.raises(UnextendedSystem):
-            build_product_sxm(two_component_toy())
+    def test_extends_the_system_it_is_given(self):
+        with pytest.raises(AlphabetCollision, match="communication symbol 'a' already in left's"):
+            build_product_sxm(extend_for_testing(two_component_toy()))
 
     def test_product_run_matches_system_semantics(self):
-        ext = extend_for_testing(two_component_toy())
-        product = build_product_sxm(ext)
+        product = build_product_sxm(two_component_toy())
         # drive: work, emit, ship, take as tuple inputs
         word = [
             encode_tuple_atom(("x", NULL)),
@@ -273,7 +269,7 @@ class TestProduct:
 
     def test_step_graphs_isomorphic_to_depth_four(self):
         ext = extend_for_testing(two_component_toy())
-        product = build_product_sxm(ext)
+        product = build_product_sxm(two_component_toy())
         sys_nodes = {initial_system_core(ext)}
         prod_nodes = {core_to_product(initial_system_core(ext))}
         frontier = [initial_system_core(ext)]
@@ -299,7 +295,7 @@ class TestProduct:
     def test_full_reachable_graph_isomorphic_random_systems(self):
         for seed in range(6):
             ext = extend_for_testing(random_csxm_system(seed))
-            product = build_product_sxm(ext)
+            product = build_product_sxm(random_csxm_system(seed))
             start = initial_system_core(ext)
             nodes, edges = _explore(start, lambda c: system_core_successors(ext, c))
             pstart = core_to_product(start)
@@ -480,19 +476,19 @@ CORNER = ((0, "c", 1, 1), (0, "r", BOT, BOT), (0, "r", 1, BOT))
 class TestProductRule:
     def test_product_evaluate_matches_the_reference_on_random_systems(self):
         for seed in range(50):
-            product = build_product_sxm(extend_for_testing(random_csxm_system(seed)))
+            product = build_product_sxm(random_csxm_system(seed))
             # two components have one send target each, so a send the
             # consuming mode loses is lost in the ignoring mode too
             assert compare_with_reference(product) == 0
 
     def test_product_evaluate_sends_in_the_ignoring_mode_where_the_reference_gives_up(self):
-        ext = extend_for_testing(three_component_corner())
-        assert validate_system(ext) == []
-        assert compare_with_reference(build_product_sxm(ext)) > 0
+        sys_ = three_component_corner()
+        assert validate_system(sys_) == []
+        assert compare_with_reference(build_product_sxm(sys_)) > 0
 
     def test_corner_edges_agree(self):
         ext = extend_for_testing(three_component_corner())
-        product = build_product_sxm(ext)
+        product = build_product_sxm(three_component_corner())
         edges = system_core_successors(ext, CORNER)
         shipped = ((0, "p", 1, BOT), (0, "r", 1, BOT), (0, "r", 1, BOT))
         assert ((1, "ship", "a"), shipped) in edges
@@ -501,7 +497,7 @@ class TestProductRule:
 
     def test_product_drops_the_ignoring_send_where_both_modes_send(self):
         ext = extend_for_testing(three_component_corner())
-        product = build_product_sxm(ext)
+        product = build_product_sxm(three_component_corner())
         both = ((0, "c", 1, 1), (0, "r", BOT, BOT), (0, "r", BOT, BOT))
         consumed = ((0, "p", BOT, BOT), (0, "r", BOT, BOT), (0, "r", 1, BOT))
         ignored = ((0, "p", 1, BOT), (0, "r", 1, BOT), (0, "r", BOT, BOT))
@@ -513,7 +509,7 @@ class TestProductRule:
     def test_no_send_to_the_sender(self):
         # with its in-port empty, the sender ignores it and targets itself
         ext = extend_for_testing(three_component_corner(ignoring_target=1))
-        product = build_product_sxm(ext)
+        product = build_product_sxm(three_component_corner(ignoring_target=1))
         core = ((0, "c", BOT, 1),) + CORNER[1:]
         edges = system_core_successors(ext, core)
         pedges = product_core_successors(product, core_to_product(core))

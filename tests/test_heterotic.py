@@ -159,10 +159,10 @@ class TestIntegrationSuite:
         suite = generate_integration_tests(ps2_heterotic, 0)
         assert suite.cases
         assert suite.metadata["roles"] == {"base": "base", "control": "ps2_control"}
-        from heterotest.csxms import build_product_sxm, extend_for_testing
+        from heterotest.csxms import build_product_sxm
         from heterotest.sxm import run_outputs
 
-        product = build_product_sxm(extend_for_testing(ps2_heterotic.as_system))
+        product = build_product_sxm(ps2_heterotic.as_system)
         for case in suite.cases:
             assert run_outputs(product, case.input) == case.expected_outputs
         assert any(case.expected_outputs for case in suite.cases)

@@ -2,14 +2,16 @@
 
 Exit codes: 0 success, 1 validation failure, 2 generation failure or usage
 error, 3 I/O or parse error.  Each regression below writes a model or
-artifact that once crashed the toolkit; the fuzz test at the end replaces
-single nodes of every shipped model and generated artifact.
+artifact that once crashed the toolkit; the fuzz test at the end swaps,
+deletes, duplicates and renames single nodes of every shipped model, a
+system file and every generated artifact.
 """
 
 import json
 import random
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -410,9 +412,9 @@ def _wide_system(path, high):
     """A system file whose first component declares the range [0, high]."""
     from test_csxms import two_component_toy
 
-    from heterotest.model_io import csxm_to_dict
+    from heterotest.model_io import sxm_to_dict
 
-    components = [csxm_to_dict(comp) for comp in two_component_toy().components]
+    components = [sxm_to_dict(comp) for comp in two_component_toy().components]
     components[0]["memory_domain"] = {"range": [0, high]}
     path.write_text(json.dumps({"schema": 1, "name": "wide", "components": components}),
                     encoding="utf-8")
@@ -520,11 +522,10 @@ def test_digits_int_rejects_are_atoms(work, capsys, field, text, code, message):
      "  ps2_control.functions: functions in both partitions: ['send_back']\n"
      "  ps2_control.functions[send_back]: declared ordinary but built communicating\n"),
     ("ps2_control.json", lambda d: d["ordinary_functions"].remove("finish"),
-     "csxm: 3 violation(s)\n"
+     "csxm: 2 violation(s)\n"
      "  ps2_control.functions: function partition does not cover the function set\n"
      "  ps2_control.next_state[wait_second,finish]: ordinary states support ordinary "
-     "functions and communicating states communicating functions\n"
-     "  ps2_control.functions[finish]: declared communicating but built ordinary\n"),
+     "functions and communicating states communicating functions\n"),
     ("ps2_control.json", lambda d: d.update(initial_states=["replying"]),
      "csxm: 1 violation(s)\n"
      "  ps2_control.initial_states: initial state 'replying' is not ordinary\n"),
@@ -634,10 +635,9 @@ def test_communicating_function_missing_from_functions_is_a_violation(work, caps
     system.write_text(json.dumps({"schema": 1, "components": [renamed, other]}),
                       encoding="utf-8")
     violations = (
-        "6 violation(s)\n"
+        "5 violation(s)\n"
         "  ps2_control.next_state[replying,send_back]: unknown function 'send_back'\n"
         "  ps2_control.functions: function partition does not cover the function set\n"
-        "  ps2_control.functions[send_back2]: declared communicating but built ordinary\n"
         "  ps2_control.functions[send_back2].cases[0]: input 'λ' not in the alphabet\n"
         "  ps2_control.functions[send_back2].cases[0]: output 'λ' not in the alphabet\n"
         "  ps2_control.functions[send_back2].cases[0]: ordinary functions cannot send\n"
@@ -651,6 +651,9 @@ def test_communicating_function_missing_from_functions_is_a_violation(work, caps
 # Small replacement values: a large integer in a memory range would make
 # ``validate`` enumerate it.
 REPLACEMENTS = (None, True, -1, 0, 2, "x", "", [], ["x"], {}, {"x": 1})
+# Seeded edits per file and kind; a call longer than this is a hang.
+EDITS_PER_KIND = 25
+CALL_SECONDS = 5
 
 
 def _json_type(value):
@@ -666,24 +669,84 @@ def _nodes(node, path=()):
         yield from _nodes(child, path + (key,))
 
 
-def _replace(doc, path, value):
-    if not path:
-        return value
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
     return doc
 
 
+def _delete(parent, key):
+    del parent[key]
+
+
+def _duplicate(parent, key):
+    parent.insert(key, parent[key])
+
+
+def _setter(value):
+    def change(parent, key):
+        parent[key] = value
+    return change
+
+
+def _rename(parent, key):
+    parent[key] += "2"
+
+
+def _edited_copies(text, rng):
+    """(edit, document) pairs: nodes swapped for a value of another JSON
+    type, keys deleted, list elements deleted or duplicated, each kind
+    ``EDITS_PER_KIND`` times at seeded places; then every entry of every
+    ``*_functions`` and ``*_states`` list renamed, once each."""
+    original = json.loads(text)
+    paths = list(_nodes(original))
+    in_dict = [p for p in paths if p and isinstance(_at(original, p[:-1]), dict)]
+    in_list = [p for p in paths if p and isinstance(_at(original, p[:-1]), list)]
+
+    def edit(path, change):
+        doc = json.loads(text)
+        change(_at(doc, path[:-1]), path[-1])
+        return doc
+
+    for _ in range(EDITS_PER_KIND):
+        path = rng.choice(paths)
+        value = rng.choice([v for v in REPLACEMENTS
+                            if _json_type(v) != _json_type(_at(original, path))])
+        yield ("swap", path, value), edit(path, _setter(value)) if path else value
+    for kind, candidates, change in (("delete key", in_dict, _delete),
+                                     ("delete element", in_list, _delete),
+                                     ("duplicate element", in_list, _duplicate)):
+        for _ in range(EDITS_PER_KIND if candidates else 0):
+            path = rng.choice(candidates)
+            yield (kind, path), edit(path, change)
+    for path in paths:
+        if len(path) > 1 and str(path[-2]).endswith(("_functions", "_states")):
+            yield ("rename", path), edit(path, _rename)
+
+
+class _Hang(BaseException):
+    """A command ran past ``CALL_SECONDS``."""
+
+
+def _raise_hang(signum, frame):
+    raise _Hang
+
+
 def test_fuzzed_files_end_in_an_exit_code(work, capsys):
+    """Every edited file ends each command that reads it in 0, 1, 2 or 3
+    within ``CALL_SECONDS``, with no exception escaping ``main``, and exit
+    1 always prints violations or a failed design-for-test report."""
     def at(name):
         return str(work / name)
 
+    control = json.loads((work / "ps2_control.json").read_text(encoding="utf-8"))
+    (work / "pair.json").write_text(json.dumps({"schema": 1, "components": [control, control]}),
+                                    encoding="utf-8")
     commands = {
         "counter.json": [["validate", "--dft", at("counter.json")]],
         "counter_testable.json": [["gen-tests", "sxm", at("counter_testable.json")],
                                   _score_sxm(work)],
+        "pair.json": [["validate", at("pair.json")], ["product", at("pair.json")]],
         "ps2.json": [["simulate", at("ps2.json"), "--depth", "2"], _score_psystem(work),
                      ["simulate", at("ps2_heterotic.json")]],
         "ps2_control.json": [["validate", "--dft", at("ps2_control.json")],
@@ -694,22 +757,29 @@ def test_fuzzed_files_end_in_an_exit_code(work, capsys):
         "sxm_mutants.json": [_score_sxm(work)],
         "ps_mutants.json": [_score_psystem(work)],
     }
-    rng = random.Random(4)
-    for name in sorted(commands):
-        original = (work / name).read_text(encoding="utf-8")
-        nodes = list(_nodes(json.loads(original)))
-        for _ in range(25):
-            doc = json.loads(original)
-            path = rng.choice(nodes)
-            node = doc
-            for key in path:
-                node = node[key]
-            value = rng.choice([v for v in REPLACEMENTS if _json_type(v) != _json_type(node)])
-            (work / name).write_text(json.dumps(_replace(doc, path, value)), encoding="utf-8")
-            for args in commands[name]:
-                assert main(args) in (0, 1, 2, 3), (name, path, value, args)
-                capsys.readouterr()
-        (work / name).write_text(original, encoding="utf-8")
+    previous = signal.signal(signal.SIGALRM, _raise_hang)
+    try:
+        for name in sorted(commands):
+            original = (work / name).read_text(encoding="utf-8")
+            for edit, doc in _edited_copies(original, random.Random(f"4:{name}")):
+                (work / name).write_text(json.dumps(doc), encoding="utf-8")
+                for args in commands[name]:
+                    case = (name, edit, args[0])
+                    signal.setitimer(signal.ITIMER_REAL, CALL_SECONDS)
+                    try:
+                        code = main(args)
+                    except _Hang:
+                        pytest.fail(f"no exit within {CALL_SECONDS} s: {case}")
+                    except Exception as exc:
+                        pytest.fail(f"{type(exc).__name__}: {exc} escaped main: {case}")
+                    finally:
+                        signal.setitimer(signal.ITIMER_REAL, 0)
+                    out, err = capsys.readouterr()
+                    assert code in (0, 1, 2, 3), case
+                    assert code != 1 or "violation(s)" in out + err or "FAIL" in out + err, case
+            (work / name).write_text(original, encoding="utf-8")
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("content, message", [

@@ -25,6 +25,7 @@ from heterotest.mutation import (
     PSYSTEM_OPERATORS,
     SXM_OPERATORS,
     Mutant,
+    MutantBatch,
     _changed_elements,
     _model_key,
     _psystem_candidates,
@@ -78,10 +79,11 @@ def assert_same_scores(monkeypatch, spec, mutants, suite, branch_bound=256):
     ``sxm.BRANCH_BOUND`` and the reference's bound at ``branch_bound``."""
     monkeypatch.setattr(sxm, "BRANCH_BOUND", branch_bound)
     mutants = list(mutants)
-    for batch in [mutants] + [[m] for m in mutants]:
+    for group in [mutants] + [[m] for m in mutants]:
+        batch = MutantBatch(tuple(group), 0, 0)
         delta = outcome(score_sxm_suite, spec, batch, suite)
         full = outcome(reference_score_sxm_suite, spec, batch, suite, branch_bound)
-        assert delta == full, [m.mutant_id for m in batch]
+        assert delta == full, [m.mutant_id for m in group]
 
 
 def edited(suite, seed, every=5):

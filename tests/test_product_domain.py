@@ -34,7 +34,7 @@ from heterotest.csxms import (
     extend_for_testing,
     port_values,
 )
-from heterotest.errors import ExplosionBoundExceeded, MissingSampleError, UnextendedSystem
+from heterotest.errors import ExplosionBoundExceeded, MissingSampleError
 from heterotest.sxm import MemoryDomain, ProcessingFunction, Sxm
 from heterotest.testgen import _choose_input
 from heterotest.values import BOTTOM_M, NULL
@@ -82,9 +82,8 @@ class ReferenceProductFunction(ProcessingFunction):
 
 
 def reference_build_product_sxm(sys):
-    """``build_product_sxm`` as it was when it built the memory tuple."""
-    if not sys.extended:
-        raise UnextendedSystem("run extend_for_testing before building the product")
+    """``build_product_sxm`` of an extended system as it was when it built
+    the memory tuple."""
     n = len(sys.components)
     input_parts = [sorted(comp.inputs | {COMM_SYMBOL, NULL}) for comp in sys.components]
     output_parts = [sorted(comp.outputs | {NULL}) for comp in sys.components]
@@ -182,7 +181,7 @@ def system_files(tmp_path_factory, models_dir):
         path = root / f"{system.name}.json"
         path.write_text(json.dumps({
             "schema": 1, "name": system.name,
-            "components": [model_io.csxm_to_dict(comp) for comp in system.components],
+            "components": [model_io.sxm_to_dict(comp) for comp in system.components],
         }), encoding="utf-8")
         files.append((f"random{seed}", path))
     gen = _perfbench_gen()
@@ -200,9 +199,12 @@ def assert_products_agree(got, want):
         mine, theirs = getattr(got, field), getattr(want, field)
         if field == "functions":
             assert list(mine) == list(theirs)
+            # each product extends its own copy of the system, so an extended
+            # communicating function is an equal object, not the same one
             assert all(
                 isinstance(fn, ProductFunction)
-                and (fn.name, fn.index, fn.inner, fn.n) == (old.name, old.index, old.inner, old.n)
+                and (fn.name, fn.index, type(fn.inner), vars(fn.inner), fn.n)
+                == (old.name, old.index, type(old.inner), vars(old.inner), old.n)
                 for fn, old in zip(mine.values(), theirs.values())
             )
         elif field == "memory_domain":
@@ -222,9 +224,8 @@ def test_product_matches_the_former_construction(system_files, ps2_heterotic):
     systems = [model_io.load_model_file(path)[1] for _, path in system_files]
     sizes = []
     for system in systems + [ps2_heterotic.as_system]:
-        extended = extend_for_testing(system)
-        summary = assert_products_agree(build_product_sxm(extended),
-                                        reference_build_product_sxm(extended))
+        summary = assert_products_agree(build_product_sxm(system),
+                                        reference_build_product_sxm(extend_for_testing(system)))
         sizes.append(summary["memory_size"])
     # the benchmark's systems reach 110,592 values, under the cap
     assert max(sizes) == 110_592 <= sxm.DOMAIN_CAP
@@ -260,7 +261,7 @@ def _static_candidates(product_sxm, index):
 def test_candidate_inputs_choose_as_every_input_did(ps2_heterotic):
     # the products of tests/test_testgen.py's TestWalkAgainstReference
     products = list(_products())
-    products.append(build_product_sxm(extend_for_testing(ps2_heterotic.as_system)))
+    products.append(build_product_sxm(ps2_heterotic.as_system))
     choices = 0
     for product_sxm in products:
         inputs = sorted(product_sxm.inputs)
@@ -280,7 +281,7 @@ def test_candidate_inputs_choose_as_every_input_did(ps2_heterotic):
 
 
 def test_product_function_rejects_what_it_was_not_built_for():
-    product_sxm = build_product_sxm(extend_for_testing(random_csxm_system(0)))
+    product_sxm = build_product_sxm(random_csxm_system(0))
     memory = product_sxm.initial_memory
     pf = product_sxm.functions["(loc|id)"]
     accepted = [atom for atom in pf.candidate_inputs if pf.evaluate(memory, atom) is not None]
@@ -326,7 +327,7 @@ def test_every_shipped_model_stays_under_the_cap(models_dir):
         domains = [model.memory_domain] if system is None else [
             comp.memory_domain for comp in system.components]
         if system is not None:
-            domains.append(build_product_sxm(extend_for_testing(system)).memory_domain)
+            domains.append(build_product_sxm(system).memory_domain)
         for domain in domains:
             assert domain.size <= sxm.DOMAIN_CAP, path.name
             checked += 1

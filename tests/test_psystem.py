@@ -37,7 +37,7 @@ def is_maximal(ps, cfg, assignment):
     for comp in ps.compartments():
         leftover = cfg[comp - 1]
         for name, count in assignment[comp - 1]:
-            lhs = ps.rule(name).lhs
+            lhs = {r.name: r for r in reversed(ps.rules)}[name].lhs
             leftover = leftover - Multiset({s: n * count for s, n in lhs.items()})
         if any(r.lhs <= leftover for r in ps.rules_in(comp)):
             return False

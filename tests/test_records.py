@@ -172,7 +172,7 @@ def pipeline_roots(tmp_path, models_dir):
     # the benchmark systems' products print 4.5 MB each; this one is small
     system = random_csxm_system(5)
     roots += [system, [csxms.check_csxm_dft(c) for c in system.components],
-              csxms.build_product_sxm(csxms.extend_for_testing(system))]
+              csxms.build_product_sxm(system)]
     roots += [terms.parse_pattern(text) for text in TERMS + SAME_VALUES]
     roots += [terms.parse_expr(text) for text in EXPRESSIONS + SAME_VALUES]
     return roots

@@ -15,7 +15,7 @@ import pytest
 from gen_models import random_csxm_system, random_dft_sxm, random_messy_sxm
 from machine_walk import StreamConfiguration, fundamental_test_inputs, sxm_step
 from heterotest import sxm
-from heterotest.csxms import build_product_sxm, extend_for_testing
+from heterotest.csxms import build_product_sxm
 from heterotest.errors import BranchBoundExceeded
 from heterotest.model_io import suite_from_dict, suite_to_dict
 from heterotest.mutation import enumerate_mutants, score_sxm_suite
@@ -129,7 +129,7 @@ def test_replay_matches_reference_on_machine_w_suites(machines, k):
 
 @pytest.mark.parametrize("seed, ks", [(0, (0, 1, 2)), (2, (0, 1)), (4, (0, 1))])
 def test_replay_matches_reference_on_extended_products(seed, ks):
-    product = build_product_sxm(extend_for_testing(random_csxm_system(seed)))
+    product = build_product_sxm(random_csxm_system(seed))
     for k in ks:
         check_suite_replay(product, build_w_suite(product, k), seed)
 
@@ -137,7 +137,7 @@ def test_replay_matches_reference_on_extended_products(seed, ks):
 def test_translation_matches_reference_on_ps2_heterotic_product(ps2_heterotic):
     # the prefix-sharing translation of the former suite build, which is
     # the reference of the suite walk in tests/test_testgen.py
-    product = build_product_sxm(extend_for_testing(ps2_heterotic.as_system))
+    product = build_product_sxm(ps2_heterotic.as_system)
     minimal = minimize_automaton(prune_unreachable(associated_automaton(product)))
     for k in (0, 1, 2):
         sequences = sorted(w_method_phi_sequences(minimal, k))

@@ -1,10 +1,10 @@
 """Every entry point of the package is on a road some command takes.
 
-Each module-level function or class of ``src/heterotest`` and each method
-that is not a dunder must be referenced from package code other than its
-own definition: by name, as an attribute, or in an import.  ``__init__``'s
-export table lists names as strings, so it references nothing.  An entry
-point that only tests reach belongs with the tests.
+Each module-level function, class or assigned name of ``src/heterotest``
+and each method that is not a dunder must be referenced from package code
+other than its own definition: by name, as an attribute, or in an import.
+``__init__``'s export table lists names as strings, so it references
+nothing.  An entry point that only tests reach belongs with the tests.
 
 Two kinds of name are exempt: those ``perfbench/tracer.py`` wraps, which
 must keep resolving while the tracer names them, and the
@@ -34,12 +34,24 @@ def _dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _assigned(node):
+    """The names a module-level assignment binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name)]
+
+
 def _definitions(trees):
-    """(dotted name, definition node) of every module-level function or
-    class and every non-dunder method, by module."""
+    """(dotted name, definition node) of every module-level function,
+    class or assigned name and every non-dunder method, by module."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for module, tree in trees.items():
         for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for name in _assigned(node):
+                    if not _dunder(name):
+                        yield f"{module}.{name}", node
+                continue
             if not isinstance(node, kinds) or _dunder(node.name):
                 continue
             yield f"{module}.{node.name}", node

@@ -384,13 +384,12 @@ def random_automaton(seed: int, deterministic: bool = True) -> Automaton:
 def _minimal_model_automata():
     from gen_models import random_csxm_system, random_messy_sxm
 
-    from heterotest.csxms import build_product_sxm, extend_for_testing
+    from heterotest.csxms import build_product_sxm
     from heterotest.sxm import associated_automaton
 
     models = [random_dft_sxm(seed) for seed in range(20)]
     models += [random_messy_sxm(seed) for seed in range(60)]
-    models += [build_product_sxm(extend_for_testing(random_csxm_system(seed)))
-               for seed in range(6)]
+    models += [build_product_sxm(random_csxm_system(seed)) for seed in range(6)]
     return [associated_automaton(model) for model in models]
 
 
@@ -543,15 +542,15 @@ def assert_builds_agree(model, k):
 
 
 def _products():
-    """The extended products of the systems criterion 4 scans, each of whose
-    components passes the design-for-test checks."""
+    """The products of the systems criterion 4 scans, each of whose
+    extended components passes the design-for-test checks."""
     from gen_models import random_csxm_system
 
     from heterotest.csxms import build_product_sxm, check_csxm_dft, extend_for_testing
 
     for seed in range(55):
-        system = extend_for_testing(random_csxm_system(seed))
-        if all(check_csxm_dft(comp).all_pass() for comp in system.components):
+        system = random_csxm_system(seed)
+        if all(check_csxm_dft(comp).all_pass() for comp in extend_for_testing(system).components):
             yield build_product_sxm(system)
 
 
@@ -584,9 +583,9 @@ class TestWalkAgainstReference:
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_ps2_heterotic_product(self, ps2_heterotic, k):
-        from heterotest.csxms import build_product_sxm, extend_for_testing
+        from heterotest.csxms import build_product_sxm
 
-        product = build_product_sxm(extend_for_testing(ps2_heterotic.as_system))
+        product = build_product_sxm(ps2_heterotic.as_system)
         _, metadata = assert_builds_agree(product, k)
         assert metadata["fallback_sequences"] > 0.95 * metadata["phi_sequences"]
 
