@@ -37,9 +37,10 @@ from .sxm import (
     Sxm,
     TestSuite,
     associated_automaton,
+    first_match,
     point_violations,
+    repeat_violations,
     structure_violations,
-    table_for,
 )
 from .terms import Pattern, Term, parse_expr, parse_pattern
 from .values import BOTTOM_M, NULL, Value, render
@@ -105,29 +106,24 @@ class CsxmCase:
     def apply(self, env) -> CsxmResult:
         # the out-port expression is evaluated before the update
         out_value = self.out_expr.evaluate(env) if self.out_expr is not None else None
-        return CsxmResult(
-            memory=self.update.evaluate(env),
-            output=self.output,
-            set_out_port=self.out_expr is not None,
-            out_port=out_value,
-            send_to=self.send_to,
-        )
+        return CsxmResult(self.update.evaluate(env), self.output, self.out_expr is not None,
+                          out_value, self.send_to)
 
 
 class CsxmCaseFunction(CsxmFunction):
     """Case-table implementation; memory and port patterns bind separate
-    variable sets and the guards of each pattern see only its own.  Results
-    come from the evaluation table shared by every function with the same
-    cases, keyed by (memory, input, in-port)."""
+    variable sets and the guards of each pattern see only its own.  Cases
+    are tried top to bottom on each call, as a machine's are
+    (:func:`~heterotest.sxm.first_match`)."""
 
     def __init__(self, name: str, kind: str, cases: Sequence[CsxmCase]):
         self.name = name
         self.kind = kind
         self.cases = tuple(cases)
-        self._table = table_for(self.cases)
 
     def evaluate(self, input_symbol, in_port, memory):
-        return self._table.evaluate(memory, input_symbol, in_port)
+        hit = first_match(self.cases, memory, input_symbol, in_port)
+        return None if hit is None else hit[1]
 
     def __repr__(self):
         return f"CsxmCaseFunction({self.name!r}, {self.kind}, {len(self.cases)} cases)"
@@ -270,6 +266,7 @@ def validate_csxm(comp: Csxm) -> list[Violation]:
                     Violation(f"{name}.{port_name}",
                               f"port value {render(v)} outside the memory domain")
                 )
+        out += repeat_violations(domain, f"{name}.{port_name}")
 
     for atom in sorted(comp.inputs | comp.outputs):
         if TUPLE_SEPARATOR in atom:

@@ -9,7 +9,7 @@ construction; every operation here is a pure function of its inputs.
 
 from __future__ import annotations
 
-import weakref
+from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
@@ -47,7 +47,7 @@ BRANCH_BOUND = 256
 # models, the test models and the perfbench/gen.py inputs at seeds 0-31 is
 # the memory of a three-component heterotic_suite system's product, 110,592
 # values; no machine or component declares more than 8.  A machine of two
-# inputs at the cap validates in about 2 s and 230 MB.
+# inputs at the cap validates in about 1 s and 31 MB.
 DOMAIN_CAP = 200_000
 
 
@@ -88,98 +88,48 @@ class Case:
         return self.output, self.update.evaluate(env)
 
 
-class _CaseTable:
-    """The evaluation table of one case tuple, filled as it is asked:
-    key -> (indexes of the matching cases, the error matching stopped at,
-    the result of the first match, the error ``evaluate`` raises).
+def first_match(cases: tuple, *key) -> Optional[Tuple[int, object]]:
+    """(index, result) of the first of ``cases`` that binds ``key``, or
+    None where none does.
 
     A key is what the cases ``bind``: (memory, input) for :class:`Case`,
-    (memory, input, in-port) for a communicating machine's case.  A case
-    binds a key with its own input to None or an environment, or raises
-    :class:`TermError`; ``apply`` turns the first match's environment into
-    the result.  Matching stops at the first case whose
-    binding raises; ``evaluate`` raises that error only when no case
-    matched before it, as trying the cases top to bottom would.
+    (memory, input, in-port) for a communicating machine's case.  Only the
+    cases whose input is the key's input are tried, top to bottom; a case
+    binds a key to None or an environment, or raises :class:`TermError`,
+    which stops matching and propagates, as one raised by the first
+    match's ``apply`` does.
     """
-
-    __slots__ = ("cases", "entries", "__weakref__")
-
-    def __init__(self, cases: tuple):
-        self.cases = cases
-        self.entries: dict = {}
-
-    def entry(self, *key):
-        found = self.entries.get(key)
-        if found is None:
-            found = self.entries[key] = self._fill(key)
-        return found
-
-    def evaluate(self, *key):
-        _, _, result, failure = self.entry(*key)
-        if failure is not None:
-            raise failure.with_traceback(None)
-        return result
-
-    def _fill(self, key):
-        input_symbol = key[1]
-        hits, first_env, error = [], None, None
-        for idx, case in enumerate(self.cases):
-            if case.input != input_symbol:
-                continue
-            try:
-                env = case.bind(*key)
-            except TermError as exc:
-                error = exc
-                break
+    input_symbol = key[1]
+    for idx, case in enumerate(cases):
+        if case.input == input_symbol:
+            env = case.bind(*key)
             if env is not None:
-                if not hits:
-                    first_env = env
-                hits.append(idx)
-        result, failure = None, None
-        if hits:
-            try:
-                result = self.cases[hits[0]].apply(first_env)
-            except TermError as exc:
-                failure = exc
-        else:
-            failure = error
-        return tuple(hits), error, result, failure
-
-
-# Functions with equal case tuples share one table: a mutant's unchanged
-# functions, and the same function loaded from several files, fill it once.
-_TABLES: "weakref.WeakValueDictionary[tuple, _CaseTable]" = weakref.WeakValueDictionary()
-
-
-def table_for(cases: tuple) -> _CaseTable:
-    table = _TABLES.get(cases)
-    if table is None:
-        table = _TABLES[cases] = _CaseTable(cases)
-    return table
+                return idx, case.apply(env)
+    return None
 
 
 class CaseFunction(ProcessingFunction):
     """A processing function given by an ordered case table.
 
-    Cases are tried top to bottom; a well-formed model has at most one
-    matching case for every (memory, input) pair, which ``validate_sxm``
-    checks by enumeration over the declared domain.  Results come from the
-    evaluation table shared by every function with the same cases.
+    Cases are tried top to bottom on each call (:func:`first_match`); a
+    well-formed model has at most one matching case for every (memory,
+    input) pair, which ``validate_sxm`` checks by enumeration over the
+    declared domain.
     """
 
     def __init__(self, name: str, cases: Sequence[Case]):
         self.name = name
         self.cases = tuple(cases)
-        self._table = table_for(self.cases)
 
     def evaluate(self, memory, input_symbol):
-        return self._table.evaluate(memory, input_symbol)
+        hit = first_match(self.cases, memory, input_symbol)
+        return None if hit is None else hit[1]
 
     def fired_case(self, memory: Value, input_symbol: str) -> Optional[int]:
         """The index of the case ``evaluate`` applies, or None where the
-        function is undefined."""
-        hits, _, result, _ = self._table.entry(memory, input_symbol)
-        return hits[0] if result is not None else None
+        function is undefined; raises where ``evaluate`` raises."""
+        hit = first_match(self.cases, memory, input_symbol)
+        return None if hit is None else hit[0]
 
     def __repr__(self):
         return f"CaseFunction({self.name!r}, {len(self.cases)} cases)"
@@ -359,8 +309,9 @@ class Automaton:
 
 def structure_violations(model, prefix: str = "") -> list[Violation]:
     """The structural checks a machine and a communicating machine share:
-    reserved atoms, the state sets, the next-state map and the initial
-    memory.  ``prefix`` starts every ``where``."""
+    reserved atoms, the state sets, the next-state map, the initial memory
+    and the values a memory domain lists.  ``prefix`` starts every
+    ``where``."""
     out: list[Violation] = []
 
     for atom in sorted(RESERVED_ATOMS & model.inputs):
@@ -396,7 +347,15 @@ def structure_violations(model, prefix: str = "") -> list[Violation]:
                 f"initial memory {render(model.initial_memory)} lies outside the declared domain",
             )
         )
-    return out
+    domain = model.memory_domain
+    return out + repeat_violations(domain.values + domain.sample, f"{prefix}memory_domain")
+
+
+def repeat_violations(values: Sequence[Value], where: str) -> list[Violation]:
+    """One violation for each value ``values`` lists more than once, in the
+    order of their first listing."""
+    return [Violation(where, f"value {render(v)} listed more than once")
+            for v, count in Counter(values).items() if count > 1]
 
 
 def validate_sxm(model: Sxm) -> list[Violation]:
@@ -445,28 +404,43 @@ def _point(m: Value, tail) -> str:
 
 
 # The checks over the memory domain depend on nothing but these arguments,
-# and a mutant shares all but at most one function with its specification.
-# The case table they fill is the one every function with these cases reads.
+# and a mutant shares all but at most one function with its specification,
+# so its unchanged functions skip the walk.  Each point is matched against
+# every case once and kept no longer than its own checks.
 @lru_cache(maxsize=4096)
 def _domain_violations(where, cases, domain, tails, out_ports) -> Tuple[Violation, ...]:
-    table = table_for(cases)
     values, _ = domain.enumerate(where)
     out = []
     overlap_reported = set()
     for m in values:
         for tail in tails:
-            hits, error, result, failure = table.entry(m, *tail)
+            # every matching case, up to the first binding that raises
+            hits, env, error = [], None, None
+            for idx, case in enumerate(cases):
+                if case.input != tail[0]:
+                    continue
+                try:
+                    bound = case.bind(m, *tail)
+                except TermError as exc:
+                    error = exc
+                    break
+                if bound is not None:
+                    if not hits:
+                        env = bound
+                    hits.append(idx)
             if error is not None:
                 out.append(Violation(where, f"pattern error: {error}"))
                 continue
-            if len(hits) > 1 and hits[:2] not in overlap_reported:
-                overlap_reported.add(hits[:2])
+            if len(hits) > 1 and (hits[0], hits[1]) not in overlap_reported:
+                overlap_reported.add((hits[0], hits[1]))
                 out.append(Violation(where, f"cases {hits[0]} and {hits[1]} overlap at "
                                             f"{_point(m, tail)}"))
             if not hits or domain.kind == "open":
                 continue
-            if failure is not None:
-                out.append(Violation(where, f"update error at {render(m)}: {failure}"))
+            try:
+                result = cases[hits[0]].apply(env)
+            except TermError as exc:
+                out.append(Violation(where, f"update error at {render(m)}: {exc}"))
                 continue
             memory = result[1] if out_ports is None else result.memory
             if domain.contains(memory) is False:

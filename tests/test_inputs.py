@@ -563,6 +563,19 @@ def test_digits_int_rejects_are_atoms(work, capsys, field, text, code, message):
      "sxm: 1 violation(s)\n  inputs: reserved atom 'λ' in input alphabet\n"),
     ("counter.json", lambda d: d["next_state"][0].update(to=[]),
      "sxm: 1 violation(s)\n  next_state[q0,inc]: entry has no target states\n"),
+    ("counter.json", lambda d: d.update(memory_domain={"set": [0, 1, 1, 2, 3, 3, 1]}),
+     "sxm: 2 violation(s)\n  memory_domain: value 1 listed more than once\n"
+     "  memory_domain: value 3 listed more than once\n"),
+    ("counter.json", lambda d: d.update(memory_domain={"open": {"sample": [0, 2, 0]}}),
+     "sxm: 1 violation(s)\n  memory_domain: value 0 listed more than once\n"),
+    ("ps2_control.json", lambda d: d["memory_domain"]["set"].append(0),
+     "csxm: 1 violation(s)\n  ps2_control.memory_domain: value 0 listed more than once\n"),
+    ("ps2_control.json", lambda d: d["in_port_domain"].append(d["in_port_domain"][0]),
+     "csxm: 1 violation(s)\n"
+     "  ps2_control.in_port_domain: value (bdf, b) listed more than once\n"),
+    ("ps2_control.json", lambda d: d["out_port_domain"].append(d["out_port_domain"][0]),
+     "csxm: 1 violation(s)\n"
+     "  ps2_control.out_port_domain: value (s, t) listed more than once\n"),
     ("ps2.json", lambda d: d["structure"]["children"][0].update(id=3),
      "psystem: 1 violation(s)\n  structure: compartment ids must be 1..2, got [1, 3]\n"),
     ("ps2.json", lambda d: d["rules"]["1"][1].update(name="r11"),
@@ -571,7 +584,9 @@ def test_digits_int_rejects_are_atoms(work, capsys, field, text, code, message):
         "csxm functions uncovered", "csxm initial not ordinary", "csxm arc of the other kind",
         "csxm ordinary send", "csxm communicating input", "csxm communicating output",
         "csxm communicating no target", "csxm communicating out-port", "csxm separator",
-        "sxm no states", "sxm reserved atom", "sxm no targets", "psystem ids",
+        "sxm no states", "sxm reserved atom", "sxm no targets", "sxm repeated set values",
+        "sxm repeated sample value", "csxm repeated memory value", "csxm repeated in-port value",
+        "csxm repeated out-port value", "psystem ids",
         "psystem duplicate rule"])
 def test_validate_reports_each_structural_violation(work, capsys, name, change, report):
     _exits(1, ["validate", _edit(work / name, change)], report, work, capsys)
@@ -739,16 +754,27 @@ def test_fuzzed_files_end_in_an_exit_code(work, capsys):
     def at(name):
         return str(work / name)
 
+    # a valid system of two Control copies, the first sending to the second
     control = json.loads((work / "ps2_control.json").read_text(encoding="utf-8"))
-    (work / "pair.json").write_text(json.dumps({"schema": 1, "components": [control, control]}),
+    first = json.loads(json.dumps(control))
+    for case in (case for fn in first["functions"] for case in fn["cases"]):
+        if "send_to" in case:
+            case["send_to"] = 2
+    (work / "pair.json").write_text(json.dumps({"schema": 1, "components": [first, control]}),
                                     encoding="utf-8")
     commands = {
         "counter.json": [["validate", "--dft", at("counter.json")]],
         "counter_testable.json": [["gen-tests", "sxm", at("counter_testable.json")],
-                                  _score_sxm(work)],
-        "pair.json": [["validate", at("pair.json")], ["product", at("pair.json")]],
+                                  _score_sxm(work), ["mutate", at("counter_testable.json")],
+                                  ["validate", "--dft", at("counter_testable.json")]],
+        "pair.json": [["validate", at("pair.json")], ["product", at("pair.json")],
+                      ["validate", "--dft", at("pair.json")]],
         "ps2.json": [["simulate", at("ps2.json"), "--depth", "2"], _score_psystem(work),
-                     ["simulate", at("ps2_heterotic.json")]],
+                     ["simulate", at("ps2_heterotic.json")],
+                     ["coverage", at("ps2.json"), "--depth", "2"],
+                     ["gen-tests", "psystem", at("ps2.json"), "--depth", "2"],
+                     ["mutate", at("ps2.json")],
+                     ["simulate", at("ps2.json"), "--depth", "2", "--all-branches"]],
         "ps2_control.json": [["validate", "--dft", at("ps2_control.json")],
                              ["gen-tests", "heterotic", at("ps2_heterotic.json")]],
         "ps2_heterotic.json": [["simulate", at("ps2_heterotic.json")]],

@@ -8,26 +8,21 @@ reference's, item for item.  Communicating machines had no point checks
 before, so their reports are pinned on edits of the shipped Control.
 """
 
+import gc
+import tracemalloc
+
 import pytest
 
 from gen_models import random_csxm_system, random_dft_sxm, random_messy_sxm
 from heterotest import sxm
-from heterotest.csxms import (
-    COMM_SYMBOL,
-    CsxmCase,
-    CsxmCaseFunction,
-    check_csxm_dft,
-    extend_for_testing,
-    generate_csxms_test_suite,
-    validate_csxm,
-    validate_system,
-)
+from heterotest.csxms import CsxmCase, CsxmCaseFunction, validate_csxm
+from heterotest.dft import check_dft
 from heterotest.errors import MissingSampleError, TermError, Violation
 from heterotest.model_io import load_model_file
 from heterotest.mutation import SXM_OPERATORS, _sxm_candidates
 from heterotest.records import replace
-from heterotest.sxm import Case, CaseFunction, MemoryDomain, structure_violations, table_for
-from heterotest.values import BOTTOM_M, NULL, is_value, render
+from heterotest.sxm import Case, CaseFunction, MemoryDomain, structure_violations
+from heterotest.values import BOTTOM_M, is_value, render
 
 
 def _reference_matching_cases(fn, memory, symbol):
@@ -180,6 +175,23 @@ def test_hand_edited_machines_match_the_reference(counter, edit, message):
     assert any(message in v.message for v in sxm.validate_sxm(model))
 
 
+def test_a_domain_walk_keeps_nothing(counter):
+    # validation and the design-for-test checks match each point and drop
+    # it: what stays allocated afterwards does not grow with the domain
+    wide = replace(counter, memory_domain=MemoryDomain(kind="range", low=0, high=2999))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert sxm.validate_sxm(wide) == []
+        assert not check_dft(wide).complete
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 100_000
+
+
 # --- communicating machines ----------------------------------------------------
 
 
@@ -260,28 +272,3 @@ def test_a_pattern_error_is_reported(control):
          f"pattern error: arithmetic '+' needs integers, got {port!r}, 0")
         for _ in MEMORY for port in (BOTTOM_M,) + control.in_port_domain
     ]
-
-
-def test_generation_reuses_the_entries_validation_filled():
-    # every function of these components is a case table, and every value a
-    # component sends lies in its partner's in-port domain
-    for seed in range(8):
-        system = random_csxm_system(seed)
-        sxm._domain_violations.cache_clear()
-        assert validate_system(system) == []
-        filled = {}
-        for comp in system.components:
-            for name, fn in comp.functions.items():
-                table = table_for(fn.cases)
-                points = {(m, sym, port) for m in comp.memory_domain.enumerate(comp.name)[0]
-                          for sym in comp.inputs | {NULL}
-                          for port in [BOTTOM_M] + list(comp.in_port_domain)}
-                assert points <= set(table.entries), (seed, comp.name, name)
-                filled[table] = dict(table.entries)
-        for comp in extend_for_testing(system).components:
-            check_csxm_dft(comp)
-        generate_csxms_test_suite(system, 0)
-        for table, entries in filled.items():
-            # only ordinary cases asked about the communication symbol are new
-            assert {key[1] for key in set(table.entries) - set(entries)} <= {COMM_SYMBOL}
-            assert all(table.entries[key] is entry for key, entry in entries.items())

@@ -9,14 +9,17 @@ same traces, halting results, cap errors and advance results on seeded
 random P systems.
 
 ``reference_csxm_evaluate`` is the case loop communicating machines used
-to run on every call.  Their functions now read the evaluation table
-shared with ordinary machines' case tables, and must give the same result,
-or raise the same error, at every (memory, in-port, input) point.
+to run on every call, and ``ReferenceCaseTable`` the per-point evaluation
+table both machine kinds then shared.  Both kinds now try their cases on
+each call through one first-match loop, and must give the same result, or
+raise the same error, as these references at every point: (memory, in-port,
+input) for a communicating machine, (memory, input) for a machine, whose
+``fired_case`` must also name the case the reference applied.
 """
 
 import pytest
 
-from gen_models import random_csxm_system
+from gen_models import random_csxm_system, random_dft_sxm, random_messy_sxm
 from test_psystem_dag import capped_step_choices, random_psystem
 
 from heterotest import psystem
@@ -45,6 +48,7 @@ from heterotest.psystem import (
     step_choices,
 )
 from heterotest.records import replace
+from heterotest.sxm import Case, CaseFunction
 from heterotest.values import BOTTOM_M, NULL
 
 M = Multiset.from_string
@@ -130,6 +134,67 @@ def reference_csxm_evaluate(cases, input_symbol, in_port, memory):
             send_to=case.send_to,
         )
     return None
+
+
+# --- the reference: the evaluation table both machine kinds shared --------------
+
+
+class ReferenceCaseTable:
+    """The evaluation table of one case tuple, filled as it is asked:
+    key -> (indexes of the matching cases, the error matching stopped at,
+    the result of the first match, the error ``evaluate`` raises).
+
+    A key is what the cases ``bind``: (memory, input) for :class:`Case`,
+    (memory, input, in-port) for a communicating machine's case.  A case
+    binds a key with its own input to None or an environment, or raises
+    :class:`TermError`; ``apply`` turns the first match's environment into
+    the result.  Matching stops at the first case whose
+    binding raises; ``evaluate`` raises that error only when no case
+    matched before it, as trying the cases top to bottom would.
+    """
+
+    __slots__ = ("cases", "entries")
+
+    def __init__(self, cases: tuple):
+        self.cases = cases
+        self.entries: dict = {}
+
+    def entry(self, *key):
+        found = self.entries.get(key)
+        if found is None:
+            found = self.entries[key] = self._fill(key)
+        return found
+
+    def evaluate(self, *key):
+        _, _, result, failure = self.entry(*key)
+        if failure is not None:
+            raise failure.with_traceback(None)
+        return result
+
+    def _fill(self, key):
+        input_symbol = key[1]
+        hits, first_env, error = [], None, None
+        for idx, case in enumerate(self.cases):
+            if case.input != input_symbol:
+                continue
+            try:
+                env = case.bind(*key)
+            except TermError as exc:
+                error = exc
+                break
+            if env is not None:
+                if not hits:
+                    first_env = env
+                hits.append(idx)
+        result, failure = None, None
+        if hits:
+            try:
+                result = self.cases[hits[0]].apply(first_env)
+            except TermError as exc:
+                failure = exc
+        else:
+            failure = error
+        return tuple(hits), error, result, failure
 
 
 def _outcome(fn, *args, **kwargs):
@@ -362,7 +427,7 @@ def test_hand_made_tables_equal_the_reference(name):
     outcomes = {_outcome(fn.evaluate, s, p, m) for m, p, s in RAISING_POINTS}
     _check_function(fn, RAISING_POINTS)
     assert len(outcomes) > 1  # each table is defined, undefined or raises somewhere
-    # a second call reads the table, and must give the same again
+    # a second call tries the cases again, and must give the same again
     _check_function(fn, RAISING_POINTS)
 
 
@@ -375,3 +440,114 @@ def test_hand_made_tables_cover_each_error_and_the_earlier_match():
     fn = RAISING_TABLES["a later port pattern raises after a match"]
     assert fn.evaluate("go", BOTTOM_M, 2) == CsxmResult(5, "idle")
     assert _outcome(fn.evaluate, "go", 3, 2) == ("TermError", "modulo by zero")
+
+
+# --- machine case tables -------------------------------------------------------
+
+
+def _returned(call, *args):
+    """("returns", the result) of a call, or ("raises", the message of the
+    :class:`TermError` it raised)."""
+    try:
+        return "returns", call(*args)
+    except TermError as exc:
+        return "raises", str(exc)
+
+
+def _check_machine_function(fn, points):
+    """Compare ``evaluate`` and ``fired_case`` of one machine case function
+    with the reference table at every (memory, input) point; returns the
+    points defined."""
+    assert isinstance(fn, CaseFunction)
+    table = ReferenceCaseTable(fn.cases)
+    defined = 0
+    for memory, symbol in points:
+        want = _returned(table.evaluate, memory, symbol)
+        assert _returned(fn.evaluate, memory, symbol) == want, (fn.name, memory, symbol)
+        # fired_case raises where evaluate does, and names the applied case
+        # elsewhere; the table answered None where evaluate raised
+        hits, _, result, _ = table.entry(memory, symbol)
+        fired = want if want[0] == "raises" else (
+            "returns", hits[0] if result is not None else None)
+        assert _returned(fn.fired_case, memory, symbol) == fired, (fn.name, memory, symbol)
+        defined += want[1] is not None
+    return defined
+
+
+def _machine_points(model):
+    """Every memory value the machine declares and a few it does not, with
+    every input and one outside the alphabet."""
+    memories, _ = model.memory_domain.enumerate(model.name)
+    values = list(memories) + [-1, "x", (0, 1)]
+    return [(m, s) for m in values for s in sorted(model.inputs) + ["zz"]]
+
+
+def _check_machine(model):
+    defined = sum(_check_machine_function(fn, _machine_points(model))
+                  for fn in model.functions.values())
+    assert defined > 0, model.name
+
+
+@pytest.mark.parametrize("name", ["counter.json", "counter_testable.json"])
+def test_shipped_machines_equal_the_reference_table(models_dir, name):
+    _, model = load_model_file(models_dir / name)
+    _check_machine(model)
+
+
+def test_random_machines_equal_the_reference_table():
+    for seed in range(12):
+        _check_machine(random_dft_sxm(seed))
+    for seed in range(80):
+        _check_machine(random_messy_sxm(seed))
+
+
+def _machine_table(*cases):
+    return CaseFunction("f", [Case.build(*case) for case in cases])
+
+
+# The machine form of RAISING_TABLES: (memory pattern, input, output, update).
+RAISING_MACHINE_TABLES = {
+    "memory pattern raises": _machine_table(
+        ("?m where ?m % 0 == 0", "go", "o", "?m"),
+        ("_", "go", "p", "1"),
+    ),
+    "update raises": _machine_table(
+        ("?m", "go", "o", "?m % 0"),
+    ),
+    # matching stops at the raising pattern, but an earlier match still wins
+    "a later pattern raises after a match": _machine_table(
+        ("0", "go", "zero", "5"),
+        ("?m where ?m % 0 == 0", "go", "o", "?m"),
+        ("_", "go", "p", "1"),
+    ),
+    # the first case binds every memory, but only on its own input
+    "the first match wins over a later one": _machine_table(
+        ("_", "stop", "halt", "9"),
+        ("?m where ?m > 1", "go", "big", "?m + 1"),
+        ("?m", "go", "any", "0"),
+    ),
+}
+RAISING_MACHINE_POINTS = [(m, s) for m in (0, 1, 2, "x", (0, 1)) for s in ("go", "stop")]
+
+
+@pytest.mark.parametrize("name", sorted(RAISING_MACHINE_TABLES))
+def test_hand_made_machine_tables_equal_the_reference(name):
+    fn = RAISING_MACHINE_TABLES[name]
+    outcomes = {_returned(fn.evaluate, m, s) for m, s in RAISING_MACHINE_POINTS}
+    assert len(outcomes) > 1  # each table is defined, undefined or raises somewhere
+    _check_machine_function(fn, RAISING_MACHINE_POINTS)
+
+
+def test_hand_made_machine_tables_cover_each_error_and_the_earlier_match():
+    fn = RAISING_MACHINE_TABLES["memory pattern raises"]
+    assert _returned(fn.evaluate, 1, "go") == ("raises", "modulo by zero")
+    assert _returned(fn.fired_case, 1, "go") == ("raises", "modulo by zero")
+    fn = RAISING_MACHINE_TABLES["update raises"]
+    assert _returned(fn.evaluate, 1, "go") == ("raises", "modulo by zero")
+    fn = RAISING_MACHINE_TABLES["a later pattern raises after a match"]
+    assert fn.evaluate(0, "go") == ("zero", 5) and fn.fired_case(0, "go") == 0
+    assert _returned(fn.evaluate, 1, "go") == ("raises", "modulo by zero")
+    fn = RAISING_MACHINE_TABLES["the first match wins over a later one"]
+    assert fn.evaluate(2, "go") == ("big", 3) and fn.fired_case(2, "go") == 1
+    assert fn.evaluate(1, "go") == ("any", 0) and fn.fired_case(1, "go") == 2
+    assert fn.evaluate(1, "stop") == ("halt", 9) and fn.fired_case(1, "stop") == 0
