@@ -281,13 +281,14 @@ def validate_system(sys: CsxmSystem) -> list[Violation]:
     if not sys.components:
         return [Violation(sys.name, "a system needs at least one component")]
     out = [v for comp in sys.components for v in validate_csxm(comp)]
-    return out + send_target_violations(sys)
+    return out + system_violations(sys)
 
 
-def send_target_violations(sys: CsxmSystem) -> list[Violation]:
-    """The system-level half of :func:`validate_system`: every send target
-    of a communicating function names another component."""
-    out: list[Violation] = []
+def system_violations(sys: CsxmSystem) -> list[Violation]:
+    """The system-level half of :func:`validate_system`: no two components
+    share a name, and every send target of a communicating function names
+    another component."""
+    out = repeat_violations([comp.name for comp in sys.components], f"{sys.name}.components")
     n = len(sys.components)
     for idx, comp in enumerate(sys.components, start=1):
         for fname in sorted(comp.communicating_functions):

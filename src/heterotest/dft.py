@@ -125,61 +125,47 @@ def decide_conditions(
         issues.append(f"initial-state set {sorted(model.initial_states)} is not a singleton")
     issues.extend(structural)
 
-    def clashes(pairs, same):
-        # (tag, fn1, fn2, memory, point, r1, r2) where both functions are
-        # defined and ``same(r1, r2)`` holds.
-        found = []
-        for tag, n1, n2 in pairs:
-            f1, f2 = functions.get(n1), functions.get(n2)
-            if f1 is None or f2 is None:
-                continue
-            for m in values:
-                for point in points:
-                    if len(found) >= WITNESS_LIMIT:
-                        return found
-                    r1 = evaluate(f1, m, point)
-                    if r1 is None:
-                        continue
-                    r2 = evaluate(f2, m, point)
-                    if r2 is not None and same(r1, r2):
-                        found.append((tag, n1, n2, m, point, r1, r2))
-        return found
-
     # Determinism: functions attached to a common state must have disjoint
-    # domains.
+    # domains.  Output distinguishability: an observable identifies the
+    # fired function.  Completeness: every function must fire from every
+    # memory at some point.  Each memory's row holds every function's
+    # result at every point; each pair and function keeps its first
+    # ``WITNESS_LIMIT`` hits, and the lists are joined pair- or
+    # function-major before the cut.
+    fn_names = sorted(functions)
     attached: Dict[str, set] = {}
     for q, name in model.next_state:
         attached.setdefault(q, set()).add(name)
     attached_pairs = [
         (q, n1, n2) for q in sorted(attached) for n1, n2 in combinations(sorted(attached[q]), 2)
+        if n1 in functions and n2 in functions
     ]
-    det = [
-        DeterminismWitness(q, n1, n2, *locate(m, point))
-        for q, n1, n2, m, point, _, _ in clashes(attached_pairs, lambda r1, r2: True)
-    ]
-
-    # Completeness: every function must fire from every memory at some point.
-    fn_names = sorted(functions)
-    comp: list[CompletenessWitness] = []
-    complete_per_function: Dict[str, bool] = {}
-    for name in fn_names:
-        fn = functions[name]
-        ok = True
-        for m in values:
-            if all(evaluate(fn, m, point) is None for point in points):
-                ok = False
-                if len(comp) < WITNESS_LIMIT:
-                    comp.append(CompletenessWitness(name, m))
-        complete_per_function[name] = ok
-
-    # Output distinguishability: an observable identifies the fired function.
-    dist = []
-    for _, n1, n2, m, point, r1, r2 in clashes(
-        [(None, n1, n2) for n1, n2 in combinations(fn_names, 2)],
-        lambda r1, r2: r1[2] == r2[2],
-    ):
-        memory, symbol = locate(m, point)
-        dist.append(DistinguishabilityWitness(n1, n2, memory, r1[1], r2[1], symbol, r1[0]))
+    fn_pairs = list(combinations(fn_names, 2))
+    det: list = [[] for _ in attached_pairs]
+    dist: list = [[] for _ in fn_pairs]
+    comp: list = [[] for _ in fn_names]
+    complete_per_function = dict.fromkeys(fn_names, True)
+    for m in values:
+        row = {name: [evaluate(functions[name], m, point) for point in points]
+               for name in fn_names}
+        for found, (q, n1, n2) in zip(det, attached_pairs):
+            for point, r1, r2 in zip(points, row[n1], row[n2]):
+                if len(found) < WITNESS_LIMIT and r1 is not None and r2 is not None:
+                    found.append(DeterminismWitness(q, n1, n2, *locate(m, point)))
+        for found, (n1, n2) in zip(dist, fn_pairs):
+            for point, r1, r2 in zip(points, row[n1], row[n2]):
+                if (len(found) < WITNESS_LIMIT and r1 is not None and r2 is not None
+                        and r1[2] == r2[2]):
+                    memory, symbol = locate(m, point)
+                    found.append(DistinguishabilityWitness(n1, n2, memory, r1[1], r2[1],
+                                                           symbol, r1[0]))
+        for found, name in zip(comp, fn_names):
+            if all(r is None for r in row[name]):
+                complete_per_function[name] = False
+                if len(found) < WITNESS_LIMIT:
+                    found.append(CompletenessWitness(name, m))
+    det, comp, dist = ([w for found in lists for w in found][:WITNESS_LIMIT]
+                       for lists in (det, comp, dist))
 
     return DftReport(
         deterministic=not det and not issues,

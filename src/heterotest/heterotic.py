@@ -228,9 +228,9 @@ def build_heterotic_system(
 ) -> HeteroticSystem:
     """Validate ``ps`` and ``control``, wrap ``ps`` as the Base with ``seed``
     and ``depth_cap``, check that Control reads whatever the Base emits, and
-    validate the Base and the pair's send targets, in that order."""
+    validate the Base and the pair's names and send targets, in that order."""
     # looked up when called, as ``cli`` looks up the validators it runs
-    from .csxms import send_target_violations, validate_csxm
+    from .csxms import system_violations, validate_csxm
     from .psystem import validate_psystem
 
     violations = validate_psystem(ps) + validate_csxm(control)
@@ -244,7 +244,7 @@ def build_heterotic_system(
             f"base emits a configuration outside {control.name}'s in-port domain"
         )
     system = CsxmSystem(name=name, components=(base, control))
-    violations = validate_csxm(base) + send_target_violations(system)
+    violations = validate_csxm(base) + system_violations(system)
     if violations:
         raise InvalidModel("heterotic", violations)
     return HeteroticSystem(base, control, ps, seed, depth_cap, system)

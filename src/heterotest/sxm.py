@@ -14,7 +14,6 @@ from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -23,7 +22,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    TypeVar,
 )
 
 from .errors import (
@@ -36,9 +34,6 @@ from .errors import (
 from .records import aside, record
 from .terms import Pattern, Term, parse_expr, parse_pattern
 from .values import RESERVED_ATOMS, Value, is_value, render, sort_key
-
-S = TypeVar("S")
-T = TypeVar("T")
 
 # The simultaneous-branch bound of every machine run, read where it is checked.
 BRANCH_BOUND = 256
@@ -124,12 +119,6 @@ class CaseFunction(ProcessingFunction):
     def evaluate(self, memory, input_symbol):
         hit = first_match(self.cases, memory, input_symbol)
         return None if hit is None else hit[1]
-
-    def fired_case(self, memory: Value, input_symbol: str) -> Optional[int]:
-        """The index of the case ``evaluate`` applies, or None where the
-        function is undefined; raises where ``evaluate`` raises."""
-        hit = first_match(self.cases, memory, input_symbol)
-        return None if hit is None else hit[0]
 
     def __repr__(self):
         return f"CaseFunction({self.name!r}, {len(self.cases)} cases)"
@@ -380,11 +369,12 @@ def point_violations(model, prefix: str, tables, tails, out_ports) -> list[Viola
     A point is a memory value of the declared domain or sample followed by
     a tail of ``tails``: (input,) for a machine, (input, in-port) for a
     communicating machine.  At every point the case tables of ``tables``,
-    (function name, cases) pairs, must not overlap or fail to match; on a
-    declared domain, the first match must also update within the domain
-    and, unless ``out_ports`` is None (a machine, whose results are
-    (output, memory) pairs), set the out-port only to a value of
-    ``out_ports``.  ``prefix`` starts every ``where``.
+    (function name, cases) pairs, must not overlap or fail to match, and
+    the first match must update without error; on a declared domain, it
+    must also update within the domain and, unless ``out_ports`` is None
+    (a machine, whose results are (output, memory) pairs), set the
+    out-port only to a value of ``out_ports``.  ``prefix`` starts every
+    ``where``.
     """
     try:
         values, _ = model.memory_domain.enumerate(model.name)
@@ -435,12 +425,14 @@ def _domain_violations(where, cases, domain, tails, out_ports) -> Tuple[Violatio
                 overlap_reported.add((hits[0], hits[1]))
                 out.append(Violation(where, f"cases {hits[0]} and {hits[1]} overlap at "
                                             f"{_point(m, tail)}"))
-            if not hits or domain.kind == "open":
+            if not hits:
                 continue
             try:
                 result = cases[hits[0]].apply(env)
             except TermError as exc:
                 out.append(Violation(where, f"update error at {render(m)}: {exc}"))
+                continue
+            if domain.kind == "open":
                 continue
             memory = result[1] if out_ports is None else result.memory
             if domain.contains(memory) is False:
@@ -452,38 +444,9 @@ def _domain_violations(where, cases, domain, tails, out_ports) -> Tuple[Violatio
     return tuple(out)
 
 
-def replay_sequences(
-    sequences: Iterable[Sequence[T]],
-    start: S,
-    advance: Callable[[S, T], S],
-) -> Iterator[S]:
-    """Yield the state reached after each sequence, in the order given.
-
-    Each sequence restarts from the state saved for the longest prefix it
-    shares with the previous one and advances only over the rest, so a
-    sorted list costs one step per distinct non-empty prefix.
-    ``advance`` must be a pure function of its arguments.
-    """
-    path: list = []
-    states = [start]
-    for seq in sequences:
-        shared = 0
-        limit = min(len(path), len(seq))
-        while shared < limit and path[shared] == seq[shared]:
-            shared += 1
-        del path[shared:]
-        del states[shared + 1 :]
-        state = states[-1]
-        for symbol in seq[shared:]:
-            state = advance(state, symbol)
-            path.append(symbol)
-            states.append(state)
-        yield state
-
-
-def _layer(model: Sxm, frontier, symbol: str, fired: Optional[set]):
+def _layer(model: Sxm, frontier, symbol: str, fired: set):
     """Every configuration one step from ``frontier`` on ``symbol``,
-    deduplicated and sorted.  With ``fired``, adds ``("arc", state,
+    deduplicated and sorted.  Adds to ``fired`` ``("arc", state,
     function)`` for each arc applied and ``("case", function, case
     index)`` for each case of a case table applied."""
     functions, arcs = model.functions, model.arcs_by_state
@@ -491,56 +454,63 @@ def _layer(model: Sxm, frontier, symbol: str, fired: Optional[set]):
     for cfg in frontier:
         for fn_name, targets in arcs.get(cfg.state, ()):
             fn = functions[fn_name]
-            result = fn.evaluate(cfg.memory, symbol)
-            if result is None:
-                continue
-            if fired is not None:
-                fired.add(("arc", cfg.state, fn_name))
-                if isinstance(fn, CaseFunction):
-                    fired.add(("case", fn_name, fn.fired_case(cfg.memory, symbol)))
-            output, memory = result
+            if isinstance(fn, CaseFunction):
+                hit = first_match(fn.cases, cfg.memory, symbol)
+                if hit is None:
+                    continue
+                fired.add(("case", fn_name, hit[0]))
+                output, memory = hit[1]
+            else:
+                result = fn.evaluate(cfg.memory, symbol)
+                if result is None:
+                    continue
+                output, memory = result
+            fired.add(("arc", cfg.state, fn_name))
             produced = cfg.output_so_far + (output,)
             for target in targets:
                 successors.add(SxmConfiguration(memory, target, produced))
     return tuple(sorted(successors, key=SxmConfiguration.key))
 
 
-def _replay_frontiers(
-    model: Sxm, sequences: Iterable[Sequence[str]], reach: bool = False
-) -> Iterator:
-    """The final frontier of each input sequence, in order.
+def _replay_frontiers(model: Sxm, sequences: Iterable[Sequence[str]]) -> Iterator:
+    """The final frontier of each input sequence, in order, with the
+    frozenset of arcs and cases fired on the way to it (see :func:`_layer`).
 
     A frontier holds every configuration reached after a prefix; each layer
-    is one :func:`_layer` step.  A layer wider than ``BRANCH_BOUND`` raises
-    :class:`BranchBoundExceeded`.  With ``reach``, each frontier is paired
-    with the frozenset of arcs and cases fired on the way to it (see
-    :func:`_layer`).
+    is one :func:`_layer` step.  Each sequence restarts from the layer saved
+    for the longest prefix it shares with the previous one and steps only
+    over the rest, so a sorted list costs one step per distinct non-empty
+    prefix.  A layer wider than ``BRANCH_BOUND`` raises
+    :class:`BranchBoundExceeded`; the initial layer is checked once, before
+    the first sequence.
     """
-    branch_bound = BRANCH_BOUND
-
-    def bounded(frontier):
-        if len(frontier) > branch_bound:
-            raise BranchBoundExceeded(f"more than {branch_bound} simultaneous branches")
-        return frontier
-
+    bound = BRANCH_BOUND
+    too_wide = f"more than {bound} simultaneous branches"
     start = tuple(
         SxmConfiguration(model.initial_memory, q, ()) for q in sorted(model.initial_states)
     )
-    if reach:
-        def advance(node, symbol):
-            fired = set(node[1])
-            return bounded(_layer(model, node[0], symbol, fired)), frozenset(fired)
-
-        root = (start, frozenset())
-    else:
-        def advance(frontier, symbol):
-            return bounded(_layer(model, frontier, symbol, None))
-
-        root = start
     sequences = list(sequences)
-    if sequences:
-        bounded(start)
-    yield from replay_sequences(sequences, root, advance)
+    if sequences and len(start) > bound:
+        raise BranchBoundExceeded(too_wide)
+    path: list = []
+    layers = [(start, frozenset())]  # the layer after each prefix of ``path``
+    for seq in sequences:
+        shared = 0
+        limit = min(len(path), len(seq))
+        while shared < limit and path[shared] == seq[shared]:
+            shared += 1
+        del path[shared:]
+        del layers[shared + 1 :]
+        frontier, fired = layers[-1]
+        for symbol in seq[shared:]:
+            step = set(fired)
+            frontier = _layer(model, frontier, symbol, step)
+            if len(frontier) > bound:
+                raise BranchBoundExceeded(too_wide)
+            fired = frozenset(step)
+            path.append(symbol)
+            layers.append((frontier, fired))
+        yield frontier, fired
 
 
 def _final_outputs(model: Sxm, frontier) -> Tuple[Tuple[str, ...], ...]:
@@ -554,7 +524,7 @@ def replay_outputs(
 ) -> Iterator[Tuple[Tuple[str, ...], ...]]:
     """Yield :func:`run_outputs` of each input sequence, in order, sharing
     the work of common prefixes between consecutive sequences."""
-    for frontier in _replay_frontiers(model, sequences):
+    for frontier, _ in _replay_frontiers(model, sequences):
         yield _final_outputs(model, frontier)
 
 
@@ -565,7 +535,7 @@ def replay_reached(
     and what its run fired on any branch: ``("arc", state, function)``
     for every arc applied and ``("case", function, case index)`` for every
     case of a case table applied."""
-    for frontier, fired in _replay_frontiers(model, sequences, reach=True):
+    for frontier, fired in _replay_frontiers(model, sequences):
         yield _final_outputs(model, frontier), fired
 
 

@@ -43,23 +43,10 @@ def _require_deterministic(a: Automaton) -> None:
         )
 
 
-def reachable_states(a: Automaton) -> FrozenSet[str]:
-    seen = set(a.initial)
-    queue = deque(sorted(a.initial))
-    succ: Dict[str, list] = {}
-    for src, _, dst in a.arcs:
-        succ.setdefault(src, []).append(dst)
-    while queue:
-        q = queue.popleft()
-        for nxt in sorted(set(succ.get(q, []))):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
-
-
 def prune_unreachable(a: Automaton) -> Automaton:
-    keep = reachable_states(a)
+    """``a`` without the states its initial state cannot reach; ``a`` must
+    be deterministic."""
+    keep = frozenset(_cover_map(a))
     return Automaton(
         states=keep,
         initial=a.initial & keep,
@@ -414,7 +401,7 @@ def build_w_suite(model: Sxm, k: int, metadata=None) -> TestSuite:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    minimal = minimize_automaton(prune_unreachable(associated_automaton(model)))
+    minimal = minimize_automaton(associated_automaton(model))
     cover = state_cover(minimal)
     w = characterization_set(minimal)
     graph = _SuiteGraph(model, minimal, k, cover, w)

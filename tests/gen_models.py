@@ -23,10 +23,13 @@ witness-validity testing.
 from __future__ import annotations
 
 import random
+from collections import deque
+from typing import Dict, FrozenSet
 
 from heterotest.csxms import Csxm, CsxmCase, CsxmCaseFunction, CsxmSystem
 from heterotest.dft import check_dft
 from heterotest.sxm import (
+    Automaton,
     Case,
     CaseFunction,
     MemoryDomain,
@@ -34,13 +37,25 @@ from heterotest.sxm import (
     associated_automaton,
     validate_sxm,
 )
-from heterotest.testgen import (
-    TestSuite,
-    build_w_suite,
-    minimize_automaton,
-    prune_unreachable,
-    reachable_states,
-)
+from heterotest.testgen import TestSuite, build_w_suite, minimize_automaton
+from machine_walk import fired_case
+
+
+def reachable_states(a: Automaton) -> FrozenSet[str]:
+    """The states of ``a`` that a walk from any initial state reaches,
+    deterministic or not."""
+    seen = set(a.initial)
+    queue = deque(sorted(a.initial))
+    succ: Dict[str, list] = {}
+    for src, _, dst in a.arcs:
+        succ.setdefault(src, []).append(dst)
+    while queue:
+        q = queue.popleft()
+        for nxt in sorted(set(succ.get(q, []))):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return frozenset(seen)
 
 
 def _random_update(rng: random.Random, modulus: int) -> str:
@@ -82,7 +97,7 @@ def suite_case_coverage(model: Sxm, suite: TestSuite, nonfinal: bool = False) ->
             move = None
             for fn_name, targets in sorted(arcs.get(state, [])):
                 fn = model.functions[fn_name]
-                hit = fn.fired_case(memory, symbol)
+                hit = fired_case(fn, memory, symbol)
                 if hit is not None:
                     move = (fn_name, hit, targets[0])
                     break
@@ -156,7 +171,7 @@ def random_dft_sxm(seed: int, max_states: int = 5, max_functions: int = 4,
         automaton = associated_automaton(model)
         if reachable_states(automaton) != automaton.states:
             continue
-        if len(minimize_automaton(prune_unreachable(automaton)).states) != len(automaton.states):
+        if len(minimize_automaton(automaton).states) != len(automaton.states):
             continue
         report = check_dft(model)
         if not (report.all_pass() and report.exhaustive):

@@ -157,6 +157,7 @@ def _control_pair(models_dir, tmp_path, first_sends_to):
 
     control = load_model_file(models_dir / "ps2_heterotic.json")[1].control
     first, second = (json.loads(canonical_json(sxm_to_dict(control))) for _ in range(2))
+    second["name"] = "ps2_control_2"  # component names are distinct
     for fn in first["functions"]:
         for case in fn["cases"]:
             if "send_to" in case:

@@ -45,3 +45,5 @@ def test_no_entry_point_takes_a_cap_or_the_communication_symbol():
     assert "comm_symbol" not in csxms.CsxmSystem._fields
     # the DAG is always capped: the uncapped reachability walk is mutation's
     assert list(inspect.signature(psystem.explore).parameters) == ["ps", "depth"]
+    # every replay records what it fired: there is no switch to ask for it
+    assert list(inspect.signature(sxm._replay_frontiers).parameters) == ["model", "sequences"]

@@ -355,6 +355,7 @@ def test_csxm_structure_checked_wherever_a_csxm_is_read(work, capsys, change, me
     _exits(1, ["validate", str(work / "ps2_heterotic.json")], message, work, capsys)
     sending = json.loads((work / "ps2_control.json").read_text(encoding="utf-8"))
     receiving = json.loads((work / "ps2_control.json").read_text(encoding="utf-8"))
+    receiving["name"] = "ps2_control_2"  # component names are distinct
     for fn in sending["functions"]:
         for case in fn["cases"]:
             if "send_to" in case:
@@ -646,6 +647,7 @@ def test_communicating_function_missing_from_functions_is_a_violation(work, caps
     renamed = json.loads((work / "ps2_control.json").read_text(encoding="utf-8"))
     renamed["functions"][2]["name"] = "send_back2"
     other = json.loads((work / "ps2_control.json").read_text(encoding="utf-8"))
+    other["name"] = "ps2_control_2"  # component names are distinct
     system = work / "pair.json"
     system.write_text(json.dumps({"schema": 1, "components": [renamed, other]}),
                       encoding="utf-8")
@@ -659,6 +661,57 @@ def test_communicating_function_missing_from_functions_is_a_violation(work, caps
     )
     _exits(1, ["validate", str(system)], "system: " + violations, work, capsys)
     _exits(1, ["product", str(system)], "error: system model has " + violations, work, capsys)
+
+
+def _open_sample_updates_raise(d):
+    d.update(inputs=["i", "j"], memory_domain={"open": {"sample": ["y", ["z"]]}},
+             initial_memory="y")
+    d["functions"][0]["cases"] = [
+        {"mem_pattern": "[?v]", "input": "i", "output": "o", "mem_next": "?v + 1"}]
+    d["functions"][1]["cases"] = [
+        {"mem_pattern": "?m", "input": "j", "output": "z", "mem_next": "?m - 1"}]
+
+
+def test_open_sample_update_errors_are_violations(work, capsys):
+    # validate exited 0, and validate --dft and gen-tests 2 on the first
+    # error alone, before
+    model = _edit(work / "counter_testable.json", _open_sample_updates_raise)
+    violations = (
+        "3 violation(s)\n"
+        "  functions[inc]: update error at (z): arithmetic '+' needs integers, got 'z', 1\n"
+        "  functions[reset]: update error at y: arithmetic '-' needs integers, got 'y', 1\n"
+        "  functions[reset]: update error at (z): arithmetic '-' needs integers, "
+        "got ('z',), 1\n")
+    for args in (["validate", model], ["validate", "--dft", model]):
+        _exits(1, args, "sxm: " + violations, work, capsys)
+    _exits(1, ["gen-tests", "sxm", model], "error: sxm model has " + violations, work, capsys)
+
+
+def test_components_sharing_a_name_are_a_violation(work, capsys):
+    # one passing report of the second copy and exit 0, before
+    control = json.loads((work / "ps2_control.json").read_text(encoding="utf-8"))
+    first = json.loads(json.dumps(control))
+    first["functions"][0]["cases"][0]["mem_pattern"] = "0"  # check fails completeness
+    for case in (case for fn in first["functions"] for case in fn["cases"]):
+        if "send_to" in case:
+            case["send_to"] = 2
+    system = work / "same_names.json"
+    system.write_text(json.dumps({"schema": 1, "name": "pair", "components": [first, control]}),
+                      encoding="utf-8")
+    _exits(1, ["validate", "--dft", str(system)],
+           "system: 1 violation(s)\n  pair.components: value ps2_control listed more than once\n",
+           work, capsys)
+
+
+def test_control_named_like_the_base_is_a_violation(work, capsys):
+    # validate --dft printed Control's report under the Base's name and
+    # exited 0, before
+    _edit(work / "ps2_control.json", lambda d: d.update(name="base"))
+    heterotic = str(work / "ps2_heterotic.json")
+    violation = "1 violation(s)\n  ps2_heterotic.components: value base listed more than once\n"
+    _exits(1, ["validate", "--dft", heterotic], "heterotic: " + violation, work, capsys)
+    for args in (["gen-tests", "heterotic", heterotic], ["simulate", heterotic]):
+        _exits(1, args, "error: heterotic model has " + violation, work, capsys)
 
 
 # --- fuzz ---------------------------------------------------------------------
@@ -760,7 +813,8 @@ def test_fuzzed_files_end_in_an_exit_code(work, capsys):
     for case in (case for fn in first["functions"] for case in fn["cases"]):
         if "send_to" in case:
             case["send_to"] = 2
-    (work / "pair.json").write_text(json.dumps({"schema": 1, "components": [first, control]}),
+    second = dict(control, name="ps2_control_2")  # component names are distinct
+    (work / "pair.json").write_text(json.dumps({"schema": 1, "components": [first, second]}),
                                     encoding="utf-8")
     commands = {
         "counter.json": [["validate", "--dft", at("counter.json")]],

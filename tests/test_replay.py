@@ -6,6 +6,11 @@ runs) or the initial memory (function-sequence translation).  The engine
 must give the same results for any order of the list, raise the same
 branch-bound error at the same sequence, and score mutants with the same
 verdicts and witnesses.
+
+``machine_walk.reference_replay_frontiers`` is the replay the one-loop
+``sxm._replay_frontiers`` replaced: the generic engine with a ``reach``
+switch, which looked up each fired case after evaluating its table.  Both
+must give the same frontiers, fired sets and branch-bound errors.
 """
 
 import random
@@ -13,7 +18,13 @@ import random
 import pytest
 
 from gen_models import random_csxm_system, random_dft_sxm, random_messy_sxm
-from machine_walk import StreamConfiguration, fundamental_test_inputs, sxm_step
+from machine_walk import (
+    StreamConfiguration,
+    fundamental_test_inputs,
+    reference_replay_frontiers,
+    replay_sequences,
+    sxm_step,
+)
 from heterotest import sxm
 from heterotest.csxms import build_product_sxm
 from heterotest.errors import BranchBoundExceeded
@@ -24,14 +35,13 @@ from heterotest.sxm import (
     CaseFunction,
     MemoryDomain,
     Sxm,
+    _replay_frontiers,
     associated_automaton,
     replay_outputs,
-    replay_sequences,
 )
 from heterotest.testgen import (
     build_w_suite,
     minimize_automaton,
-    prune_unreachable,
     w_method_phi_sequences,
 )
 from test_testgen import reference_translate
@@ -85,7 +95,7 @@ def reference_translation(model, seq):
 
 def reference_suite_inputs(model, k):
     """Sorted prefix-closed inputs and fallback count of the W suite."""
-    minimal = minimize_automaton(prune_unreachable(associated_automaton(model)))
+    minimal = minimize_automaton(associated_automaton(model))
     inputs = set()
     fallbacks = 0
     for seq in sorted(w_method_phi_sequences(minimal, k)):
@@ -138,7 +148,7 @@ def test_translation_matches_reference_on_ps2_heterotic_product(ps2_heterotic):
     # the prefix-sharing translation of the former suite build, which is
     # the reference of the suite walk in tests/test_testgen.py
     product = build_product_sxm(ps2_heterotic.as_system)
-    minimal = minimize_automaton(prune_unreachable(associated_automaton(product)))
+    minimal = minimize_automaton(associated_automaton(product))
     for k in (0, 1, 2):
         sequences = sorted(w_method_phi_sequences(minimal, k))
         reference = [reference_translation(product, seq) for seq in sequences]
@@ -252,3 +262,63 @@ def test_scoring_witness_is_first_failing_case_in_file_order(counter_testable):
         killed_by_order.append(killed)
     forward, backward = killed_by_order
     assert forward.keys() == backward.keys() and forward != backward
+
+
+def replay_outcome(replay):
+    """(everything yielded before any branch-bound error, its message or
+    None)."""
+    done = []
+    try:
+        for item in replay:
+            done.append(item)
+    except BranchBoundExceeded as exc:
+        return done, str(exc)
+    return done, None
+
+
+def words(model, length):
+    """Every input sequence of at most ``length`` symbols, sorted."""
+    out, layer = [()], [()]
+    for _ in range(length):
+        layer = [seq + (sym,) for seq in layer for sym in sorted(model.inputs)]
+        out += layer
+    return sorted(out)
+
+
+def replay_cases():
+    """(model, sorted input sequences) of the seeded machines, the products
+    of seeded communicating systems and a machine of two initial states."""
+    for model in [random_dft_sxm(seed) for seed in range(12)] + [
+            random_messy_sxm(seed) for seed in range(80)]:
+        yield model, words(model, 3)
+    for seed in range(6):
+        product = build_product_sxm(random_csxm_system(seed))
+        yield product, list(build_w_suite(product, 0).inputs())
+    model = doubling_machine(initial_states=("q0", "q1"))
+    yield model, words(model, 4)
+
+
+def check_against_reference_replay(model, sequences, seed):
+    """The replay equals the reference on ``sequences`` in three orders,
+    on no sequence and on the empty one; returns (fired sets seen, errors
+    seen)."""
+    fired_seen = errors = 0
+    for order in orders(sequences, seed) + ([], [()]):
+        got = replay_outcome(_replay_frontiers(model, order))
+        assert got == replay_outcome(reference_replay_frontiers(model, order, reach=True))
+        plain = replay_outcome(reference_replay_frontiers(model, order))
+        assert ([frontier for frontier, _ in got[0]], got[1]) == plain
+        fired_seen += sum(bool(fired) for _, fired in got[0])
+        errors += got[1] is not None
+    return fired_seen, errors
+
+
+@pytest.mark.parametrize("bound", [256, 1])
+def test_replay_equals_the_reference_replay(monkeypatch, bound):
+    monkeypatch.setattr(sxm, "BRANCH_BOUND", bound)
+    fired_seen = errors = 0
+    for seed, (model, sequences) in enumerate(replay_cases()):
+        fired, failed = check_against_reference_replay(model, sequences, seed)
+        fired_seen, errors = fired_seen + fired, errors + failed
+    assert fired_seen > 0
+    assert (errors > 0) == (bound == 1)

@@ -13,13 +13,15 @@ to run on every call, and ``ReferenceCaseTable`` the per-point evaluation
 table both machine kinds then shared.  Both kinds now try their cases on
 each call through one first-match loop, and must give the same result, or
 raise the same error, as these references at every point: (memory, in-port,
-input) for a communicating machine, (memory, input) for a machine, whose
-``fired_case`` must also name the case the reference applied.
+input) for a communicating machine, (memory, input) for a machine, where
+the case index of :func:`first_match` (``machine_walk.fired_case``) must
+also name the case the reference applied.
 """
 
 import pytest
 
 from gen_models import random_csxm_system, random_dft_sxm, random_messy_sxm
+from machine_walk import fired_case
 from test_psystem_dag import capped_step_choices, random_psystem
 
 from heterotest import psystem
@@ -469,7 +471,7 @@ def _check_machine_function(fn, points):
         hits, _, result, _ = table.entry(memory, symbol)
         fired = want if want[0] == "raises" else (
             "returns", hits[0] if result is not None else None)
-        assert _returned(fn.fired_case, memory, symbol) == fired, (fn.name, memory, symbol)
+        assert _returned(fired_case, fn, memory, symbol) == fired, (fn.name, memory, symbol)
         defined += want[1] is not None
     return defined
 
@@ -541,13 +543,13 @@ def test_hand_made_machine_tables_equal_the_reference(name):
 def test_hand_made_machine_tables_cover_each_error_and_the_earlier_match():
     fn = RAISING_MACHINE_TABLES["memory pattern raises"]
     assert _returned(fn.evaluate, 1, "go") == ("raises", "modulo by zero")
-    assert _returned(fn.fired_case, 1, "go") == ("raises", "modulo by zero")
+    assert _returned(fired_case, fn, 1, "go") == ("raises", "modulo by zero")
     fn = RAISING_MACHINE_TABLES["update raises"]
     assert _returned(fn.evaluate, 1, "go") == ("raises", "modulo by zero")
     fn = RAISING_MACHINE_TABLES["a later pattern raises after a match"]
-    assert fn.evaluate(0, "go") == ("zero", 5) and fn.fired_case(0, "go") == 0
+    assert fn.evaluate(0, "go") == ("zero", 5) and fired_case(fn, 0, "go") == 0
     assert _returned(fn.evaluate, 1, "go") == ("raises", "modulo by zero")
     fn = RAISING_MACHINE_TABLES["the first match wins over a later one"]
-    assert fn.evaluate(2, "go") == ("big", 3) and fn.fired_case(2, "go") == 1
-    assert fn.evaluate(1, "go") == ("any", 0) and fn.fired_case(1, "go") == 2
-    assert fn.evaluate(1, "stop") == ("halt", 9) and fn.fired_case(1, "stop") == 0
+    assert fn.evaluate(2, "go") == ("big", 3) and fired_case(fn, 2, "go") == 1
+    assert fn.evaluate(1, "go") == ("any", 0) and fired_case(fn, 1, "go") == 2
+    assert fn.evaluate(1, "stop") == ("halt", 9) and fired_case(fn, 1, "stop") == 0

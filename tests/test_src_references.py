@@ -12,7 +12,8 @@ must keep resolving while the tracer names them, and the
 documents.
 
 Likewise an error carries only its message, except the two whose payload
-the command line prints.
+the command line prints, and every name a module imports is used in that
+module.
 """
 
 import ast
@@ -94,6 +95,24 @@ def test_every_entry_point_is_referenced_from_the_package():
     traced = {f"{module}.{qualname}" for module, qualname in tracer["SPANS"] + tracer["COUNTED"]}
     assert [name for name in unreferenced(trees)
             if name not in traced | WITNESS_REPLAYS] == []
+
+
+def unused_imports(tree):
+    """The names ``tree`` imports and never reads, ``__future__`` aside."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_every_import_is_used():
+    unused = {path.name: unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
 
 
 def test_errors_carry_only_their_message():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from gen_models import random_dft_sxm
+from gen_models import random_dft_sxm, reachable_states
 from machine_walk import fundamental_test_inputs
 
 from heterotest.errors import (
@@ -243,10 +243,12 @@ def reference_minimize_automaton(a: Automaton) -> Automaton:
     from collections import deque
     from typing import Dict
 
-    from heterotest.testgen import _require_deterministic, prune_unreachable
+    from heterotest.testgen import _require_deterministic
 
     _require_deterministic(a)
-    a = prune_unreachable(a)
+    keep = reachable_states(a)
+    a = Automaton(keep, a.initial & keep, a.terminal & keep,
+                  frozenset(arc for arc in a.arcs if arc[0] in keep and arc[2] in keep))
     labels = a.labels()
     trans = a.transitions
 
@@ -335,7 +337,7 @@ def reference_witness(a: Automaton):
 
 
 def reference_state_cover(a: Automaton) -> set:
-    from heterotest.testgen import _cover_map, _require_deterministic, reachable_states
+    from heterotest.testgen import _cover_map, _require_deterministic
 
     _require_deterministic(a)
     missing = a.states - reachable_states(a)
@@ -472,7 +474,7 @@ def reference_w_method_sequences(a: Automaton, k: int, cover: set, w: set) -> se
 
 def reference_translate(model, sequences):
     """(inputs, fell back) for each function sequence, in order."""
-    from heterotest.sxm import replay_sequences
+    from machine_walk import replay_sequences
 
     inputs = sorted(model.inputs)
 
@@ -494,9 +496,8 @@ def reference_translate(model, sequences):
 
 def reference_build_w_suite(model, k: int, metadata=None):
     from heterotest.sxm import TestCase, TestSuite, associated_automaton, replay_outputs
-    from heterotest.testgen import prune_unreachable
 
-    minimal = minimize_automaton(prune_unreachable(associated_automaton(model)))
+    minimal = minimize_automaton(associated_automaton(model))
     cover = state_cover(minimal)
     w = characterization_set(minimal)
     sequences = sorted(reference_w_method_sequences(minimal, k, cover, w))
